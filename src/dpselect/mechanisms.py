@@ -14,6 +14,14 @@ floating-point coincidence; they break toward the smallest index. Each
 mechanism accepts an optional ``trace`` dict that it fills with its
 internal variables (noisy scores, permutation, coin probabilities, ...)
 for debugging and tests; tracing never changes the draw sequence.
+
+Beside each scalar mechanism sits a batch sampler of (instance, rng, rows)
+that runs the same algorithm for many independent draws at once with numpy
+and returns one chosen index per row; ``BATCH_SAMPLERS`` holds them under
+the ``MECHANISMS`` keys. Each batch sampler follows its own mechanism's
+algorithm rather than any equivalence between mechanisms, so sampling one
+mechanism never borrows the distribution of another. The scalar versions
+stay the single-draw reference the batch samplers are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, MutableMapping, Sequence
 
 import numpy as np
@@ -59,6 +68,14 @@ def _argmax_first(values: np.ndarray) -> int:
     return int(np.argmax(values))
 
 
+def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
+    """Per row, a uniformly random True column of a boolean matrix whose
+    rows each hold at least one True: the smallest of one uniform key per
+    entry, with the False entries masked out."""
+    keys = rng.uniforms(mask.size).reshape(mask.shape)
+    return np.argmin(np.where(mask, keys, np.inf), axis=1)
+
+
 def report_noisy_max(
     inst: ValidatedInstance,
     kind: str,
@@ -78,6 +95,17 @@ def report_noisy_max(
     if trace is not None:
         trace["noisy_scores"] = noisy.tolist()
     return SelectionResult(index, inst.quality.labels[index])
+
+
+def _report_noisy_max_batch(
+    kind: str, inst: ValidatedInstance, rng: RngState, rows: int
+) -> np.ndarray:
+    """Batch report_noisy_max: row-wise first argmax of the scores plus a
+    rows x k matrix of independent noise draws."""
+    noise = from_params(kind, inst.params)
+    k = len(inst.quality)
+    noisy = np.asarray(inst.quality.scores) + samples(noise, rng, rows * k).reshape(rows, k)
+    return np.argmax(noisy, axis=1)
 
 
 def exponential_mechanism(
@@ -105,6 +133,20 @@ def exponential_mechanism(
     if trace is not None:
         trace["selection_probabilities"] = (weights / cumulative[-1]).tolist()
     return SelectionResult(index, quality.labels[index])
+
+
+def _exponential_mechanism_batch(
+    inst: ValidatedInstance, rng: RngState, rows: int
+) -> np.ndarray:
+    """Batch exponential_mechanism: one searchsorted of rows uniforms over
+    the cumulative shifted weights."""
+    quality = inst.quality
+    weights = np.exp(inst.params.rate * (np.asarray(quality.scores) - quality.best_score))
+    cumulative = np.cumsum(weights)
+    u = rng.uniforms(rows) * cumulative[-1]
+    index = np.searchsorted(cumulative, u, side="right")
+    # u can land on the rounded-down total, one past the last index
+    return np.minimum(index, len(quality) - 1)
 
 
 def permute_and_flip(
@@ -136,6 +178,25 @@ def permute_and_flip(
     raise AssertionError("unreachable: the best outcome's coin has probability 1")
 
 
+def _permute_and_flip_batch(
+    inst: ValidatedInstance, rng: RngState, rows: int
+) -> np.ndarray:
+    """Batch permute_and_flip: every row flips all k coins up front and
+    returns the heads that comes first in a uniformly random visiting
+    order, i.e. the heads with the smallest of k uniform order keys.
+
+    The best outcome's coin has probability exactly 1 and a uniform draw is
+    below 1, so every row holds at least one heads.
+    """
+    quality = inst.quality
+    k = len(quality)
+    heads_probability = np.exp(
+        inst.params.rate * (np.asarray(quality.scores) - quality.best_score)
+    )
+    heads = rng.uniforms(rows * k).reshape(rows, k) < heads_probability
+    return _uniform_pick(heads, rng)
+
+
 def intermediate_a(
     inst: ValidatedInstance,
     rng: RngState,
@@ -160,6 +221,18 @@ def intermediate_a(
         trace["noisy_scores"] = noisy.tolist()
         trace["candidate_set"] = kept.tolist()
     return SelectionResult(index, quality.labels[index])
+
+
+def _intermediate_a_batch(
+    inst: ValidatedInstance, rng: RngState, rows: int
+) -> np.ndarray:
+    """Batch intermediate_a: per row, a uniform pick among the outcomes
+    whose exponentially-noised score reaches the best true score."""
+    quality = inst.quality
+    k = len(quality)
+    noise = samples(Exponential(inst.params.rate), rng, rows * k).reshape(rows, k)
+    kept = np.asarray(quality.scores) + noise >= quality.best_score
+    return _uniform_pick(kept, rng)
 
 
 def intermediate_b(
@@ -191,6 +264,22 @@ def intermediate_b(
         trace["tiebreak_noise"] = tiebreak.tolist()
         trace["candidate_set"] = survivors.tolist()
     return SelectionResult(index, quality.labels[index])
+
+
+def _intermediate_b_batch(
+    inst: ValidatedInstance, rng: RngState, rows: int
+) -> np.ndarray:
+    """Batch intermediate_b: per row, the first argmax of capped score plus
+    tie-break over the outcomes whose capped score hit the cap. Draws are
+    laid out as in the scalar version, score noise and tie-break
+    interleaved per outcome."""
+    quality = inst.quality
+    k = len(quality)
+    best = quality.best_score
+    draws = samples(Exponential(inst.params.rate), rng, rows * 2 * k).reshape(rows, 2 * k)
+    capped = np.minimum(best, np.asarray(quality.scores) + draws[:, 0::2])
+    candidates = np.where(capped == best, capped + draws[:, 1::2], -np.inf)
+    return np.argmax(candidates, axis=1)
 
 
 def argmax_with_gap(noisy_values: Sequence[float]) -> tuple[int, float]:
@@ -264,4 +353,15 @@ MECHANISMS: dict[str, Callable[..., SelectionResult]] = {
     "em": exponential_mechanism,
     "alg-a": intermediate_a,
     "alg-b": intermediate_b,
+}
+
+
+BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarray]] = {
+    "pf": _permute_and_flip_batch,
+    "rnm-expo": partial(_report_noisy_max_batch, "exponential"),
+    "rnm-laplace": partial(_report_noisy_max_batch, "laplace"),
+    "rnm-gumbel": partial(_report_noisy_max_batch, "gumbel"),
+    "em": _exponential_mechanism_batch,
+    "alg-a": _intermediate_a_batch,
+    "alg-b": _intermediate_b_batch,
 }

@@ -33,7 +33,7 @@ from .errors import (
     QuadratureNonConvergence,
     TooManyOutcomesForEnumeration,
 )
-from .mechanisms import MECHANISMS, SelectionResult
+from .mechanisms import BATCH_SAMPLERS
 from .noise import NOISE_FAMILIES, Exponential, RngState, cdf, from_params, pdf, quantile
 
 # 2^20 enumeration terms with magnitudes <= 1 keep the floating-point error
@@ -46,6 +46,12 @@ QUADRATURE_TARGET = 1e-9
 _TAIL_MASS = 1e-12
 
 MIN_EXPECTED_COUNT = 5.0
+
+# Batch sampling draws at most this many rows x outcomes entries per chunk,
+# so memory stays flat in the number of draws. At 2^14 doubles (128 KiB) a
+# chunk's matrices stay cache-sized: 2^15 and 2^16 measured both slower and
+# larger in peak memory.
+BATCH_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -195,30 +201,39 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     )
 
 
-def _resolve_mechanism(mechanism) -> Callable[..., SelectionResult]:
-    if callable(mechanism):
-        return mechanism
-    try:
-        return MECHANISMS[mechanism]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {mechanism!r}; expected one of {sorted(MECHANISMS)}"
-        ) from None
-
-
 def empirical_counts(
     mechanism, inst: ValidatedInstance, n: int, seed: int
 ) -> list[int]:
-    """Outcome counts of n independent runs of a mechanism (a name from
-    MECHANISMS or a callable of (instance, rng)) under one seeded stream."""
+    """Outcome counts of n independent runs of a mechanism under one seeded
+    stream.
+
+    A name from MECHANISMS draws through its vectorized BATCH_SAMPLERS
+    entry, in chunks of at most BATCH_ELEMENTS // k rows. A callable of
+    (instance, rng) runs once per draw: this scalar loop is the reference
+    the batch samplers are checked against. Either way a fixed seed gives
+    the same counts bit for bit; the two paths consume the stream
+    differently, so one seed need not give the same counts on both.
+    """
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
-    run = _resolve_mechanism(mechanism)
     rng = RngState(seed)
-    counts = [0] * len(inst.quality)
-    for _ in range(n):
-        counts[run(inst, rng).index] += 1
-    return counts
+    k = len(inst.quality)
+    if callable(mechanism):
+        counts = [0] * k
+        for _ in range(n):
+            counts[mechanism(inst, rng).index] += 1
+        return counts
+    try:
+        sampler = BATCH_SAMPLERS[mechanism]
+    except KeyError:
+        raise ValueError(
+            f"unknown mechanism {mechanism!r}; expected one of {sorted(BATCH_SAMPLERS)}"
+        ) from None
+    chunk = max(1, BATCH_ELEMENTS // k)
+    counts = np.zeros(k, dtype=np.int64)
+    for start in range(0, n, chunk):
+        counts += np.bincount(sampler(inst, rng, min(chunk, n - start)), minlength=k)
+    return counts.tolist()
 
 
 def empirical_distribution(

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dpselect
 from dpselect import formats
 from dpselect.cli import main
 
@@ -290,3 +295,20 @@ class TestExitCodeContract:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestModuleInvocation:
+    @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
+    def test_python_dash_m_runs_the_command(self, capsys, module, scores_file):
+        argv = ("select", "--mechanism", "em", "--epsilon", "1",
+                "--sensitivity", "1", "--seed", "3", "--scores", scores_file)
+        _, expected, _ = run(capsys, *argv)
+        src = str(Path(dpselect.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from dpselect import (
+    MECHANISMS,
     ProbabilityTable,
     RngState,
     chi_square_gof,
@@ -23,6 +24,7 @@ from dpselect.errors import (
     QuadratureNonConvergence,
     TooManyOutcomesForEnumeration,
 )
+from dpselect.oracle import BATCH_ELEMENTS
 
 from helpers import instances, make_instance
 
@@ -186,6 +188,62 @@ class TestEmpirical:
             exponential_mechanism, make_instance([0.0, 0.0]), 100, seed=0
         )
         assert sum(table.probabilities) == pytest.approx(1.0)
+
+
+# the exact table each mechanism's samples are tested against, as in the
+# sample-verify benchmark: the equivalences under test make pf the reference
+# for its reformulations and for rnm-expo, and em for Gumbel noisy-max
+SAMPLING_REFERENCES = {
+    "pf": pf_exact_distribution,
+    "alg-a": pf_exact_distribution,
+    "alg-b": pf_exact_distribution,
+    "rnm-expo": pf_exact_distribution,
+    "em": em_exact_distribution,
+    "rnm-gumbel": em_exact_distribution,
+    "rnm-laplace": lambda inst: rnm_exact_quadrature(inst, "laplace"),
+}
+
+
+class TestScalarAndBatchPaths:
+    """A mechanism passed as a callable runs the scalar single-draw loop;
+    passed by name it runs the batch sampler. Both must follow the same
+    reference table."""
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    @pytest.mark.parametrize(
+        "scores,epsilon,never",
+        [
+            ([0.8, -0.3, 0.1, 1.9], 1.5, []),
+            ([5.0, 5.0, 4.0], 2.0, []),
+            ([3.5], 0.4, []),
+            # rate * (max q - q_2) = 800 > 745: the weight underflows to 0
+            ([0.0, -0.05, -80.0], 20.0, [2]),
+        ],
+        ids=["mixed", "tied-best", "k1", "underflow"],
+    )
+    def test_scalar_and_batch_match_reference(self, name, scores, epsilon, never):
+        inst = make_instance(scores, epsilon=epsilon)
+        reference = SAMPLING_REFERENCES[name](inst)
+        for mechanism in (MECHANISMS[name], name):
+            counts = empirical_counts(mechanism, inst, 10_000, seed=41)
+            assert sum(counts) == 10_000
+            assert chi_square_gof(counts, reference, 0.001).passed
+            assert [counts[i] for i in never] == [0] * len(never)
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_single_draw_is_one_hot(self, name):
+        inst = make_instance([1.0, 0.0, 2.0])
+        for mechanism in (MECHANISMS[name], name):
+            assert sorted(empirical_counts(mechanism, inst, 1, seed=5)) == [0, 0, 1]
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_one_past_chunk_boundary(self, name):
+        inst = make_instance([0.4, -0.2, 0.0, 0.3])
+        n = BATCH_ELEMENTS // 4 + 1
+        counts = empirical_counts(name, inst, n, seed=9)
+        assert sum(counts) == n
+        assert chi_square_gof(counts, SAMPLING_REFERENCES[name](inst), 0.001).passed
+        assert empirical_counts(name, inst, n, seed=9) == counts
 
 
 class TestTvDistance:

@@ -2,9 +2,11 @@
 """Compare the expected selection error of permute-and-flip against the
 exponential mechanism across a privacy-budget grid.
 
-Emits one plot-ready JSON row per epsilon: mean expected error of each
-mechanism over a fixed random instance suite and the largest violation of
-pf <= em observed (which should stay at zero).
+Emits one plot-ready JSON row per epsilon over a fixed random instance
+suite: the mean expected error of each mechanism, pf's largest advantage
+on one instance (`largest_em_minus_pf`, em's error minus pf's, positive
+when pf does better), and `dominance_violations`, the number of instances
+where pf's error exceeds em's by more than 1e-9 (which should stay at zero).
 """
 
 from __future__ import annotations

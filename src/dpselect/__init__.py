@@ -50,6 +50,7 @@ from .oracle import (
     pf_exact_distribution,
     rnm_exact_quadrature,
     rnm_expo_exact_distribution,
+    table_for,
     tv_distance,
 )
 from .audit import (
@@ -111,6 +112,7 @@ __all__ = [
     "sample",
     "samples",
     "sensitivity_from_pairs",
+    "table_for",
     "tv_distance",
     "validate_instance",
 ]

@@ -24,6 +24,7 @@ from .core import (
     ProbabilityTable,
     QualityVector,
     ValidatedInstance,
+    sensitivity_from_pairs,
     validate_instance,
 )
 from .errors import (
@@ -111,9 +112,7 @@ def privacy_ratio_audit(
 
     per_pair = []
     for pair_index, pair in enumerate(pairs):
-        deviation = max(
-            abs(a - b) for a, b in zip(pair.q1.scores, pair.q2.scores)
-        )
+        deviation = sensitivity_from_pairs([pair])
         # tiny relative slack so a pair constructed as q + u with |u| <= delta
         # is not rejected over the last-ulp rounding of q + u
         if deviation > params.sensitivity * (1.0 + 1e-12):
@@ -164,7 +163,10 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
 def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     """Compare exact expected errors of permute-and-flip and the
     exponential mechanism per instance; count instances where
-    permute-and-flip comes out worse beyond the 1e-9 slack."""
+    permute-and-flip comes out worse beyond the 1e-9 slack. An empty
+    suite is rejected: it would pass without checking anything."""
+    if len(instances) == 0:
+        raise ValueError("need at least one instance")
     records = []
     violations = 0
     for instance_id, inst in enumerate(instances):

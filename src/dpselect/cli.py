@@ -15,7 +15,7 @@ import sys
 from typing import Any
 
 from .audit import dominance_check, privacy_ratio_audit, random_instances
-from .core import PrivacyParams, ProbabilityTable, validate_instance
+from .core import PrivacyParams, validate_instance
 from .errors import DpSelectError
 from .formats import (
     load_neighbor_pairs,
@@ -27,14 +27,7 @@ from .formats import (
 )
 from .mechanisms import MECHANISMS
 from .noise import RngState
-from .oracle import (
-    EXACT_ORACLES,
-    QUADRATURE_FAMILIES,
-    chi_square_gof,
-    empirical_counts,
-    rnm_exact_quadrature,
-    tv_distance,
-)
+from .oracle import EXACT_ORACLES, chi_square_gof, table_for, tv_distance
 
 MECHANISM_NAMES = sorted(MECHANISMS)
 
@@ -71,30 +64,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    inst = _instance(args)
-    if args.mode == "exact":
-        oracle = EXACT_ORACLES.get(args.mechanism)
-        if oracle is None:
-            return _invalid(
-                f"no exact oracle for {args.mechanism!r}; "
-                f"exact mode supports {sorted(EXACT_ORACLES)}"
-            )
-        table = oracle(inst)
-    elif args.mode == "quadrature":
-        family = QUADRATURE_FAMILIES.get(args.mechanism)
-        if family is None:
-            return _invalid(
-                f"no quadrature route for {args.mechanism!r}; "
-                f"quadrature mode supports {sorted(QUADRATURE_FAMILIES)}"
-            )
-        table = rnm_exact_quadrature(inst, family)
-    else:
-        counts = empirical_counts(args.mechanism, inst, args.n, args.seed)
-        table = ProbabilityTable(
-            inst.quality.labels,
-            [c / args.n for c in counts],
-            f"empirical(n={args.n},seed={args.seed})",
-        )
+    table = table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed)
     if args.out:
         write_probability_table(table, args.out)
     _emit(probability_table_to_dict(table))
@@ -108,23 +78,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     inst = _instance(args)
     first, second = mechanisms
 
-    if args.mode in ("exact", "quadrature"):
-        if args.mode == "exact":
-            missing = [m for m in mechanisms if m not in EXACT_ORACLES]
-            if missing:
-                return _invalid(
-                    f"no exact oracle for {missing[0]!r}; "
-                    f"exact mode supports {sorted(EXACT_ORACLES)}"
-                )
-            tables = [EXACT_ORACLES[m](inst) for m in mechanisms]
-        else:
-            missing = [m for m in mechanisms if m not in QUADRATURE_FAMILIES]
-            if missing:
-                return _invalid(
-                    f"no quadrature route for {missing[0]!r}; "
-                    f"quadrature mode supports {sorted(QUADRATURE_FAMILIES)}"
-                )
-            tables = [rnm_exact_quadrature(inst, QUADRATURE_FAMILIES[m]) for m in mechanisms]
+    if args.mode != "empirical":
+        tables = [table_for(m, inst, args.mode) for m in mechanisms]
         tv = tv_distance(tables[0], tables[1])
         passed = tv <= args.tolerance
         _emit(
@@ -139,19 +94,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 0 if passed else 3
 
     # empirical: sample the first mechanism, test against the second's exact table
-    reference_oracle = EXACT_ORACLES.get(second)
-    if reference_oracle is None:
-        return _invalid(
-            f"empirical mode needs an exact reference; {second!r} is not in "
-            f"{sorted(EXACT_ORACLES)}"
-        )
-    counts = empirical_counts(first, inst, args.n, args.seed)
-    reference = reference_oracle(inst)
-    empirical = ProbabilityTable(
-        inst.quality.labels,
-        [c / args.n for c in counts],
-        f"empirical(n={args.n},seed={args.seed})",
-    )
+    reference = table_for(second, inst, "exact")
+    empirical = table_for(first, inst, "empirical", args.n, args.seed)
+    # each frequency is a correctly rounded c/n with n < 2^51, so this is c
+    counts = [round(p * args.n) for p in empirical.probabilities]
     gof = chi_square_gof(counts, reference, args.significance)
     _emit(
         {
@@ -192,11 +138,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_utility(args: argparse.Namespace) -> int:
     params = PrivacyParams(args.epsilon, args.sensitivity)
-    if args.scores and args.random:
+    if args.scores and args.random is not None:
         return _invalid("give either --scores or --random, not both")
     if args.scores:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
-    elif args.random:
+    elif args.random is not None:
         instances = random_instances(
             args.random,
             args.epsilon,
@@ -245,27 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="quality-vector JSON file")
     p.set_defaults(handler=cmd_select)
 
-    p = sub.add_parser("dist", parents=[privacy],
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--scores", required=True, help="quality-vector JSON file")
+    tables.add_argument("--mode", choices=["exact", "quadrature", "empirical"],
+                        default="exact", help="how to compute each table (default: exact)")
+    tables.add_argument("--n", type=int, default=100000,
+                        help="samples for empirical mode (default: 100000)")
+
+    p = sub.add_parser("dist", parents=[privacy, tables],
                        help="compute a mechanism's output distribution")
     p.add_argument("--mechanism", required=True, choices=MECHANISM_NAMES)
-    p.add_argument("--scores", required=True, help="quality-vector JSON file")
-    p.add_argument("--mode", choices=["exact", "quadrature", "empirical"],
-                   default="exact", help="how to compute the table (default: exact)")
-    p.add_argument("--n", type=int, default=100000,
-                   help="samples for empirical mode (default: 100000)")
     p.add_argument("--out", help="write the distribution table to this file")
     p.set_defaults(handler=cmd_dist)
 
-    p = sub.add_parser("compare", parents=[privacy],
+    p = sub.add_parser("compare", parents=[privacy, tables],
                        help="compare two mechanisms' output distributions")
     p.add_argument("--mechanism", action="append", choices=MECHANISM_NAMES,
                    help="give exactly twice; in empirical mode the first is "
                         "sampled and the second is the exact reference")
-    p.add_argument("--scores", required=True, help="quality-vector JSON file")
-    p.add_argument("--mode", choices=["exact", "quadrature", "empirical"],
-                   default="exact", help="comparison mode (default: exact)")
-    p.add_argument("--n", type=int, default=100000,
-                   help="samples for empirical mode (default: 100000)")
     p.add_argument("--tolerance", type=float, default=1e-8,
                    help="TV-distance acceptance bound for exact/quadrature "
                         "modes (default: 1e-8)")
@@ -286,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare expected error of pf vs em")
     p.add_argument("--scores", help="quality-vector JSON file (single instance)")
     p.add_argument("--random", type=int,
-                   help="audit this many random instances instead")
+                   help="audit this many (at least 1) random instances instead")
     p.add_argument("--k-max", type=int, default=10, dest="k_max",
                    help="largest outcome count for --random (default: 10)")
     p.add_argument("--out", help="write the full utility report to this file")

@@ -29,41 +29,6 @@ PROBABILITY_SUM_TOLERANCE = 1e-9
 PROBABILITY_CLAMP_TOLERANCE = 1e-12
 
 
-def _check_scores(labels: tuple[str, ...], scores: tuple[float, ...]) -> None:
-    if len(scores) == 0:
-        raise EmptyOutcomeSet("a quality vector needs at least one outcome")
-    if len(labels) != len(scores):
-        raise LabelMismatch(
-            f"{len(labels)} labels for {len(scores)} scores"
-        )
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabel(f"label {label!r} appears more than once")
-        seen.add(label)
-    for label, score in zip(labels, scores):
-        if not math.isfinite(score):
-            raise NonFiniteScore(f"score for {label!r} is {score!r}")
-
-
-def _check_privacy(epsilon: float, sensitivity: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise NonPositiveEpsilon(
-            f"epsilon must be a positive finite real, got {epsilon!r}"
-        )
-    if not (math.isfinite(sensitivity) and sensitivity > 0.0):
-        raise NonPositiveSensitivity(
-            f"sensitivity must be a positive finite real, got {sensitivity!r}"
-        )
-    rate = epsilon / (2.0 * sensitivity)
-    scale = 2.0 * sensitivity / epsilon
-    if not (0.0 < rate < math.inf and 0.0 < scale < math.inf):
-        raise DerivedScaleOverflow(
-            f"epsilon={epsilon!r} with sensitivity={sensitivity!r} gives "
-            f"noise rate {rate!r} and scale {scale!r}"
-        )
-
-
 @dataclass(frozen=True)
 class QualityVector:
     """Per-outcome quality scores with opaque string labels.
@@ -78,7 +43,18 @@ class QualityVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        _check_scores(self.labels, self.scores)
+        if len(self.scores) == 0:
+            raise EmptyOutcomeSet("a quality vector needs at least one outcome")
+        if len(self.labels) != len(self.scores):
+            raise LabelMismatch(f"{len(self.labels)} labels for {len(self.scores)} scores")
+        seen: set[str] = set()
+        for label in self.labels:
+            if label in seen:
+                raise DuplicateLabel(f"label {label!r} appears more than once")
+            seen.add(label)
+        for label, score in zip(self.labels, self.scores):
+            if not math.isfinite(score):
+                raise NonFiniteScore(f"score for {label!r} is {score!r}")
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -108,7 +84,20 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "sensitivity", float(self.sensitivity))
-        _check_privacy(self.epsilon, self.sensitivity)
+        epsilon, sensitivity = self.epsilon, self.sensitivity
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise NonPositiveEpsilon(
+                f"epsilon must be a positive finite real, got {epsilon!r}"
+            )
+        if not (math.isfinite(sensitivity) and sensitivity > 0.0):
+            raise NonPositiveSensitivity(
+                f"sensitivity must be a positive finite real, got {sensitivity!r}"
+            )
+        if not (0.0 < self.rate < math.inf and 0.0 < self.scale < math.inf):
+            raise DerivedScaleOverflow(
+                f"epsilon={epsilon!r} with sensitivity={sensitivity!r} gives "
+                f"noise rate {self.rate!r} and scale {self.scale!r}"
+            )
 
     @property
     def rate(self) -> float:
@@ -121,8 +110,9 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class ValidatedInstance:
-    """A quality vector paired with privacy parameters, revalidated on
-    construction. Obtain one through :func:`validate_instance`."""
+    """A quality vector paired with privacy parameters. Both enforce their
+    own invariants when built, so only their types are checked here.
+    Obtain one through :func:`validate_instance`."""
 
     quality: QualityVector
     params: PrivacyParams
@@ -132,8 +122,6 @@ class ValidatedInstance:
             raise TypeError("quality must be a QualityVector")
         if not isinstance(self.params, PrivacyParams):
             raise TypeError("params must be a PrivacyParams")
-        _check_scores(self.quality.labels, self.quality.scores)
-        _check_privacy(self.params.epsilon, self.params.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -193,11 +181,11 @@ class ProbabilityTable:
 
 
 def validate_instance(quality: QualityVector, params: PrivacyParams) -> ValidatedInstance:
-    """Check every type invariant and return the validated instance.
+    """Pair a quality vector with privacy parameters.
 
-    Raises EmptyOutcomeSet, NonFiniteScore, DuplicateLabel,
-    NonPositiveEpsilon, or NonPositiveSensitivity on the first violation
-    found.
+    Their invariants (EmptyOutcomeSet, NonFiniteScore, DuplicateLabel,
+    NonPositiveEpsilon, NonPositiveSensitivity) are raised when they are
+    built; this raises TypeError if either argument has the wrong type.
     """
     return ValidatedInstance(quality=quality, params=params)
 

@@ -66,7 +66,8 @@ class PairExceedsSensitivity(ValidationError):
 
 
 class UnsupportedOracle(ValidationError):
-    """The named mechanism has no exact output-distribution oracle."""
+    """The named mechanism has no route for the requested table: no exact
+    oracle, no quadrature family, or no sampler."""
 
 
 class MalformedInputFile(ValidationError):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, MutableMapping, Sequence
 
 import numpy as np
@@ -98,7 +97,7 @@ def report_noisy_max(
 
 
 def _report_noisy_max_batch(
-    kind: str, inst: ValidatedInstance, rng: RngState, rows: int
+    inst: ValidatedInstance, kind: str, rng: RngState, rows: int
 ) -> np.ndarray:
     """Batch report_noisy_max: row-wise first argmax of the scores plus a
     rows x k matrix of independent noise draws."""
@@ -320,36 +319,39 @@ def report_noisy_max_with_gap(
 ) -> GapResult:
     """Report-noisy-max that additionally releases the top-two gap.
 
-    Consumes the identical draw sequence as report_noisy_max, so the index
-    marginal matches it seed for seed.
+    Runs report_noisy_max itself and takes the gap from the noisy scores
+    it traces, so the draws and the index match it seed for seed.
     """
     if len(inst.quality) < 2:
         raise NeedAtLeastTwoOutcomes("gap release needs at least two outcomes")
-    noise = from_params(kind, inst.params)
-    noisy = np.asarray(inst.quality.scores) + samples(noise, rng, len(inst.quality))
-    index, gap = argmax_with_gap(noisy)
-    if trace is not None:
-        trace["noisy_scores"] = noisy.tolist()
-    return GapResult(index, inst.quality.labels[index], gap)
+    if trace is None:
+        trace = {}
+    result = report_noisy_max(inst, kind, rng, trace)
+    _, gap = argmax_with_gap(trace["noisy_scores"])
+    return GapResult(result.index, result.label, gap)
 
 
-def _rnm_expo(inst, rng, trace=None):
-    return report_noisy_max(inst, "exponential", rng, trace)
+# noisy-max mechanism name -> noise family; the single source for both
+# mechanism tables below and for the oracle's quadrature route
+RNM_FAMILIES: dict[str, str] = {
+    "rnm-expo": "exponential",
+    "rnm-laplace": "laplace",
+    "rnm-gumbel": "gumbel",
+}
 
 
-def _rnm_laplace(inst, rng, trace=None):
-    return report_noisy_max(inst, "laplace", rng, trace)
+def _with_family(fn: Callable, kind: str) -> Callable:
+    """fn(inst, kind, rng, ...) as a table entry of (inst, rng, ...)."""
 
+    def entry(inst, rng, *args, **kwargs):
+        return fn(inst, kind, rng, *args, **kwargs)
 
-def _rnm_gumbel(inst, rng, trace=None):
-    return report_noisy_max(inst, "gumbel", rng, trace)
+    return entry
 
 
 MECHANISMS: dict[str, Callable[..., SelectionResult]] = {
     "pf": permute_and_flip,
-    "rnm-expo": _rnm_expo,
-    "rnm-laplace": _rnm_laplace,
-    "rnm-gumbel": _rnm_gumbel,
+    **{name: _with_family(report_noisy_max, kind) for name, kind in RNM_FAMILIES.items()},
     "em": exponential_mechanism,
     "alg-a": intermediate_a,
     "alg-b": intermediate_b,
@@ -358,9 +360,7 @@ MECHANISMS: dict[str, Callable[..., SelectionResult]] = {
 
 BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarray]] = {
     "pf": _permute_and_flip_batch,
-    "rnm-expo": partial(_report_noisy_max_batch, "exponential"),
-    "rnm-laplace": partial(_report_noisy_max_batch, "laplace"),
-    "rnm-gumbel": partial(_report_noisy_max_batch, "gumbel"),
+    **{name: _with_family(_report_noisy_max_batch, kind) for name, kind in RNM_FAMILIES.items()},
     "em": _exponential_mechanism_batch,
     "alg-a": _intermediate_a_batch,
     "alg-b": _intermediate_b_batch,

@@ -13,7 +13,8 @@ and must keep agreeing:
 The two enumeration-style oracles are deliberately written as separate
 loops with no shared subset walk, so a bug in one cannot hide in the
 other. Summation order per index is fixed, making results reproducible
-bit for bit.
+bit for bit. table_for is the one place that maps a mechanism and a mode
+to its route.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .errors import (
     LabelMismatch,
     QuadratureNonConvergence,
     TooManyOutcomesForEnumeration,
+    UnsupportedOracle,
 )
-from .mechanisms import BATCH_SAMPLERS
-from .noise import NOISE_FAMILIES, Exponential, RngState, cdf, from_params, pdf, quantile
+from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES
+from .noise import Exponential, RngState, cdf, from_params, pdf, quantile
 
 # 2^20 enumeration terms with magnitudes <= 1 keep the floating-point error
 # of the alternating sum near 1e-10, comfortably inside the 1e-8 tolerance
@@ -64,6 +66,11 @@ class GofResult:
     passed: bool
 
 
+def _check_outcome_count(k: int, limit: int, route: str) -> None:
+    if k > limit:
+        raise TooManyOutcomesForEnumeration(f"{route} supports at most {limit} outcomes, got {k}")
+
+
 def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     """Closed-form output distribution of the exponential mechanism:
     P(i) proportional to exp(rate * q_i), evaluated in shifted form."""
@@ -88,10 +95,7 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     Cost is k * 2^(k-1) terms, hence the outcome limit.
     """
     k = len(inst.quality)
-    if k > ENUMERATION_LIMIT:
-        raise TooManyOutcomesForEnumeration(
-            f"enumeration supports at most {ENUMERATION_LIMIT} outcomes, got {k}"
-        )
+    _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     keep_probs = np.exp(inst.params.rate * (scores - inst.quality.best_score))
     out = np.empty(k)
@@ -124,10 +128,7 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     alternating sum stays well-conditioned.
     """
     k = len(inst.quality)
-    if k > ENUMERATION_LIMIT:
-        raise TooManyOutcomesForEnumeration(
-            f"enumeration supports at most {ENUMERATION_LIMIT} outcomes, got {k}"
-        )
+    _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
     out = np.empty(k)
@@ -153,12 +154,7 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     error target.
     """
     k = len(inst.quality)
-    if k > QUADRATURE_LIMIT:
-        raise TooManyOutcomesForEnumeration(
-            f"quadrature supports at most {QUADRATURE_LIMIT} outcomes, got {k}"
-        )
-    if kind not in NOISE_FAMILIES:
-        raise ValueError(f"unknown noise family {kind!r}; expected one of {NOISE_FAMILIES}")
+    _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
     noise = from_params(kind, inst.params)
     scores = inst.quality.scores
     best = inst.quality.best_score
@@ -317,9 +313,27 @@ EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {
     "em": em_exact_distribution,
 }
 
-# mechanism name -> noise family for the quadrature route
-QUADRATURE_FAMILIES: dict[str, str] = {
-    "rnm-expo": "exponential",
-    "rnm-laplace": "laplace",
-    "rnm-gumbel": "gumbel",
-}
+# mode -> the table whose keys are the mechanisms that mode can compute
+_ROUTES = {"exact": EXACT_ORACLES, "quadrature": RNM_FAMILIES, "empirical": BATCH_SAMPLERS}
+
+
+def table_for(
+    mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
+) -> ProbabilityTable:
+    """A mechanism's output table by one of three routes: "exact" (its
+    EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
+    RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
+    seeded draws). Any other pair raises UnsupportedOracle naming the
+    mechanisms the mode supports."""
+    if mode not in _ROUTES:
+        raise UnsupportedOracle(f"unknown mode {mode!r}; expected one of {sorted(_ROUTES)}")
+    if mechanism not in _ROUTES[mode]:
+        raise UnsupportedOracle(
+            f"{mode} mode has no route for {mechanism!r}; "
+            f"it supports {sorted(_ROUTES[mode])}"
+        )
+    if mode == "exact":
+        return EXACT_ORACLES[mechanism](inst)
+    if mode == "quadrature":
+        return rnm_exact_quadrature(inst, RNM_FAMILIES[mechanism])
+    return empirical_distribution(mechanism, inst, n, seed)

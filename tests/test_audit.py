@@ -149,6 +149,11 @@ class TestDominance:
             record = dominance_check([degenerate]).per_instance[0]
             assert abs(record.expected_error_em - record.expected_error_pf) <= 1e-9
 
+    def test_empty_suite_rejected(self):
+        # an empty suite would report zero violations without checking anything
+        with pytest.raises(ValueError, match="at least one instance"):
+            dominance_check([])
+
 
 class TestSuiteGenerators:
     def test_random_instances_deterministic(self):

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import dpselect
-from dpselect import formats
+from dpselect import (
+    PrivacyParams,
+    chi_square_gof,
+    empirical_counts,
+    formats,
+    rnm_expo_exact_distribution,
+    validate_instance,
+)
 from dpselect.cli import main
 
 
@@ -181,6 +188,34 @@ class TestCompare:
         assert record["chi_square"]["pass"] is True
         assert 0.0 <= record["chi_square"]["p_value"] <= 1.0
 
+    def test_empirical_mode_counts_match_direct_chi_square(self, capsys, scores_file):
+        code, record, _ = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "empirical", "--n", "30001", "--seed", "12",
+        )
+        inst = validate_instance(
+            formats.load_quality_vector(scores_file), PrivacyParams(2.0, 1.0)
+        )
+        gof = chi_square_gof(
+            empirical_counts("pf", inst, 30001, seed=12),
+            rnm_expo_exact_distribution(inst),
+            0.001,
+        )
+        assert code == (0 if gof.passed else 3)
+        assert record["chi_square"]["statistic"] == float(f"{gof.statistic:.9g}")
+        assert record["chi_square"]["degrees_of_freedom"] == gof.degrees_of_freedom
+
+    def test_empirical_mode_unsupported_reference_exits_two(self, capsys, scores_file):
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-laplace",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "empirical", "--n", "1000",
+        )
+        assert code == 2
+        assert record is None
+        assert "rnm-laplace" in err
+
     def test_needs_exactly_two_mechanisms(self, capsys, scores_file):
         code, record, err = run(
             capsys, "compare", "--mechanism", "pf",
@@ -266,6 +301,16 @@ class TestUtility:
     def test_requires_scores_or_random(self, capsys):
         code, record, err = run(capsys, "utility", "--epsilon", "1", "--sensitivity", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_random_count_below_one_exits_two(self, capsys, count):
+        code, record, err = run(
+            capsys, "utility", "--epsilon", "1", "--sensitivity", "1",
+            "--random", count,
+        )
+        assert code == 2
+        assert record is None
+        assert "at least one instance" in err
 
     def test_deterministic_given_flags(self, capsys):
         args = ("utility", "--epsilon", "1", "--sensitivity", "1",

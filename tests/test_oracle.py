@@ -16,6 +16,7 @@ from dpselect import (
     random_instances,
     rnm_exact_quadrature,
     rnm_expo_exact_distribution,
+    table_for,
     tv_distance,
 )
 from dpselect.errors import (
@@ -23,6 +24,8 @@ from dpselect.errors import (
     LabelMismatch,
     QuadratureNonConvergence,
     TooManyOutcomesForEnumeration,
+    UnsupportedOracle,
+    ValidationError,
 )
 from dpselect.oracle import BATCH_ELEMENTS
 
@@ -244,6 +247,45 @@ class TestScalarAndBatchPaths:
         assert sum(counts) == n
         assert chi_square_gof(counts, SAMPLING_REFERENCES[name](inst), 0.001).passed
         assert empirical_counts(name, inst, n, seed=9) == counts
+
+
+# (mechanism, mode) -> provenance and direct route of the table table_for
+# returns; every pair not listed has no route
+ROUTES = {
+    ("pf", "exact"): ("exact-enumeration", pf_exact_distribution),
+    ("rnm-expo", "exact"): ("exact-closed-form", rnm_expo_exact_distribution),
+    ("em", "exact"): ("exact-closed-form", em_exact_distribution),
+    ("rnm-expo", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "exponential")),
+    ("rnm-laplace", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "laplace")),
+    ("rnm-gumbel", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "gumbel")),
+    **{
+        (name, "empirical"): (
+            "empirical(n=500,seed=4)",
+            lambda i, name=name: empirical_distribution(name, i, 500, seed=4),
+        )
+        for name in MECHANISMS
+    },
+}
+
+
+class TestTableFor:
+    @pytest.mark.parametrize("mode", ["exact", "quadrature", "empirical"])
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_route_matrix(self, name, mode):
+        inst = make_instance([0.5, -1.0, 0.0])
+        if (name, mode) not in ROUTES:
+            with pytest.raises(UnsupportedOracle, match=mode):
+                table_for(name, inst, mode, n=500, seed=4)
+            return
+        provenance, direct = ROUTES[(name, mode)]
+        table = table_for(name, inst, mode, n=500, seed=4)
+        assert table.provenance == provenance
+        assert table == direct(inst)
+
+    def test_unknown_mode_rejected_as_invalid_input(self):
+        with pytest.raises(UnsupportedOracle, match="expected one of") as info:
+            table_for("pf", make_instance([0.0, 1.0]), "exactly")
+        assert isinstance(info.value, ValidationError)
 
 
 class TestTvDistance:

@@ -1,0 +1,48 @@
+"""Smoke runs of the experiment scripts on tiny grids, so a change to the
+public names they import cannot break them unnoticed."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dpselect
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    src = str(Path(dpselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert rows
+    return rows
+
+
+def test_equivalence_experiment():
+    rows = run_script(
+        "equivalence_experiment.py", "--instances", "3", "--epsilons", "1.0",
+        "--k-values", "4", "--samples", "2000",
+    )
+    assert [(r["epsilon"], r["k"]) for r in rows] == [(1.0, 4)]
+    for row in rows:
+        assert row["worst_exact_tv"] <= 1e-8
+        assert 0.0 <= row["chi_square_p_alg_a"] <= 1.0
+        assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
+
+
+def test_utility_experiment():
+    rows = run_script("utility_experiment.py", "--instances", "20", "--epsilons", "1.0")
+    assert [r["epsilon"] for r in rows] == [1.0]
+    for row in rows:
+        assert row["instances"] == 20
+        assert row["dominance_violations"] == 0
+        # pf's largest advantage over em: positive when pf dominates
+        assert row["largest_em_minus_pf"] > 0.0

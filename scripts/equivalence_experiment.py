@@ -35,6 +35,10 @@ def main() -> None:
                         help="simulation runs per mechanism cell (default: 1e5)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.instances < 1:
+        parser.error(f"--instances must be at least 1, got {args.instances}")
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
 
     for epsilon in args.epsilons:
         for k in args.k_values:

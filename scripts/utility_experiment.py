@@ -28,6 +28,8 @@ def main() -> None:
                         default=[0.05, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.instances < 1:
+        parser.error(f"--instances must be at least 1, got {args.instances}")
 
     for epsilon in args.epsilons:
         suite = random_instances(

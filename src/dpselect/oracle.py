@@ -15,6 +15,10 @@ loops with no shared subset walk, so a bug in one cannot hide in the
 other. Summation order per index is fixed, making results reproducible
 bit for bit. table_for is the one place that maps a mechanism and a mode
 to its route.
+
+Only rnm_exact_quadrature (scipy.integrate) and chi_square_gof
+(scipy.special) use scipy, and they import it when called: every other
+route, and every CLI command that needs neither, starts without it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import chi2
 
 from .core import ProbabilityTable, ValidatedInstance
 from .errors import (
@@ -153,6 +155,8 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     Raises QuadratureNonConvergence if any entry misses the 1e-9 absolute
     error target.
     """
+    from scipy import integrate
+
     k = len(inst.quality)
     _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
     noise = from_params(kind, inst.params)
@@ -301,9 +305,13 @@ def chi_square_gof(
     if len(kept) == 1:
         return GofResult(0.0, 0, 1.0, True)
 
+    # chdtrc is what scipy.stats.chi2.sf evaluates, bit for bit; importing
+    # scipy.special alone costs well under half of scipy.stats
+    from scipy.special import chdtrc
+
     statistic = math.fsum((c - e) ** 2 / e for c, e in kept)
     dof = len(kept) - 1
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return GofResult(statistic, dof, p_value, p_value >= significance)
 
 

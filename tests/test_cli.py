@@ -342,18 +342,79 @@ class TestExitCodeContract:
         capsys.readouterr()
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports dpselect from the tested tree."""
+    src = str(Path(dpselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestModuleInvocation:
     @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
     def test_python_dash_m_runs_the_command(self, capsys, module, scores_file):
         argv = ("select", "--mechanism", "em", "--epsilon", "1",
                 "--sensitivity", "1", "--seed", "3", "--scores", scores_file)
         _, expected, _ = run(capsys, *argv)
-        src = str(Path(dpselect.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", module, *argv)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == expected
+
+
+# Imports the named module, runs main(argv) when argv is not empty, and
+# prints the exit code and the scipy modules loaded as the last line.
+_SCIPY_PROBE = """
+import importlib, json, sys
+module = importlib.import_module(sys.argv[1])
+argv = sys.argv[2:]
+code = module.main(argv) if argv else None
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": loaded}))
+"""
+
+PRIVACY = ("--epsilon", "2", "--sensitivity", "1")
+
+
+class TestScipyLoadedOnlyWhenUsed:
+    """A fresh interpreter imports scipy only for quadrature (scipy.integrate)
+    and the chi-square test (scipy.special); scipy.stats is never loaded."""
+
+    @staticmethod
+    def probe(module, *argv):
+        proc = run_python("-c", _SCIPY_PROBE, module, *argv)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert self.probe(module)["scipy"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("select", "--mechanism", "pf", *PRIVACY, "--scores", "{scores}"),
+        ("dist", "--mechanism", "pf", "--mode", "exact", *PRIVACY, "--scores", "{scores}"),
+        ("compare", "--mechanism", "pf", "--mechanism", "rnm-expo", *PRIVACY,
+         "--scores", "{scores}"),
+        ("audit", "--mechanism", "pf", *PRIVACY, "--pairs", "{pairs}"),
+        ("utility", *PRIVACY, "--scores", "{scores}"),
+    ], ids=["select", "dist-exact", "compare-exact", "audit", "utility"])
+    def test_commands_without_quadrature_or_test_load_no_scipy(
+        self, argv, scores_file, pairs_file
+    ):
+        argv = [a.format(scores=scores_file, pairs=pairs_file) for a in argv]
+        assert self.probe("dpselect.cli", *argv) == {"code": 0, "scipy": []}
+
+    @pytest.mark.parametrize("argv,needed", [
+        (("dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *PRIVACY,
+          "--scores", "{scores}"), "scipy.integrate"),
+        (("compare", "--mechanism", "pf", "--mechanism", "rnm-expo", "--mode", "empirical",
+          "--n", "2000", "--seed", "5", *PRIVACY, "--scores", "{scores}"), "scipy.special"),
+    ], ids=["dist-quadrature", "compare-empirical"])
+    def test_quadrature_and_chi_square_load_their_module_not_stats(
+        self, argv, needed, scores_file
+    ):
+        result = self.probe("dpselect.cli", *(a.format(scores=scores_file) for a in argv))
+        assert result["code"] == 0
+        assert needed in result["scipy"]
+        assert "scipy.stats" not in result["scipy"]

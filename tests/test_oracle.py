@@ -352,6 +352,67 @@ class TestChiSquareGof:
             chi_square_gof([10], expected, 0.001)
 
 
+class TestChiSquarePValue:
+    """chi_square_gof's p-value is bit for bit scipy.stats.chi2.sf, which
+    the package itself does not import."""
+
+    @staticmethod
+    def assert_matches_chi2_sf(result):
+        from scipy.stats import chi2
+
+        assert result.p_value == float(chi2.sf(result.statistic, result.degrees_of_freedom))
+
+    @pytest.mark.parametrize("dof", range(1, 81))
+    def test_grid_from_zero_to_far_tail(self, dof):
+        # dof + 1 equal cells of expected count 1000; moving m observations
+        # from the last cell to the first gives the statistic 2 m^2 / 1000:
+        # 0, then the bulk near dof, then p-values down to subnormal and 0
+        expected = ProbabilityTable(
+            tuple(f"o{i}" for i in range(dof + 1)), (1.0 / (dof + 1),) * (dof + 1), "exact"
+        )
+        near_mean = round(math.sqrt(500 * dof))
+        p_values = []
+        for m in (0, 1, 3, 10, 30, near_mean, 100, 200, 400, 600, 800, 850, 1000):
+            counts = [1000] * (dof + 1)
+            counts[0] += m
+            counts[-1] -= m
+            result = chi_square_gof(counts, expected, 0.001)
+            assert result.degrees_of_freedom == dof
+            self.assert_matches_chi2_sf(result)
+            p_values.append(result.p_value)
+        assert p_values[0] == 1.0
+        assert p_values[-1] == 0.0
+
+    def test_random_tables_and_counts(self):
+        # counts drawn from the table mixed with a random share w of another
+        # distribution: p-values from the bulk to 0, a third of them pooled
+        gen = np.random.default_rng(2024)
+        for _ in range(200):
+            k = int(gen.integers(2, 82))
+            probs = gen.dirichlet(np.ones(k))
+            w = gen.uniform(0.0, 0.5) ** 3
+            counts = gen.multinomial(
+                int(gen.integers(50, 20000)), (1 - w) * probs + w * gen.dirichlet(np.ones(k))
+            )
+            expected = ProbabilityTable(tuple(f"o{i}" for i in range(k)), tuple(probs), "exact")
+            self.assert_matches_chi2_sf(chi_square_gof(counts, expected, 0.001))
+
+    def test_pooled_path(self):
+        expected = ProbabilityTable(
+            ("a", "b", "c", "d"), (0.6, 0.394, 0.004, 0.002), "exact-closed-form"
+        )
+        result = chi_square_gof([560, 420, 12, 8], expected, 0.001)
+        assert result.degrees_of_freedom == 2
+        assert 0.0 < result.p_value < 0.001
+        self.assert_matches_chi2_sf(result)
+
+    def test_dof_zero_path(self):
+        # a single category with positive probability: a vacuous pass
+        expected = ProbabilityTable(("a", "b"), (1.0, 0.0), "exact-closed-form")
+        result = chi_square_gof([100, 0], expected, 0.001)
+        assert (result.statistic, result.degrees_of_freedom, result.p_value) == (0.0, 0, 1.0)
+
+
 class TestTableInvariants:
     @given(inst=instances(k_min=1, k_max=8))
     @settings(max_examples=50, deadline=None)

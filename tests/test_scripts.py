@@ -7,19 +7,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dpselect
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *argv):
+def start_script(name, *argv):
     src = str(Path(dpselect.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(name, *argv):
+    proc = start_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert rows
@@ -46,3 +52,18 @@ def test_utility_experiment():
         assert row["dominance_violations"] == 0
         # pf's largest advantage over em: positive when pf dominates
         assert row["largest_em_minus_pf"] > 0.0
+
+
+@pytest.mark.parametrize("name,flag", [
+    ("equivalence_experiment.py", "--instances"),
+    ("equivalence_experiment.py", "--samples"),
+    ("utility_experiment.py", "--instances"),
+])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_is_a_usage_error(name, flag, count):
+    proc = start_script(name, flag, count, "--epsilons", "1.0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr
+    assert f"{flag} must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ import argparse
 import json
 
 from dpselect import (
+    PrivacyParams,
     chi_square_gof,
     empirical_counts,
     pf_exact_distribution,
@@ -21,6 +22,8 @@ from dpselect import (
     rnm_expo_exact_distribution,
     tv_distance,
 )
+from dpselect.errors import ValidationError
+from dpselect.oracle import ENUMERATION_LIMIT
 
 
 def main() -> None:
@@ -39,6 +42,14 @@ def main() -> None:
         parser.error(f"--instances must be at least 1, got {args.instances}")
     if args.samples < 1:
         parser.error(f"--samples must be at least 1, got {args.samples}")
+    for k in args.k_values:
+        if not 1 <= k <= ENUMERATION_LIMIT:
+            parser.error(f"--k-values must be between 1 and {ENUMERATION_LIMIT}, got {k}")
+    for epsilon in args.epsilons:
+        try:
+            PrivacyParams(epsilon, 1.0)
+        except ValidationError as exc:
+            parser.error(f"--epsilons: {exc}")
 
     for epsilon in args.epsilons:
         for k in args.k_values:

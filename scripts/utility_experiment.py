@@ -15,9 +15,12 @@ import argparse
 import json
 
 from dpselect import (
+    PrivacyParams,
     dominance_check,
     random_instances,
 )
+from dpselect.errors import ValidationError
+from dpselect.oracle import ENUMERATION_LIMIT
 
 
 def main() -> None:
@@ -30,6 +33,13 @@ def main() -> None:
     args = parser.parse_args()
     if args.instances < 1:
         parser.error(f"--instances must be at least 1, got {args.instances}")
+    if not 2 <= args.k_max <= ENUMERATION_LIMIT:
+        parser.error(f"--k-max must be between 2 and {ENUMERATION_LIMIT}, got {args.k_max}")
+    for epsilon in args.epsilons:
+        try:
+            PrivacyParams(epsilon, 1.0)
+        except ValidationError as exc:
+            parser.error(f"--epsilons: {exc}")
 
     for epsilon in args.epsilons:
         suite = random_instances(

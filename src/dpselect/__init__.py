@@ -12,7 +12,6 @@ from .core import (
     ProbabilityTable,
     QualityVector,
     ValidatedInstance,
-    dong_sensitivity_from_pairs,
     sensitivity_from_pairs,
     validate_instance,
 )
@@ -22,10 +21,7 @@ from .noise import (
     Laplace,
     NoiseKind,
     RngState,
-    cdf,
-    pdf,
     quantile,
-    sample,
     samples,
 )
 from .mechanisms import (
@@ -85,10 +81,8 @@ __all__ = [
     "UtilityReport",
     "ValidatedInstance",
     "argmax_with_gap",
-    "cdf",
     "chi_square_gof",
     "dominance_check",
-    "dong_sensitivity_from_pairs",
     "em_exact_distribution",
     "empirical_counts",
     "empirical_distribution",
@@ -98,7 +92,6 @@ __all__ = [
     "formats",
     "intermediate_a",
     "intermediate_b",
-    "pdf",
     "permute_and_flip",
     "perturbed_neighbor_pairs",
     "pf_exact_distribution",
@@ -109,7 +102,6 @@ __all__ = [
     "report_noisy_max_with_gap",
     "rnm_exact_quadrature",
     "rnm_expo_exact_distribution",
-    "sample",
     "samples",
     "sensitivity_from_pairs",
     "table_for",

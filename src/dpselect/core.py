@@ -206,23 +206,3 @@ def sensitivity_from_pairs(pairs: Sequence[NeighborPair] | Iterable[NeighborPair
             worst = max(worst, abs(a - b))
     return worst
 
-
-def dong_sensitivity_from_pairs(pairs: Sequence[NeighborPair] | Iterable[NeighborPair]) -> float:
-    """Largest range of the per-outcome score differences across the pairs.
-
-    For each pair this evaluates max_i (q1_i - q2_i) - min_i (q1_i - q2_i),
-    which discounts shifts that move every outcome by the same amount; it can
-    come out either smaller or larger than :func:`sensitivity_from_pairs` on
-    the same input. Like that function, it is an evidence-based lower bound
-    of the true supremum over all neighboring datasets, not a certified
-    bound. It is exposed as an alternative estimate only and is not wired
-    into any mechanism's noise calibration.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyPairList("need at least one neighbor pair")
-    worst = 0.0
-    for pair in pairs:
-        diffs = [a - b for a, b in zip(pair.q1.scores, pair.q2.scores)]
-        worst = max(worst, max(diffs) - min(diffs))
-    return worst

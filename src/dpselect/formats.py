@@ -40,18 +40,27 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputFile(message)
 
 
+_ITEM_CHECKS = {
+    "strings": lambda v: isinstance(v, str),
+    "numbers": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+
+def _list_of(kind: str, obj: dict, field: str) -> list:
+    """obj[field], required to be a JSON list of strings or of numbers
+    (JSON true/false are not numbers)."""
+    value = obj[field]
+    _require(isinstance(value, list) and all(map(_ITEM_CHECKS[kind], value)),
+             f'"{field}" must be a list of {kind}')
+    return value
+
+
 def quality_vector_from_dict(obj: Any) -> QualityVector:
     _require(isinstance(obj, dict), "quality vector must be a JSON object")
     _require("labels" in obj and "scores" in obj,
              'quality vector needs "labels" and "scores" fields')
-    labels, scores = obj["labels"], obj["scores"]
-    _require(isinstance(labels, list) and all(isinstance(l, str) for l in labels),
-             '"labels" must be a list of strings')
-    _require(
-        isinstance(scores, list)
-        and all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores),
-        '"scores" must be a list of numbers',
-    )
+    labels = _list_of("strings", obj, "labels")
+    scores = _list_of("numbers", obj, "scores")
     return QualityVector(tuple(labels), tuple(float(s) for s in scores))
 
 
@@ -106,10 +115,10 @@ def probability_table_from_dict(obj: Any) -> ProbabilityTable:
     for field in ("labels", "probabilities", "provenance"):
         _require(field in obj, f'distribution table needs a "{field}" field')
     _require(isinstance(obj["provenance"], str), '"provenance" must be a string')
+    labels = _list_of("strings", obj, "labels")
+    probabilities = _list_of("numbers", obj, "probabilities")
     return ProbabilityTable(
-        tuple(obj["labels"]),
-        tuple(float(p) for p in obj["probabilities"]),
-        obj["provenance"],
+        tuple(labels), tuple(float(p) for p in probabilities), obj["provenance"]
     )
 
 

@@ -1,5 +1,10 @@
-"""Seedable samplers and analytic CDF/density/quantile functions for the
-three noise distributions used by the selection mechanisms.
+"""The three noise distributions used by the selection mechanisms, and a
+seedable sampler for them.
+
+Each family is one class that owns its formulas: `quantile` (the inverse
+CDF, in numpy so one formula serves a float and an array), and `cdf` and
+`pdf` (scalar `math`, cheap enough for the quadrature integrand to call
+once per factor).
 
 Exponential noise is parameterized by its rate (inverse of its scale);
 Laplace and Gumbel noise by their scale. Keeping the two conventions
@@ -25,6 +30,14 @@ from .core import PrivacyParams
 _U_FLOOR = 2.0 ** -53
 
 
+def _set_positive_finite(obj, field: str) -> None:
+    """Store obj.field as a float, rejecting anything not positive and finite."""
+    value = float(getattr(obj, field))
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{field} must be positive and finite, got {value!r}")
+    object.__setattr__(obj, field, value)
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Nonnegative noise, density rate * exp(-rate * x) for x >= 0."""
@@ -32,9 +45,20 @@ class Exponential:
     rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", float(self.rate))
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
+        _set_positive_finite(self, "rate")
+
+    def quantile(self, u: float | np.ndarray) -> np.ndarray:
+        return -np.log1p(-u) / self.rate
+
+    def cdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        return -math.expm1(-self.rate * x)
+
+    def pdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        return self.rate * math.exp(-self.rate * x)
 
 
 @dataclass(frozen=True)
@@ -44,9 +68,22 @@ class Laplace:
     scale: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", float(self.scale))
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _set_positive_finite(self, "scale")
+
+    def quantile(self, u: float | np.ndarray) -> np.ndarray:
+        return np.where(
+            u < 0.5,
+            self.scale * np.log(2.0 * u),
+            -self.scale * np.log(2.0 * (1.0 - u)),
+        )
+
+    def cdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.5 * math.exp(x / self.scale)
+        return 1.0 - 0.5 * math.exp(-x / self.scale)
+
+    def pdf(self, x: float) -> float:
+        return math.exp(-abs(x) / self.scale) / (2.0 * self.scale)
 
 
 @dataclass(frozen=True)
@@ -56,9 +93,22 @@ class Gumbel:
     scale: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", float(self.scale))
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _set_positive_finite(self, "scale")
+
+    def quantile(self, u: float | np.ndarray) -> np.ndarray:
+        return -self.scale * np.log(-np.log(u))
+
+    def cdf(self, x: float) -> float:
+        t = -x / self.scale
+        if t >= 710.0:  # exp(t) would overflow; the CDF is 0 long before
+            return 0.0
+        return math.exp(-math.exp(t))
+
+    def pdf(self, x: float) -> float:
+        t = x / self.scale
+        if t <= -700.0:  # exp(-t) would overflow; the density is 0 there
+            return 0.0
+        return math.exp(-t - math.exp(-t)) / self.scale
 
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]
@@ -119,71 +169,9 @@ def quantile(kind: NoiseKind, u: float) -> float:
     """Inverse CDF at u, defined for 0 < u < 1."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile needs 0 < u < 1, got {u!r}")
-    if isinstance(kind, Exponential):
-        return -math.log1p(-u) / kind.rate
-    if isinstance(kind, Laplace):
-        if u < 0.5:
-            return kind.scale * math.log(2.0 * u)
-        return -kind.scale * math.log(2.0 * (1.0 - u))
-    if isinstance(kind, Gumbel):
-        return -kind.scale * math.log(-math.log(u))
-    raise TypeError(f"unknown noise kind {kind!r}")
-
-
-def sample(kind: NoiseKind, rng: RngState) -> float:
-    """One draw, the inverse-CDF transform of one uniform draw."""
-    u = rng.uniform()
-    if u <= 0.0:
-        u = _U_FLOOR
-    return quantile(kind, u)
+    return float(kind.quantile(u))
 
 
 def samples(kind: NoiseKind, rng: RngState, n: int) -> np.ndarray:
-    """n draws, consuming the same uniform stream as n successive
-    sample() calls and applying the same inverse CDF."""
-    u = np.maximum(rng.uniforms(n), _U_FLOOR)
-    if isinstance(kind, Exponential):
-        return -np.log1p(-u) / kind.rate
-    if isinstance(kind, Laplace):
-        return np.where(
-            u < 0.5,
-            kind.scale * np.log(2.0 * u),
-            -kind.scale * np.log(2.0 * (1.0 - u)),
-        )
-    if isinstance(kind, Gumbel):
-        return -kind.scale * np.log(-np.log(u))
-    raise TypeError(f"unknown noise kind {kind!r}")
-
-
-def cdf(kind: NoiseKind, x: float) -> float:
-    """Exact analytic CDF; nondecreasing with limits 0 and 1."""
-    if isinstance(kind, Exponential):
-        if x < 0.0:
-            return 0.0
-        return -math.expm1(-kind.rate * x)
-    if isinstance(kind, Laplace):
-        if x < 0.0:
-            return 0.5 * math.exp(x / kind.scale)
-        return 1.0 - 0.5 * math.exp(-x / kind.scale)
-    if isinstance(kind, Gumbel):
-        t = -x / kind.scale
-        if t >= 710.0:  # exp(t) would overflow; the CDF is 0 long before
-            return 0.0
-        return math.exp(-math.exp(t))
-    raise TypeError(f"unknown noise kind {kind!r}")
-
-
-def pdf(kind: NoiseKind, x: float) -> float:
-    """Exact analytic density."""
-    if isinstance(kind, Exponential):
-        if x < 0.0:
-            return 0.0
-        return kind.rate * math.exp(-kind.rate * x)
-    if isinstance(kind, Laplace):
-        return math.exp(-abs(x) / kind.scale) / (2.0 * kind.scale)
-    if isinstance(kind, Gumbel):
-        t = x / kind.scale
-        if t <= -700.0:  # exp(-t) would overflow; the density is 0 there
-            return 0.0
-        return math.exp(-t - math.exp(-t)) / kind.scale
-    raise TypeError(f"unknown noise kind {kind!r}")
+    """n draws, each the inverse-CDF transform of one uniform draw."""
+    return kind.quantile(np.maximum(rng.uniforms(n), _U_FLOOR))

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedOracle,
 )
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES
-from .noise import Exponential, RngState, cdf, from_params, pdf, quantile
+from .noise import Exponential, RngState, from_params, quantile
 
 # 2^20 enumeration terms with magnitudes <= 1 keep the floating-point error
 # of the alternating sum near 1e-10, comfortably inside the 1e-8 tolerance
@@ -168,12 +168,13 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
         lo = min(scores) + quantile(noise, _TAIL_MASS)
     hi = best + quantile(noise, 1.0 - _TAIL_MASS)
     kinks = sorted({s for s in scores if lo < s < hi})
+    pdf, cdf = noise.pdf, noise.cdf
 
     def win_integrand(v: float, i: int) -> float:
-        value = pdf(noise, v - scores[i])
+        value = pdf(v - scores[i])
         for j in range(k):
             if j != i:
-                value *= cdf(noise, v - scores[j])
+                value *= cdf(v - scores[j])
         return value
 
     raw = np.empty(k)

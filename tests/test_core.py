@@ -8,7 +8,6 @@ from dpselect import (
     PrivacyParams,
     ProbabilityTable,
     QualityVector,
-    dong_sensitivity_from_pairs,
     sensitivity_from_pairs,
     validate_instance,
 )
@@ -114,33 +113,6 @@ class TestSensitivityFromPairs:
         assert sensitivity_from_pairs(shuffled) == value
         extended = pairs + [pair((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))]
         assert sensitivity_from_pairs(extended) >= value
-
-
-class TestDongSensitivity:
-    def test_constant_shift_collapses(self):
-        assert dong_sensitivity_from_pairs([pair((5.0, 3.0), (4.0, 2.0))]) == 0.0
-
-    def test_opposing_moves_double(self):
-        assert dong_sensitivity_from_pairs([pair((5.0, 1.0), (4.0, 2.0))]) == 2.0
-
-    def test_identical_vectors(self):
-        assert dong_sensitivity_from_pairs([pair((5.0, 3.0), (5.0, 3.0))]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyPairList):
-            dong_sensitivity_from_pairs([])
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=1, max_size=6),
-        st.floats(-5, 5),
-    )
-    def test_nonnegative_and_zero_on_constant_difference(self, base, shift):
-        shifted = tuple(s + shift for s in base)
-        diff_pair = pair(tuple(base), shifted)
-        value = dong_sensitivity_from_pairs([diff_pair])
-        assert value >= 0.0
-        # q1 - q2 is constant, so the range of differences collapses
-        assert value <= 1e-12
 
 
 class TestQualityVector:

@@ -42,6 +42,8 @@ class TestQualityVectorFiles:
             {"labels": "a", "scores": [1.0]},
             {"labels": ["a"], "scores": ["high"]},
             {"labels": [1], "scores": [1.0]},
+            {"labels": ["a"], "scores": [True]},
+            {"labels": ["a"], "scores": 1.0},
         ],
     )
     def test_malformed_rejected(self, payload):
@@ -109,6 +111,22 @@ class TestProbabilityTableFiles:
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedInputFile):
             formats.probability_table_from_dict({"labels": ["a"], "probabilities": [1.0]})
+
+    @pytest.mark.parametrize(
+        "labels,probabilities",
+        [
+            ("ab", [0.5, 0.5]),
+            ([1, 2], [0.5, 0.5]),
+            (["a", "b"], [True, False]),
+            (["a", "b"], ["0.5", "0.5"]),
+            (["a", "b"], 0.5),
+            (["a", "b"], {"a": 0.5, "b": 0.5}),
+        ],
+    )
+    def test_malformed_rejected(self, labels, probabilities):
+        payload = {"labels": labels, "probabilities": probabilities, "provenance": "x"}
+        with pytest.raises(MalformedInputFile):
+            formats.probability_table_from_dict(payload)
 
 
 class TestReportFiles:

@@ -67,3 +67,22 @@ def test_count_below_one_is_a_usage_error(name, flag, count):
     assert "usage:" in proc.stderr
     assert f"{flag} must be at least 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("utility_experiment.py", "--k-max 1", "--k-max must be between 2 and 20"),
+    ("utility_experiment.py", "--k-max 21", "--k-max must be between 2 and 20"),
+    ("utility_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
+    ("utility_experiment.py", "--epsilons 1.0 -2", "--epsilons: epsilon must be"),
+    ("equivalence_experiment.py", "--k-values 0", "--k-values must be between 1 and 20"),
+    ("equivalence_experiment.py", "--k-values 4 21", "--k-values must be between 1 and 20"),
+    ("equivalence_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
+    ("equivalence_experiment.py", "--epsilons 1.0 nan", "--epsilons: epsilon must be"),
+])
+def test_grid_value_out_of_range_is_a_usage_error(name, argv, message):
+    proc = start_script(name, "--instances", "2", *argv.split())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -365,3 +365,7 @@ BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarra
     "alg-a": _intermediate_a_batch,
     "alg-b": _intermediate_b_batch,
 }
+
+# noise draws per outcome in one batch row, for the samplers that take more
+# than one; empirical_counts sizes its chunks by it
+BATCH_DRAWS_PER_OUTCOME: dict[str, int] = {"alg-b": 2}

@@ -2,9 +2,11 @@
 seedable sampler for them.
 
 Each family is one class that owns its formulas: `quantile` (the inverse
-CDF, in numpy so one formula serves a float and an array), and `cdf` and
-`pdf` (scalar `math`, cheap enough for the quadrature integrand to call
-once per factor).
+CDF), `cdf` and `pdf`. All three are numpy, so one formula serves a float
+and an array: the quadrature integrand evaluates every outcome's factor in
+one call. Arguments are clamped so that no `exp` overflows, even far
+outside the support: the Gumbel formulas stop at |t| = 700, where the
+true value is already 0.
 
 Exponential noise is parameterized by its rate (inverse of its scale);
 Laplace and Gumbel noise by their scale. Keeping the two conventions
@@ -50,15 +52,11 @@ class Exponential:
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
         return -np.log1p(-u) / self.rate
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
+    def cdf(self, x: float | np.ndarray) -> np.ndarray:
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
-    def pdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        return self.rate * math.exp(-self.rate * x)
+    def pdf(self, x: float | np.ndarray) -> np.ndarray:
+        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,13 @@ class Laplace:
             -self.scale * np.log(2.0 * (1.0 - u)),
         )
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.5 * math.exp(x / self.scale)
-        return 1.0 - 0.5 * math.exp(-x / self.scale)
+    def cdf(self, x: float | np.ndarray) -> np.ndarray:
+        # |x| / -scale is x / scale below 0 and -x / scale above, bit for bit
+        tail = 0.5 * np.exp(np.abs(x) / -self.scale)
+        return np.where(x < 0.0, tail, 1.0 - tail)
 
-    def pdf(self, x: float) -> float:
-        return math.exp(-abs(x) / self.scale) / (2.0 * self.scale)
+    def pdf(self, x: float | np.ndarray) -> np.ndarray:
+        return np.exp(np.abs(x) / -self.scale) / (2.0 * self.scale)
 
 
 @dataclass(frozen=True)
@@ -98,17 +96,15 @@ class Gumbel:
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
         return -self.scale * np.log(-np.log(u))
 
-    def cdf(self, x: float) -> float:
-        t = -x / self.scale
-        if t >= 710.0:  # exp(t) would overflow; the CDF is 0 long before
-            return 0.0
-        return math.exp(-math.exp(t))
+    def cdf(self, x: float | np.ndarray) -> np.ndarray:
+        # exp(t) would overflow from t = 710; the CDF is already 0 at t = 700
+        t = np.minimum(-x / self.scale, 700.0)
+        return np.exp(-np.exp(t))
 
-    def pdf(self, x: float) -> float:
-        t = x / self.scale
-        if t <= -700.0:  # exp(-t) would overflow; the density is 0 there
-            return 0.0
-        return math.exp(-t - math.exp(-t)) / self.scale
+    def pdf(self, x: float | np.ndarray) -> np.ndarray:
+        # exp(-t) would overflow from t = -710; the density is already 0 at -700
+        t = np.maximum(x / self.scale, -700.0)
+        return np.exp(-t - np.exp(-t)) / self.scale
 
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]

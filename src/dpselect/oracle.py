@@ -8,7 +8,9 @@ and must keep agreeing:
 * closed forms (softmax for the exponential mechanism, an
   inclusion-exclusion sum for report-noisy-max with exponential noise),
 * brute-force enumeration over coin-outcome subsets for permute-and-flip,
-* adaptive quadrature of the generic win-probability integral.
+* adaptive quadrature of the generic win-probability integral, one
+  vectorized call over all k entries with a max-norm error bound that
+  covers every entry.
 
 The two enumeration-style oracles are deliberately written as separate
 loops with no shared subset walk, so a bug in one cannot hide in the
@@ -37,24 +39,28 @@ from .errors import (
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
 )
-from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES
+from .mechanisms import BATCH_DRAWS_PER_OUTCOME, BATCH_SAMPLERS, RNM_FAMILIES
 from .noise import Exponential, RngState, from_params, quantile
 
 # 2^20 enumeration terms with magnitudes <= 1 keep the floating-point error
 # of the alternating sum near 1e-10, comfortably inside the 1e-8 tolerance
 # the equivalence checks use.
 ENUMERATION_LIMIT = 20
-QUADRATURE_LIMIT = 64
+QUADRATURE_LIMIT = 256
 QUADRATURE_TARGET = 1e-9
 # truncate the integration domain where every factor's tail mass is below this
 _TAIL_MASS = 1e-12
+# and split each tail where its mass is these: left whole, each tail takes
+# the integrator three bisections, most of its work at small k
+_TAIL_SPLITS = (1e-3, 1e-6)
 
 MIN_EXPECTED_COUNT = 5.0
 
-# Batch sampling draws at most this many rows x outcomes entries per chunk,
-# so memory stays flat in the number of draws. At 2^14 doubles (128 KiB) a
-# chunk's matrices stay cache-sized: 2^15 and 2^16 measured both slower and
-# larger in peak memory.
+# Batch sampling draws at most this many noise values per chunk, so memory
+# stays flat in the number of draws. At 2^14 doubles (128 KiB) a chunk's
+# matrices stay cache-sized: 2^15 and 2^16 measured both slower and larger
+# in peak memory. Larger arrays also pass glibc's default 128 KiB mmap
+# threshold, so a fresh process maps and faults them in on every chunk.
 BATCH_ELEMENTS = 2**14
 
 
@@ -149,54 +155,60 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     """Win probabilities of report-noisy-max under any noise family, by
     adaptive quadrature of P(i) = integral of f_i(v) * prod_{j != i} F_j(v).
 
-    The domain is truncated where every factor's tail mass drops below
-    1e-12 (analytic bounds per family), the score locations are passed to
-    the integrator as known kink points, and the result is renormalized.
-    Raises QuadratureNonConvergence if any entry misses the 1e-9 absolute
-    error target.
+    One vector-valued quad_vec call integrates all k entries at once. The
+    domain is truncated where every factor's tail mass drops below 1e-12
+    (analytic bounds per family), the score locations are passed to the
+    integrator as known kink points together with the points where each
+    tail's mass is 1e-3 and 1e-6, and the result is renormalized. The
+    error estimate is taken in the max norm, so it bounds every entry;
+    QuadratureNonConvergence is raised if it misses the 1e-9 absolute
+    target.
     """
     from scipy import integrate
 
     k = len(inst.quality)
     _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
     noise = from_params(kind, inst.params)
-    scores = inst.quality.scores
+    scores = np.asarray(inst.quality.scores)
     best = inst.quality.best_score
+    breaks = [best + quantile(noise, 1.0 - m) for m in _TAIL_SPLITS]
     if isinstance(noise, Exponential):
         lo = best  # some CDF factor is exactly 0 below the best score
     else:
-        lo = min(scores) + quantile(noise, _TAIL_MASS)
+        lowest = float(scores.min())
+        lo = lowest + quantile(noise, _TAIL_MASS)
+        breaks += [lowest + quantile(noise, m) for m in _TAIL_SPLITS]
     hi = best + quantile(noise, 1.0 - _TAIL_MASS)
-    kinks = sorted({s for s in scores if lo < s < hi})
+    points = sorted({p for p in (*inst.quality.scores, *breaks) if lo < p < hi})
     pdf, cdf = noise.pdf, noise.cdf
+    running_product, one = np.multiply.accumulate, np.ones(1)
 
-    def win_integrand(v: float, i: int) -> float:
-        value = pdf(v - scores[i])
-        for j in range(k):
-            if j != i:
-                value *= cdf(v - scores[j])
-        return value
+    def win_integrand(v: float) -> np.ndarray:
+        # entry i's product of the other factors is the prefix product before
+        # it times the suffix product after it: no division, since a factor
+        # can be exactly 0
+        x = v - scores
+        factors = np.concatenate((one, cdf(x), one))
+        before = running_product(factors)[:-2]
+        after = running_product(factors[::-1])[-3::-1]
+        return pdf(x) * before * after
 
-    raw = np.empty(k)
-    for i in range(k):
-        value, abs_error, *_ = integrate.quad(
-            win_integrand,
-            lo,
-            hi,
-            args=(i,),
-            points=kinks or None,
-            epsabs=QUADRATURE_TARGET / 10.0,
-            epsrel=0.0,
-            limit=400,
-            full_output=1,
+    raw, abs_error = integrate.quad_vec(
+        win_integrand,
+        lo,
+        hi,
+        epsabs=QUADRATURE_TARGET / 10.0,
+        epsrel=0.0,
+        norm="max",
+        limit=400,
+        points=points,
+    )
+    if abs_error > QUADRATURE_TARGET:
+        raise QuadratureNonConvergence(
+            f"reached absolute error {abs_error:.3e} per entry "
+            f"(target {QUADRATURE_TARGET:.0e})",
+            achieved_error=float(abs_error),
         )
-        if abs_error > QUADRATURE_TARGET:
-            raise QuadratureNonConvergence(
-                f"entry {i} reached absolute error {abs_error:.3e} "
-                f"(target {QUADRATURE_TARGET:.0e})",
-                achieved_error=float(abs_error),
-            )
-        raw[i] = value
     return ProbabilityTable(
         inst.quality.labels, (raw / raw.sum()).tolist(), "quadrature"
     )
@@ -209,7 +221,8 @@ def empirical_counts(
     stream.
 
     A name from MECHANISMS draws through its vectorized BATCH_SAMPLERS
-    entry, in chunks of at most BATCH_ELEMENTS // k rows. A callable of
+    entry, in chunks of at most BATCH_ELEMENTS draws: BATCH_ELEMENTS // k
+    rows, fewer for a sampler with BATCH_DRAWS_PER_OUTCOME. A callable of
     (instance, rng) runs once per draw: this scalar loop is the reference
     the batch samplers are checked against. Either way a fixed seed gives
     the same counts bit for bit; the two paths consume the stream
@@ -230,7 +243,7 @@ def empirical_counts(
         raise ValueError(
             f"unknown mechanism {mechanism!r}; expected one of {sorted(BATCH_SAMPLERS)}"
         ) from None
-    chunk = max(1, BATCH_ELEMENTS // k)
+    chunk = max(1, BATCH_ELEMENTS // (k * BATCH_DRAWS_PER_OUTCOME.get(mechanism, 1)))
     counts = np.zeros(k, dtype=np.int64)
     for start in range(0, n, chunk):
         counts += np.bincount(sampler(inst, rng, min(chunk, n - start)), minlength=k)

@@ -80,12 +80,71 @@ class TestCdf:
             assert numeric == pytest.approx(kind.pdf(x), rel=1e-4, abs=1e-9)
 
 
+def _math_cdf(kind, x):
+    if isinstance(kind, Exponential):
+        return 0.0 if x < 0.0 else -math.expm1(-kind.rate * x)
+    if isinstance(kind, Laplace):
+        if x < 0.0:
+            return 0.5 * math.exp(x / kind.scale)
+        return 1.0 - 0.5 * math.exp(-x / kind.scale)
+    t = -x / kind.scale
+    return 0.0 if t >= 700.0 else math.exp(-math.exp(t))
+
+
+def _math_pdf(kind, x):
+    if isinstance(kind, Exponential):
+        return 0.0 if x < 0.0 else kind.rate * math.exp(-kind.rate * x)
+    if isinstance(kind, Laplace):
+        return math.exp(-abs(x) / kind.scale) / (2.0 * kind.scale)
+    t = x / kind.scale
+    return 0.0 if t <= -700.0 else math.exp(-t - math.exp(-t)) / kind.scale
+
+
+def _extreme_points(kind):
+    # +-1e9, 0, and the Gumbel guard points t = +-700 (where the formulas
+    # clamp) and t = +-710 (where an unclamped exp(t) overflows)
+    unit = 1.0 / kind.rate if isinstance(kind, Exponential) else kind.scale
+    guards = [sign * t * unit for t in (700.0, 710.0) for sign in (-1.0, 1.0)]
+    return np.array(sorted([-1e9, 0.0, 1e9, *guards]))
+
+
+class TestArrayFormulas:
+    """cdf and pdf are numpy formulas: one array call per quadrature point."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("formula", ["cdf", "pdf"])
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, kind, formula):
+        f = getattr(kind, formula)
+        x = _extreme_points(kind)
+        one_by_one = np.array([f(float(v)) for v in x])
+        assert f(x).tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("formula", ["cdf", "pdf"])
+    def test_matches_math_reference_within_two_ulp(self, kind, formula):
+        reference = {"cdf": _math_cdf, "pdf": _math_pdf}[formula]
+        x = _extreme_points(kind)
+        for got, v in zip(getattr(kind, formula)(x), x):
+            want = reference(kind, float(v))
+            assert abs(got - want) <= 2.0 * math.ulp(want), (v, got, want)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_overflow_invalid_or_divide(self, kind):
+        # underflow to a subnormal or 0 in the far tails is the right answer
+        # (cdf(-1e9) is 0), and numpy never reports it by default
+        x = np.concatenate([_extreme_points(kind), [-np.inf, np.inf]])
+        with np.errstate(all="raise", under="ignore"):
+            cdf, pdf = kind.cdf(x), kind.pdf(x)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert pdf[0] == 0.0 and pdf[-1] == 0.0
+
+
 class TestSampling:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_kolmogorov_smirnov_against_cdf(self, kind):
         rng = RngState(20240817)
         draws = samples(kind, rng, 100_000)
-        result = stats.kstest(draws, lambda x: np.vectorize(kind.cdf)(x))
+        result = stats.kstest(draws, kind.cdf)
         assert result.pvalue >= 0.001
 
     def test_exponential_draws_nonnegative(self):

@@ -27,6 +27,7 @@ from dpselect.errors import (
     UnsupportedOracle,
     ValidationError,
 )
+from dpselect import oracle
 from dpselect.oracle import BATCH_ELEMENTS
 
 from helpers import instances, make_instance
@@ -158,7 +159,42 @@ class TestQuadrature:
 
     def test_outcome_limit(self):
         with pytest.raises(TooManyOutcomesForEnumeration):
-            rnm_exact_quadrature(make_instance([0.0] * 65), "laplace")
+            rnm_exact_quadrature(make_instance([0.0] * 257), "laplace")
+
+    def test_missed_target_raises_with_achieved_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "QUADRATURE_TARGET", 1e-300)
+        with pytest.raises(QuadratureNonConvergence) as raised:
+            rnm_exact_quadrature(make_instance([1.2, -0.4, 0.3]), "laplace")
+        achieved = raised.value.achieved_error
+        assert math.isfinite(achieved) and achieved > 1e-300
+
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_k64_meets_target(self, family):
+        rnm_exact_quadrature(_spread_instance(64, 1.0, seed=64), family)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_gumbel_equals_em_per_entry_at_k64(self, epsilon):
+        inst = _spread_instance(64, epsilon, seed=640)
+        quad = rnm_exact_quadrature(inst, "gumbel")
+        closed = em_exact_distribution(inst)
+        assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
+
+    def test_gumbel_equals_em_per_entry_at_k256(self):
+        inst = _spread_instance(256, 1.0, seed=256)
+        quad = rnm_exact_quadrature(inst, "gumbel")
+        closed = em_exact_distribution(inst)
+        assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
+
+    def test_exponential_equals_closed_form_per_entry_at_k20(self):
+        inst = _spread_instance(20, 1.0, seed=20)
+        quad = rnm_exact_quadrature(inst, "exponential")
+        closed = rnm_expo_exact_distribution(inst)
+        assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
+
+
+def _spread_instance(k, epsilon, seed):
+    scores = np.random.default_rng(seed).uniform(-5.0, 5.0, size=k)
+    return make_instance(scores, epsilon=epsilon)
 
 
 class TestEmpirical:

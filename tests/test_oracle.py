@@ -172,15 +172,9 @@ class TestQuadrature:
     def test_k64_meets_target(self, family):
         rnm_exact_quadrature(_spread_instance(64, 1.0, seed=64), family)
 
-    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
-    def test_gumbel_equals_em_per_entry_at_k64(self, epsilon):
-        inst = _spread_instance(64, epsilon, seed=640)
-        quad = rnm_exact_quadrature(inst, "gumbel")
-        closed = em_exact_distribution(inst)
-        assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
-
-    def test_gumbel_equals_em_per_entry_at_k256(self):
-        inst = _spread_instance(256, 1.0, seed=256)
+    @pytest.mark.parametrize("k,epsilon", [(64, 0.5), (64, 2.0), (256, 1.0)])
+    def test_gumbel_equals_em_per_entry(self, k, epsilon):
+        inst = _spread_instance(k, epsilon, seed=k)
         quad = rnm_exact_quadrature(inst, "gumbel")
         closed = em_exact_distribution(inst)
         assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -27,7 +28,13 @@ from .formats import (
 )
 from .mechanisms import MECHANISMS
 from .noise import RngState
-from .oracle import EXACT_ORACLES, chi_square_gof, table_for, tv_distance
+from .oracle import (
+    ENUMERATION_LIMIT,
+    EXACT_ORACLES,
+    chi_square_gof,
+    table_for,
+    tv_distance,
+)
 
 MECHANISM_NAMES = sorted(MECHANISMS)
 
@@ -75,6 +82,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     mechanisms = args.mechanism or []
     if len(mechanisms) != 2:
         return _invalid("compare needs exactly two --mechanism flags")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        return _invalid(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     inst = _instance(args)
     first, second = mechanisms
 
@@ -143,6 +152,10 @@ def cmd_utility(args: argparse.Namespace) -> int:
     if args.scores:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
     elif args.random is not None:
+        if not 2 <= args.k_max <= ENUMERATION_LIMIT:
+            return _invalid(
+                f"--k-max must be between 2 and {ENUMERATION_LIMIT}, got {args.k_max}"
+            )
         instances = random_instances(
             args.random,
             args.epsilon,

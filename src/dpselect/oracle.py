@@ -100,25 +100,34 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
         P(i) = sum over T of  p_i * prod_{j in T} p_j
                                   * prod_{j not in T} (1 - p_j) / (|T| + 1)
 
-    Cost is k * 2^(k-1) terms, hence the outcome limit.
+    Cost is k * 2^(k-1) terms, hence the outcome limit. Memory is two
+    buffers of 2^(k-1) doubles, the patterns' |T| + 1 built once and the
+    pattern weights refilled in place for every outcome.
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     keep_probs = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    patterns = 1 << (k - 1)
+    # pattern m keeps the others whose bit is set in m, so |T| + 1 doubles
+    # the same way the weights do: exact small integers in float
+    kept_plus_one = np.empty(patterns)
+    kept_plus_one[0] = 1.0
+    n = 1
+    while n < patterns:
+        np.add(kept_plus_one[:n], 1.0, out=kept_plus_one[n : 2 * n])
+        n *= 2
+    pattern_weight = np.empty(patterns)
     out = np.empty(k)
     for i in range(k):
-        others = np.delete(keep_probs, i)
-        pattern_weight = np.ones(1)
-        pattern_size = np.zeros(1, dtype=np.int64)
-        for p_j in others:
-            pattern_weight = np.concatenate(
-                [pattern_weight * (1.0 - p_j), pattern_weight * p_j]
-            )
-            pattern_size = np.concatenate([pattern_size, pattern_size + 1])
-        out[i] = keep_probs[i] * float(
-            np.sum(pattern_weight / (pattern_size + 1.0))
-        )
+        pattern_weight[0] = 1.0
+        n = 1
+        for p_j in np.delete(keep_probs, i):
+            np.multiply(pattern_weight[:n], p_j, out=pattern_weight[n : 2 * n])
+            pattern_weight[:n] *= 1.0 - p_j
+            n *= 2
+        pattern_weight /= kept_plus_one
+        out[i] = keep_probs[i] * float(np.sum(pattern_weight))
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-enumeration")
 
 
@@ -133,21 +142,31 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
                (-1)^|T| * e_i * prod_{j in T} e_j / (|T| + 1)
 
     Every exponent is <= 0, so each term lies in [-1, 1] and the
-    alternating sum stays well-conditioned.
+    alternating sum stays well-conditioned. Cost is k * 2^(k-1) terms.
+    Memory is two buffers of 2^(k-1) doubles, the subsets' |T| + 1 built
+    once and the signed products refilled in place for every outcome.
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    subsets = 1 << (k - 1)
+    size_plus_one = np.empty(subsets)
+    size_plus_one[0] = 1.0
+    n = 1
+    while n < subsets:
+        np.add(size_plus_one[:n], 1.0, out=size_plus_one[n : 2 * n])
+        n *= 2
+    signed_product = np.empty(subsets)
     out = np.empty(k)
     for i in range(k):
-        others = np.delete(shifted, i)
-        signed_product = np.ones(1)
-        subset_size = np.zeros(1, dtype=np.int64)
-        for e_j in others:
-            signed_product = np.concatenate([signed_product, signed_product * (-e_j)])
-            subset_size = np.concatenate([subset_size, subset_size + 1])
-        out[i] = shifted[i] * float(np.sum(signed_product / (subset_size + 1.0)))
+        signed_product[0] = 1.0
+        n = 1
+        for e_j in np.delete(shifted, i):
+            np.multiply(signed_product[:n], -e_j, out=signed_product[n : 2 * n])
+            n *= 2
+        signed_product /= size_plus_one
+        out[i] = shifted[i] * float(np.sum(signed_product))
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-closed-form")
 
 
@@ -284,7 +303,11 @@ def chi_square_gof(
     pooling that covers the whole table is a vacuous pass (dof 0); if every
     category needed pooling the test is impossible and AllCategoriesMerged
     is raised. Observed mass on a zero-probability outcome fails outright.
+    A significance outside (0, 1) would pass every sample (at 0 or below)
+    or none (at 1 or above), so it raises ValueError.
     """
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must be strictly between 0 and 1, got {significance}")
     counts = [int(c) for c in observed_counts]
     if len(counts) != len(expected):
         raise LabelMismatch(

@@ -216,6 +216,33 @@ class TestCompare:
         assert record is None
         assert "rnm-laplace" in err
 
+    @pytest.mark.parametrize("significance", ["0", "-1", "1", "nan"])
+    def test_significance_outside_open_unit_interval_exits_two(
+        self, capsys, scores_file, significance
+    ):
+        # em and pf differ; a significance of 0 or below used to pass them
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "em", "--mechanism", "pf",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "empirical", "--n", "100000", "--significance", significance,
+        )
+        assert code == 2
+        assert record is None
+        assert "significance must be strictly between 0 and 1" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1e-9", "nan", "inf", "-inf"])
+    def test_tolerance_negative_or_not_finite_exits_two(
+        self, capsys, scores_file, tolerance
+    ):
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            f"--tolerance={tolerance}",
+        )
+        assert code == 2
+        assert record is None
+        assert "--tolerance must be finite and at least 0" in err
+
     def test_needs_exactly_two_mechanisms(self, capsys, scores_file):
         code, record, err = run(
             capsys, "compare", "--mechanism", "pf",
@@ -311,6 +338,17 @@ class TestUtility:
         assert code == 2
         assert record is None
         assert "at least one instance" in err
+
+    @pytest.mark.parametrize("k_max", ["1", "21"])
+    def test_random_k_max_outside_enumeration_range_exits_two(self, capsys, k_max):
+        code, record, err = run(
+            capsys, "utility", "--epsilon", "1", "--sensitivity", "1",
+            "--random", "3", "--k-max", k_max,
+        )
+        assert code == 2
+        assert record is None
+        assert f"--k-max must be between 2 and 20, got {k_max}" in err
+        assert "low >= high" not in err
 
     def test_deterministic_given_flags(self, capsys):
         args = ("utility", "--epsilon", "1", "--sensitivity", "1",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,54 @@ class TestRnmExpoExact:
     def test_enumeration_limit(self):
         with pytest.raises(TooManyOutcomesForEnumeration):
             rnm_expo_exact_distribution(make_instance([0.0] * 21))
+
+
+def rational_win_probabilities(inst):
+    """e_i * integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in exact
+    rationals, from the same floats e_j = exp(rate * (q_j - max q)) the
+    enumeration oracles start from."""
+    scores = np.asarray(inst.quality.scores)
+    shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    e = [Fraction(float(x)) for x in shifted]
+    out = []
+    for i, e_i in enumerate(e):
+        coeffs = [Fraction(1)]  # polynomial in t, constant term first
+        for j, e_j in enumerate(e):
+            if j != i:
+                coeffs = [a - e_j * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        out.append(e_i * sum(c / (m + 1) for m, c in enumerate(coeffs)))
+    return out
+
+
+ERROR_BOUND_CASES = [
+    pytest.param(make_instance([0.0] * 20), id="k20-ties"),
+    *(
+        pytest.param(
+            random_instances(1, epsilon, 1.0, k_min=20, k_max=20, seed=41)[0],
+            id=f"k20-eps{epsilon}",
+        )
+        for epsilon in (0.1, 1.0, 4.0)
+    ),
+    *(
+        pytest.param(inst, id=f"small-{n}-k{len(inst.quality)}")
+        for n, inst in enumerate(
+            random_instances(8, 2.0, 1.0, k_min=1, k_max=8, seed=42)
+        )
+    ),
+]
+
+
+class TestEnumerationErrorBound:
+    """ENUMERATION_LIMIT's comment states an error near 1e-10 at 2^20
+    terms; both oracles are held to that against an exact reference."""
+
+    @pytest.mark.parametrize("inst", ERROR_BOUND_CASES)
+    @pytest.mark.parametrize("fn", [pf_exact_distribution, rnm_expo_exact_distribution])
+    def test_within_stated_bound_of_rational_reference(self, fn, inst):
+        exact = rational_win_probabilities(inst)
+        table = fn(inst)
+        for p, reference in zip(table.probabilities, exact, strict=True):
+            assert abs(Fraction(p) - reference) <= 1e-10
 
 
 class TestEquivalence:
@@ -380,6 +429,13 @@ class TestChiSquareGof:
         expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
         with pytest.raises(LabelMismatch):
             chi_square_gof([10], expected, 0.001)
+
+    @pytest.mark.parametrize("significance", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+    def test_significance_outside_open_unit_interval_rejected(self, significance):
+        # at 0 or below every sample would pass, however far off
+        expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
+        with pytest.raises(ValueError, match="significance"):
+            chi_square_gof([900, 100], expected, significance)
 
 
 class TestChiSquarePValue:

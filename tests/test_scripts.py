@@ -44,6 +44,16 @@ def test_equivalence_experiment():
         assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
 
 
+def test_equivalence_experiment_at_the_enumeration_limit():
+    rows = run_script(
+        "equivalence_experiment.py", "--k-values", "20", "--instances", "2",
+        "--samples", "2000",
+    )
+    assert [(r["epsilon"], r["k"]) for r in rows] == [(0.1, 20), (1.0, 20), (4.0, 20)]
+    for row in rows:
+        assert row["worst_exact_tv"] <= 1e-8
+
+
 def test_utility_experiment():
     rows = run_script("utility_experiment.py", "--instances", "20", "--epsilons", "1.0")
     assert [r["epsilon"] for r in rows] == [1.0]

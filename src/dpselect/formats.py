@@ -40,27 +40,43 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputFile(message)
 
 
+# JSON true/false are neither numbers nor integers
 _ITEM_CHECKS = {
-    "strings": lambda v: isinstance(v, str),
-    "numbers": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "list": lambda v: isinstance(v, list),
 }
 
 
+def _object(obj: Any, what: str, fields: dict[str, str]) -> dict:
+    """obj, required to be a JSON object holding each named field with a
+    value of its _ITEM_CHECKS kind."""
+    _require(isinstance(obj, dict), f"{what} must be a JSON object")
+    for field, kind in fields.items():
+        _require(field in obj, f'{what} needs a "{field}" field')
+        _require(_ITEM_CHECKS[kind](obj[field]), f'{what}: "{field}" must be of type {kind}')
+    return obj
+
+
+def _objects(obj: dict, field: str, fields: dict[str, str]) -> list[dict]:
+    """The list obj[field], each entry checked by _object."""
+    return [_object(entry, f"{field} entry {i}", fields) for i, entry in enumerate(obj[field])]
+
+
 def _list_of(kind: str, obj: dict, field: str) -> list:
-    """obj[field], required to be a JSON list of strings or of numbers
-    (JSON true/false are not numbers)."""
+    """obj[field], required to be a JSON list of values of one kind."""
     value = obj[field]
     _require(isinstance(value, list) and all(map(_ITEM_CHECKS[kind], value)),
-             f'"{field}" must be a list of {kind}')
+             f'"{field}" must be a list of {kind}s')
     return value
 
 
 def quality_vector_from_dict(obj: Any) -> QualityVector:
-    _require(isinstance(obj, dict), "quality vector must be a JSON object")
-    _require("labels" in obj and "scores" in obj,
-             'quality vector needs "labels" and "scores" fields')
-    labels = _list_of("strings", obj, "labels")
-    scores = _list_of("numbers", obj, "scores")
+    _object(obj, "quality vector", {"labels": "list", "scores": "list"})
+    labels = _list_of("string", obj, "labels")
+    scores = _list_of("number", obj, "scores")
     return QualityVector(tuple(labels), tuple(float(s) for s in scores))
 
 
@@ -77,9 +93,7 @@ def write_quality_vector(qv: QualityVector, path: str | Path) -> None:
 
 
 def neighbor_pairs_from_dict(obj: Any) -> list[NeighborPair]:
-    _require(isinstance(obj, dict) and "pairs" in obj,
-             'neighbor-pairs file needs a "pairs" field')
-    _require(isinstance(obj["pairs"], list), '"pairs" must be a list')
+    _object(obj, "neighbor-pairs file", {"pairs": "list"})
     pairs = []
     for i, entry in enumerate(obj["pairs"]):
         _require(isinstance(entry, dict) and "q1" in entry and "q2" in entry,
@@ -111,12 +125,10 @@ def write_neighbor_pairs(pairs: list[NeighborPair], path: str | Path) -> None:
 
 
 def probability_table_from_dict(obj: Any) -> ProbabilityTable:
-    _require(isinstance(obj, dict), "distribution table must be a JSON object")
-    for field in ("labels", "probabilities", "provenance"):
-        _require(field in obj, f'distribution table needs a "{field}" field')
-    _require(isinstance(obj["provenance"], str), '"provenance" must be a string')
-    labels = _list_of("strings", obj, "labels")
-    probabilities = _list_of("numbers", obj, "probabilities")
+    _object(obj, "distribution table",
+            {"labels": "list", "probabilities": "list", "provenance": "string"})
+    labels = _list_of("string", obj, "labels")
+    probabilities = _list_of("number", obj, "probabilities")
     return ProbabilityTable(
         tuple(labels), tuple(float(p) for p in probabilities), obj["provenance"]
     )
@@ -155,18 +167,18 @@ def audit_report_to_dict(report: AuditReport) -> dict:
 
 
 def audit_report_from_dict(obj: Any) -> AuditReport:
-    _require(isinstance(obj, dict), "audit report must be a JSON object")
-    for field in ("bound", "worst_ratio", "pass", "per_pair"):
-        _require(field in obj, f'audit report needs a "{field}" field')
+    _object(obj, "audit report",
+            {"bound": "number", "worst_ratio": "number", "pass": "boolean", "per_pair": "list"})
+    entries = _objects(obj, "per_pair",
+                       {"pair_index": "integer", "worst_outcome_label": "string", "ratio": "number"})
     per_pair = tuple(
-        PairAudit(int(r["pair_index"]), str(r["worst_outcome_label"]), float(r["ratio"]))
-        for r in obj["per_pair"]
+        PairAudit(r["pair_index"], r["worst_outcome_label"], float(r["ratio"])) for r in entries
     )
     return AuditReport(
         per_pair=per_pair,
         worst_ratio=float(obj["worst_ratio"]),
         bound=float(obj["bound"]),
-        passed=bool(obj["pass"]),
+        passed=obj["pass"],
     )
 
 
@@ -193,20 +205,19 @@ def utility_report_to_dict(report: UtilityReport) -> dict:
 
 
 def utility_report_from_dict(obj: Any) -> UtilityReport:
-    _require(isinstance(obj, dict), "utility report must be a JSON object")
-    for field in ("per_instance", "dominance_violations"):
-        _require(field in obj, f'utility report needs a "{field}" field')
+    _object(obj, "utility report", {"per_instance": "list", "dominance_violations": "integer"})
+    entries = _objects(obj, "per_instance", {"instance_id": "integer",
+                                             "expected_error_pf": "number",
+                                             "expected_error_em": "number"})
     records = tuple(
         UtilityRecord(
-            int(r["instance_id"]),
-            float(r["expected_error_pf"]),
-            float(r["expected_error_em"]),
+            r["instance_id"], float(r["expected_error_pf"]), float(r["expected_error_em"])
         )
-        for r in obj["per_instance"]
+        for r in entries
     )
     return UtilityReport(
         per_instance=records,
-        dominance_violations=int(obj["dominance_violations"]),
+        dominance_violations=obj["dominance_violations"],
     )
 
 

@@ -10,18 +10,18 @@ report-noisy-max.
 
 All mechanisms are pure functions of (instance, rng). Noisy-score ties have
 probability zero with continuous noise and can only arise here through
-floating-point coincidence; they break toward the smallest index. Each
-mechanism accepts an optional ``trace`` dict that it fills with its
-internal variables (noisy scores, permutation, coin probabilities, ...)
-for debugging and tests; tracing never changes the draw sequence.
+floating-point coincidence; they break toward the smallest index.
 
-Beside each scalar mechanism sits a batch sampler of (instance, rng, rows)
-that runs the same algorithm for many independent draws at once with numpy
-and returns one chosen index per row; ``BATCH_SAMPLERS`` holds them under
-the ``MECHANISMS`` keys. Each batch sampler follows its own mechanism's
+Each mechanism has a batch sampler of (instance, rng, rows) that runs its
+algorithm for many independent draws at once with numpy and returns one
+chosen index per row; ``BATCH_SAMPLERS`` holds them under the
+``MECHANISMS`` keys. Each batch sampler follows its own mechanism's
 algorithm rather than any equivalence between mechanisms, so sampling one
-mechanism never borrows the distribution of another. The scalar versions
-stay the single-draw reference the batch samplers are tested against.
+mechanism never borrows the distribution of another. A single draw of
+report-noisy-max, the exponential mechanism or `intermediate_b` is its
+batch sampler run for one row. Permute-and-flip's sequential walk and
+`intermediate_a`'s integer pick are different algorithms from their batch
+samplers and stay the single-draw references those are tested against.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, MutableMapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import ValidatedInstance
 from .errors import EmptySequence, NeedAtLeastTwoOutcomes
 from .noise import Exponential, RngState, from_params, samples
-
-Trace = MutableMapping[str, object]
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,10 @@ class GapResult:
     gap: float
 
 
-def _argmax_first(values: np.ndarray) -> int:
-    # np.argmax returns the first maximal position, i.e. smallest index
-    return int(np.argmax(values))
+def _one_row(inst: ValidatedInstance, indices: np.ndarray) -> SelectionResult:
+    """The draw of a batch sampler run for one row."""
+    index = int(indices[0])
+    return SelectionResult(index, inst.quality.labels[index])
 
 
 def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
@@ -75,12 +74,7 @@ def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
     return np.argmin(np.where(mask, keys, np.inf), axis=1)
 
 
-def report_noisy_max(
-    inst: ValidatedInstance,
-    kind: str,
-    rng: RngState,
-    trace: Trace | None = None,
-) -> SelectionResult:
+def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> SelectionResult:
     """Add one independent noise draw per score, return the argmax.
 
     kind selects the noise family: "exponential" (rate eps/(2*sensitivity),
@@ -88,30 +82,28 @@ def report_noisy_max(
     2*sensitivity/eps). The Gumbel variant draws from the same output
     distribution as the exponential mechanism.
     """
+    return _one_row(inst, _report_noisy_max_batch(inst, kind, rng, 1))
+
+
+def _noisy_scores(
+    inst: ValidatedInstance, kind: str, rng: RngState, rows: int
+) -> np.ndarray:
+    """The scores plus a rows x k matrix of independent noise draws of the
+    given family."""
     noise = from_params(kind, inst.params)
-    noisy = np.asarray(inst.quality.scores) + samples(noise, rng, len(inst.quality))
-    index = _argmax_first(noisy)
-    if trace is not None:
-        trace["noisy_scores"] = noisy.tolist()
-    return SelectionResult(index, inst.quality.labels[index])
+    k = len(inst.quality)
+    return np.asarray(inst.quality.scores) + samples(noise, rng, rows * k).reshape(rows, k)
 
 
 def _report_noisy_max_batch(
     inst: ValidatedInstance, kind: str, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch report_noisy_max: row-wise first argmax of the scores plus a
-    rows x k matrix of independent noise draws."""
-    noise = from_params(kind, inst.params)
-    k = len(inst.quality)
-    noisy = np.asarray(inst.quality.scores) + samples(noise, rng, rows * k).reshape(rows, k)
-    return np.argmax(noisy, axis=1)
+    """Batch report_noisy_max: the row-wise first argmax of the noisy
+    scores."""
+    return np.argmax(_noisy_scores(inst, kind, rng, rows), axis=1)
 
 
-def exponential_mechanism(
-    inst: ValidatedInstance,
-    rng: RngState,
-    trace: Trace | None = None,
-) -> SelectionResult:
+def exponential_mechanism(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Sample index i with probability proportional to
     exp(eps * q_i / (2 * sensitivity)).
 
@@ -121,17 +113,7 @@ def exponential_mechanism(
     Gumbel-max trick: that lives in report_noisy_max("gumbel"), and keeping
     the two code paths distinct lets tests cross-check them.
     """
-    quality = inst.quality
-    scores = np.asarray(quality.scores)
-    weights = np.exp(inst.params.rate * (scores - quality.best_score))
-    cumulative = np.cumsum(weights)
-    u = rng.uniform() * cumulative[-1]
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    if index >= len(quality):  # u landed on the rounded-down total
-        index = len(quality) - 1
-    if trace is not None:
-        trace["selection_probabilities"] = (weights / cumulative[-1]).tolist()
-    return SelectionResult(index, quality.labels[index])
+    return _one_row(inst, _exponential_mechanism_batch(inst, rng, 1))
 
 
 def _exponential_mechanism_batch(
@@ -148,11 +130,7 @@ def _exponential_mechanism_batch(
     return np.minimum(index, len(quality) - 1)
 
 
-def permute_and_flip(
-    inst: ValidatedInstance,
-    rng: RngState,
-    trace: Trace | None = None,
-) -> SelectionResult:
+def permute_and_flip(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Visit outcomes in uniformly random order; for each, flip a coin with
     heads probability exp(rate * (q_i - max q)) and return the first heads.
 
@@ -162,17 +140,9 @@ def permute_and_flip(
     quality = inst.quality
     rate = inst.params.rate
     best = quality.best_score
-    order = rng.permutation(len(quality))
-    if trace is not None:
-        trace["permutation"] = order
-        trace["coin_probabilities"] = [
-            math.exp(rate * (s - best)) for s in quality.scores
-        ]
-    for position, index in enumerate(order):
+    for index in rng.permutation(len(quality)):
         heads_probability = math.exp(rate * (quality.scores[index] - best))
         if rng.uniform() < heads_probability:
-            if trace is not None:
-                trace["flips_used"] = position + 1
             return SelectionResult(index, quality.labels[index])
     raise AssertionError("unreachable: the best outcome's coin has probability 1")
 
@@ -196,11 +166,7 @@ def _permute_and_flip_batch(
     return _uniform_pick(heads, rng)
 
 
-def intermediate_a(
-    inst: ValidatedInstance,
-    rng: RngState,
-    trace: Trace | None = None,
-) -> SelectionResult:
+def intermediate_a(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Coin-game reformulation of permute-and-flip.
 
     Adds exponential noise to every score, keeps the outcomes whose noisy
@@ -216,9 +182,6 @@ def intermediate_a(
     kept = np.flatnonzero(noisy >= best)
     assert kept.size > 0, "a maximizing outcome always survives"
     index = int(kept[rng.integers(kept.size)])
-    if trace is not None:
-        trace["noisy_scores"] = noisy.tolist()
-        trace["candidate_set"] = kept.tolist()
     return SelectionResult(index, quality.labels[index])
 
 
@@ -234,44 +197,26 @@ def _intermediate_a_batch(
     return _uniform_pick(kept, rng)
 
 
-def intermediate_b(
-    inst: ValidatedInstance,
-    rng: RngState,
-    trace: Trace | None = None,
-) -> SelectionResult:
+def intermediate_b(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Censored-noise reformulation bridging permute-and-flip to
     report-noisy-max with exponential noise.
 
     Caps each exponentially-noised score at the best true score, draws a
     second independent exponential tie-break draw for every outcome (even
-    those the cap later excludes, so seeded traces always consume two draws
-    per outcome in index order), and returns the argmax of capped score
-    plus tie-break over the outcomes whose capped score hit the cap.
+    those the cap later excludes, so a seeded draw always consumes two
+    draws per outcome, score noise and tie-break interleaved in index
+    order), and returns the first argmax of capped score plus tie-break
+    over the outcomes whose capped score hit the cap. A maximizing outcome
+    always hits the cap, so that set is never empty.
     """
-    quality = inst.quality
-    k = len(quality)
-    best = quality.best_score
-    draws = samples(Exponential(inst.params.rate), rng, 2 * k)
-    capped = np.minimum(best, np.asarray(quality.scores) + draws[0::2])
-    tiebreak = draws[1::2]
-    survivors = np.flatnonzero(capped == best)
-    assert survivors.size > 0, "a maximizing outcome always hits the cap"
-    winner = survivors[_argmax_first(capped[survivors] + tiebreak[survivors])]
-    index = int(winner)
-    if trace is not None:
-        trace["capped_scores"] = capped.tolist()
-        trace["tiebreak_noise"] = tiebreak.tolist()
-        trace["candidate_set"] = survivors.tolist()
-    return SelectionResult(index, quality.labels[index])
+    return _one_row(inst, _intermediate_b_batch(inst, rng, 1))
 
 
 def _intermediate_b_batch(
     inst: ValidatedInstance, rng: RngState, rows: int
 ) -> np.ndarray:
     """Batch intermediate_b: per row, the first argmax of capped score plus
-    tie-break over the outcomes whose capped score hit the cap. Draws are
-    laid out as in the scalar version, score noise and tie-break
-    interleaved per outcome."""
+    tie-break, with the outcomes below the cap masked out."""
     quality = inst.quality
     k = len(quality)
     best = quality.best_score
@@ -312,23 +257,18 @@ def argmax_with_gap(noisy_values: Sequence[float]) -> tuple[int, float]:
 
 
 def report_noisy_max_with_gap(
-    inst: ValidatedInstance,
-    kind: str,
-    rng: RngState,
-    trace: Trace | None = None,
+    inst: ValidatedInstance, kind: str, rng: RngState
 ) -> GapResult:
     """Report-noisy-max that additionally releases the top-two gap.
 
-    Runs report_noisy_max itself and takes the gap from the noisy scores
-    it traces, so the draws and the index match it seed for seed.
+    Draws the same noisy scores as report_noisy_max and takes both the
+    first argmax and the gap from them, so the draws and the index match
+    it seed for seed.
     """
     if len(inst.quality) < 2:
         raise NeedAtLeastTwoOutcomes("gap release needs at least two outcomes")
-    if trace is None:
-        trace = {}
-    result = report_noisy_max(inst, kind, rng, trace)
-    _, gap = argmax_with_gap(trace["noisy_scores"])
-    return GapResult(result.index, result.label, gap)
+    index, gap = argmax_with_gap(_noisy_scores(inst, kind, rng, 1)[0])
+    return GapResult(index, inst.quality.labels[index], gap)
 
 
 # noisy-max mechanism name -> noise family; the single source for both

@@ -26,6 +26,7 @@ route, and every CLI command that needs neither, starts without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -242,10 +243,13 @@ def empirical_counts(
     A name from MECHANISMS draws through its vectorized BATCH_SAMPLERS
     entry, in chunks of at most BATCH_ELEMENTS draws: BATCH_ELEMENTS // k
     rows, fewer for a sampler with BATCH_DRAWS_PER_OUTCOME. A callable of
-    (instance, rng) runs once per draw: this scalar loop is the reference
-    the batch samplers are checked against. Either way a fixed seed gives
-    the same counts bit for bit; the two paths consume the stream
-    differently, so one seed need not give the same counts on both.
+    (instance, rng) runs once per draw. Either way a fixed seed gives the
+    same counts bit for bit. The single draws of the rnm-*, em and alg-b
+    entries of MECHANISMS are their batch samplers run for one row, so both
+    paths give them the same counts. Those of pf and alg-a are separate
+    algorithms that consume the stream differently: their loop is the
+    single-draw reference the batch samplers are checked against, and one
+    seed need not give the same counts on both paths.
     """
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
@@ -304,11 +308,16 @@ def chi_square_gof(
     category needed pooling the test is impossible and AllCategoriesMerged
     is raised. Observed mass on a zero-probability outcome fails outright.
     A significance outside (0, 1) would pass every sample (at 0 or below)
-    or none (at 1 or above), so it raises ValueError.
+    or none (at 1 or above), so it raises ValueError. So does a count that
+    is not a Python or numpy integer, even a whole float: truncating 5000.9
+    to 5000 would test other counts than the ones observed.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must be strictly between 0 and 1, got {significance}")
-    counts = [int(c) for c in observed_counts]
+    try:
+        counts = [operator.index(c) for c in observed_counts]
+    except TypeError:
+        raise ValueError("counts must be integers") from None
     if len(counts) != len(expected):
         raise LabelMismatch(
             f"{len(counts)} counts for {len(expected)} expected categories"

@@ -149,3 +149,67 @@ class TestReportFiles:
         assert formats.load_utility_report(path) == report
         raw = json.loads(path.read_text())
         assert set(raw) == {"per_instance", "dominance_violations"}
+
+    AUDIT = {"bound": 2, "worst_ratio": 1.5, "pass": True,
+             "per_pair": [{"pair_index": 0, "worst_outcome_label": "a", "ratio": 1.5}]}
+    UTILITY = {"per_instance": [{"instance_id": 0, "expected_error_pf": 0.1,
+                                 "expected_error_em": 0.2}],
+               "dominance_violations": 0}
+
+    @staticmethod
+    def altered(report, entry=None, **changes):
+        """A copy of report with top-level fields (or, given entry, the
+        fields of that per-entry list's first object) replaced; a value of
+        None deletes the field."""
+        report = json.loads(json.dumps(report))
+        target = report[entry][0] if entry else report
+        for field, value in changes.items():
+            if value is None:
+                del target[field]
+            else:
+                target[field] = value
+        return report
+
+    def test_well_formed_reports_load(self):
+        assert formats.audit_report_from_dict(self.AUDIT).passed is True
+        assert formats.utility_report_from_dict(self.UTILITY).dominance_violations == 0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"pass": "false"},
+            {"pass": 0},
+            {"pass": None},
+            {"bound": "2"},
+            {"worst_ratio": True},
+            {"per_pair": 5},
+            {"per_pair": [5]},
+            {"entry": "per_pair", "pair_index": None},
+            {"entry": "per_pair", "pair_index": 1.0},
+            {"entry": "per_pair", "pair_index": True},
+            {"entry": "per_pair", "worst_outcome_label": 3},
+            {"entry": "per_pair", "ratio": "1.5"},
+        ],
+    )
+    def test_malformed_audit_report_rejected(self, changes):
+        with pytest.raises(MalformedInputFile):
+            formats.audit_report_from_dict(self.altered(self.AUDIT, **changes))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"dominance_violations": "3"},
+            {"dominance_violations": 1.7},
+            {"dominance_violations": False},
+            {"dominance_violations": None},
+            {"per_instance": {}},
+            {"per_instance": ["x"]},
+            {"entry": "per_instance", "instance_id": "0"},
+            {"entry": "per_instance", "instance_id": 0.5},
+            {"entry": "per_instance", "expected_error_pf": None},
+            {"entry": "per_instance", "expected_error_em": [0.2]},
+        ],
+    )
+    def test_malformed_utility_report_rejected(self, changes):
+        with pytest.raises(MalformedInputFile):
+            formats.utility_report_from_dict(self.altered(self.UTILITY, **changes))

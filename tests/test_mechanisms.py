@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpselect import (
     MECHANISMS,
+    Exponential,
     RngState,
     argmax_with_gap,
     em_exact_distribution,
@@ -17,6 +18,7 @@ from dpselect import (
     report_noisy_max,
     report_noisy_max_with_gap,
     rnm_exact_quadrature,
+    samples,
 )
 from dpselect.core import ProbabilityTable
 from dpselect.errors import EmptySequence, NeedAtLeastTwoOutcomes
@@ -44,10 +46,15 @@ class TestSingleOutcome:
             assert result.label == "o0"
 
     def test_permute_and_flip_uses_one_probability_one_coin(self):
-        trace = {}
-        permute_and_flip(make_instance([3.5]), RngState(0), trace)
-        assert trace["flips_used"] == 1
-        assert trace["coin_probabilities"] == [1.0]
+        # the walk draws a permutation, then one uniform per flip; the lone
+        # coin comes up heads on the first flip whatever the uniform
+        for seed in range(20):
+            rng = RngState(seed)
+            assert permute_and_flip(make_instance([3.5]), rng).index == 0
+            reference = RngState(seed)
+            reference.permutation(1)
+            reference.uniform()
+            assert rng.uniforms(4).tolist() == reference.uniforms(4).tolist()
 
 
 class TestSymmetry:
@@ -75,6 +82,35 @@ class TestDeterminism:
             first = MECHANISMS[name](inst, RngState(seed))
             second = MECHANISMS[name](inst, RngState(seed))
             assert first == second
+
+
+class TestSeededGolden:
+    """Seeded single draws are part of the interface: `select --seed s`
+    must give the same outcome in every version. Each string holds the
+    indices that seeds 0..199 pick on one mixed instance (a tie for the
+    best score, near-best and far-off outcomes)."""
+
+    SCORES = [2.0, 0.5, 2.0, -1.0, 1.7, 0.0, -30.0, 1.2, 1.9]
+    INDICES = {
+        "alg-a": "50000020254810710022882520088054875304745484554270408784808841407420141220808022083807848210080248007508114407842478424820088872858512484414442840818407204485148224800027048882008488400072880828423580",
+        "alg-b": "40278770024204147800022248840528207128182728887025852480774032208247020844870708852802200200254002040274408704280228170442442203317254217588002034802808820827280024244018280438782407401828084024241242",
+        "em": "44108744288018854822272520358018020207347874048722784018752422448082342183817728728270441422481475848802848484800077088884857800522408840842570274784003184201874207027023700084837847080141034854808875",
+        "pf": "47270128021111427020405272807377408080027038084725204820010207822102470234024708084808281470184087442704448240072005004042242822812222210820041052138840827043784822181775727282044452888505485828005004",
+        "rnm-expo": "41222048100888007041785887447248527220482050324487005887224775810402428203841012020224282272807873034884010702072580200082882077788580024044214102405717408778740420584828581820270274402824202042820005",
+        "rnm-gumbel": "41222048100888007041785887447248527220482050324487005887224775810404428203841012020224282272807873034884010702072580200082882077784580024044214102405717408778744420584828581820270274402824202042820005",
+        "rnm-laplace": "41222048100888007041785887447248527220482050324487005887224775810402428203841012020224282272807873034884010702072580200082882077788580024044214102405717408778740420584828581820270274402824202042820005",
+    }
+
+    def test_covers_every_mechanism(self):
+        assert sorted(self.INDICES) == MECHANISM_NAMES
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_seeded_indices_unchanged(self, name):
+        inst = make_instance(self.SCORES, epsilon=1.5)
+        drawn = "".join(
+            str(MECHANISMS[name](inst, RngState(seed)).index) for seed in range(200)
+        )
+        assert drawn == self.INDICES[name]
 
 
 class TestShiftInvariance:
@@ -159,30 +195,58 @@ class TestPermutationEquivariance:
         assert chi_square_gof(counts, expected, 0.001).passed
 
 
-class TestTraces:
-    def test_intermediate_a_candidates_reach_best_score(self):
-        inst = make_instance([1.0, 0.4, -2.0], epsilon=1.0)
-        trace = {}
-        intermediate_a(inst, RngState(44), trace)
-        best = inst.quality.best_score
-        for i in trace["candidate_set"]:
-            assert trace["noisy_scores"][i] >= best
+class TestSeededReplay:
+    """Each single draw replayed step by step from a second stream with the
+    same seed; the replay must reach the same outcome and leave the stream
+    at the same position."""
 
-    def test_intermediate_b_draws_tiebreak_noise_for_every_outcome(self):
-        inst = make_instance([1.0, 0.4, -2.0, 0.9], epsilon=1.0)
-        trace = {}
-        intermediate_b(inst, RngState(45), trace)
-        assert len(trace["tiebreak_noise"]) == len(inst.quality)
-        assert len(trace["capped_scores"]) == len(inst.quality)
-        assert max(trace["capped_scores"]) == inst.quality.best_score
-        assert trace["candidate_set"]
+    @staticmethod
+    def assert_same_position(rng, reference):
+        assert rng.uniforms(4).tolist() == reference.uniforms(4).tolist()
 
-    def test_permute_and_flip_trace_has_permutation(self):
+    @pytest.mark.parametrize("seed", [46, *range(20)])
+    def test_permute_and_flip_returns_first_heads_in_visiting_order(self, seed):
         inst = make_instance([0.3, 0.1, 0.2], epsilon=1.0)
-        trace = {}
-        permute_and_flip(inst, RngState(46), trace)
-        assert sorted(trace["permutation"]) == [0, 1, 2]
-        assert trace["flips_used"] <= 3
+        rng = RngState(seed)
+        result = permute_and_flip(inst, rng)
+        reference = RngState(seed)
+        order = reference.permutation(3)
+        assert sorted(order) == [0, 1, 2]
+        coins = [math.exp(inst.params.rate * (s - inst.quality.best_score))
+                 for s in inst.quality.scores]
+        first_heads = next(i for i in order if reference.uniform() < coins[i])
+        assert result.index == first_heads
+        self.assert_same_position(rng, reference)
+
+    @pytest.mark.parametrize("seed", [44, *range(20)])
+    def test_intermediate_a_picks_among_outcomes_reaching_best_score(self, seed):
+        inst = make_instance([1.0, 0.4, -2.0], epsilon=1.0)
+        rng = RngState(seed)
+        result = intermediate_a(inst, rng)
+        reference = RngState(seed)
+        noise = samples(Exponential(inst.params.rate), reference, 3)
+        noisy = [s + n for s, n in zip(inst.quality.scores, noise)]
+        best = inst.quality.best_score
+        assert noisy[result.index] >= best
+        kept = [i for i, v in enumerate(noisy) if v >= best]
+        assert result.index == kept[reference.integers(len(kept))]
+        self.assert_same_position(rng, reference)
+
+    @pytest.mark.parametrize("seed", [45, *range(20)])
+    def test_intermediate_b_draws_two_per_outcome_and_winner_hits_cap(self, seed):
+        inst = make_instance([1.0, 0.4, -2.0, 0.9], epsilon=1.0)
+        k = len(inst.quality)
+        rng = RngState(seed)
+        result = intermediate_b(inst, rng)
+        reference = RngState(seed)
+        # score noise and tie-break for every outcome, even those below the cap
+        draws = samples(Exponential(inst.params.rate), reference, 2 * k)
+        self.assert_same_position(rng, reference)
+        best = inst.quality.best_score
+        capped = [min(best, s + draws[2 * i]) for i, s in enumerate(inst.quality.scores)]
+        assert capped[result.index] == best
+        survivors = [i for i in range(k) if capped[i] == best]
+        assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
 
 
 class TestArgmaxWithGap:

@@ -287,9 +287,10 @@ SAMPLING_REFERENCES = {
 
 
 class TestScalarAndBatchPaths:
-    """A mechanism passed as a callable runs the scalar single-draw loop;
+    """A mechanism passed as a callable runs its single draw in a loop;
     passed by name it runs the batch sampler. Both must follow the same
-    reference table."""
+    reference table. The single draws of pf and alg-a are separate
+    algorithms; the others are their batch samplers run for one row."""
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     @pytest.mark.parametrize(
@@ -311,6 +312,13 @@ class TestScalarAndBatchPaths:
             assert sum(counts) == 10_000
             assert chi_square_gof(counts, reference, 0.001).passed
             assert [counts[i] for i in never] == [0] * len(never)
+
+    @pytest.mark.parametrize("name", ["alg-b", "em", "rnm-expo", "rnm-gumbel", "rnm-laplace"])
+    def test_single_draw_is_one_batch_row(self, name):
+        inst = make_instance([0.8, -0.3, 0.8, 0.1, 1.9], epsilon=1.5)
+        assert empirical_counts(MECHANISMS[name], inst, 2000, seed=13) == empirical_counts(
+            name, inst, 2000, seed=13
+        )
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     def test_single_draw_is_one_hot(self, name):
@@ -436,6 +444,20 @@ class TestChiSquareGof:
         expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
         with pytest.raises(ValueError, match="significance"):
             chi_square_gof([900, 100], expected, significance)
+
+    @pytest.mark.parametrize(
+        "counts", [[5000.9, 4999.9], [5000.0, 5000.0], [np.float64(5000), 5000], ["5000", 5000]]
+    )
+    def test_counts_that_are_not_integers_rejected(self, counts):
+        # truncating [5000.9, 4999.9] would test [5000, 4999] instead
+        expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
+        with pytest.raises(ValueError, match="integers"):
+            chi_square_gof(counts, expected, 0.001)
+
+    def test_numpy_integer_counts_accepted(self):
+        expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
+        counts = np.array([600, 400], dtype=np.int64)
+        assert chi_square_gof(counts, expected, 0.001) == chi_square_gof([600, 400], expected, 0.001)
 
 
 class TestChiSquarePValue:

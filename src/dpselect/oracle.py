@@ -8,9 +8,9 @@ and must keep agreeing:
 * closed forms (softmax for the exponential mechanism, an
   inclusion-exclusion sum for report-noisy-max with exponential noise),
 * brute-force enumeration over coin-outcome subsets for permute-and-flip,
-* adaptive quadrature of the generic win-probability integral, one
-  vectorized call over all k entries with a max-norm error bound that
-  covers every entry.
+* adaptive Gauss-Kronrod quadrature of the generic win-probability
+  integral over all k entries at once, in numpy, with a max-norm error
+  bound that covers every entry.
 
 The two enumeration-style oracles are deliberately written as separate
 loops with no shared subset walk, so a bug in one cannot hide in the
@@ -18,9 +18,9 @@ other. Summation order per index is fixed, making results reproducible
 bit for bit. table_for is the one place that maps a mechanism and a mode
 to its route.
 
-Only rnm_exact_quadrature (scipy.integrate) and chi_square_gof
-(scipy.special) use scipy, and they import it when called: every other
-route, and every CLI command that needs neither, starts without it.
+Only chi_square_gof uses scipy (scipy.special), and it imports it when
+called: every other route, and every CLI command that runs no
+goodness-of-fit test, starts without it.
 """
 
 from __future__ import annotations
@@ -175,19 +175,39 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     """Win probabilities of report-noisy-max under any noise family, by
     adaptive quadrature of P(i) = integral of f_i(v) * prod_{j != i} F_j(v).
 
-    One vector-valued quad_vec call integrates all k entries at once. The
-    domain is truncated where every factor's tail mass drops below 1e-12
-    (analytic bounds per family), the score locations are passed to the
-    integrator as known kink points together with the points where each
-    tail's mass is 1e-3 and 1e-6, and the result is renormalized. The
-    error estimate is taken in the max norm, so it bounds every entry;
+    All k entries are integrated at once with QUADPACK's 21-point
+    Gauss-Kronrod rule, refined by the adaptive scheme of
+    scipy.integrate.quad_vec (see _adaptive_gk21), in numpy. The domain is
+    truncated where every factor's tail mass drops below 1e-12 (analytic
+    bounds per family). It is split at the score locations, which are known
+    kinks, and where each tail's mass is 1e-3 and 1e-6. The result is
+    renormalized. Each interval's error estimate is QUADPACK's, taken in the
+    max norm over the k entries, so their sum bounds every entry;
     QuadratureNonConvergence is raised if it misses the 1e-9 absolute
-    target.
+    target. The integrand is evaluated at the 21 nodes of every interval of
+    a refinement round in (nodes, k) numpy calls, in chunks of at most
+    BATCH_ELEMENTS values, so memory stays flat in k.
     """
-    from scipy import integrate
-
     k = len(inst.quality)
     _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
+    win_density, edges = _win_integrand(inst, kind)
+    raw, abs_error = _adaptive_gk21(win_density, k, edges, QUADRATURE_TARGET / 10.0, limit=400)
+    if abs_error > QUADRATURE_TARGET:
+        raise QuadratureNonConvergence(
+            f"reached absolute error {abs_error:.3e} per entry "
+            f"(target {QUADRATURE_TARGET:.0e})",
+            achieved_error=abs_error,
+        )
+    return ProbabilityTable(
+        inst.quality.labels, (raw / raw.sum()).tolist(), "quadrature"
+    )
+
+
+def _win_integrand(inst: ValidatedInstance, kind: str):
+    """rnm_exact_quadrature's integrand, which maps points (m,) to the k
+    entries' win densities (m, k), and its integration edges: the truncated
+    domain's ends with the breakpoints between them."""
+    k = len(inst.quality)
     noise = from_params(kind, inst.params)
     scores = np.asarray(inst.quality.scores)
     best = inst.quality.best_score
@@ -201,37 +221,117 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     hi = best + quantile(noise, 1.0 - _TAIL_MASS)
     points = sorted({p for p in (*inst.quality.scores, *breaks) if lo < p < hi})
     pdf, cdf = noise.pdf, noise.cdf
-    running_product, one = np.multiply.accumulate, np.ones(1)
+    running_product = np.multiply.accumulate
 
-    def win_integrand(v: float) -> np.ndarray:
+    def win_density(v: np.ndarray) -> np.ndarray:
         # entry i's product of the other factors is the prefix product before
         # it times the suffix product after it: no division, since a factor
         # can be exactly 0
-        x = v - scores
-        factors = np.concatenate((one, cdf(x), one))
-        before = running_product(factors)[:-2]
-        after = running_product(factors[::-1])[-3::-1]
+        x = v[:, None] - scores
+        factors = np.ones((len(v), k + 2))
+        factors[:, 1:-1] = cdf(x)
+        before = running_product(factors, axis=1)[:, :-2]
+        after = running_product(factors[:, ::-1], axis=1)[:, -3::-1]
         return pdf(x) * before * after
 
-    raw, abs_error = integrate.quad_vec(
-        win_integrand,
-        lo,
-        hi,
-        epsabs=QUADRATURE_TARGET / 10.0,
-        epsrel=0.0,
-        norm="max",
-        limit=400,
-        points=points,
-    )
-    if abs_error > QUADRATURE_TARGET:
-        raise QuadratureNonConvergence(
-            f"reached absolute error {abs_error:.3e} per entry "
-            f"(target {QUADRATURE_TARGET:.0e})",
-            achieved_error=float(abs_error),
+    return win_density, np.array([lo, *points, hi])
+
+
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the 21
+# Kronrod nodes from +1 down to -1 with their weights, and the 10-point Gauss
+# weights of the odd-numbered nodes. All three are symmetric about 0, so
+# only one half is written out.
+_KRONROD_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK21_NODES = np.concatenate((_KRONROD_NODES, [0.0], -_KRONROD_NODES[::-1]))
+_GK21_KRONROD = np.concatenate(
+    (_KRONROD_WEIGHTS, [0.149445554002916905664936468389821], _KRONROD_WEIGHTS[::-1])
+)
+_GK21_GAUSS = np.concatenate((_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[::-1]))
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _gk21(a: np.ndarray, b: np.ndarray, integrand, width: int):
+    """The 21-point rule on each interval [a[n], b[n]] of a vector integrand
+    that maps points (m,) to values (m, width). Returns the integrals
+    (n, width), QUADPACK's error estimates in the max norm (n,) and its
+    rounding-error estimates (n,). Each integrand call gets the nodes of as
+    many whole intervals as fit in BATCH_ELEMENTS values, and at least one."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    integral, error, rounding = np.empty((len(a), width)), np.empty(len(a)), np.empty(len(a))
+    step = max(1, BATCH_ELEMENTS // (21 * width))
+    for start in range(0, len(a), step):
+        part = slice(start, start + step)
+        hh = h[part, None]
+        f = integrand((c[part, None] + hh * _GK21_NODES).ravel()).reshape(-1, 21, width)
+        kronrod = _GK21_KRONROD @ f
+        gap = np.abs((kronrod - _GK21_GAUSS @ f[:, 1::2]) * hh).max(axis=1)
+        spread = (_GK21_KRONROD @ np.abs(f - 0.5 * kronrod[:, None]) * hh).max(axis=1)
+        with np.errstate(all="ignore"):  # spread 0 is dropped just below
+            scaled = spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5)
+        err = np.where((spread != 0.0) & (gap != 0.0), scaled, gap)
+        rnd = (50.0 * _EPS * hh * (_GK21_KRONROD @ np.abs(f))).max(axis=1)
+        error[part] = np.where(rnd > _TINY, np.maximum(err, rnd), err)
+        rounding[part] = rnd
+        integral[part] = hh * kronrod
+    return integral, error, rounding
+
+
+def _running_sum(start, terms: np.ndarray):
+    """start + terms[0] + terms[1] + ..., added left to right as a loop adds."""
+    return np.add.accumulate(np.concatenate(([start], terms)))[-1]
+
+
+def _adaptive_gk21(integrand, width: int, edges: np.ndarray, epsabs: float, limit: int):
+    """Integral of a vector integrand over [edges[0], edges[-1]] and its
+    max-norm error bound, by quad_vec's scheme: start from the intervals
+    between consecutive edges; each round, bisect the intervals with the
+    largest errors, at most 128 and no more than needed for their errors to
+    sum past global error - epsabs / 8; stop once the global error is below
+    epsabs / 8 or below the accumulated rounding error, or the intervals
+    reach limit. Sums are formed one interval at a time in quad_vec's order,
+    so they round as its sums do."""
+    a, b = edges[:-1], edges[1:]
+    integral, error, rounding = _gk21(a, b, integrand, width)
+    total = _running_sum(np.zeros(width), integral)
+    global_error, global_rounding = _running_sum(0.0, error), _running_sum(0.0, rounding)
+    while len(a) < limit:
+        order = np.lexsort((a, -error))  # largest error first, then leftmost
+        prior = np.cumsum(error[order[:127]])  # prior[j - 1]: error sum before candidate j
+        count = 1 + np.searchsorted(prior, global_error - epsabs / 8, side="right")
+        split, keep = order[:count], order[count:]
+        mid = 0.5 * (a[split] + b[split])
+        n = len(split)
+        halves, half_error, half_rounding = _gk21(
+            np.concatenate((a[split], mid)), np.concatenate((mid, b[split])), integrand, width
         )
-    return ProbabilityTable(
-        inst.quality.labels, (raw / raw.sum()).tolist(), "quadrature"
-    )
+        total = _running_sum(total, halves[:n] + halves[n:] - integral[split])
+        global_error = _running_sum(global_error, half_error[:n] + half_error[n:] - error[split])
+        global_rounding = _running_sum(global_rounding, half_rounding[:n] + half_rounding[n:])
+        a, b = np.concatenate((a[keep], a[split], mid)), np.concatenate((b[keep], mid, b[split]))
+        integral = np.concatenate((integral[keep], halves))
+        error = np.concatenate((error[keep], half_error))
+        if (global_error < epsabs / 8 or global_error < global_rounding
+                or not np.isfinite(global_error + global_rounding)):
+            break
+    return total, float(global_error + global_rounding)
 
 
 def empirical_counts(

@@ -416,8 +416,9 @@ PRIVACY = ("--epsilon", "2", "--sensitivity", "1")
 
 
 class TestScipyLoadedOnlyWhenUsed:
-    """A fresh interpreter imports scipy only for quadrature (scipy.integrate)
-    and the chi-square test (scipy.special); scipy.stats is never loaded."""
+    """A fresh interpreter imports scipy only for the chi-square test
+    (scipy.special); scipy.stats is never loaded, and quadrature runs on
+    numpy alone."""
 
     @staticmethod
     def probe(module, *argv):
@@ -432,27 +433,26 @@ class TestScipyLoadedOnlyWhenUsed:
     @pytest.mark.parametrize("argv", [
         ("select", "--mechanism", "pf", *PRIVACY, "--scores", "{scores}"),
         ("dist", "--mechanism", "pf", "--mode", "exact", *PRIVACY, "--scores", "{scores}"),
+        ("dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *PRIVACY,
+         "--scores", "{scores}"),
         ("compare", "--mechanism", "pf", "--mechanism", "rnm-expo", *PRIVACY,
          "--scores", "{scores}"),
+        ("compare", "--mechanism", "rnm-laplace", "--mechanism", "rnm-gumbel",
+         "--mode", "quadrature", "--tolerance", "1", *PRIVACY, "--scores", "{scores}"),
         ("audit", "--mechanism", "pf", *PRIVACY, "--pairs", "{pairs}"),
         ("utility", *PRIVACY, "--scores", "{scores}"),
-    ], ids=["select", "dist-exact", "compare-exact", "audit", "utility"])
-    def test_commands_without_quadrature_or_test_load_no_scipy(
-        self, argv, scores_file, pairs_file
-    ):
+    ], ids=["select", "dist-exact", "dist-quadrature", "compare-exact",
+            "compare-quadrature", "audit", "utility"])
+    def test_commands_without_chi_square_load_no_scipy(self, argv, scores_file, pairs_file):
         argv = [a.format(scores=scores_file, pairs=pairs_file) for a in argv]
         assert self.probe("dpselect.cli", *argv) == {"code": 0, "scipy": []}
 
-    @pytest.mark.parametrize("argv,needed", [
-        (("dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *PRIVACY,
-          "--scores", "{scores}"), "scipy.integrate"),
-        (("compare", "--mechanism", "pf", "--mechanism", "rnm-expo", "--mode", "empirical",
-          "--n", "2000", "--seed", "5", *PRIVACY, "--scores", "{scores}"), "scipy.special"),
-    ], ids=["dist-quadrature", "compare-empirical"])
-    def test_quadrature_and_chi_square_load_their_module_not_stats(
-        self, argv, needed, scores_file
-    ):
-        result = self.probe("dpselect.cli", *(a.format(scores=scores_file) for a in argv))
+    def test_chi_square_loads_special_not_stats(self, scores_file):
+        result = self.probe(
+            "dpselect.cli", "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
+            "--mode", "empirical", "--n", "2000", "--seed", "5", *PRIVACY,
+            "--scores", scores_file,
+        )
         assert result["code"] == 0
-        assert needed in result["scipy"]
+        assert "scipy.special" in result["scipy"]
         assert "scipy.stats" not in result["scipy"]

@@ -235,6 +235,40 @@ class TestQuadrature:
         assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
 
 
+class TestGaussKronrod:
+    """The quadrature route's integrator: QUADPACK's 21-point Gauss-Kronrod
+    rule, refined by scipy.integrate.quad_vec's scheme, in numpy."""
+
+    def test_one_panel_is_exact_up_to_degree_31(self):
+        # the 21 Kronrod nodes integrate x^j exactly for j <= 31, and the
+        # embedded 10-point Gauss rule that the error estimate compares
+        # against for j <= 19: a mistyped node or weight fails
+        powers = np.arange(32)
+        integral, _, _ = oracle._gk21(
+            np.array([0.0]), np.array([1.0]), lambda v: v[:, None] ** powers, 32
+        )
+        assert np.abs(integral[0] - 1.0 / (powers + 1)).max() <= 1e-15
+        even = powers[:20]
+        gauss = oracle._GK21_GAUSS @ oracle._GK21_NODES[1::2, None] ** even
+        exact = np.where(even % 2 == 0, 2.0 / (even + 1), 0.0)  # over [-1, 1]
+        assert np.abs(gauss - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 12, 64, 256])
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_matches_quad_vec(self, family, k):
+        from scipy.integrate import quad_vec
+
+        integrand, edges = oracle._win_integrand(_spread_instance(k, 1.0, seed=k), family)
+        epsabs = oracle.QUADRATURE_TARGET / 10.0
+        reference, _ = quad_vec(
+            lambda v: integrand(np.array([v]))[0], edges[0], edges[-1], epsabs=epsabs,
+            epsrel=0.0, norm="max", limit=400, points=edges[1:-1],
+        )
+        raw, error = oracle._adaptive_gk21(integrand, k, edges, epsabs, limit=400)
+        assert np.abs(raw - reference).max() <= 1e-12
+        assert error <= oracle.QUADRATURE_TARGET
+
+
 def _spread_instance(k, epsilon, seed):
     scores = np.random.default_rng(seed).uniform(-5.0, 5.0, size=k)
     return make_instance(scores, epsilon=epsilon)
@@ -286,39 +320,49 @@ SAMPLING_REFERENCES = {
 }
 
 
+# score cases for the sampling paths: (scores, epsilon, outcomes never drawn)
+SCORE_CASES = [
+    pytest.param([0.8, -0.3, 0.1, 1.9], 1.5, [], id="mixed"),
+    pytest.param([5.0, 5.0, 4.0], 2.0, [], id="tied-best"),
+    pytest.param([3.5], 0.4, [], id="k1"),
+    # rate * (max q - q_2) = 800 > 745: the weight underflows to 0
+    pytest.param([0.0, -0.05, -80.0], 20.0, [2], id="underflow"),
+]
+# mechanisms whose single draw is a separate algorithm from their batch
+# sampler; the single draw of every other one is its batch sampler for one row
+SEPARATE_SINGLE_DRAWS = ("pf", "alg-a")
+
+
 class TestScalarAndBatchPaths:
     """A mechanism passed as a callable runs its single draw in a loop;
     passed by name it runs the batch sampler. Both must follow the same
     reference table. The single draws of pf and alg-a are separate
-    algorithms; the others are their batch samplers run for one row."""
+    algorithms, sampled on both paths; the others are their batch samplers
+    run for one row, so their two paths must give identical counts."""
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
-    @pytest.mark.parametrize(
-        "scores,epsilon,never",
-        [
-            ([0.8, -0.3, 0.1, 1.9], 1.5, []),
-            ([5.0, 5.0, 4.0], 2.0, []),
-            ([3.5], 0.4, []),
-            # rate * (max q - q_2) = 800 > 745: the weight underflows to 0
-            ([0.0, -0.05, -80.0], 20.0, [2]),
-        ],
-        ids=["mixed", "tied-best", "k1", "underflow"],
-    )
+    @pytest.mark.parametrize("scores,epsilon,never", SCORE_CASES)
     def test_scalar_and_batch_match_reference(self, name, scores, epsilon, never):
         inst = make_instance(scores, epsilon=epsilon)
         reference = SAMPLING_REFERENCES[name](inst)
-        for mechanism in (MECHANISMS[name], name):
+        paths = (MECHANISMS[name], name) if name in SEPARATE_SINGLE_DRAWS else (name,)
+        for mechanism in paths:
             counts = empirical_counts(mechanism, inst, 10_000, seed=41)
             assert sum(counts) == 10_000
             assert chi_square_gof(counts, reference, 0.001).passed
             assert [counts[i] for i in never] == [0] * len(never)
 
-    @pytest.mark.parametrize("name", ["alg-b", "em", "rnm-expo", "rnm-gumbel", "rnm-laplace"])
-    def test_single_draw_is_one_batch_row(self, name):
-        inst = make_instance([0.8, -0.3, 0.8, 0.1, 1.9], epsilon=1.5)
-        assert empirical_counts(MECHANISMS[name], inst, 2000, seed=13) == empirical_counts(
-            name, inst, 2000, seed=13
-        )
+    @pytest.mark.parametrize(
+        "name", sorted(set(MECHANISMS) - set(SEPARATE_SINGLE_DRAWS))
+    )
+    @pytest.mark.parametrize("scores,epsilon,never", [
+        *SCORE_CASES, pytest.param([0.8, -0.3, 0.8, 0.1, 1.9], 1.5, [], id="tied-inner")
+    ])
+    def test_single_draw_is_one_batch_row(self, name, scores, epsilon, never):
+        inst = make_instance(scores, epsilon=epsilon)
+        counts = empirical_counts(MECHANISMS[name], inst, 2000, seed=13)
+        assert counts == empirical_counts(name, inst, 2000, seed=13)
+        assert [counts[i] for i in never] == [0] * len(never)
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     def test_single_draw_is_one_hot(self, name):

@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from .audit import dominance_check, privacy_ratio_audit, random_instances
-from .core import PrivacyParams, validate_instance
+from .core import PrivacyParams, ProbabilityTable, validate_instance
 from .errors import DpSelectError
 from .formats import (
     load_neighbor_pairs,
@@ -32,6 +32,8 @@ from .oracle import (
     ENUMERATION_LIMIT,
     EXACT_ORACLES,
     chi_square_gof,
+    empirical_counts,
+    require_route,
     table_for,
     tv_distance,
 )
@@ -104,9 +106,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     # empirical: sample the first mechanism, test against the second's exact table
     reference = table_for(second, inst, "exact")
-    empirical = table_for(first, inst, "empirical", args.n, args.seed)
-    # each frequency is a correctly rounded c/n with n < 2^51, so this is c
-    counts = [round(p * args.n) for p in empirical.probabilities]
+    require_route(first, "empirical")
+    counts = empirical_counts(first, inst, args.n, args.seed)
+    empirical = ProbabilityTable(inst.quality.labels, [c / args.n for c in counts],
+                                 f"empirical(n={args.n},seed={args.seed})")
     gof = chi_square_gof(counts, reference, args.significance)
     _emit(
         {

@@ -41,11 +41,12 @@ from .errors import (
     UnsupportedOracle,
 )
 from .mechanisms import BATCH_DRAWS_PER_OUTCOME, BATCH_SAMPLERS, RNM_FAMILIES
-from .noise import Exponential, RngState, from_params, quantile
+from .noise import Exponential, Laplace, RngState, from_params, quantile
 
-# 2^20 enumeration terms with magnitudes <= 1 keep the floating-point error
-# of the alternating sum near 1e-10, comfortably inside the 1e-8 tolerance
-# the equivalence checks use.
+# An enumeration table walks 2^k keep patterns, and each entry sums the 2^(k-1)
+# that contain it: at k = 20, terms with magnitudes <= 1 keep the
+# floating-point error of the alternating sum near 1e-10, comfortably inside
+# the 1e-8 tolerance the equivalence checks use.
 ENUMERATION_LIMIT = 20
 QUADRATURE_LIMIT = 256
 QUADRATURE_TARGET = 1e-9
@@ -95,40 +96,46 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
 
     Permute-and-flip is distributed like the coin game that independently
     keeps each outcome j with probability p_j = exp(rate * (q_j - max q))
-    and returns a uniform pick among the kept ones. Enumerating, for each
-    outcome i, every keep-pattern T of the other outcomes:
+    and returns a uniform pick among the kept ones. Each keep-pattern T of
+    the k outcomes is walked once, with weight
 
-        P(i) = sum over T of  p_i * prod_{j in T} p_j
-                                  * prod_{j not in T} (1 - p_j) / (|T| + 1)
+        w(T) = prod_{j in T} p_j * prod_{j not in T} (1 - p_j),
 
-    Cost is k * 2^(k-1) terms, hence the outcome limit. Memory is two
-    buffers of 2^(k-1) doubles, the patterns' |T| + 1 built once and the
-    pattern weights refilled in place for every outcome.
+    and gives each of its kept outcomes w(T) / |T|, so
+
+        P(i) = sum over T containing i of  w(T) / |T|.
+
+    The empty pattern has weight exactly 0, since the best outcome is kept
+    with probability 1. Cost is 2^k products to build the pattern weights
+    plus 2^k adds to fold them into the k entries, hence the outcome
+    limit. Memory is one buffer of 2^k doubles (the weights) and one of
+    2^k bytes (the patterns' |T|).
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     keep_probs = np.exp(inst.params.rate * (scores - inst.quality.best_score))
-    patterns = 1 << (k - 1)
-    # pattern m keeps the others whose bit is set in m, so |T| + 1 doubles
-    # the same way the weights do: exact small integers in float
-    kept_plus_one = np.empty(patterns)
-    kept_plus_one[0] = 1.0
+    patterns = 1 << k
+    # pattern m keeps the outcomes whose bit is set in m, so its weight and
+    # its |T| double the same way, one coin at a time
+    weight = np.empty(patterns)
+    kept = np.empty(patterns, dtype=np.uint8)
+    weight[0], kept[0] = 1.0, 0
     n = 1
-    while n < patterns:
-        np.add(kept_plus_one[:n], 1.0, out=kept_plus_one[n : 2 * n])
+    for p_j in keep_probs:
+        np.multiply(weight[:n], p_j, out=weight[n : 2 * n])
+        weight[:n] *= 1.0 - p_j
+        np.add(kept[:n], 1, out=kept[n : 2 * n])
         n *= 2
-    pattern_weight = np.empty(patterns)
+    kept[0] = 1  # the empty pattern weighs 0 and enters no entry
+    weight /= kept
     out = np.empty(k)
-    for i in range(k):
-        pattern_weight[0] = 1.0
-        n = 1
-        for p_j in np.delete(keep_probs, i):
-            np.multiply(pattern_weight[:n], p_j, out=pattern_weight[n : 2 * n])
-            pattern_weight[:n] *= 1.0 - p_j
-            n *= 2
-        pattern_weight /= kept_plus_one
-        out[i] = keep_probs[i] * float(np.sum(pattern_weight))
+    # fold out the top bit: once the bits above j are folded in, the
+    # patterns containing j are exactly weight[2^j : 2^(j+1)]
+    for j in reversed(range(k)):
+        n //= 2
+        out[j] = weight[n : 2 * n].sum()
+        weight[:n] += weight[n : 2 * n]
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-enumeration")
 
 
@@ -142,32 +149,39 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
         P(i) = sum over subsets T of the others of
                (-1)^|T| * e_i * prod_{j in T} e_j / (|T| + 1)
 
+    and, writing U = T + {i}, the same sum over the subsets of all k
+    outcomes that contain i:
+
+        P(i) = sum over U containing i of
+               (-1)^(|U| - 1) * prod_{j in U} e_j / |U|
+
     Every exponent is <= 0, so each term lies in [-1, 1] and the
-    alternating sum stays well-conditioned. Cost is k * 2^(k-1) terms.
-    Memory is two buffers of 2^(k-1) doubles, the subsets' |T| + 1 built
-    once and the signed products refilled in place for every outcome.
+    alternating sum stays well-conditioned. Each subset U is walked once.
+    Cost is 2^k products to build the signed terms plus 2^k adds to fold
+    them into the k entries. Memory is one buffer of 2^k doubles (the
+    terms) and one of 2^k bytes (the subsets' |U|).
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
     scores = np.asarray(inst.quality.scores)
     shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
-    subsets = 1 << (k - 1)
-    size_plus_one = np.empty(subsets)
-    size_plus_one[0] = 1.0
-    n = 1
-    while n < subsets:
-        np.add(size_plus_one[:n], 1.0, out=size_plus_one[n : 2 * n])
-        n *= 2
+    subsets = 1 << k
     signed_product = np.empty(subsets)
+    size = np.empty(subsets, dtype=np.uint8)
+    # the empty subset's -1 makes every subset's sign (-1)^(|U| - 1)
+    signed_product[0], size[0] = -1.0, 0
+    n = 1
+    for e_j in shifted:
+        np.multiply(signed_product[:n], -e_j, out=signed_product[n : 2 * n])
+        np.add(size[:n], 1, out=size[n : 2 * n])
+        n *= 2
+    size[0] = 1  # the empty subset enters no entry
+    signed_product /= size
     out = np.empty(k)
-    for i in range(k):
-        signed_product[0] = 1.0
-        n = 1
-        for e_j in np.delete(shifted, i):
-            np.multiply(signed_product[:n], -e_j, out=signed_product[n : 2 * n])
-            n *= 2
-        signed_product /= size_plus_one
-        out[i] = shifted[i] * float(np.sum(signed_product))
+    for j in reversed(range(k)):
+        n //= 2
+        out[j] = signed_product[n : 2 * n].sum()
+        signed_product[:n] += signed_product[n : 2 * n]
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-closed-form")
 
 
@@ -179,8 +193,9 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     Gauss-Kronrod rule, refined by the adaptive scheme of
     scipy.integrate.quad_vec (see _adaptive_gk21), in numpy. The domain is
     truncated where every factor's tail mass drops below 1e-12 (analytic
-    bounds per family). It is split at the score locations, which are known
-    kinks, and where each tail's mass is 1e-3 and 1e-6. The result is
+    bounds per family). It is split where each tail's mass is 1e-3 and
+    1e-6 and, for Laplace noise, whose density has a kink at every score,
+    at the score locations. The result is
     renormalized. Each interval's error estimate is QUADPACK's, taken in the
     max norm over the k entries, so their sum bounds every entry;
     QuadratureNonConvergence is raised if it misses the 1e-9 absolute
@@ -212,6 +227,8 @@ def _win_integrand(inst: ValidatedInstance, kind: str):
     scores = np.asarray(inst.quality.scores)
     best = inst.quality.best_score
     breaks = [best + quantile(noise, 1.0 - m) for m in _TAIL_SPLITS]
+    if isinstance(noise, Laplace):
+        breaks += inst.quality.scores  # the density has a kink at each score
     if isinstance(noise, Exponential):
         lo = best  # some CDF factor is exactly 0 below the best score
     else:
@@ -219,7 +236,7 @@ def _win_integrand(inst: ValidatedInstance, kind: str):
         lo = lowest + quantile(noise, _TAIL_MASS)
         breaks += [lowest + quantile(noise, m) for m in _TAIL_SPLITS]
     hi = best + quantile(noise, 1.0 - _TAIL_MASS)
-    points = sorted({p for p in (*inst.quality.scores, *breaks) if lo < p < hi})
+    points = sorted({p for p in breaks if lo < p < hi})
     pdf, cdf = noise.pdf, noise.cdf
     running_product = np.multiply.accumulate
 
@@ -471,14 +488,9 @@ EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {
 _ROUTES = {"exact": EXACT_ORACLES, "quadrature": RNM_FAMILIES, "empirical": BATCH_SAMPLERS}
 
 
-def table_for(
-    mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
-) -> ProbabilityTable:
-    """A mechanism's output table by one of three routes: "exact" (its
-    EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
-    RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
-    seeded draws). Any other pair raises UnsupportedOracle naming the
-    mechanisms the mode supports."""
+def require_route(mechanism: str, mode: str) -> None:
+    """Raise UnsupportedOracle, naming the mechanisms the mode supports,
+    unless table_for has a route for this mechanism and mode."""
     if mode not in _ROUTES:
         raise UnsupportedOracle(f"unknown mode {mode!r}; expected one of {sorted(_ROUTES)}")
     if mechanism not in _ROUTES[mode]:
@@ -486,6 +498,17 @@ def table_for(
             f"{mode} mode has no route for {mechanism!r}; "
             f"it supports {sorted(_ROUTES[mode])}"
         )
+
+
+def table_for(
+    mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
+) -> ProbabilityTable:
+    """A mechanism's output table by one of three routes: "exact" (its
+    EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
+    RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
+    seeded draws). Any other pair raises UnsupportedOracle, as
+    require_route does."""
+    require_route(mechanism, mode)
     if mode == "exact":
         return EXACT_ORACLES[mechanism](inst)
     if mode == "quadrature":

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -101,13 +102,19 @@ class TestRnmExpoExact:
             rnm_expo_exact_distribution(make_instance([0.0] * 21))
 
 
+def keep_probabilities(inst):
+    """The floats p_j = exp(rate * (q_j - max q)) both enumeration oracles
+    start from, as exact rationals."""
+    scores = np.asarray(inst.quality.scores)
+    shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    return [Fraction(float(x)) for x in shifted]
+
+
 def rational_win_probabilities(inst):
     """e_i * integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in exact
     rationals, from the same floats e_j = exp(rate * (q_j - max q)) the
     enumeration oracles start from."""
-    scores = np.asarray(inst.quality.scores)
-    shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
-    e = [Fraction(float(x)) for x in shifted]
+    e = keep_probabilities(inst)
     out = []
     for i, e_i in enumerate(e):
         coeffs = [Fraction(1)]  # polynomial in t, constant term first
@@ -118,8 +125,18 @@ def rational_win_probabilities(inst):
     return out
 
 
+def underflow_instance(k):
+    """One outcome 900 below the best, whose keep probability underflows to
+    0, and one at rate * gap = 744.9, whose keep probability is subnormal;
+    the rest uniform on [-5, 0]."""
+    rest = np.random.default_rng(k).uniform(-5.0, 0.0, k - 3)
+    return make_instance([0.0, -900.0, -744.9, *rest], epsilon=2.0)
+
+
 ERROR_BOUND_CASES = [
     pytest.param(make_instance([0.0] * 20), id="k20-ties"),
+    pytest.param(make_instance([3.0]), id="k1"),
+    pytest.param(underflow_instance(20), id="k20-underflow"),
     *(
         pytest.param(
             random_instances(1, epsilon, 1.0, k_min=20, k_max=20, seed=41)[0],
@@ -147,6 +164,61 @@ class TestEnumerationErrorBound:
         table = fn(inst)
         for p, reference in zip(table.probabilities, exact, strict=True):
             assert abs(Fraction(p) - reference) <= 1e-10
+
+
+def coin_game_table(inst):
+    """Permute-and-flip's table as the literal coin game in exact rationals:
+    every keep pattern of the k coins, then a uniform pick among the kept."""
+    p = keep_probabilities(inst)
+    out = [Fraction(0)] * len(p)
+    for pattern in itertools.product((False, True), repeat=len(p)):
+        kept = [j for j, keep in enumerate(pattern) if keep]
+        weight = math.prod(p_j if keep else 1 - p_j for p_j, keep in zip(p, pattern))
+        for j in kept:
+            out[j] += weight / len(kept)
+    return out
+
+
+def subset_sum_table(inst):
+    """Report-noisy-max's table as the per-outcome subset sum in the
+    rnm_expo_exact_distribution docstring, in exact rationals."""
+    e = keep_probabilities(inst)
+    out = []
+    for i, e_i in enumerate(e):
+        others = e[:i] + e[i + 1 :]
+        out.append(sum(
+            (-1) ** size * e_i * math.prod(subset) / (size + 1)
+            for size in range(len(others) + 1)
+            for subset in itertools.combinations(others, size)
+        ))
+    return out
+
+
+COIN_GAME_CASES = [
+    pytest.param(make_instance([0.0]), id="k1"),
+    pytest.param(make_instance([1.5] * 8, epsilon=3.0), id="k8-ties"),
+    pytest.param(underflow_instance(8), id="k8-underflow"),
+    *(
+        pytest.param(inst, id=f"eps{epsilon}-k{len(inst.quality)}")
+        for epsilon in (0.1, 1.0, 4.0)
+        for inst in random_instances(6, epsilon, 1.0, k_min=2, k_max=8, seed=46)
+    ),
+]
+
+
+class TestEnumerationAgainstDefinition:
+    """Each enumeration oracle against its own definition, walked term by
+    term in exact rationals from the same float keep probabilities."""
+
+    @pytest.mark.parametrize("inst", COIN_GAME_CASES)
+    @pytest.mark.parametrize("fn, reference, bound", [
+        pytest.param(pf_exact_distribution, coin_game_table, 1e-15, id="pf"),
+        pytest.param(rnm_expo_exact_distribution, subset_sum_table, 1e-13, id="rnm-expo"),
+    ])
+    def test_every_entry_matches(self, fn, reference, bound, inst):
+        table = fn(inst)
+        for p, exact in zip(table.probabilities, reference(inst), strict=True):
+            assert abs(Fraction(p) - exact) <= bound
 
 
 class TestEquivalence:

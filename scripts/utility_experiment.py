@@ -20,7 +20,7 @@ from dpselect import (
     random_instances,
 )
 from dpselect.errors import ValidationError
-from dpselect.oracle import ENUMERATION_LIMIT
+from dpselect.oracle import QUADRATURE_LIMIT
 
 
 def main() -> None:
@@ -33,8 +33,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.instances < 1:
         parser.error(f"--instances must be at least 1, got {args.instances}")
-    if not 2 <= args.k_max <= ENUMERATION_LIMIT:
-        parser.error(f"--k-max must be between 2 and {ENUMERATION_LIMIT}, got {args.k_max}")
+    if not 2 <= args.k_max <= QUADRATURE_LIMIT:
+        parser.error(f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}")
     for epsilon in args.epsilons:
         try:
             PrivacyParams(epsilon, 1.0)

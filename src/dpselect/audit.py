@@ -1,13 +1,16 @@
 """Executable verification of the privacy guarantee and the utility
-dominance claim, built on the exact oracles.
+dominance claim, built on the exact log-space oracles (oracle.LOG_ORACLES).
 
 Privacy auditing works only through exact output distributions: Monte
 Carlo estimates of per-outcome probability ratios produce false alarms at
 any realistic sample size, so mechanisms without an exact oracle are
-rejected rather than audited approximately. The audit maximizes the
-probability ratio over all outcomes and both directions for each supplied
-neighbor pair; it checks the supplied evidence, it does not quantify over
-all neighboring datasets.
+rejected rather than audited approximately. The audit compares
+log-probabilities, |log p1 - log p2| for every outcome of each supplied
+neighbor pair, so a probability far below the double range is still
+compared exactly: nothing underflows, and no 0/0 rule is needed. An
+outcome impossible under both datasets is -inf on both sides and counts
+as gap 0. The audit checks the supplied evidence; it does not quantify
+over all neighboring datasets.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     PairExceedsSensitivity,
     UnsupportedOracle,
 )
-from .oracle import EXACT_ORACLES, em_exact_distribution, pf_exact_distribution
+from .oracle import LOG_ORACLES, em_log_tables, pf_log_tables
 
 # multiplicative slack on the e^eps bound, absorbing oracle round-off
 RATIO_SLACK = 1e-9
@@ -76,16 +79,6 @@ class UtilityReport:
     dominance_violations: int
 
 
-def _directional_ratio(a: float, b: float) -> float:
-    # 0/0 means the outcome is unreachable under both datasets: ratio 1.
-    # Positive mass against zero mass can never satisfy a finite bound.
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    if a == 0.0 or b == 0.0:
-        return math.inf
-    return max(a / b, b / a)
-
-
 def privacy_ratio_audit(
     oracle: str,
     pairs: Sequence[NeighborPair],
@@ -96,21 +89,22 @@ def privacy_ratio_audit(
 
     oracle names a mechanism with an exact oracle: one of "pf", "rnm-expo",
     "em". Every pair must stay within the declared sensitivity per
-    outcome; a violating pair is rejected, not silently skipped. The check
-    is direction-symmetric and the report lists pairs in input order.
+    outcome; a violating pair is rejected, not silently skipped. Both
+    tables of every pair come from one batched LOG_ORACLES call, and a
+    pair's ratio is exp of its largest |log p1 - log p2|, so the check is
+    direction-symmetric. The report lists pairs in input order.
     """
     try:
-        exact = EXACT_ORACLES[oracle]
+        log_tables = LOG_ORACLES[oracle]
     except (KeyError, TypeError):
         raise UnsupportedOracle(
             f"{oracle!r} has no exact output-distribution oracle; "
-            f"expected one of {sorted(EXACT_ORACLES)}"
+            f"expected one of {sorted(LOG_ORACLES)}"
         ) from None
     pairs = list(pairs)
     if not pairs:
         raise EmptyPairList("need at least one neighbor pair to audit")
 
-    per_pair = []
     for pair_index, pair in enumerate(pairs):
         deviation = sensitivity_from_pairs([pair])
         # tiny relative slack so a pair constructed as q + u with |u| <= delta
@@ -120,18 +114,17 @@ def privacy_ratio_audit(
                 f"pair {pair_index} deviates by {deviation!r}, "
                 f"declared sensitivity is {params.sensitivity!r}"
             )
-        table1 = exact(validate_instance(pair.q1, params))
-        table2 = exact(validate_instance(pair.q2, params))
-        worst = 0.0
-        worst_label = pair.q1.labels[0]
-        for label, p1, p2 in zip(
-            pair.q1.labels, table1.probabilities, table2.probabilities
-        ):
-            ratio = _directional_ratio(p1, p2)
-            if ratio > worst:
-                worst = ratio
-                worst_label = label
-        per_pair.append(PairAudit(pair_index, worst_label, worst))
+    tables = log_tables(
+        [validate_instance(q, params) for pair in pairs for q in (pair.q1, pair.q2)]
+    )
+    per_pair = []
+    with np.errstate(over="ignore"):  # a gap above 709.78 is ratio inf
+        for pair_index, (pair, log_p1, log_p2) in enumerate(zip(pairs, tables[::2], tables[1::2])):
+            # an outcome neither dataset can produce is -inf on both sides: gap 0
+            gap = np.abs(np.subtract(log_p1, log_p2, out=np.zeros(len(log_p1)),
+                                     where=log_p1 != log_p2))
+            worst = int(np.argmax(gap))
+            per_pair.append(PairAudit(pair_index, pair.q1.labels[worst], float(np.exp(gap[worst]))))
 
     worst_ratio = max(record.ratio for record in per_pair)
     bound = math.exp(params.epsilon)
@@ -153,25 +146,25 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
             f"{inst.quality.labels!r}"
         )
     best = inst.quality.best_score
-    return float(
-        math.fsum(
-            p * (best - s) for p, s in zip(dist.probabilities, inst.quality.scores)
-        )
-    )
+    return math.fsum(p * (best - s) for p, s in zip(dist.probabilities, inst.quality.scores))
 
 
 def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     """Compare exact expected errors of permute-and-flip and the
     exponential mechanism per instance; count instances where
-    permute-and-flip comes out worse beyond the 1e-9 slack. An empty
-    suite is rejected: it would pass without checking anything."""
+    permute-and-flip comes out worse beyond the 1e-9 slack. Both errors of
+    every instance come from one batched pf_log_tables call and one
+    em_log_tables call, at every k. An empty suite is rejected: it would
+    pass without checking anything."""
     if len(instances) == 0:
         raise ValueError("need at least one instance")
     records = []
     violations = 0
-    for instance_id, inst in enumerate(instances):
-        error_pf = expected_error(inst, pf_exact_distribution(inst))
-        error_em = expected_error(inst, em_exact_distribution(inst))
+    tables = zip(instances, pf_log_tables(instances), em_log_tables(instances))
+    for instance_id, (inst, log_pf, log_em) in enumerate(tables):
+        loss = inst.quality.best_score - np.asarray(inst.quality.scores)
+        error_pf = math.fsum((np.exp(log_pf) * loss).tolist())
+        error_em = math.fsum((np.exp(log_em) * loss).tolist())
         if error_pf > error_em + DOMINANCE_TOLERANCE:
             violations += 1
         records.append(UtilityRecord(instance_id, error_pf, error_em))

@@ -29,8 +29,8 @@ from .formats import (
 from .mechanisms import MECHANISMS
 from .noise import RngState
 from .oracle import (
-    ENUMERATION_LIMIT,
-    EXACT_ORACLES,
+    LOG_ORACLES,
+    QUADRATURE_LIMIT,
     chi_square_gof,
     empirical_counts,
     require_route,
@@ -155,9 +155,9 @@ def cmd_utility(args: argparse.Namespace) -> int:
     if args.scores:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
     elif args.random is not None:
-        if not 2 <= args.k_max <= ENUMERATION_LIMIT:
+        if not 2 <= args.k_max <= QUADRATURE_LIMIT:
             return _invalid(
-                f"--k-max must be between 2 and {ENUMERATION_LIMIT}, got {args.k_max}"
+                f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}"
             )
         instances = random_instances(
             args.random,
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[privacy],
                        help="check per-outcome probability ratios against e^epsilon")
-    p.add_argument("--mechanism", required=True, choices=sorted(EXACT_ORACLES),
+    p.add_argument("--mechanism", required=True, choices=sorted(LOG_ORACLES),
                    help="mechanism with an exact oracle")
     p.add_argument("--pairs", required=True, help="neighbor-pairs JSON file")
     p.add_argument("--out", help="write the full audit report to this file")
@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int,
                    help="audit this many (at least 1) random instances instead")
     p.add_argument("--k-max", type=int, default=10, dest="k_max",
-                   help="largest outcome count for --random (default: 10)")
+                   help=f"largest outcome count for --random, 2 to {QUADRATURE_LIMIT} "
+                        "(default: 10)")
     p.add_argument("--out", help="write the full utility report to this file")
     p.set_defaults(handler=cmd_utility)
 

@@ -1,20 +1,20 @@
-"""JSON file formats for quality vectors, neighbor-pair batches,
-distribution tables, and the audit/utility reports.
+"""JSON file formats: loaders for the command line's inputs (quality
+vectors, neighbor-pair batches) and writers for its outputs (distribution
+tables, audit and utility reports).
 
-Every writer here has a matching loader, and everything the command line
-emits round-trips through these parsers. Structural problems in input
-files raise MalformedInputFile; domain invariants (duplicate labels,
-non-finite scores, ...) surface as their own error types from the core
-constructors.
+Structural problems in input files raise MalformedInputFile; domain
+invariants (duplicate labels, non-finite scores, ...) surface as their own
+error types from the core constructors.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from .audit import AuditReport, PairAudit, UtilityRecord, UtilityReport
+from .audit import AuditReport, UtilityReport
 from .core import NeighborPair, ProbabilityTable, QualityVector
 from .errors import MalformedInputFile
 
@@ -40,12 +40,10 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputFile(message)
 
 
-# JSON true/false are neither numbers nor integers
+# JSON true/false are not numbers
 _ITEM_CHECKS = {
     "string": lambda v: isinstance(v, str),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
     "list": lambda v: isinstance(v, list),
 }
 
@@ -58,11 +56,6 @@ def _object(obj: Any, what: str, fields: dict[str, str]) -> dict:
         _require(field in obj, f'{what} needs a "{field}" field')
         _require(_ITEM_CHECKS[kind](obj[field]), f'{what}: "{field}" must be of type {kind}')
     return obj
-
-
-def _objects(obj: dict, field: str, fields: dict[str, str]) -> list[dict]:
-    """The list obj[field], each entry checked by _object."""
-    return [_object(entry, f"{field} entry {i}", fields) for i, entry in enumerate(obj[field])]
 
 
 def _list_of(kind: str, obj: dict, field: str) -> list:
@@ -80,16 +73,8 @@ def quality_vector_from_dict(obj: Any) -> QualityVector:
     return QualityVector(tuple(labels), tuple(float(s) for s in scores))
 
 
-def quality_vector_to_dict(qv: QualityVector) -> dict:
-    return {"labels": list(qv.labels), "scores": list(qv.scores)}
-
-
 def load_quality_vector(path: str | Path) -> QualityVector:
     return quality_vector_from_dict(_load_json(path))
-
-
-def write_quality_vector(qv: QualityVector, path: str | Path) -> None:
-    _write_json(quality_vector_to_dict(qv), path)
 
 
 def neighbor_pairs_from_dict(obj: Any) -> list[NeighborPair]:
@@ -98,40 +83,13 @@ def neighbor_pairs_from_dict(obj: Any) -> list[NeighborPair]:
     for i, entry in enumerate(obj["pairs"]):
         _require(isinstance(entry, dict) and "q1" in entry and "q2" in entry,
                  f'pair {i} needs "q1" and "q2" quality-vector objects')
-        pairs.append(
-            NeighborPair(
-                quality_vector_from_dict(entry["q1"]),
-                quality_vector_from_dict(entry["q2"]),
-            )
-        )
+        pairs.append(NeighborPair(quality_vector_from_dict(entry["q1"]),
+                                  quality_vector_from_dict(entry["q2"])))
     return pairs
-
-
-def neighbor_pairs_to_dict(pairs: list[NeighborPair]) -> dict:
-    return {
-        "pairs": [
-            {"q1": quality_vector_to_dict(p.q1), "q2": quality_vector_to_dict(p.q2)}
-            for p in pairs
-        ]
-    }
 
 
 def load_neighbor_pairs(path: str | Path) -> list[NeighborPair]:
     return neighbor_pairs_from_dict(_load_json(path))
-
-
-def write_neighbor_pairs(pairs: list[NeighborPair], path: str | Path) -> None:
-    _write_json(neighbor_pairs_to_dict(pairs), path)
-
-
-def probability_table_from_dict(obj: Any) -> ProbabilityTable:
-    _object(obj, "distribution table",
-            {"labels": "list", "probabilities": "list", "provenance": "string"})
-    labels = _list_of("string", obj, "labels")
-    probabilities = _list_of("number", obj, "probabilities")
-    return ProbabilityTable(
-        tuple(labels), tuple(float(p) for p in probabilities), obj["provenance"]
-    )
 
 
 def probability_table_to_dict(table: ProbabilityTable) -> dict:
@@ -140,10 +98,6 @@ def probability_table_to_dict(table: ProbabilityTable) -> dict:
         "probabilities": list(table.probabilities),
         "provenance": table.provenance,
     }
-
-
-def load_probability_table(path: str | Path) -> ProbabilityTable:
-    return probability_table_from_dict(_load_json(path))
 
 
 def write_probability_table(table: ProbabilityTable, path: str | Path) -> None:
@@ -155,35 +109,8 @@ def audit_report_to_dict(report: AuditReport) -> dict:
         "bound": report.bound,
         "worst_ratio": report.worst_ratio,
         "pass": report.passed,
-        "per_pair": [
-            {
-                "pair_index": r.pair_index,
-                "worst_outcome_label": r.worst_outcome_label,
-                "ratio": r.ratio,
-            }
-            for r in report.per_pair
-        ],
+        "per_pair": [asdict(r) for r in report.per_pair],
     }
-
-
-def audit_report_from_dict(obj: Any) -> AuditReport:
-    _object(obj, "audit report",
-            {"bound": "number", "worst_ratio": "number", "pass": "boolean", "per_pair": "list"})
-    entries = _objects(obj, "per_pair",
-                       {"pair_index": "integer", "worst_outcome_label": "string", "ratio": "number"})
-    per_pair = tuple(
-        PairAudit(r["pair_index"], r["worst_outcome_label"], float(r["ratio"])) for r in entries
-    )
-    return AuditReport(
-        per_pair=per_pair,
-        worst_ratio=float(obj["worst_ratio"]),
-        bound=float(obj["bound"]),
-        passed=obj["pass"],
-    )
-
-
-def load_audit_report(path: str | Path) -> AuditReport:
-    return audit_report_from_dict(_load_json(path))
 
 
 def write_audit_report(report: AuditReport, path: str | Path) -> None:
@@ -192,37 +119,9 @@ def write_audit_report(report: AuditReport, path: str | Path) -> None:
 
 def utility_report_to_dict(report: UtilityReport) -> dict:
     return {
-        "per_instance": [
-            {
-                "instance_id": r.instance_id,
-                "expected_error_pf": r.expected_error_pf,
-                "expected_error_em": r.expected_error_em,
-            }
-            for r in report.per_instance
-        ],
+        "per_instance": [asdict(r) for r in report.per_instance],
         "dominance_violations": report.dominance_violations,
     }
-
-
-def utility_report_from_dict(obj: Any) -> UtilityReport:
-    _object(obj, "utility report", {"per_instance": "list", "dominance_violations": "integer"})
-    entries = _objects(obj, "per_instance", {"instance_id": "integer",
-                                             "expected_error_pf": "number",
-                                             "expected_error_em": "number"})
-    records = tuple(
-        UtilityRecord(
-            r["instance_id"], float(r["expected_error_pf"]), float(r["expected_error_em"])
-        )
-        for r in entries
-    )
-    return UtilityReport(
-        per_instance=records,
-        dominance_violations=obj["dominance_violations"],
-    )
-
-
-def load_utility_report(path: str | Path) -> UtilityReport:
-    return utility_report_from_dict(_load_json(path))
 
 
 def write_utility_report(report: UtilityReport, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -15,13 +16,15 @@ from dpselect import (
     privacy_ratio_audit,
     random_instances,
 )
-from dpselect.core import ProbabilityTable
+from dpselect.core import ProbabilityTable, validate_instance
 from dpselect.errors import (
     EmptyPairList,
     LabelMismatch,
     PairExceedsSensitivity,
     UnsupportedOracle,
 )
+
+from dpselect.oracle import LOG_ORACLES
 
 from helpers import instances, make_instance
 
@@ -80,6 +83,54 @@ class TestPrivacyRatioAudit:
     def test_empty_pair_list_rejected(self):
         with pytest.raises(EmptyPairList):
             privacy_ratio_audit("em", [], PrivacyParams(1.0, 1.0))
+
+
+class TestLogSpaceAudit:
+    """The audit compares log-probabilities, so nothing underflows and no
+    0/0 rule is needed."""
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_pair_near_underflow_passes(self, oracle):
+        # P(b) is about e^-745.6 and e^-746.3: linear tables round them to
+        # a subnormal and to 0, which read as an infinite ratio
+        report = privacy_ratio_audit(
+            oracle, [pair((0.0, -744.9), (0.0, -745.6))], PrivacyParams(2.0, 1.0)
+        )
+        assert report.passed
+        assert report.per_pair[0].worst_outcome_label == "o1"
+        assert math.log(report.worst_ratio) == pytest.approx(0.70, abs=1e-12)
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_probability_below_1e_320_gets_a_finite_gap(self, oracle):
+        q1, q2 = (0.0, -3.0, -800.0), (0.0, -3.0, -800.5)
+        log_p = LOG_ORACLES[oracle]([make_instance(q, epsilon=2.0) for q in (q1, q2)])
+        assert max(log_p[0][2], log_p[1][2]) < math.log(1e-320)
+        report = privacy_ratio_audit(oracle, [pair(q1, q2)], PrivacyParams(2.0, 1.0))
+        assert math.isfinite(report.worst_ratio)
+        assert math.log(report.worst_ratio) == pytest.approx(0.5, abs=1e-9)
+        assert report.passed
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_minus_infinity_on_both_sides_is_gap_zero(self, oracle):
+        # rate 5e299: rate * (q - max q) for the second outcome is -inf on
+        # both sides, an outcome neither dataset can produce
+        q1, q2 = (0.0, -1e10), (1e-300, -1e10)
+        params = PrivacyParams(1.0, 1e-300)
+        tables = LOG_ORACLES[oracle]([validate_instance(QualityVector(("o0", "o1"), q), params)
+                                      for q in (q1, q2)])
+        assert [t[1] for t in tables] == [-math.inf, -math.inf]
+        report = privacy_ratio_audit(oracle, [pair(q1, q2)], params)
+        assert report.worst_ratio == 1.0
+        assert report.passed
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_identical_pairs_of_mixed_sizes_ratio_exactly_one(self, oracle):
+        gen = np.random.default_rng(5)
+        pairs = [pair(q, q) for q in (tuple(gen.uniform(-5.0, 5.0, k)) for k in
+                                      (1, 2, 3, 7, 12, 20, 64, 256, 1))]
+        report = privacy_ratio_audit(oracle, pairs, PrivacyParams(1.0, 1.0))
+        assert report.worst_ratio == 1.0
+        assert all(r.ratio == 1.0 for r in report.per_pair)
 
 
 class TestExpectedError:
@@ -148,6 +199,21 @@ class TestDominance:
         for degenerate in (make_instance([2.0]), make_instance([1.0, 1.0, 1.0])):
             record = dominance_check([degenerate]).per_instance[0]
             assert abs(record.expected_error_em - record.expected_error_pf) <= 1e-9
+
+    def test_errors_match_enumeration_tables(self):
+        suite = random_instances(60, 1.0, 1.0, k_min=1, k_max=20, seed=11)
+        for inst, record in zip(suite, dominance_check(suite).per_instance):
+            pf = expected_error(inst, pf_exact_distribution(inst))
+            em = expected_error(inst, em_exact_distribution(inst))
+            assert record.expected_error_pf == pytest.approx(pf, abs=1e-14)
+            assert record.expected_error_em == pytest.approx(em, abs=1e-14)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 4.0])
+    def test_no_violations_beyond_enumeration(self, epsilon):
+        suite = random_instances(12, epsilon, 1.0, k_min=21, k_max=256, seed=12)
+        report = dominance_check(suite)
+        assert report.dominance_violations == 0
+        assert all(r.expected_error_em > r.expected_error_pf for r in report.per_instance)
 
     def test_empty_suite_rejected(self):
         # an empty suite would report zero violations without checking anything

@@ -341,6 +341,163 @@ class TestGaussKronrod:
         assert error <= oracle.QUADRATURE_TARGET
 
 
+def log_identity_reference(inst):
+    """log P(i) = gamma_i + log I_i with I_i, the integral in
+    rational_win_probabilities, taken over the other outcomes in exact
+    rationals: I_i lies in [1/k, 1], so its log is exact to a rounding even
+    where P(i) itself is far below the double range."""
+    gamma = inst.params.rate * (np.asarray(inst.quality.scores) - inst.quality.best_score)
+    e = [Fraction(float(x)) for x in np.exp(gamma)]
+    out = []
+    for i in range(len(e)):
+        coeffs = [Fraction(1)]
+        for j, e_j in enumerate(e):
+            if j != i:
+                coeffs = [a - e_j * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        out.append(gamma[i] + math.log(float(sum(c / (m + 1) for m, c in enumerate(coeffs)))))
+    return np.array(out)
+
+
+def random_spread_instances(count, seed, k_min=1, k_max=20):
+    """Instances with k uniform in [k_min, k_max], epsilon log-uniform in
+    [0.01, 8] and scores uniform on [-5, 5] times 1, 10 or 100."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(gen.integers(k_min, k_max + 1))
+        epsilon = float(np.exp(gen.uniform(math.log(0.01), math.log(8.0))))
+        out.append(make_instance(gen.uniform(-5.0, 5.0, k) * gen.choice([1, 10, 100]), epsilon))
+    return out
+
+
+class TestLogTables:
+    """The fourth route: log tables from the paper's identity (pf and
+    rnm-expo) and the log-softmax (em), each held to a stated bound against
+    an independent route."""
+
+    def test_pf_within_2e_15_of_enumeration(self):
+        """Over 200 random instances (k 1-20, eps 0.01-8) every entry is
+        within 2e-15 of pf_exact_distribution's, and within 5e-13 of
+        rnm_expo_exact_distribution's, whose alternating sum is itself good
+        to about 2e-13. Measured: 5.6e-16 and 5.9e-15."""
+        batch = random_spread_instances(200, seed=300)
+        for inst, log_p in zip(batch, oracle.pf_log_tables(batch), strict=True):
+            p = np.exp(log_p)
+            assert np.abs(p - pf_exact_distribution(inst).probabilities).max() <= 2e-15
+            assert np.abs(p - rnm_expo_exact_distribution(inst).probabilities).max() <= 5e-13
+
+    def test_em_within_1e_15_of_closed_form(self):
+        """The log-softmax against em_exact_distribution's softmax: within
+        1e-15 per entry over 200 such instances. Measured: 1.1e-16."""
+        batch = random_spread_instances(200, seed=301)
+        for inst, log_p in zip(batch, oracle.em_log_tables(batch), strict=True):
+            closed = em_exact_distribution(inst).probabilities
+            assert np.abs(np.exp(log_p) - closed).max() <= 1e-15
+
+    @pytest.mark.parametrize("inst", [
+        pytest.param(make_instance([0.0, -744.9]), id="subnormal"),
+        pytest.param(make_instance([0.0, -744.9, -745.6, -800.0, -1000.0, -3.0], epsilon=2.0),
+                     id="below-double-range"),
+        pytest.param(underflow_instance(12), id="k12-underflow"),
+        pytest.param(make_instance([0.0] * 12), id="k12-ties"),
+        *(pytest.param(inst, id=f"random-k{len(inst.quality)}")
+          for inst in random_spread_instances(6, seed=302, k_max=12)),
+    ])
+    def test_log_entries_within_1e_14_of_rational_reference(self, inst):
+        """In log space, where no entry underflows, every entry is within
+        1e-14 of log_identity_reference, also for probabilities far below
+        1e-308. Measured: 8.9e-16."""
+        (log_p,) = oracle.pf_log_tables([inst])
+        assert np.isfinite(log_p).all()
+        assert np.abs(log_p - log_identity_reference(inst)).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [32, 64, 128, 256])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 8.0])
+    def test_pf_within_quadrature_target_at_large_k(self, k, epsilon):
+        """Beyond enumeration, against rnm_exact_quadrature with exponential
+        noise, a different formula: within its 1e-9 target QUADRATURE_TARGET
+        per entry. Measured: 1.5e-13."""
+        inst = _spread_instance(k, epsilon, seed=k)
+        (log_p,) = oracle.pf_log_tables([inst])
+        quad = rnm_exact_quadrature(inst, "exponential").probabilities
+        assert np.abs(np.exp(log_p) - quad).max() <= oracle.QUADRATURE_TARGET
+
+    @pytest.mark.parametrize("scores", [
+        pytest.param([0.0] * 256, id="k256-ties"),
+        pytest.param(np.linspace(0.0, -5.0, 256), id="k256-spread"),
+        pytest.param(np.linspace(0.0, -400.0, 256), id="k256-wide"),
+        pytest.param([0.0] * 20, id="k20-ties"),
+        pytest.param([0.0], id="k1"),
+    ])
+    def test_sum_drifts_from_one_by_at_most_1e_13(self, scores):
+        """The entries sum to 1 within 1e-13 up to k = 256. Measured: 1.1e-14."""
+        (log_p,) = oracle.pf_log_tables([make_instance(scores)])
+        assert abs(math.fsum(np.exp(log_p)) - 1.0) <= 1e-13
+        assert (log_p <= 0.0).all()
+
+    @pytest.mark.parametrize("fn", [oracle.pf_log_tables, oracle.em_log_tables])
+    def test_batch_equals_single_calls_bit_for_bit(self, fn):
+        """Mixed k in one batch, with more rows of one node count than one
+        chunk holds and rows at k = 256 that get a chunk each."""
+        batch = random_spread_instances(150, seed=303, k_max=24)
+        batch += [_spread_instance(256, 1.0, seed=1), make_instance([2.0]), *batch[:3]]
+        batched = fn(batch)
+        assert len(batched) == len(batch)
+        for inst, table in zip(batch, batched):
+            assert np.array_equal(table, fn([inst])[0])
+
+    def test_chunks_stay_within_batch_elements(self, monkeypatch):
+        """Each numpy pass holds at most BATCH_ELEMENTS values of its (rows,
+        nodes, k) array, or a single row."""
+        shapes = []
+        one_pass = oracle._pf_log_pass
+
+        def recording(gammas):
+            width = len(gammas[-1])
+            shapes.append((len(gammas), width // 2 + 1, width))
+            return one_pass(gammas)
+
+        monkeypatch.setattr(oracle, "_pf_log_pass", recording)
+        batch = random_spread_instances(300, seed=304, k_min=15, k_max=40)
+        batch.append(make_instance([0.0] * 256))
+        oracle.pf_log_tables(batch)
+        assert sum(rows for rows, _, _ in shapes) == len(batch)
+        assert len(shapes) > 2
+        assert all(rows * nodes * k <= BATCH_ELEMENTS or rows == 1 for rows, nodes, k in shapes)
+
+    def test_newton_nodes_match_leggauss(self):
+        """Nodes and weights on [0, 1] agree with numpy's leggauss, mapped,
+        within 2e-14 for 1 to 129 nodes (measured: 9.6e-15, most of it
+        leggauss's own weight error), and integrate t^d exactly up to
+        degree 2m - 1."""
+        from numpy.polynomial.legendre import leggauss
+
+        for m in range(1, 130):
+            t, w = oracle._legendre_nodes(m)
+            x, weights = leggauss(m)
+            order = np.argsort(t)
+            assert np.abs(2.0 * t[order] - 1.0 - x).max() <= 2e-14
+            assert np.abs(2.0 * w[order] - weights).max() <= 2e-14
+            degrees = np.arange(2 * m)
+            moments = (w[:, None] * t[:, None] ** degrees).sum(axis=0)
+            assert np.abs(moments - 1.0 / (degrees + 1)).max() <= 1e-14
+
+    def test_true_zero_is_minus_infinity(self):
+        # rate * (q - max q) = 5e299 * -1e10 leaves the double range
+        inst = make_instance([0.0, -1e10], epsilon=1.0, sensitivity=1e-300)
+        for fn in (oracle.pf_log_tables, oracle.em_log_tables):
+            (log_p,) = fn([inst])
+            assert log_p.tolist() == [0.0, -math.inf]
+
+    def test_outcome_limit(self):
+        with pytest.raises(TooManyOutcomesForEnumeration):
+            oracle.pf_log_tables([make_instance([0.0] * 3), make_instance([0.0] * 257)])
+
+    def test_dispatch_table_keyed_like_exact_oracles(self):
+        assert set(oracle.LOG_ORACLES) == set(oracle.EXACT_ORACLES)
+        assert oracle.LOG_ORACLES["pf"] is oracle.LOG_ORACLES["rnm-expo"]
+
+
 def _spread_instance(k, epsilon, seed):
     scores = np.random.default_rng(seed).uniform(-5.0, 5.0, size=k)
     return make_instance(scores, epsilon=epsilon)

@@ -80,8 +80,8 @@ def test_count_below_one_is_a_usage_error(name, flag, count):
 
 
 @pytest.mark.parametrize("name,argv,message", [
-    ("utility_experiment.py", "--k-max 1", "--k-max must be between 2 and 20"),
-    ("utility_experiment.py", "--k-max 21", "--k-max must be between 2 and 20"),
+    ("utility_experiment.py", "--k-max 1", "--k-max must be between 2 and 256"),
+    ("utility_experiment.py", "--k-max 257", "--k-max must be between 2 and 256"),
     ("utility_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
     ("utility_experiment.py", "--epsilons 1.0 -2", "--epsilons: epsilon must be"),
     ("equivalence_experiment.py", "--k-values 0", "--k-values must be between 1 and 20"),

@@ -4,107 +4,56 @@ Selection mechanisms (permute-and-flip, report-noisy-max with exponential,
 Laplace, or Gumbel noise, the exponential mechanism), exact
 output-distribution oracles for them, and audit tooling that checks the
 privacy bound and the utility-dominance claim computationally.
+
+`import dpselect` loads no numpy: each public name below is imported from
+its defining submodule on first access (PEP 562), and so is each submodule.
+Where numpy is already loaded, everything is imported at once instead.
 """
 
-from .core import (
-    NeighborPair,
-    PrivacyParams,
-    ProbabilityTable,
-    QualityVector,
-    ValidatedInstance,
-    sensitivity_from_pairs,
-    validate_instance,
-)
-from .noise import (
-    Exponential,
-    Gumbel,
-    Laplace,
-    NoiseKind,
-    RngState,
-    quantile,
-    samples,
-)
-from .mechanisms import (
-    MECHANISMS,
-    GapResult,
-    SelectionResult,
-    argmax_with_gap,
-    exponential_mechanism,
-    intermediate_a,
-    intermediate_b,
-    permute_and_flip,
-    report_noisy_max,
-    report_noisy_max_with_gap,
-)
-from .oracle import (
-    EXACT_ORACLES,
-    GofResult,
-    chi_square_gof,
-    em_exact_distribution,
-    empirical_counts,
-    empirical_distribution,
-    pf_exact_distribution,
-    rnm_exact_quadrature,
-    rnm_expo_exact_distribution,
-    table_for,
-    tv_distance,
-)
-from .audit import (
-    AuditReport,
-    UtilityReport,
-    dominance_check,
-    expected_error,
-    perturbed_neighbor_pairs,
-    privacy_ratio_audit,
-    random_instances,
-)
-from . import errors, formats
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "EXACT_ORACLES",
-    "Exponential",
-    "GapResult",
-    "GofResult",
-    "Gumbel",
-    "Laplace",
-    "MECHANISMS",
-    "NeighborPair",
-    "NoiseKind",
-    "PrivacyParams",
-    "ProbabilityTable",
-    "QualityVector",
-    "RngState",
-    "SelectionResult",
-    "UtilityReport",
-    "ValidatedInstance",
-    "argmax_with_gap",
-    "chi_square_gof",
-    "dominance_check",
-    "em_exact_distribution",
-    "empirical_counts",
-    "empirical_distribution",
-    "errors",
-    "expected_error",
-    "exponential_mechanism",
-    "formats",
-    "intermediate_a",
-    "intermediate_b",
-    "permute_and_flip",
-    "perturbed_neighbor_pairs",
-    "pf_exact_distribution",
-    "privacy_ratio_audit",
-    "quantile",
-    "random_instances",
-    "report_noisy_max",
-    "report_noisy_max_with_gap",
-    "rnm_exact_quadrature",
-    "rnm_expo_exact_distribution",
-    "samples",
-    "sensitivity_from_pairs",
-    "table_for",
-    "tv_distance",
-    "validate_instance",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "core": ("NeighborPair", "PrivacyParams", "ProbabilityTable", "QualityVector",
+             "ValidatedInstance", "sensitivity_from_pairs", "validate_instance"),
+    "noise": ("Exponential", "Gumbel", "Laplace", "NoiseKind", "RngState", "quantile",
+              "samples"),
+    "mechanisms": ("MECHANISMS", "GapResult", "SelectionResult", "argmax_with_gap",
+                   "exponential_mechanism", "intermediate_a", "intermediate_b",
+                   "permute_and_flip", "report_noisy_max", "report_noisy_max_with_gap"),
+    "oracle": ("EXACT_ORACLES", "GofResult", "chi_square_gof", "em_exact_distribution",
+               "empirical_counts", "empirical_distribution", "pf_exact_distribution",
+               "rnm_exact_quadrature", "rnm_expo_exact_distribution", "table_for",
+               "tv_distance"),
+    "audit": ("AuditReport", "UtilityReport", "dominance_check", "expected_error",
+              "perturbed_neighbor_pairs", "privacy_ratio_audit", "random_instances"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "formats"}
+
+__all__ = sorted([*_HOME, "errors", "formats"])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)
+
+
+if "numpy" in sys.modules:
+    # No BLAS pool is left to keep from starting (see cli.py), so import
+    # everything now, as an eager package would: no first call pays for it.
+    for _name in __all__:
+        __getattr__(_name)
+    del _name

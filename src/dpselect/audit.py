@@ -92,7 +92,9 @@ def privacy_ratio_audit(
     outcome; a violating pair is rejected, not silently skipped. Both
     tables of every pair come from one batched LOG_ORACLES call, and a
     pair's ratio is exp of its largest |log p1 - log p2|, so the check is
-    direction-symmetric. The report lists pairs in input order.
+    direction-symmetric. The verdict compares the largest gap with
+    eps + log1p(RATIO_SLACK), so it holds where e^eps overflows a double
+    (the bound then reads inf). The report lists pairs in input order.
     """
     try:
         log_tables = LOG_ORACLES[oracle]
@@ -118,21 +120,25 @@ def privacy_ratio_audit(
         [validate_instance(q, params) for pair in pairs for q in (pair.q1, pair.q2)]
     )
     per_pair = []
+    worst_gap = 0.0
     with np.errstate(over="ignore"):  # a gap above 709.78 is ratio inf
         for pair_index, (pair, log_p1, log_p2) in enumerate(zip(pairs, tables[::2], tables[1::2])):
             # an outcome neither dataset can produce is -inf on both sides: gap 0
             gap = np.abs(np.subtract(log_p1, log_p2, out=np.zeros(len(log_p1)),
                                      where=log_p1 != log_p2))
             worst = int(np.argmax(gap))
+            worst_gap = max(worst_gap, float(gap[worst]))
             per_pair.append(PairAudit(pair_index, pair.q1.labels[worst], float(np.exp(gap[worst]))))
 
-    worst_ratio = max(record.ratio for record in per_pair)
-    bound = math.exp(params.epsilon)
+    try:
+        bound = math.exp(params.epsilon)
+    except OverflowError:  # eps above 709.78; the verdict below stays in log space
+        bound = math.inf
     return AuditReport(
         per_pair=tuple(per_pair),
-        worst_ratio=worst_ratio,
+        worst_ratio=max(record.ratio for record in per_pair),
         bound=bound,
-        passed=worst_ratio <= bound * (1.0 + RATIO_SLACK),
+        passed=worst_gap <= params.epsilon + math.log1p(RATIO_SLACK),
     )
 
 
@@ -146,7 +152,8 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
             f"{inst.quality.labels!r}"
         )
     best = inst.quality.best_score
-    return math.fsum(p * (best - s) for p, s in zip(dist.probabilities, inst.quality.scores))
+    # an outcome of probability 0 adds 0, also where its loss overflows to inf
+    return math.fsum(p * (best - s) for p, s in zip(dist.probabilities, inst.quality.scores) if p)
 
 
 def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
@@ -154,21 +161,35 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     exponential mechanism per instance; count instances where
     permute-and-flip comes out worse beyond the 1e-9 slack. Both errors of
     every instance come from one batched pf_log_tables call and one
-    em_log_tables call, at every k. An empty suite is rejected: it would
+    em_log_tables call, at every k. An outcome of probability 0 adds no
+    error, also where its loss overflows to inf; an error that is still
+    not finite raises ValueError. An empty suite is rejected: it would
     pass without checking anything."""
     if len(instances) == 0:
         raise ValueError("need at least one instance")
     records = []
     violations = 0
     tables = zip(instances, pf_log_tables(instances), em_log_tables(instances))
-    for instance_id, (inst, log_pf, log_em) in enumerate(tables):
-        loss = inst.quality.best_score - np.asarray(inst.quality.scores)
-        error_pf = math.fsum((np.exp(log_pf) * loss).tolist())
-        error_em = math.fsum((np.exp(log_em) * loss).tolist())
-        if error_pf > error_em + DOMINANCE_TOLERANCE:
-            violations += 1
-        records.append(UtilityRecord(instance_id, error_pf, error_em))
+    # a score gap above the double range is loss inf, and 0 * inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instance_id, (inst, log_pf, log_em) in enumerate(tables):
+            loss = inst.quality.best_score - np.asarray(inst.quality.scores)
+            error_pf, error_em = _expected_loss(log_pf, loss), _expected_loss(log_em, loss)
+            if not (math.isfinite(error_pf) and math.isfinite(error_em)):
+                raise ValueError(f"instance {instance_id}: expected error pf {error_pf!r}, "
+                                 f"em {error_em!r} is not finite; a score gap overflows")
+            if error_pf > error_em + DOMINANCE_TOLERANCE:
+                violations += 1
+            records.append(UtilityRecord(instance_id, error_pf, error_em))
     return UtilityReport(per_instance=tuple(records), dominance_violations=violations)
+
+
+def _expected_loss(log_p: np.ndarray, loss: np.ndarray) -> float:
+    p = np.exp(log_p)
+    error = math.fsum((p * loss).tolist())
+    if math.isnan(error):  # 0 * inf: an outcome of probability 0 adds 0, whatever its loss
+        error = math.fsum(np.multiply(p, loss, out=np.zeros(len(p)), where=p != 0.0).tolist())
+    return error
 
 
 def random_instances(

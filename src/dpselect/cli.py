@@ -5,6 +5,11 @@ output (numbers at 9 significant digits; files keep full double
 precision), and reports diagnostics on standard error.
 
 Exit codes: 0 success or check passed, 2 invalid input, 3 check failed.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller has
+set it, before numpy loads, so a command starts no BLAS thread pool. Set
+the variable yourself (e.g. OPENBLAS_NUM_THREADS=4 dpselect ...) to
+override it; once numpy is loaded the variable has no effect.
 """
 
 from __future__ import annotations
@@ -12,8 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
+
+# one verdict per process and no BLAS call big enough to share: no BLAS pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .audit import dominance_check, privacy_ratio_audit, random_instances
 from .core import PrivacyParams, ProbabilityTable, validate_instance

@@ -1,10 +1,33 @@
-"""Shared test fixtures: instance factory and hypothesis strategies."""
+"""Shared test fixtures: instance factory, hypothesis strategies and a
+fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 
+import dpselect
 from dpselect import PrivacyParams, QualityVector, validate_instance
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter that imports dpselect from the tested tree.
+    Keyword arguments set environment variables; None unsets one."""
+    src = str(Path(dpselect.__file__).resolve().parents[1])
+    child_env = dict(os.environ)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120,
+    )
 
 
 def make_instance(scores, epsilon=1.0, sensitivity=1.0, labels=None):

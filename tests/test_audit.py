@@ -24,6 +24,7 @@ from dpselect.errors import (
     UnsupportedOracle,
 )
 
+from dpselect import audit
 from dpselect.oracle import LOG_ORACLES
 
 from helpers import instances, make_instance
@@ -124,6 +125,16 @@ class TestLogSpaceAudit:
         assert report.passed
 
     @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_epsilon_above_exp_range(self, oracle):
+        # e^800 overflows a double: the bound reads inf, the verdict is
+        # taken on the log gap against eps
+        pairs = perturbed_neighbor_pairs(5, 1.0, seed=8)
+        report = privacy_ratio_audit(oracle, pairs, PrivacyParams(800.0, 1.0))
+        assert report.bound == math.inf
+        assert report.passed
+        assert report.worst_ratio > 1.0
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
     def test_identical_pairs_of_mixed_sizes_ratio_exactly_one(self, oracle):
         gen = np.random.default_rng(5)
         pairs = [pair(q, q) for q in (tuple(gen.uniform(-5.0, 5.0, k)) for k in
@@ -214,6 +225,24 @@ class TestDominance:
         report = dominance_check(suite)
         assert report.dominance_violations == 0
         assert all(r.expected_error_em > r.expected_error_pf for r in report.per_instance)
+
+    def test_score_gap_beyond_double_range(self):
+        # loss 1e308 - (-1e308) is inf on an outcome of probability 0: it
+        # adds 0 to the error, not 0 * inf = nan
+        inst = make_instance([1e308, -1e308])
+        report = dominance_check([inst])
+        record = report.per_instance[0]
+        assert (record.expected_error_pf, record.expected_error_em) == (0.0, 0.0)
+        assert report.dominance_violations == 0
+        one_hot = ProbabilityTable(inst.quality.labels, (1.0, 0.0), "one-hot")
+        assert expected_error(inst, one_hot) == 0.0
+
+    def test_error_not_finite_is_rejected(self, monkeypatch):
+        # a positive probability on an infinite loss is no verdict, never a pass
+        monkeypatch.setattr(audit, "em_log_tables",
+                            lambda suite: [np.log([0.5, 0.5]) for _ in suite])
+        with pytest.raises(ValueError, match="not finite"):
+            dominance_check([make_instance([1e308, -1e308])])
 
     def test_empty_suite_rejected(self):
         # an empty suite would report zero violations without checking anything

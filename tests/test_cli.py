@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +13,8 @@ from dpselect import (
     validate_instance,
 )
 from dpselect.cli import main
+
+from helpers import run_python
 
 
 @pytest.fixture
@@ -302,6 +300,17 @@ class TestAudit:
         assert code == 0
         assert record["worst_ratio"] == 1.0
 
+    @pytest.mark.parametrize("mechanism", ["pf", "rnm-expo", "em"])
+    def test_epsilon_above_exp_range_passes_with_bound_inf(self, capsys, pairs_file, mechanism):
+        # e^800 overflows a double; the verdict is taken in log space
+        code, record, err = run(
+            capsys, "audit", "--mechanism", mechanism, "--epsilon", "800",
+            "--sensitivity", "1", "--pairs", pairs_file,
+        )
+        assert (code, err) == (0, "")
+        assert record["bound"] == math.inf
+        assert record["pass"] is True
+
     def test_pair_violating_sensitivity_exits_two(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(
@@ -326,6 +335,18 @@ class TestUtility:
         assert record["expected_error_pf"] == pytest.approx(0.183940, abs=1e-6)
         assert record["expected_error_em"] == pytest.approx(0.268941, abs=1e-6)
         assert record["dominance_violations"] == 0
+
+    def test_score_gap_beyond_double_range_gives_finite_errors(self, capsys, tmp_path):
+        # loss 1e308 - (-1e308) is inf, on an outcome of probability 0
+        path = tmp_path / "far.json"
+        path.write_text('{"labels": ["a", "b"], "scores": [1e308, -1e308]}')
+        code, record, err = run(
+            capsys, "utility", "--epsilon", "1", "--sensitivity", "1", "--scores", str(path),
+        )
+        assert (code, err) == (0, "")
+        assert record["expected_error_pf"] == 0.0
+        assert record["expected_error_em"] == 0.0
+        assert record["pass"] is True
 
     def test_random_suite(self, capsys, tmp_path):
         out = tmp_path / "utility.json"
@@ -402,16 +423,6 @@ class TestExitCodeContract:
         capsys.readouterr()
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports dpselect from the tested tree."""
-    src = str(Path(dpselect.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 class TestModuleInvocation:
     @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
     def test_python_dash_m_runs_the_command(self, capsys, module, scores_file):
@@ -478,3 +489,35 @@ class TestScipyLoadedOnlyWhenUsed:
         assert result["code"] == 0
         assert "scipy.special" in result["scipy"]
         assert "scipy.stats" not in result["scipy"]
+
+
+# Prints the OPENBLAS_NUM_THREADS a fresh `import dpselect.cli` leaves and
+# the process's OS thread count (None where there is no /proc).
+_THREAD_PROBE = """
+import json, os
+import dpselect.cli
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps({"openblas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+"""
+
+
+class TestSingleThreadedBlas:
+    """One verdict per process: the command line keeps numpy's BLAS from
+    starting a thread pool, unless the caller asks for one."""
+
+    @staticmethod
+    def probe(**env):
+        proc = run_python("-c", _THREAD_PROBE, **env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_sets_one_blas_thread_and_starts_no_threads(self):
+        result = self.probe(OPENBLAS_NUM_THREADS=None)
+        assert result["openblas"] == "1"
+        if result["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert result["threads"] == 1
+
+    def test_caller_setting_is_kept(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2")["openblas"] == "2"

@@ -152,8 +152,7 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
             f"{inst.quality.labels!r}"
         )
     best = inst.quality.best_score
-    # an outcome of probability 0 adds 0, also where its loss overflows to inf
-    return math.fsum(p * (best - s) for p, s in zip(dist.probabilities, inst.quality.scores) if p)
+    return _expected_loss(dist.probabilities, [best - s for s in inst.quality.scores])
 
 
 def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
@@ -170,26 +169,23 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     records = []
     violations = 0
     tables = zip(instances, pf_log_tables(instances), em_log_tables(instances))
-    # a score gap above the double range is loss inf, and 0 * inf is nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        for instance_id, (inst, log_pf, log_em) in enumerate(tables):
-            loss = inst.quality.best_score - np.asarray(inst.quality.scores)
-            error_pf, error_em = _expected_loss(log_pf, loss), _expected_loss(log_em, loss)
-            if not (math.isfinite(error_pf) and math.isfinite(error_em)):
-                raise ValueError(f"instance {instance_id}: expected error pf {error_pf!r}, "
-                                 f"em {error_em!r} is not finite; a score gap overflows")
-            if error_pf > error_em + DOMINANCE_TOLERANCE:
-                violations += 1
-            records.append(UtilityRecord(instance_id, error_pf, error_em))
+    for instance_id, (inst, log_pf, log_em) in enumerate(tables):
+        best = inst.quality.best_score
+        loss = [best - s for s in inst.quality.scores]
+        error_pf = _expected_loss(np.exp(log_pf).tolist(), loss)
+        error_em = _expected_loss(np.exp(log_em).tolist(), loss)
+        if not (math.isfinite(error_pf) and math.isfinite(error_em)):
+            raise ValueError(f"instance {instance_id}: expected error pf {error_pf!r}, "
+                             f"em {error_em!r} is not finite; a score gap overflows")
+        if error_pf > error_em + DOMINANCE_TOLERANCE:
+            violations += 1
+        records.append(UtilityRecord(instance_id, error_pf, error_em))
     return UtilityReport(per_instance=tuple(records), dominance_violations=violations)
 
 
-def _expected_loss(log_p: np.ndarray, loss: np.ndarray) -> float:
-    p = np.exp(log_p)
-    error = math.fsum((p * loss).tolist())
-    if math.isnan(error):  # 0 * inf: an outcome of probability 0 adds 0, whatever its loss
-        error = math.fsum(np.multiply(p, loss, out=np.zeros(len(p)), where=p != 0.0).tolist())
-    return error
+def _expected_loss(probabilities: Sequence[float], losses: Sequence[float]) -> float:
+    # an outcome of probability 0 adds 0, also where its loss overflows to inf
+    return math.fsum(p * loss for p, loss in zip(probabilities, losses) if p)
 
 
 def random_instances(

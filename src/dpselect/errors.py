@@ -65,6 +65,11 @@ class PairExceedsSensitivity(ValidationError):
     """A neighbor pair's score deviation exceeds the declared sensitivity."""
 
 
+class ScoreRangeOverflow(ValidationError):
+    """The scores' quadrature domain reaches past half the largest double,
+    so the width or the midpoints of its intervals would overflow."""
+
+
 class UnsupportedOracle(ValidationError):
     """The named mechanism has no route for the requested table: no exact
     oracle, no quadrature family, or no sampler."""

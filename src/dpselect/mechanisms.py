@@ -71,7 +71,15 @@ def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
     rows each hold at least one True: the smallest of one uniform key per
     entry, with the False entries masked out."""
     keys = rng.uniforms(mask.size).reshape(mask.shape)
-    return np.argmin(np.where(mask, keys, np.inf), axis=1)
+    return np.argmin(keys + ~mask, axis=1)  # a masked key + 1 >= 1 never wins
+
+
+def log_weights(inst: ValidatedInstance) -> np.ndarray:
+    """Each outcome's gamma_i = rate * (q_i - max q) <= 0, the log of its
+    shifted weight. It is -inf (weight 0), with no overflow warning, where
+    q_i - max q overflows a double."""
+    with np.errstate(over="ignore"):
+        return inst.params.rate * (np.asarray(inst.quality.scores) - inst.quality.best_score)
 
 
 def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> SelectionResult:
@@ -121,13 +129,11 @@ def _exponential_mechanism_batch(
 ) -> np.ndarray:
     """Batch exponential_mechanism: one searchsorted of rows uniforms over
     the cumulative shifted weights."""
-    quality = inst.quality
-    weights = np.exp(inst.params.rate * (np.asarray(quality.scores) - quality.best_score))
-    cumulative = np.cumsum(weights)
+    cumulative = np.cumsum(np.exp(log_weights(inst)))
     u = rng.uniforms(rows) * cumulative[-1]
     index = np.searchsorted(cumulative, u, side="right")
     # u can land on the rounded-down total, one past the last index
-    return np.minimum(index, len(quality) - 1)
+    return np.minimum(index, len(inst.quality) - 1)
 
 
 def permute_and_flip(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
@@ -157,12 +163,8 @@ def _permute_and_flip_batch(
     The best outcome's coin has probability exactly 1 and a uniform draw is
     below 1, so every row holds at least one heads.
     """
-    quality = inst.quality
-    k = len(quality)
-    heads_probability = np.exp(
-        inst.params.rate * (np.asarray(quality.scores) - quality.best_score)
-    )
-    heads = rng.uniforms(rows * k).reshape(rows, k) < heads_probability
+    k = len(inst.quality)
+    heads = rng.uniforms(rows * k).reshape(rows, k) < np.exp(log_weights(inst))
     return _uniform_pick(heads, rng)
 
 
@@ -222,8 +224,8 @@ def _intermediate_b_batch(
     best = quality.best_score
     draws = samples(Exponential(inst.params.rate), rng, rows * 2 * k).reshape(rows, 2 * k)
     capped = np.minimum(best, np.asarray(quality.scores) + draws[:, 0::2])
-    candidates = np.where(capped == best, capped + draws[:, 1::2], -np.inf)
-    return np.argmax(candidates, axis=1)
+    # below the cap an outcome keeps capped < best <= every candidate's value
+    return np.argmax(capped + draws[:, 1::2] * (capped == best), axis=1)
 
 
 def argmax_with_gap(noisy_values: Sequence[float]) -> tuple[int, float]:
@@ -305,7 +307,3 @@ BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarra
     "alg-a": _intermediate_a_batch,
     "alg-b": _intermediate_b_batch,
 }
-
-# noise draws per outcome in one batch row, for the samplers that take more
-# than one; empirical_counts sizes its chunks by it
-BATCH_DRAWS_PER_OUTCOME: dict[str, int] = {"alg-b": 2}

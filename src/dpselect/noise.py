@@ -69,11 +69,9 @@ class Laplace:
         _set_positive_finite(self, "scale")
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        return np.where(
-            u < 0.5,
-            self.scale * np.log(2.0 * u),
-            -self.scale * np.log(2.0 * (1.0 - u)),
-        )
+        # scale * log(2u) below 0.5 and -scale * log(2(1 - u)) from it, bit for
+        # bit with no branch: 1 - u is exact there, and u = 0.5 gives -0.0
+        return -np.copysign(self.scale * np.log(2.0 * np.minimum(u, 1.0 - u)), 0.5 - u)
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
         # |x| / -scale is x / scale below 0 and -x / scale above, bit for bit

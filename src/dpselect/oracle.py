@@ -45,10 +45,11 @@ from .errors import (
     AllCategoriesMerged,
     LabelMismatch,
     QuadratureNonConvergence,
+    ScoreRangeOverflow,
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
 )
-from .mechanisms import BATCH_DRAWS_PER_OUTCOME, BATCH_SAMPLERS, RNM_FAMILIES
+from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
 from .noise import Exponential, Laplace, RngState, from_params, quantile
 
 # An enumeration table walks 2^k keep patterns, and each entry sums the 2^(k-1)
@@ -66,11 +67,12 @@ _TAIL_SPLITS = (1e-3, 1e-6)
 
 MIN_EXPECTED_COUNT = 5.0
 
-# Batch sampling draws at most this many noise values per chunk, so memory
-# stays flat in the number of draws. At 2^14 doubles (128 KiB) a chunk's
-# matrices stay cache-sized: 2^15 and 2^16 measured both slower and larger
-# in peak memory. Larger arrays also pass glibc's default 128 KiB mmap
-# threshold, so a fresh process maps and faults them in on every chunk.
+# No array of a batch-sampling chunk holds more than this many values (see
+# empirical_counts), so memory stays flat in the number of draws. At 2^14
+# doubles (128 KiB) a chunk's matrices stay cache-sized: 2^15 and 2^16
+# measured both slower and larger in peak memory. Larger arrays also pass
+# glibc's default 128 KiB mmap threshold, so a fresh process maps and
+# faults them in on every chunk.
 BATCH_ELEMENTS = 2**14
 
 
@@ -92,8 +94,7 @@ def _check_outcome_count(k: int, limit: int, route: str) -> None:
 def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     """Closed-form output distribution of the exponential mechanism:
     P(i) proportional to exp(rate * q_i), evaluated in shifted form."""
-    scores = np.asarray(inst.quality.scores)
-    weights = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    weights = np.exp(log_weights(inst))
     return ProbabilityTable(
         inst.quality.labels, (weights / weights.sum()).tolist(), "exact-closed-form"
     )
@@ -121,8 +122,7 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    scores = np.asarray(inst.quality.scores)
-    keep_probs = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    keep_probs = np.exp(log_weights(inst))
     patterns = 1 << k
     # pattern m keeps the outcomes whose bit is set in m, so its weight and
     # its |T| double the same way, one coin at a time
@@ -171,8 +171,7 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    scores = np.asarray(inst.quality.scores)
-    shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
+    shifted = np.exp(log_weights(inst))
     subsets = 1 << k
     signed_product = np.empty(subsets)
     size = np.empty(subsets, dtype=np.uint8)
@@ -191,13 +190,6 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
         out[j] = signed_product[n : 2 * n].sum()
         signed_product[:n] += signed_product[n : 2 * n]
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-closed-form")
-
-
-def _log_weights(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
-    """Each instance's gamma_i = rate * (q_i - max q) <= 0, -inf past doubles."""
-    with np.errstate(over="ignore"):
-        return [inst.params.rate * (np.asarray(inst.quality.scores) - inst.quality.best_score)
-                for inst in instances]
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +235,7 @@ def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
     enumeration (k <= 20), within exponential quadrature's 1e-9 target
     (k 32-256), and a sum within 1e-13 of 1 up to k = 256.
     """
-    gammas = _log_weights(instances)
+    gammas = [log_weights(inst) for inst in instances]
     chunks: list[list[int]] = []
     # in order of k, so a chunk is as wide as its last row
     for row in sorted(range(len(gammas)), key=lambda r: len(gammas[r])):
@@ -281,7 +273,7 @@ def em_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
     instances: the log-softmax gamma_i - log sum_j exp(gamma_j). The sum is
     at least 1, the best outcome's term, so no entry underflows; a true zero
     (gamma_i = -inf) is -inf."""
-    return [gamma - np.log(np.exp(gamma).sum()) for gamma in _log_weights(instances)]
+    return [gamma - np.log(np.exp(gamma).sum()) for gamma in map(log_weights, instances)]
 
 
 def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable:
@@ -300,11 +292,19 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     QuadratureNonConvergence is raised if it misses the 1e-9 absolute
     target. The integrand is evaluated at the 21 nodes of every interval of
     a refinement round in (nodes, k) numpy calls, in chunks of at most
-    BATCH_ELEMENTS values, so memory stays flat in k.
+    BATCH_ELEMENTS values, so memory stays flat in k. A domain reaching
+    past half the largest double, whose width or midpoints would overflow
+    (scores [1e308, -1e308]), raises ScoreRangeOverflow before integrating.
     """
     k = len(inst.quality)
     _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
     win_density, edges = _win_integrand(inst, kind)
+    lo, hi = float(edges[0]), float(edges[-1])
+    if not math.isfinite(2.0 * max(-lo, hi)):
+        raise ScoreRangeOverflow(
+            f"scores from {min(inst.quality.scores)!r} to {inst.quality.best_score!r} give "
+            f"the quadrature domain [{lo!r}, {hi!r}], past half the largest double"
+        )
     raw, abs_error = _adaptive_gk21(win_density, k, edges, QUADRATURE_TARGET / 10.0, limit=400)
     if abs_error > QUADRATURE_TARGET:
         raise QuadratureNonConvergence(
@@ -457,15 +457,18 @@ def empirical_counts(
     stream.
 
     A name from MECHANISMS draws through its vectorized BATCH_SAMPLERS
-    entry, in chunks of at most BATCH_ELEMENTS draws: BATCH_ELEMENTS // k
-    rows, fewer for a sampler with BATCH_DRAWS_PER_OUTCOME. A callable of
-    (instance, rng) runs once per draw. Either way a fixed seed gives the
-    same counts bit for bit. The single draws of the rnm-*, em and alg-b
-    entries of MECHANISMS are their batch samplers run for one row, so both
-    paths give them the same counts. Those of pf and alg-a are separate
-    algorithms that consume the stream differently: their loop is the
-    single-draw reference the batch samplers are checked against, and one
-    seed need not give the same counts on both paths.
+    entry, in chunks of BATCH_ELEMENTS // w rows and at least one, where w
+    is the width of a row's widest array: 1 for em, 2k for alg-b, k for the
+    rest. pf and alg-a draw a chunk's k order keys per row after its coins
+    or noise, so their chunk size is part of their seeded stream; the other
+    streams do not depend on it. A callable of (instance, rng) runs once
+    per draw. Either way a fixed seed gives the same counts bit for bit.
+    The single draws of the rnm-*, em and alg-b entries of MECHANISMS are
+    their batch samplers run for one row, so both paths give them the same
+    counts. Those of pf and alg-a are separate algorithms that consume the
+    stream differently: their loop is the single-draw reference the batch
+    samplers are checked against, and one seed need not give the same
+    counts on both paths.
     """
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
@@ -482,7 +485,7 @@ def empirical_counts(
         raise ValueError(
             f"unknown mechanism {mechanism!r}; expected one of {sorted(BATCH_SAMPLERS)}"
         ) from None
-    chunk = max(1, BATCH_ELEMENTS // (k * BATCH_DRAWS_PER_OUTCOME.get(mechanism, 1)))
+    chunk = max(1, BATCH_ELEMENTS // {"em": 1, "alg-b": 2 * k}.get(mechanism, k))
     counts = np.zeros(k, dtype=np.int64)
     for start in range(0, n, chunk):
         counts += np.bincount(sampler(inst, rng, min(chunk, n - start)), minlength=k)

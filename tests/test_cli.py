@@ -423,6 +423,46 @@ class TestExitCodeContract:
         capsys.readouterr()
 
 
+class TestScoreRangeBeyondDoubles:
+    """Scores [1e308, -1e308], run under -W error::RuntimeWarning in a fresh
+    interpreter: a warning would end the command with a traceback."""
+
+    @pytest.fixture
+    def far_scores(self, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text('{"labels": ["a", "b"], "scores": [1e308, -1e308]}')
+        return str(path)
+
+    def dpselect(self, *argv):
+        return run_python("-W", "error::RuntimeWarning", "-m", "dpselect", *argv,
+                          "--epsilon", "1", "--sensitivity", "1")
+
+    @pytest.mark.parametrize("mechanism", ["em", "pf", "rnm-expo"])
+    def test_exact_dist(self, far_scores, mechanism):
+        done = self.dpselect("dist", "--mechanism", mechanism, "--scores", far_scores)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["probabilities"] == [1.0, 0.0]
+
+    def test_select_every_mechanism(self, far_scores):
+        # one interpreter for all seven: a script that runs main per mechanism
+        script = (
+            "import json, sys; from dpselect.cli import main; "
+            "from dpselect import MECHANISMS; "
+            "sys.exit(sum(main(['select', '--mechanism', m, '--seed', '3', '--epsilon', '1', "
+            f"'--sensitivity', '1', '--scores', {far_scores!r}]) for m in sorted(MECHANISMS)))"
+        )
+        done = run_python("-W", "error::RuntimeWarning", "-c", script)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [json.loads(line)["index"] for line in done.stdout.splitlines()] == [0] * 7
+
+    def test_quadrature_exits_two_naming_the_range(self, far_scores):
+        done = self.dpselect("dist", "--mechanism", "rnm-laplace", "--mode", "quadrature",
+                             "--scores", far_scores)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "ScoreRangeOverflow" in done.stderr and "from -1e+308 to 1e+308" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestModuleInvocation:
     @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
     def test_python_dash_m_runs_the_command(self, capsys, module, scores_file):

@@ -112,6 +112,25 @@ class TestSeededGolden:
         )
         assert drawn == self.INDICES[name]
 
+    # Batch counts of 40,000 draws under seed 2026 on the same instance. At
+    # k = 9 that crosses 21 chunk boundaries of pf and alg-a, 43 of alg-b
+    # and 2 of em's, so a change to a sampler or to a chunk size that is
+    # part of a seeded stream shows here.
+    COUNTS = {
+        "alg-a": [8504, 2383, 8442, 754, 6447, 1650, 0, 4219, 7601],
+        "alg-b": [8557, 2433, 8463, 709, 6391, 1574, 0, 4204, 7669],
+        "em": [8164, 2659, 8212, 828, 6462, 1789, 0, 4435, 7451],
+        "pf": [8521, 2330, 8446, 729, 6434, 1590, 0, 4357, 7593],
+        "rnm-expo": [8524, 2379, 8417, 756, 6398, 1610, 0, 4183, 7733],
+        "rnm-gumbel": [8173, 2655, 8076, 873, 6438, 1804, 0, 4445, 7536],
+        "rnm-laplace": [8463, 2399, 8357, 768, 6445, 1626, 0, 4218, 7724],
+    }
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_seeded_batch_counts_unchanged(self, name):
+        inst = make_instance(self.SCORES, epsilon=1.5)
+        assert empirical_counts(name, inst, 40_000, seed=2026) == self.COUNTS[name]
+
 
 class TestShiftInvariance:
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
@@ -167,6 +186,14 @@ class TestDistributionalExamples:
             inst.quality.labels, reference.probabilities, reference.provenance
         )
         assert chi_square_gof(counts, reference, 0.001).passed
+
+
+class TestScoreRangeBeyondDoubles:
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_best_score_always_selected_without_warning(self, name):
+        # 1e308 - (-1e308) overflows; pytest turns a RuntimeWarning into an error
+        inst = make_instance([1e308, -1e308], epsilon=1.0)
+        assert {MECHANISMS[name](inst, RngState(seed)).index for seed in range(20)} == {0}
 
 
 class TestPermutationEquivariance:

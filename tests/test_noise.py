@@ -41,6 +41,23 @@ class TestQuantile:
     def test_scalar_matches_array_formula(self, kind, u):
         assert quantile(kind, u) == kind.quantile(np.array([u]))[0]
 
+    # the uniform stream's extremes, both sides of 0.5 one ulp away, and 0.5
+    LAPLACE_GRID = [2.0**-53, 0.25, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("scale", [0.8, 1e-300, 1.7e308])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_laplace_matches_two_branch_formula_bit_for_bit(self, scale, as_array):
+        def two_branch(u):
+            return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+
+        points = [np.array(self.LAPLACE_GRID)] if as_array else self.LAPLACE_GRID
+        with np.errstate(over="ignore"):  # scale 1.7e308 overflows to +-inf on both sides
+            pairs = [(Laplace(scale).quantile(u), two_branch(u)) for u in points]
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(Laplace(scale).quantile(0.5))  # -0.0, as -scale * log(1)
+
     @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
     def test_quantile_inverts_cdf(self, u):
         for kind in (Exponential(1.3), Laplace(0.8), Gumbel(2.0)):

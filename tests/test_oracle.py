@@ -25,12 +25,13 @@ from dpselect.errors import (
     AllCategoriesMerged,
     LabelMismatch,
     QuadratureNonConvergence,
+    ScoreRangeOverflow,
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
     ValidationError,
 )
 from dpselect import oracle
-from dpselect.oracle import BATCH_ELEMENTS
+from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, LOG_ORACLES
 
 from helpers import instances, make_instance
 
@@ -100,6 +101,33 @@ class TestRnmExpoExact:
     def test_enumeration_limit(self):
         with pytest.raises(TooManyOutcomesForEnumeration):
             rnm_expo_exact_distribution(make_instance([0.0] * 21))
+
+
+class TestScoreRangeBeyondDoubles:
+    """Scores [1e308, -1e308]: their gap overflows a double. pytest turns any
+    RuntimeWarning into an error, so these also check that none is raised."""
+
+    SCORES = [1e308, -1e308]
+
+    @pytest.mark.parametrize("name", ["em", "pf", "rnm-expo"])
+    def test_exact_tables(self, name):
+        assert EXACT_ORACLES[name](make_instance(self.SCORES)).probabilities == (1.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["em", "pf", "rnm-expo"])
+    def test_log_tables(self, name):
+        (log_p,) = LOG_ORACLES[name]([make_instance(self.SCORES)])
+        assert log_p.tolist() == [0.0, -math.inf]
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_batch_counts(self, name):
+        assert empirical_counts(name, make_instance(self.SCORES), 1000, seed=5) == [1000, 0]
+
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    @pytest.mark.parametrize("scores", [SCORES, [1e308, 0.0], [-1e308, -1e308]])
+    def test_quadrature_names_the_range_before_integrating(self, family, scores):
+        with pytest.raises(ScoreRangeOverflow, match="past half the largest double") as raised:
+            rnm_exact_quadrature(make_instance(scores), family)
+        assert f"to {max(scores)!r}" in str(raised.value)
 
 
 def keep_probabilities(inst):

@@ -194,18 +194,16 @@ def random_instances(
     sensitivity: float,
     k_min: int = 2,
     k_max: int = 10,
-    score_low: float = -5.0,
-    score_high: float = 5.0,
     seed: int = 0,
 ) -> list[ValidatedInstance]:
     """Deterministic suite of random instances: outcome count uniform in
-    [k_min, k_max], scores i.i.d. uniform in [score_low, score_high]."""
+    [k_min, k_max], scores i.i.d. uniform in [-5, 5]."""
     gen = np.random.default_rng(seed)
     params = PrivacyParams(epsilon, sensitivity)
     out = []
     for _ in range(count):
         k = int(gen.integers(k_min, k_max + 1))
-        scores = gen.uniform(score_low, score_high, size=k)
+        scores = gen.uniform(-5.0, 5.0, size=k)
         labels = tuple(f"o{i}" for i in range(k))
         out.append(validate_instance(QualityVector(labels, tuple(scores)), params))
     return out
@@ -216,20 +214,19 @@ def perturbed_neighbor_pairs(
     sensitivity: float,
     k_min: int = 2,
     k_max: int = 10,
-    score_low: float = -5.0,
-    score_high: float = 5.0,
     seed: int = 0,
 ) -> list[NeighborPair]:
-    """Deterministic suite of neighbor pairs: a random base vector and a
-    copy with every coordinate perturbed by a uniform draw within the
-    sensitivity (with a one-part-in-1e9 margin against rounding)."""
+    """Deterministic suite of neighbor pairs: a base vector with scores
+    i.i.d. uniform in [-5, 5] and a copy with every coordinate perturbed by
+    a uniform draw within the sensitivity (with a one-part-in-1e9 margin
+    against rounding)."""
     gen = np.random.default_rng(seed)
     reach = float(sensitivity) * (1.0 - 1e-9)
     out = []
     for _ in range(count):
         k = int(gen.integers(k_min, k_max + 1))
         labels = tuple(f"o{i}" for i in range(k))
-        base = gen.uniform(score_low, score_high, size=k)
+        base = gen.uniform(-5.0, 5.0, size=k)
         shifted = base + gen.uniform(-reach, reach, size=k)
         out.append(
             NeighborPair(

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Any
 
 # one verdict per process and no BLAS call big enough to share: no BLAS pool
@@ -28,12 +29,10 @@ from .audit import dominance_check, privacy_ratio_audit, random_instances
 from .core import PrivacyParams, ProbabilityTable, validate_instance
 from .errors import DpSelectError
 from .formats import (
+    audit_report_to_dict,
     load_neighbor_pairs,
     load_quality_vector,
-    probability_table_to_dict,
-    write_audit_report,
-    write_probability_table,
-    write_utility_report,
+    write_json,
 )
 from .mechanisms import MECHANISMS
 from .noise import RngState
@@ -53,7 +52,7 @@ MECHANISM_NAMES = sorted(MECHANISMS)
 def _nine_significant(obj: Any) -> Any:
     if isinstance(obj, float):
         return float(f"{obj:.9g}")
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_nine_significant(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _nine_significant(v) for k, v in obj.items()}
@@ -84,8 +83,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_dist(args: argparse.Namespace) -> int:
     table = table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed)
     if args.out:
-        write_probability_table(table, args.out)
-    _emit(probability_table_to_dict(table))
+        write_json(asdict(table), args.out)
+    _emit(asdict(table))
     return 0
 
 
@@ -144,7 +143,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     params = PrivacyParams(args.epsilon, args.sensitivity)
     report = privacy_ratio_audit(args.mechanism, pairs, params)
     if args.out:
-        write_audit_report(report, args.out)
+        write_json(audit_report_to_dict(report), args.out)
     _emit(
         {
             "mechanism": args.mechanism,
@@ -159,11 +158,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_utility(args: argparse.Namespace) -> int:
     params = PrivacyParams(args.epsilon, args.sensitivity)
-    if args.scores and args.random is not None:
-        return _invalid("give either --scores or --random, not both")
-    if args.scores:
+    if args.scores is not None:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
-    elif args.random is not None:
+    else:
         if not 2 <= args.k_max <= QUADRATURE_LIMIT:
             return _invalid(
                 f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}"
@@ -175,11 +172,9 @@ def cmd_utility(args: argparse.Namespace) -> int:
             k_max=args.k_max,
             seed=args.seed,
         )
-    else:
-        return _invalid("give --scores FILE or --random COUNT")
     report = dominance_check(instances)
     if args.out:
-        write_utility_report(report, args.out)
+        write_json(asdict(report), args.out)
     record = {
         "instances": len(instances),
         "dominance_violations": report.dominance_violations,
@@ -252,9 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("utility", parents=[privacy],
                        help="compare expected error of pf vs em")
-    p.add_argument("--scores", help="quality-vector JSON file (single instance)")
-    p.add_argument("--random", type=int,
-                   help="audit this many (at least 1) random instances instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scores", help="quality-vector JSON file (single instance)")
+    source.add_argument("--random", type=int,
+                        help="audit this many (at least 1) random instances instead")
     p.add_argument("--k-max", type=int, default=10, dest="k_max",
                    help=f"largest outcome count for --random, 2 to {QUADRATURE_LIMIT} "
                         "(default: 10)")

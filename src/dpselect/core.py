@@ -75,7 +75,9 @@ class PrivacyParams:
       scale = 2 * sensitivity / epsilon     (Laplace and Gumbel noise)
 
     A sensitivity of zero is rejected rather than treated as "no noise
-    needed", since every mechanism divides by it.
+    needed", since every mechanism divides by it. DerivedScaleOverflow is
+    raised unless the largest noise draw of every family, 36.8 * scale,
+    is finite (epsilon below about 4.1e-307 at sensitivity 1 overflows).
     """
 
     epsilon: float
@@ -93,7 +95,7 @@ class PrivacyParams:
             raise NonPositiveSensitivity(
                 f"sensitivity must be a positive finite real, got {sensitivity!r}"
             )
-        if not (0.0 < self.rate < math.inf and 0.0 < self.scale < math.inf):
+        if not (0.0 < self.rate < math.inf and 0.0 < 36.8 * self.scale < math.inf):
             raise DerivedScaleOverflow(
                 f"epsilon={epsilon!r} with sensitivity={sensitivity!r} gives "
                 f"noise rate {self.rate!r} and scale {self.scale!r}"

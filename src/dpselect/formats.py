@@ -1,6 +1,6 @@
 """JSON file formats: loaders for the command line's inputs (quality
-vectors, neighbor-pair batches) and writers for its outputs (distribution
-tables, audit and utility reports).
+vectors, neighbor-pair batches) and one writer for its outputs (distribution
+tables, audit and utility reports, each a dict).
 
 Structural problems in input files raise MalformedInputFile; domain
 invariants (duplicate labels, non-finite scores, ...) surface as their own
@@ -14,8 +14,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from .audit import AuditReport, UtilityReport
-from .core import NeighborPair, ProbabilityTable, QualityVector
+from .audit import AuditReport
+from .core import NeighborPair, QualityVector
 from .errors import MalformedInputFile
 
 
@@ -27,12 +27,6 @@ def _load_json(path: str | Path) -> Any:
         raise MalformedInputFile(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInputFile(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _write_json(obj: Any, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -92,37 +86,18 @@ def load_neighbor_pairs(path: str | Path) -> list[NeighborPair]:
     return neighbor_pairs_from_dict(_load_json(path))
 
 
-def probability_table_to_dict(table: ProbabilityTable) -> dict:
-    return {
-        "labels": list(table.labels),
-        "probabilities": list(table.probabilities),
-        "provenance": table.provenance,
-    }
-
-
-def write_probability_table(table: ProbabilityTable, path: str | Path) -> None:
-    _write_json(probability_table_to_dict(table), path)
+def write_json(record: dict, path: str | Path) -> None:
+    """Write a dict, e.g. dataclasses.asdict of a table or report, as JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
 
 
 def audit_report_to_dict(report: AuditReport) -> dict:
+    """asdict(report) with "passed" renamed "pass", in the file's key order."""
     return {
         "bound": report.bound,
         "worst_ratio": report.worst_ratio,
         "pass": report.passed,
         "per_pair": [asdict(r) for r in report.per_pair],
     }
-
-
-def write_audit_report(report: AuditReport, path: str | Path) -> None:
-    _write_json(audit_report_to_dict(report), path)
-
-
-def utility_report_to_dict(report: UtilityReport) -> dict:
-    return {
-        "per_instance": [asdict(r) for r in report.per_instance],
-        "dominance_violations": report.dominance_violations,
-    }
-
-
-def write_utility_report(report: UtilityReport, path: str | Path) -> None:
-    _write_json(utility_report_to_dict(report), path)

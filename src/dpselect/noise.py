@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -107,20 +107,20 @@ class Gumbel:
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]
 
-NOISE_FAMILIES = ("exponential", "laplace", "gumbel")
+# noise family -> its calibration for a budget: exponential noise at rate
+# epsilon/(2*sensitivity), Laplace or Gumbel noise at scale 2*sensitivity/epsilon
+NOISE_FAMILIES: dict[str, Callable[[PrivacyParams], NoiseKind]] = {
+    "exponential": lambda params: Exponential(params.rate),
+    "laplace": lambda params: Laplace(params.scale),
+    "gumbel": lambda params: Gumbel(params.scale),
+}
 
 
 def from_params(family: str, params: PrivacyParams) -> NoiseKind:
-    """Noise calibration the selection mechanisms use for a given budget:
-    exponential noise at rate epsilon/(2*sensitivity), Laplace or Gumbel
-    noise at scale 2*sensitivity/epsilon."""
-    if family == "exponential":
-        return Exponential(params.rate)
-    if family == "laplace":
-        return Laplace(params.scale)
-    if family == "gumbel":
-        return Gumbel(params.scale)
-    raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
+    """The NOISE_FAMILIES calibration of a family for a given budget."""
+    if family not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}; expected one of {tuple(NOISE_FAMILIES)}")
+    return NOISE_FAMILIES[family](params)
 
 
 class RngState:
@@ -134,12 +134,7 @@ class RngState:
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-        self._seed = seed
         self._gen = np.random.default_rng(seed)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

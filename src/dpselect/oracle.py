@@ -281,17 +281,18 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     adaptive quadrature of P(i) = integral of f_i(v) * prod_{j != i} F_j(v).
 
     All k entries are integrated at once with QUADPACK's 21-point
-    Gauss-Kronrod rule, refined by the adaptive scheme of
-    scipy.integrate.quad_vec (see _adaptive_gk21), in numpy. The domain is
-    truncated where every factor's tail mass drops below 1e-12 (analytic
-    bounds per family). It is split where each tail's mass is 1e-3 and
-    1e-6 and, for Laplace noise, whose density has a kink at every score,
-    at the score locations. The result is
-    renormalized. Each interval's error estimate is QUADPACK's, taken in the
-    max norm over the k entries, so their sum bounds every entry;
-    QuadratureNonConvergence is raised if it misses the 1e-9 absolute
-    target. The integrand is evaluated at the 21 nodes of every interval of
-    a refinement round in (nodes, k) numpy calls, in chunks of at most
+    Gauss-Kronrod rule, refined by bisecting each round every interval with
+    at least its share of the error target (see _adaptive_gk21), in numpy.
+    The domain is truncated where every factor's tail mass drops below
+    1e-12 (analytic bounds per family). It is split where each tail's mass
+    is 1e-3 and 1e-6 and, for Laplace noise, whose density has a kink at
+    every score, at the score locations. The result is renormalized. Each
+    interval's error estimate is QUADPACK's, taken in the max norm over the
+    k entries, so their sum bounds every entry; QuadratureNonConvergence is
+    raised if it misses the 1e-9 absolute target, or if the integral is 0
+    because the scores' ulp dwarfs the noise scale ([1e20, 0, 5e19] at
+    scale 2). The integrand is evaluated at the 21 nodes of every interval
+    of a refinement round in (nodes, k) numpy calls, in chunks of at most
     BATCH_ELEMENTS values, so memory stays flat in k. A domain reaching
     past half the largest double, whose width or midpoints would overflow
     (scores [1e308, -1e308]), raises ScoreRangeOverflow before integrating.
@@ -305,13 +306,18 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
             f"scores from {min(inst.quality.scores)!r} to {inst.quality.best_score!r} give "
             f"the quadrature domain [{lo!r}, {hi!r}], past half the largest double"
         )
-    raw, abs_error = _adaptive_gk21(win_density, k, edges, QUADRATURE_TARGET / 10.0, limit=400)
+    raw, abs_error = _adaptive_gk21(win_density, k, edges)
     if abs_error > QUADRATURE_TARGET:
         raise QuadratureNonConvergence(
             f"reached absolute error {abs_error:.3e} per entry "
             f"(target {QUADRATURE_TARGET:.0e})",
             achieved_error=abs_error,
         )
+    if not raw.sum() > 0.0:  # no node met the mass, so some entry is off by 1/k or more
+        ulp = math.ulp(max(map(abs, inst.quality.scores)))
+        raise QuadratureNonConvergence(
+            f"the win densities integrate to {raw.sum():.3g}: the scores' ulp {ulp!r} dwarfs "
+            f"the noise scale {inst.params.scale!r}", achieved_error=1.0 / k)
     return ProbabilityTable(
         inst.quality.labels, (raw / raw.sum()).tolist(), "quadrature"
     )
@@ -410,44 +416,31 @@ def _gk21(a: np.ndarray, b: np.ndarray, integrand, width: int):
     return integral, error, rounding
 
 
-def _running_sum(start, terms: np.ndarray):
-    """start + terms[0] + terms[1] + ..., added left to right as a loop adds."""
-    return np.add.accumulate(np.concatenate(([start], terms)))[-1]
-
-
-def _adaptive_gk21(integrand, width: int, edges: np.ndarray, epsabs: float, limit: int):
+def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
     """Integral of a vector integrand over [edges[0], edges[-1]] and its
-    max-norm error bound, by quad_vec's scheme: start from the intervals
-    between consecutive edges; each round, bisect the intervals with the
-    largest errors, at most 128 and no more than needed for their errors to
-    sum past global error - epsabs / 8; stop once the global error is below
-    epsabs / 8 or below the accumulated rounding error, or the intervals
-    reach limit. Sums are formed one interval at a time in quad_vec's order,
-    so they round as its sums do."""
+    max-norm error bound, from the intervals between consecutive edges.
+    Each round bisects, largest first, every interval whose error is at
+    least its even share of QUADRATURE_TARGET / 80 (quad_vec's stop at
+    epsabs = target / 10), and at least one, up to 400 intervals. It stops
+    once the summed error is below that or the summed rounding error, or
+    either is not finite. Returns the final intervals' summed integrals and
+    their summed error and rounding estimates."""
+    target, limit = QUADRATURE_TARGET / 80.0, 400
     a, b = edges[:-1], edges[1:]
     integral, error, rounding = _gk21(a, b, integrand, width)
-    total = _running_sum(np.zeros(width), integral)
-    global_error, global_rounding = _running_sum(0.0, error), _running_sum(0.0, rounding)
     while len(a) < limit:
-        order = np.lexsort((a, -error))  # largest error first, then leftmost
-        prior = np.cumsum(error[order[:127]])  # prior[j - 1]: error sum before candidate j
-        count = 1 + np.searchsorted(prior, global_error - epsabs / 8, side="right")
-        split, keep = order[:count], order[count:]
+        share = max(1, np.count_nonzero(error >= target / len(a)))
+        split = np.argsort(-error, kind="stable")[: min(share, limit - len(a))]
+        keep = np.delete(np.arange(len(a)), split)
         mid = 0.5 * (a[split] + b[split])
-        n = len(split)
-        halves, half_error, half_rounding = _gk21(
-            np.concatenate((a[split], mid)), np.concatenate((mid, b[split])), integrand, width
-        )
-        total = _running_sum(total, halves[:n] + halves[n:] - integral[split])
-        global_error = _running_sum(global_error, half_error[:n] + half_error[n:] - error[split])
-        global_rounding = _running_sum(global_rounding, half_rounding[:n] + half_rounding[n:])
         a, b = np.concatenate((a[keep], a[split], mid)), np.concatenate((b[keep], mid, b[split]))
-        integral = np.concatenate((integral[keep], halves))
-        error = np.concatenate((error[keep], half_error))
-        if (global_error < epsabs / 8 or global_error < global_rounding
-                or not np.isfinite(global_error + global_rounding)):
+        halves = _gk21(a[len(keep):], b[len(keep):], integrand, width)
+        integral, error, rounding = (np.concatenate((old[keep], new))
+                                     for old, new in zip((integral, error, rounding), halves))
+        err, rnd = error.sum(), rounding.sum()
+        if err < target or err < rnd or not np.isfinite(err + rnd):
             break
-    return total, float(global_error + global_rounding)
+    return integral.sum(axis=0), float(error.sum() + rounding.sum())
 
 
 def empirical_counts(

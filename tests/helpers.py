@@ -30,6 +30,11 @@ def run_python(*args, **env):
     )
 
 
+# the smallest epsilon PrivacyParams accepts at sensitivity 1: its noise
+# draws, up to 36.8 * scale in magnitude, stay below the largest double
+SMALLEST_EPSILON = 4.094135899653251e-307
+
+
 def make_instance(scores, epsilon=1.0, sensitivity=1.0, labels=None):
     scores = tuple(float(s) for s in scores)
     if labels is None:

@@ -364,6 +364,14 @@ class TestUtility:
         code, record, err = run(capsys, "utility", "--epsilon", "1", "--sensitivity", "1")
         assert code == 2
 
+    def test_scores_and_random_together_exit_two(self, capsys, scores_file):
+        code, record, err = run(
+            capsys, "utility", "--epsilon", "1", "--sensitivity", "1",
+            "--scores", scores_file, "--random", "3",
+        )
+        assert (code, record) == (2, None)
+        assert "not allowed with argument" in err
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_below_one_exits_two(self, capsys, count):
         code, record, err = run(
@@ -454,6 +462,16 @@ class TestScoreRangeBeyondDoubles:
         done = run_python("-W", "error::RuntimeWarning", "-c", script)
         assert (done.returncode, done.stderr) == (0, "")
         assert [json.loads(line)["index"] for line in done.stdout.splitlines()] == [0] * 7
+
+    @pytest.mark.parametrize("mechanism", ["rnm-expo", "rnm-laplace", "rnm-gumbel"])
+    def test_quadrature_exits_two_where_the_nodes_miss_the_mass(self, tmp_path, mechanism):
+        path = tmp_path / "wide.json"
+        path.write_text('{"labels": ["a", "b", "c"], "scores": [1e20, 0, 5e19]}')
+        done = self.dpselect("dist", "--mechanism", mechanism, "--mode", "quadrature",
+                             "--scores", str(path))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "QuadratureNonConvergence: the win densities integrate to 0" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_quadrature_exits_two_naming_the_range(self, far_scores):
         done = self.dpselect("dist", "--mechanism", "rnm-laplace", "--mode", "quadrature",

@@ -12,6 +12,7 @@ from dpselect import (
     validate_instance,
 )
 from dpselect.errors import (
+    DerivedScaleOverflow,
     DuplicateLabel,
     EmptyOutcomeSet,
     EmptyPairList,
@@ -22,7 +23,7 @@ from dpselect.errors import (
     NonPositiveSensitivity,
 )
 
-from helpers import make_instance
+from helpers import SMALLEST_EPSILON, make_instance
 
 
 def pair(a, b):
@@ -77,6 +78,16 @@ class TestPrivacyParams:
     def test_rate_times_scale_is_one(self, epsilon, sensitivity):
         p = PrivacyParams(epsilon, sensitivity)
         assert abs(p.rate * p.scale - 1.0) <= 1e-12
+
+    def test_budget_whose_noise_overflows_rejected(self):
+        # scale 1e308: a draw of 36.8 * scale would be inf
+        with pytest.raises(DerivedScaleOverflow):
+            PrivacyParams(2e-308, 1.0)
+
+    def test_smallest_accepted_budget(self):
+        assert math.isfinite(36.8 * PrivacyParams(SMALLEST_EPSILON, 1.0).scale)
+        with pytest.raises(DerivedScaleOverflow):
+            PrivacyParams(math.nextafter(SMALLEST_EPSILON, 0.0), 1.0)
 
 
 class TestSensitivityFromPairs:

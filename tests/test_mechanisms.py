@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +23,9 @@ from dpselect import (
 )
 from dpselect.core import ProbabilityTable
 from dpselect.errors import EmptySequence, NeedAtLeastTwoOutcomes
+from dpselect.noise import from_params
 
-from helpers import instances, make_instance
+from helpers import SMALLEST_EPSILON, instances, make_instance
 
 MECHANISM_NAMES = sorted(MECHANISMS)
 
@@ -194,6 +196,27 @@ class TestScoreRangeBeyondDoubles:
         # 1e308 - (-1e308) overflows; pytest turns a RuntimeWarning into an error
         inst = make_instance([1e308, -1e308], epsilon=1.0)
         assert {MECHANISMS[name](inst, RngState(seed)).index for seed in range(20)} == {0}
+
+
+class TestSmallestBudget:
+    """At the smallest epsilon PrivacyParams accepts, noise draws come
+    within 0.2 % of the largest double and stay finite, so noisy max over
+    equal scores stays uniform. pytest turns an overflow RuntimeWarning
+    into an error."""
+
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_noise_draws_finite(self, family):
+        noise = from_params(family, make_instance([0.0], epsilon=SMALLEST_EPSILON).params)
+        extremes = noise.quantile(np.array([2.0**-53, 0.5, 1.0 - 2.0**-53]))
+        assert np.isfinite(extremes).all()
+        assert np.isfinite(samples(noise, RngState(5), 10**5)).all()
+
+    @pytest.mark.parametrize("name", ["rnm-expo", "rnm-laplace", "rnm-gumbel", "alg-b"])
+    def test_equal_scores_stay_uniform(self, name):
+        inst = make_instance([0.0] * 4, epsilon=SMALLEST_EPSILON)
+        counts = empirical_counts(name, inst, 40000, seed=11)
+        uniform = ProbabilityTable(inst.quality.labels, [0.25] * 4, "uniform")
+        assert chi_square_gof(counts, uniform, 0.001).passed
 
 
 class TestPermutationEquivariance:

@@ -130,6 +130,29 @@ class TestScoreRangeBeyondDoubles:
         assert f"to {max(scores)!r}" in str(raised.value)
 
 
+class TestScoresBeyondTheNoiseScale:
+    """Scores [w, 0, w / 2] at eps 1, noise scale 2. From w = 1e18 the best
+    score's ulp (128) dwarfs the scale, no quadrature node lands on the
+    mass, and the integral is 0: a named error, with no RuntimeWarning
+    (pytest turns one into an error)."""
+
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    @pytest.mark.parametrize("w", [1e18, 1e20, 1e100, 1e300])
+    def test_zero_integral_names_the_ulp_and_scale(self, family, w):
+        with pytest.raises(QuadratureNonConvergence, match="integrate to 0") as raised:
+            rnm_exact_quadrature(make_instance([w, 0.0, w / 2]), family)
+        assert f"ulp {math.ulp(w)!r}" in str(raised.value)
+        assert "noise scale 2.0" in str(raised.value)
+        assert raised.value.achieved_error == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    @pytest.mark.parametrize("w", [1e3, 1e10, 1e15, 1e17])
+    def test_table_where_the_nodes_meet_the_mass(self, family, w):
+        # the other two entries are below 1e-100 (w = 1e3)
+        table = rnm_exact_quadrature(make_instance([w, 0.0, w / 2]), family)
+        assert np.abs(np.subtract(table.probabilities, [1.0, 0.0, 0.0])).max() <= 1e-15
+
+
 def keep_probabilities(inst):
     """The floats p_j = exp(rate * (q_j - max q)) both enumeration oracles
     start from, as exact rationals."""
@@ -337,7 +360,9 @@ class TestQuadrature:
 
 class TestGaussKronrod:
     """The quadrature route's integrator: QUADPACK's 21-point Gauss-Kronrod
-    rule, refined by scipy.integrate.quad_vec's scheme, in numpy."""
+    rule, in numpy, refined by bisecting each round every interval with at
+    least its even share of the error target. scipy.integrate.quad_vec,
+    which refines differently, is the reference at 1e-12."""
 
     def test_one_panel_is_exact_up_to_degree_31(self):
         # the 21 Kronrod nodes integrate x^j exactly for j <= 31, and the
@@ -364,7 +389,7 @@ class TestGaussKronrod:
             lambda v: integrand(np.array([v]))[0], edges[0], edges[-1], epsabs=epsabs,
             epsrel=0.0, norm="max", limit=400, points=edges[1:-1],
         )
-        raw, error = oracle._adaptive_gk21(integrand, k, edges, epsabs, limit=400)
+        raw, error = oracle._adaptive_gk21(integrand, k, edges)
         assert np.abs(raw - reference).max() <= 1e-12
         assert error <= oracle.QUADRATURE_TARGET
 

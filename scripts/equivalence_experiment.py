@@ -33,7 +33,7 @@ def main() -> None:
     parser.add_argument("--epsilons", type=float, nargs="+",
                         default=[0.1, 1.0, 4.0])
     parser.add_argument("--k-values", type=int, nargs="+", dest="k_values",
-                        default=[2, 4, 8, 12])
+                        default=[2, 4, 8, 12, 16, 20])
     parser.add_argument("--samples", type=int, default=100_000,
                         help="simulation runs per mechanism cell (default: 1e5)")
     parser.add_argument("--seed", type=int, default=0)

@@ -52,10 +52,11 @@ from .errors import (
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
 from .noise import Exponential, Laplace, RngState, from_params, quantile
 
-# An enumeration table walks 2^k keep patterns, and each entry sums the 2^(k-1)
-# that contain it: at k = 20, terms with magnitudes <= 1 keep the
-# floating-point error of the alternating sum near 1e-10, comfortably inside
-# the 1e-8 tolerance the equivalence checks use.
+# Each entry of an enumeration table sums the 2^(k-1) keep patterns that
+# contain it, directly or, above 14 outcomes, regrouped through two halves:
+# at k = 20, terms with magnitudes <= 1 keep the floating-point error of the
+# alternating sum below 1e-10 (measured: at most 6e-13 against exact
+# rationals), comfortably inside the 1e-8 tolerance the equivalence checks use.
 ENUMERATION_LIMIT = 20
 QUADRATURE_LIMIT = 256
 QUADRATURE_TARGET = 1e-9
@@ -74,6 +75,12 @@ MIN_EXPECTED_COUNT = 5.0
 # glibc's default 128 KiB mmap threshold, so a fresh process maps and
 # faults them in on every chunk.
 BATCH_ELEMENTS = 2**14
+# Up to this many outcomes an enumeration oracle walks all 2^k patterns in
+# one buffer of at most BATCH_ELEMENTS values; above it, the first ceil(k/2)
+# and the other floor(k/2) outcomes' patterns in two halves of at most 2^10.
+# Equal halves cost least: a first half of 14 made k = 15 slower than one
+# buffer of 2^15, its per-pattern size pass outweighing one more doubling.
+_SINGLE_WALK_LIMIT = BATCH_ELEMENTS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     Permute-and-flip is distributed like the coin game that independently
     keeps each outcome j with probability p_j = exp(rate * (q_j - max q))
     and returns a uniform pick among the kept ones. Each keep-pattern T of
-    the k outcomes is walked once, with weight
+    the k outcomes has weight
 
         w(T) = prod_{j in T} p_j * prod_{j not in T} (1 - p_j),
 
@@ -115,32 +122,64 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
         P(i) = sum over T containing i of  w(T) / |T|.
 
     The empty pattern has weight exactly 0, since the best outcome is kept
-    with probability 1. Cost is 2^k products to build the pattern weights
-    plus 2^k adds to fold them into the k entries, hence the outcome
-    limit. Memory is one buffer of 2^k doubles (the weights) and one of
-    2^k bytes (the patterns' |T|).
+    with probability 1. Up to 14 outcomes each pattern is walked once:
+    2^k products build the weights in a buffer of 2^k doubles (at most
+    BATCH_ELEMENTS), with the |T| in 2^k bytes, and 2^k adds fold them
+    into the k entries. Above that, T splits into L, of the first
+    ceil(k/2) outcomes, and H, with w(T) = w(L) * w(H). With W_H(h) the
+    summed weight of the H of size h,
+
+        P(i) = sum over L containing i of  w(L) * sum_h W_H(h) / (|L| + h)
+
+    for i in the first half, and likewise in the second: the same terms,
+    regrouped. Each half is walked and folded like a table of its own, of
+    at most 2^10 values, so cost is about 2^ceil(k/2) + 2^floor(k/2)
+    products and adds.
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    keep_probs = np.exp(log_weights(inst))
-    patterns = 1 << k
+    keep_probs = np.exp(log_weights(inst)).tolist()
+    low = k if k <= _SINGLE_WALK_LIMIT else (k + 1) // 2
     # pattern m keeps the outcomes whose bit is set in m, so its weight and
     # its |T| double the same way, one coin at a time
-    weight = np.empty(patterns)
-    kept = np.empty(patterns, dtype=np.uint8)
+    weight = np.empty(1 << low)
+    kept = np.empty(1 << low, dtype=np.uint8)
     weight[0], kept[0] = 1.0, 0
     n = 1
-    for p_j in keep_probs:
+    for p_j in keep_probs[:low]:
         np.multiply(weight[:n], p_j, out=weight[n : 2 * n])
         weight[:n] *= 1.0 - p_j
         np.add(kept[:n], 1, out=kept[n : 2 * n])
         n *= 2
-    kept[0] = 1  # the empty pattern weighs 0 and enters no entry
-    weight /= kept
     out = np.empty(k)
+    if k > low:
+        high_weight = np.empty(1 << (k - low))
+        high_kept = np.empty(1 << (k - low), dtype=np.uint8)
+        high_weight[0], high_kept[0] = 1.0, 0
+        m = 1
+        for p_j in keep_probs[low:]:
+            np.multiply(high_weight[:m], p_j, out=high_weight[m : 2 * m])
+            high_weight[:m] *= 1.0 - p_j
+            np.add(high_kept[:m], 1, out=high_kept[m : 2 * m])
+            m *= 2
+        # |L| + |H| for every pair of sizes; its one 0 only scales the empty
+        # L and the empty H, which enter no entry
+        size = np.add.outer(np.arange(low + 1), np.arange(k - low + 1))
+        size[0, 0] = 1
+        by_low_size = np.bincount(kept, weight, minlength=low + 1)
+        by_high_size = np.bincount(high_kept, high_weight, minlength=k - low + 1)
+        weight *= np.take((by_high_size / size).sum(axis=1), kept)
+        high_weight *= np.take((by_low_size[:, None] / size).sum(axis=0), high_kept)
+        for j in reversed(range(low, k)):
+            m //= 2
+            out[j] = high_weight[m : 2 * m].sum()
+            high_weight[:m] += high_weight[m : 2 * m]
+    else:
+        kept[0] = 1  # the empty pattern weighs 0 and enters no entry
+        weight /= kept
     # fold out the top bit: once the bits above j are folded in, the
     # patterns containing j are exactly weight[2^j : 2^(j+1)]
-    for j in reversed(range(k)):
+    for j in reversed(range(low)):
         n //= 2
         out[j] = weight[n : 2 * n].sum()
         weight[:n] += weight[n : 2 * n]
@@ -164,28 +203,65 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
                (-1)^(|U| - 1) * prod_{j in U} e_j / |U|
 
     Every exponent is <= 0, so each term lies in [-1, 1] and the
-    alternating sum stays well-conditioned. Each subset U is walked once.
-    Cost is 2^k products to build the signed terms plus 2^k adds to fold
-    them into the k entries. Memory is one buffer of 2^k doubles (the
-    terms) and one of 2^k bytes (the subsets' |U|).
+    alternating sum stays well-conditioned. Up to 14 outcomes each subset
+    U is walked once: 2^k products build the signed terms in a buffer of
+    2^k doubles (at most BATCH_ELEMENTS), with the |U| in 2^k bytes, and
+    2^k adds fold them into the k entries. Above that, U splits into L, of
+    the first ceil(k/2) outcomes, and H. With a(S) = prod_{j in S} (-e_j),
+
+        P(i) = sum over L containing i of  -a(L) * sum_H a(H) / (|L| + |H|)
+
+    for i in the first half, and likewise in the second: the same terms,
+    regrouped. The inner sum depends on L only through |L|, so it is taken
+    once per size, pairwise over the H in walk order, where neighbours
+    nearly cancel. (Summing a(H) by |H| first would cancel sums of
+    like-signed terms instead: 4e-13 off the exact table on near-tied
+    scores, where this keeps 2e-14.) Each half is then folded like a table
+    of its own, of at most 2^10 values, so cost is about
+    (k + 2) * 2^ceil(k/2) products and adds.
     """
     k = len(inst.quality)
     _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    shifted = np.exp(log_weights(inst))
-    subsets = 1 << k
-    signed_product = np.empty(subsets)
-    size = np.empty(subsets, dtype=np.uint8)
+    shifted = np.exp(log_weights(inst)).tolist()
+    low = k if k <= _SINGLE_WALK_LIMIT else (k + 1) // 2
+    signed_product = np.empty(1 << low)
+    size = np.empty(1 << low, dtype=np.uint8)
     # the empty subset's -1 makes every subset's sign (-1)^(|U| - 1)
     signed_product[0], size[0] = -1.0, 0
     n = 1
-    for e_j in shifted:
+    for e_j in shifted[:low]:
         np.multiply(signed_product[:n], -e_j, out=signed_product[n : 2 * n])
         np.add(size[:n], 1, out=size[n : 2 * n])
         n *= 2
-    size[0] = 1  # the empty subset enters no entry
-    signed_product /= size
     out = np.empty(k)
-    for j in reversed(range(k)):
+    if k > low:
+        high_product = np.empty(1 << (k - low))
+        high_size = np.empty(1 << (k - low), dtype=np.uint8)
+        high_product[0], high_size[0] = 1.0, 0
+        m = 1
+        for e_j in shifted[low:]:
+            np.multiply(high_product[:m], -e_j, out=high_product[m : 2 * m])
+            np.add(high_size[:m], 1, out=high_size[m : 2 * m])
+            m *= 2
+        # |L| + |H| for each size of one half and each subset of the other;
+        # its one 0 only scales the empty L or H, which enter no entry
+        low_sizes = np.add.outer(np.arange(low + 1, dtype=np.uint8), high_size)
+        high_sizes = np.add.outer(np.arange(k - low + 1, dtype=np.uint8), size)
+        low_sizes[0, 0] = high_sizes[0, 0] = 1
+        # per size of L the sum over all H of a(H) / (|L| + |H|), and per
+        # size of H the sum over all L of -a(L) / (|L| + |H|)
+        per_low_size = (high_product / low_sizes).sum(axis=1)
+        per_high_size = (signed_product / high_sizes).sum(axis=1)
+        signed_product *= np.take(per_low_size, size)
+        high_product *= np.take(per_high_size, high_size)
+        for j in reversed(range(low, k)):
+            m //= 2
+            out[j] = high_product[m : 2 * m].sum()
+            high_product[:m] += high_product[m : 2 * m]
+    else:
+        size[0] = 1  # the empty subset enters no entry
+        signed_product /= size
+    for j in reversed(range(low)):
         n //= 2
         out[j] = signed_product[n : 2 * n].sum()
         signed_product[:n] += signed_product[n : 2 * n]

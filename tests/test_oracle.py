@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,24 +178,38 @@ def rational_win_probabilities(inst):
     return out
 
 
-def underflow_instance(k):
-    """One outcome 900 below the best, whose keep probability underflows to
-    0, and one at rate * gap = 744.9, whose keep probability is subnormal;
-    the rest uniform on [-5, 0]."""
-    rest = np.random.default_rng(k).uniform(-5.0, 0.0, k - 3)
-    return make_instance([0.0, -900.0, -744.9, *rest], epsilon=2.0)
+def underflow_instance(k, at=1):
+    """The best outcome at index 0, then at indices at and at + 1 one
+    outcome 900 below it, whose keep probability underflows to 0, and one
+    at rate * gap = 744.9, whose keep probability is subnormal; the rest
+    uniform on [-5, 0]."""
+    rest = list(np.random.default_rng(k).uniform(-5.0, 0.0, k - 3))
+    rest[at - 1 : at - 1] = [-900.0, -744.9]
+    return make_instance([0.0, *rest], epsilon=2.0)
 
 
+# Above 14 outcomes both oracles split the outcomes into the first
+# ceil(k/2) and the rest; these cases put every kind of keep probability
+# (1, 0, subnormal) in the second half too.
 ERROR_BOUND_CASES = [
     pytest.param(make_instance([0.0] * 20), id="k20-ties"),
     pytest.param(make_instance([3.0]), id="k1"),
     pytest.param(underflow_instance(20), id="k20-underflow"),
+    pytest.param(underflow_instance(20, at=15), id="k20-underflow-at-15"),
+    pytest.param(
+        make_instance(underflow_instance(20).quality.scores[::-1], epsilon=2.0),
+        id="k20-underflow-best-last",
+    ),
+    pytest.param(
+        random_instances(1, 1.0, 1.0, k_min=15, k_max=15, seed=41)[0], id="k15-eps1.0"
+    ),
     *(
         pytest.param(
-            random_instances(1, epsilon, 1.0, k_min=20, k_max=20, seed=41)[0],
-            id=f"k20-eps{epsilon}",
+            random_instances(1, epsilon, 1.0, k_min=k, k_max=k, seed=41)[0],
+            id=f"k{k}-eps{epsilon}",
         )
-        for epsilon in (0.1, 1.0, 4.0)
+        for k, epsilons in ((17, (0.1, 4.0)), (20, (0.1, 1.0, 4.0)))
+        for epsilon in epsilons
     ),
     *(
         pytest.param(inst, id=f"small-{n}-k{len(inst.quality)}")
@@ -215,6 +231,62 @@ class TestEnumerationErrorBound:
         table = fn(inst)
         for p, reference in zip(table.probabilities, exact, strict=True):
             assert abs(Fraction(p) - reference) <= 1e-10
+
+
+class TestEnumerationGolden:
+    """Up to 14 outcomes both oracles walk every pattern in one buffer, and
+    their tables are pinned bit for bit: per k, a digest of the tables of
+    one random instance at each of eps 0.1, 1 and 4, k ties and, from k = 3,
+    underflow_instance(k)."""
+
+    DIGESTS = {
+        "pf": {
+            1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "b29e4b014daf6b34",
+            4: "8c1ee2146c2bef94", 5: "4287d4842591cdb5", 6: "818766b3bf4d16d7",
+            7: "4d92c2c1b991c3c2", 8: "841b8f94183bf69a", 9: "11d1253082ecba33",
+            10: "b305c44c52550bbb", 11: "ad7b88511de15571", 12: "4f1cb80a652c7fd4",
+            13: "2dd957140e666ab6", 14: "f10042c1bff1ec11",
+        },
+        "rnm-expo": {
+            1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "16d5b5f7dbcf209e",
+            4: "ea210b6c3fd4757f", 5: "54a2dbc680c945a4", 6: "53d2008df0a7822e",
+            7: "180c59fc8663a166", 8: "8a6e88b86421b9ee", 9: "dc5b729121547eea",
+            10: "6a84998e27429e8f", 11: "a75f41f29ab53833", 12: "9be7616081ac0bb2",
+            13: "b372923fd19c25ec", 14: "b4bab92b5a705f9a",
+        },
+    }
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    @pytest.mark.parametrize("name", ["pf", "rnm-expo"])
+    def test_tables_unchanged(self, name, k):
+        suite = [
+            *(random_instances(1, eps, 1.0, k_min=k, k_max=k, seed=k)[0]
+              for eps in (0.1, 1.0, 4.0)),
+            make_instance([0.0] * k),
+            *([underflow_instance(k)] if k >= 3 else []),
+        ]
+        digest = hashlib.sha256()
+        for inst in suite:
+            digest.update(np.array(EXACT_ORACLES[name](inst).probabilities).tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[name][k]
+
+
+class TestEnumerationMemory:
+    """Memory stays flat in k: a table at the outcome limit peaks at a small
+    multiple of BATCH_ELEMENTS doubles, where one buffer of 2^20 doubles
+    took 8 MiB."""
+
+    @pytest.mark.parametrize("name", ["pf", "rnm-expo"])
+    def test_k20_table_peaks_below_three_batches(self, name):
+        inst = random_instances(1, 1.0, 1.0, k_min=20, k_max=20, seed=5)[0]
+        EXACT_ORACLES[name](inst)
+        tracemalloc.start()
+        try:
+            EXACT_ORACLES[name](inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * BATCH_ELEMENTS * 8
 
 
 def coin_game_table(inst):

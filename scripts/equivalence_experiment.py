@@ -5,7 +5,10 @@ simulation.
 
 Prints one JSON row per (epsilon, k) cell: worst exact TV distance across
 the cell's instances, plus the chi-square p-value of sampled runs of the
-two reformulation mechanisms against the enumeration oracle.
+two reformulation mechanisms against the exact permute-and-flip table.
+Permute-and-flip's table comes from its coin-game DP. Report-noisy-max's
+comes from its enumeration up to ENUMERATION_LIMIT outcomes and from
+exponential-noise quadrature above; each row names that route.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ from dpselect import (
     empirical_counts,
     pf_exact_distribution,
     random_instances,
+    rnm_exact_quadrature,
     rnm_expo_exact_distribution,
     tv_distance,
 )
 from dpselect.errors import ValidationError
-from dpselect.oracle import ENUMERATION_LIMIT
+from dpselect.oracle import ENUMERATION_LIMIT, QUADRATURE_LIMIT
+
+# report-noisy-max's exact table by route
+RNM_EXPO_ROUTES = {
+    "enumeration": rnm_expo_exact_distribution,
+    "quadrature": lambda inst: rnm_exact_quadrature(inst, "exponential"),
+}
 
 
 def main() -> None:
@@ -33,7 +43,7 @@ def main() -> None:
     parser.add_argument("--epsilons", type=float, nargs="+",
                         default=[0.1, 1.0, 4.0])
     parser.add_argument("--k-values", type=int, nargs="+", dest="k_values",
-                        default=[2, 4, 8, 12, 16, 20])
+                        default=[2, 4, 8, 12, 16, 20, 32, 64, 128, 256])
     parser.add_argument("--samples", type=int, default=100_000,
                         help="simulation runs per mechanism cell (default: 1e5)")
     parser.add_argument("--seed", type=int, default=0)
@@ -43,8 +53,8 @@ def main() -> None:
     if args.samples < 1:
         parser.error(f"--samples must be at least 1, got {args.samples}")
     for k in args.k_values:
-        if not 1 <= k <= ENUMERATION_LIMIT:
-            parser.error(f"--k-values must be between 1 and {ENUMERATION_LIMIT}, got {k}")
+        if not 1 <= k <= QUADRATURE_LIMIT:
+            parser.error(f"--k-values must be between 1 and {QUADRATURE_LIMIT}, got {k}")
     for epsilon in args.epsilons:
         try:
             PrivacyParams(epsilon, 1.0)
@@ -56,8 +66,9 @@ def main() -> None:
             suite = random_instances(
                 args.instances, epsilon, 1.0, k_min=k, k_max=k, seed=args.seed
             )
+            route = "enumeration" if k <= ENUMERATION_LIMIT else "quadrature"
             worst_tv = max(
-                tv_distance(pf_exact_distribution(inst), rnm_expo_exact_distribution(inst))
+                tv_distance(pf_exact_distribution(inst), RNM_EXPO_ROUTES[route](inst))
                 for inst in suite
             )
             probe = suite[0]
@@ -70,6 +81,7 @@ def main() -> None:
                 "epsilon": epsilon,
                 "k": k,
                 "instances": args.instances,
+                "rnm_expo_route": route,
                 "worst_exact_tv": worst_tv,
                 "chi_square_p_alg_a": p_values["alg-a"],
                 "chi_square_p_alg_b": p_values["alg-b"],

@@ -21,9 +21,8 @@ _EXPORTS = {
              "ValidatedInstance", "sensitivity_from_pairs", "validate_instance"),
     "noise": ("Exponential", "Gumbel", "Laplace", "NoiseKind", "RngState", "quantile",
               "samples"),
-    "mechanisms": ("MECHANISMS", "GapResult", "SelectionResult", "argmax_with_gap",
-                   "exponential_mechanism", "intermediate_a", "intermediate_b",
-                   "permute_and_flip", "report_noisy_max", "report_noisy_max_with_gap"),
+    "mechanisms": ("MECHANISMS", "SelectionResult", "exponential_mechanism", "intermediate_a",
+                   "intermediate_b", "permute_and_flip", "report_noisy_max"),
     "oracle": ("EXACT_ORACLES", "GofResult", "chi_square_gof", "em_exact_distribution",
                "empirical_counts", "empirical_distribution", "pf_exact_distribution",
                "rnm_exact_quadrature", "rnm_expo_exact_distribution", "table_for",

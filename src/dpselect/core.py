@@ -150,7 +150,7 @@ class ProbabilityTable:
     """Output distribution over outcome labels.
 
     provenance records how the table was produced: "exact-closed-form",
-    "exact-enumeration", "quadrature", or "empirical(n=...,seed=...)".
+    "exact-poisson-binomial", "quadrature", or "empirical(n=...,seed=...)".
     Entries within 1e-12 outside [0, 1] are clamped; anything worse, or a
     sum off by more than 1e-9, is rejected.
     """

@@ -48,17 +48,10 @@ class EmptyPairList(ValidationError):
     """At least one neighbor pair is required."""
 
 
-class EmptySequence(ValidationError):
-    """A nonempty sequence of values is required."""
-
-
-class NeedAtLeastTwoOutcomes(ValidationError):
-    """Gap release is only defined for two or more outcomes."""
-
-
 class TooManyOutcomesForEnumeration(ValidationError):
-    """The requested outcome count exceeds what the exact oracle can
-    enumerate within its floating-point error budget."""
+    """The requested outcome count exceeds the largest at which the route's
+    error bound is tested: 20 for the rnm-expo enumeration, 256 for the
+    others."""
 
 
 class PairExceedsSensitivity(ValidationError):

@@ -5,8 +5,7 @@ exponential, Laplace, or Gumbel noise; the exponential mechanism sampled
 directly from its closed-form output distribution; permute-and-flip; and
 two reformulations of permute-and-flip (`intermediate_a`, `intermediate_b`)
 that bridge it to report-noisy-max with exponential noise and exist so the
-equivalence can be checked empirically. Gap release is layered on top of
-report-noisy-max.
+equivalence can be checked empirically.
 
 All mechanisms are pure functions of (instance, rng). Noisy-score ties have
 probability zero with continuous noise and can only arise here through
@@ -27,14 +26,12 @@ samplers and stay the single-draw references those are tested against.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import ValidatedInstance
-from .errors import EmptySequence, NeedAtLeastTwoOutcomes
 from .noise import Exponential, RngState, from_params, samples
 
 
@@ -44,20 +41,6 @@ class SelectionResult:
 
     index: int
     label: str
-
-
-@dataclass(frozen=True)
-class GapResult:
-    """Chosen outcome plus the top-two gap of the underlying noisy scores.
-
-    The gap can be released alongside the winner at no extra privacy cost;
-    the winning noisy value itself is never exposed because releasing it
-    would cost additional budget.
-    """
-
-    index: int
-    label: str
-    gap: float
 
 
 def _one_row(inst: ValidatedInstance, indices: np.ndarray) -> SelectionResult:
@@ -93,22 +76,14 @@ def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> Selec
     return _one_row(inst, _report_noisy_max_batch(inst, kind, rng, 1))
 
 
-def _noisy_scores(
-    inst: ValidatedInstance, kind: str, rng: RngState, rows: int
-) -> np.ndarray:
-    """The scores plus a rows x k matrix of independent noise draws of the
-    given family."""
-    noise = from_params(kind, inst.params)
-    k = len(inst.quality)
-    return np.asarray(inst.quality.scores) + samples(noise, rng, rows * k).reshape(rows, k)
-
-
 def _report_noisy_max_batch(
     inst: ValidatedInstance, kind: str, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch report_noisy_max: the row-wise first argmax of the noisy
-    scores."""
-    return np.argmax(_noisy_scores(inst, kind, rng, rows), axis=1)
+    """Batch report_noisy_max: the row-wise first argmax of the scores plus
+    a rows x k matrix of independent noise draws of the given family."""
+    k = len(inst.quality)
+    draws = samples(from_params(kind, inst.params), rng, rows * k).reshape(rows, k)
+    return np.argmax(np.asarray(inst.quality.scores) + draws, axis=1)
 
 
 def exponential_mechanism(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
@@ -226,51 +201,6 @@ def _intermediate_b_batch(
     capped = np.minimum(best, np.asarray(quality.scores) + draws[:, 0::2])
     # below the cap an outcome keeps capped < best <= every candidate's value
     return np.argmax(capped + draws[:, 1::2] * (capped == best), axis=1)
-
-
-def argmax_with_gap(noisy_values: Sequence[float]) -> tuple[int, float]:
-    """First maximal index and the top-minus-second gap of a value sequence.
-
-    For a single value the gap is reported as 0.0 (flagged with a warning)
-    rather than an infinite sentinel. The maximal value itself is never
-    part of the result.
-    """
-    values = [float(v) for v in noisy_values]
-    if len(values) == 0:
-        raise EmptySequence("argmax_with_gap needs at least one value")
-    if len(values) == 1:
-        warnings.warn(
-            "gap is degenerate for a single outcome; reporting 0.0",
-            stacklevel=2,
-        )
-        return 0, 0.0
-    best_index = 0
-    best = values[0]
-    second = -math.inf
-    for i in range(1, len(values)):
-        v = values[i]
-        if v > best:
-            second = best
-            best = v
-            best_index = i
-        elif v > second:
-            second = v
-    return best_index, best - second
-
-
-def report_noisy_max_with_gap(
-    inst: ValidatedInstance, kind: str, rng: RngState
-) -> GapResult:
-    """Report-noisy-max that additionally releases the top-two gap.
-
-    Draws the same noisy scores as report_noisy_max and takes both the
-    first argmax and the gap from them, so the draws and the index match
-    it seed for seed.
-    """
-    if len(inst.quality) < 2:
-        raise NeedAtLeastTwoOutcomes("gap release needs at least two outcomes")
-    index, gap = argmax_with_gap(_noisy_scores(inst, kind, rng, 1)[0])
-    return GapResult(index, inst.quality.labels[index], gap)
 
 
 # noisy-max mechanism name -> noise family; the single source for both

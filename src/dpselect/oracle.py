@@ -5,25 +5,30 @@ checks.
 Three independent routes produce the same numbers for the same mechanism
 and must keep agreeing:
 
-* closed forms (softmax for the exponential mechanism, an
-  inclusion-exclusion sum for report-noisy-max with exponential noise),
-* brute-force enumeration over coin-outcome subsets for permute-and-flip,
+* closed forms: softmax for the exponential mechanism, and for
+  report-noisy-max with exponential noise an inclusion-exclusion sum
+  enumerated over subsets, up to ENUMERATION_LIMIT outcomes,
+* for permute-and-flip, its coin game as a Poisson-binomial DP over the
+  count of kept coins, up to QUADRATURE_LIMIT outcomes,
 * adaptive Gauss-Kronrod quadrature of the generic win-probability
   integral over all k entries at once, in numpy, with a max-norm error
   bound that covers every entry.
 
-The two enumeration-style oracles are deliberately written as separate
-loops with no shared subset walk, so a bug in one cannot hide in the
-other. Summation order per index is fixed, making results reproducible
-bit for bit. table_for is the one place that maps a mechanism and a mode
-to its route.
+The paper's equivalence of permute-and-flip and report-noisy-max with
+exponential noise is checked by comparing the DP with the enumeration up
+to 20 outcomes and with exponential-noise quadrature above. The DP and the
+enumeration share no code, so a bug in one cannot hide in the other.
+Summation order per index is fixed, making results reproducible bit for
+bit. table_for is the one place that maps a mechanism and a mode to its
+route.
 
 A fourth route, LOG_ORACLES, gives natural-log tables of whole batches:
 the paper's one-integral identity for permute-and-flip and report-noisy-max
 with exponential noise, by Gauss-Legendre, and a log-softmax for the
 exponential mechanism. Log tables cannot underflow, so privacy_ratio_audit
-and dominance_check use this route at every k. Enumeration and quadrature
-remain its independent cross-checks; no equivalence check uses it.
+and dominance_check use this route at every k. The other routes remain
+its independent cross-checks; no equivalence check uses it, since it is
+the very identity the equivalence proves.
 
 Only chi_square_gof uses scipy (scipy.special), and it imports it when
 called: every other route, and every CLI command that runs no
@@ -52,7 +57,7 @@ from .errors import (
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
 from .noise import Exponential, Laplace, RngState, from_params, quantile
 
-# Each entry of an enumeration table sums the 2^(k-1) keep patterns that
+# Each entry of an rnm-expo enumeration table sums the 2^(k-1) subsets that
 # contain it, directly or, above 14 outcomes, regrouped through two halves:
 # at k = 20, terms with magnitudes <= 1 keep the floating-point error of the
 # alternating sum below 1e-10 (measured: at most 6e-13 against exact
@@ -75,9 +80,9 @@ MIN_EXPECTED_COUNT = 5.0
 # glibc's default 128 KiB mmap threshold, so a fresh process maps and
 # faults them in on every chunk.
 BATCH_ELEMENTS = 2**14
-# Up to this many outcomes an enumeration oracle walks all 2^k patterns in
+# Up to this many outcomes the rnm-expo enumeration walks all 2^k subsets in
 # one buffer of at most BATCH_ELEMENTS values; above it, the first ceil(k/2)
-# and the other floor(k/2) outcomes' patterns in two halves of at most 2^10.
+# and the other floor(k/2) outcomes' subsets in two halves of at most 2^10.
 # Equal halves cost least: a first half of 14 made k = 15 slower than one
 # buffer of 2^15, its per-pattern size pass outweighing one more doubling.
 _SINGLE_WALK_LIMIT = BATCH_ELEMENTS.bit_length() - 1
@@ -108,82 +113,50 @@ def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
 
 
 def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
-    """Exact permute-and-flip output distribution by subset enumeration.
+    """Exact permute-and-flip output distribution by a Poisson-binomial DP.
 
     Permute-and-flip is distributed like the coin game that independently
     keeps each outcome j with probability p_j = exp(rate * (q_j - max q))
-    and returns a uniform pick among the kept ones. Each keep-pattern T of
-    the k outcomes has weight
+    and returns a uniform pick among the kept ones. Outcome i wins when its
+    coin is kept and the pick then lands on it among 1 + S_-i kept coins,
+    where S_-i counts the other kept outcomes, so
 
-        w(T) = prod_{j in T} p_j * prod_{j not in T} (1 - p_j),
+        P(i) = p_i * E[1 / (1 + S_-i)] = p_i * pre_i^T H suf_(i+1),
 
-    and gives each of its kept outcomes w(T) / |T|, so
-
-        P(i) = sum over T containing i of  w(T) / |T|.
-
-    The empty pattern has weight exactly 0, since the best outcome is kept
-    with probability 1. Up to 14 outcomes each pattern is walked once:
-    2^k products build the weights in a buffer of 2^k doubles (at most
-    BATCH_ELEMENTS), with the |T| in 2^k bytes, and 2^k adds fold them
-    into the k entries. Above that, T splits into L, of the first
-    ceil(k/2) outcomes, and H, with w(T) = w(L) * w(H). With W_H(h) the
-    summed weight of the H of size h,
-
-        P(i) = sum over L containing i of  w(L) * sum_h W_H(h) / (|L| + h)
-
-    for i in the first half, and likewise in the second: the same terms,
-    regrouped. Each half is walked and folded like a table of its own, of
-    at most 2^10 values, so cost is about 2^ceil(k/2) + 2^floor(k/2)
-    products and adds.
+    with pre_i the count law of coins 0..i-1, suf_(i+1) that of coins
+    i+1..k-1, and H[s, t] = 1 / (1 + s + t). A count law takes one coin at
+    a time, law[s] <- law[s] * (1 - p_j) + law[s - 1] * p_j. So does
+    g_i = H suf_(i+1), with the shift the other way, from g_(k-1) = H[:, 0]:
+    g_(i-1)[s] = g_i[s] * (1 - p_i) + g_i[s + 1] * p_i, exact for s < i,
+    the only counts pre_(i-1) can take. Every term is nonnegative, so
+    nothing cancels, and ties, p = 1, p = 0 and subnormal p need no special
+    case. The k - 1 steps fill pre and g (g stored reversed, so both shift
+    the same way) in 2k^2 doubles, 1 MiB at k = 256, and the row products
+    pre_i * g_i are summed in chunks of at most BATCH_ELEMENTS values, so
+    memory peaks below 2k^2 + 2 * BATCH_ELEMENTS doubles. Tested
+    bounds: within 1e-15 of the coin game in exact rationals (k <= 8),
+    within 1e-10 of the exact table (k <= 20), within 1e-15 of
+    pf_log_tables (k 21-256) and within exponential quadrature's 1e-9
+    target (k 32-256). Above QUADRATURE_LIMIT outcomes, where these stop
+    being tested, it raises TooManyOutcomesForEnumeration.
     """
     k = len(inst.quality)
-    _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    keep_probs = np.exp(log_weights(inst)).tolist()
-    low = k if k <= _SINGLE_WALK_LIMIT else (k + 1) // 2
-    # pattern m keeps the outcomes whose bit is set in m, so its weight and
-    # its |T| double the same way, one coin at a time
-    weight = np.empty(1 << low)
-    kept = np.empty(1 << low, dtype=np.uint8)
-    weight[0], kept[0] = 1.0, 0
-    n = 1
-    for p_j in keep_probs[:low]:
-        np.multiply(weight[:n], p_j, out=weight[n : 2 * n])
-        weight[:n] *= 1.0 - p_j
-        np.add(kept[:n], 1, out=kept[n : 2 * n])
-        n *= 2
+    _check_outcome_count(k, QUADRATURE_LIMIT, "the coin-game DP")
+    p = np.exp(log_weights(inst))
+    pre, g = np.zeros((2, k, k))  # row n: pre_n, and g_(k-1-n) reversed
+    pre[0, 0] = 1.0  # no coin yet: a count of 0
+    g[0] = 1.0 / np.arange(k, 0, -1)
+    coins = p.tolist()
+    for n in range(1, k):
+        for law, coin in ((pre, coins[n - 1]), (g, coins[k - n])):
+            np.multiply(law[n - 1], 1.0 - coin, out=law[n])
+            law[n, 1:] += coin * law[n - 1, :-1]
+    g = g[::-1, ::-1]  # row i: g_i
     out = np.empty(k)
-    if k > low:
-        high_weight = np.empty(1 << (k - low))
-        high_kept = np.empty(1 << (k - low), dtype=np.uint8)
-        high_weight[0], high_kept[0] = 1.0, 0
-        m = 1
-        for p_j in keep_probs[low:]:
-            np.multiply(high_weight[:m], p_j, out=high_weight[m : 2 * m])
-            high_weight[:m] *= 1.0 - p_j
-            np.add(high_kept[:m], 1, out=high_kept[m : 2 * m])
-            m *= 2
-        # |L| + |H| for every pair of sizes; its one 0 only scales the empty
-        # L and the empty H, which enter no entry
-        size = np.add.outer(np.arange(low + 1), np.arange(k - low + 1))
-        size[0, 0] = 1
-        by_low_size = np.bincount(kept, weight, minlength=low + 1)
-        by_high_size = np.bincount(high_kept, high_weight, minlength=k - low + 1)
-        weight *= np.take((by_high_size / size).sum(axis=1), kept)
-        high_weight *= np.take((by_low_size[:, None] / size).sum(axis=0), high_kept)
-        for j in reversed(range(low, k)):
-            m //= 2
-            out[j] = high_weight[m : 2 * m].sum()
-            high_weight[:m] += high_weight[m : 2 * m]
-    else:
-        kept[0] = 1  # the empty pattern weighs 0 and enters no entry
-        weight /= kept
-    # fold out the top bit: once the bits above j are folded in, the
-    # patterns containing j are exactly weight[2^j : 2^(j+1)]
-    for j in reversed(range(low)):
-        n //= 2
-        out[j] = weight[n : 2 * n].sum()
-        weight[:n] += weight[n : 2 * n]
-    return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-enumeration")
+    step = max(1, BATCH_ELEMENTS // k)
+    for a in range(0, k, step):
+        out[a : a + step] = (pre[a : a + step] * g[a : a + step]).sum(axis=1)
+    return ProbabilityTable(inst.quality.labels, (p * out).tolist(), "exact-poisson-binomial")
 
 
 def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
@@ -308,8 +281,9 @@ def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
     right, so a table is the same bit for bit alone or in any batch. Above
     QUADRATURE_LIMIT outcomes, where the bounds below stop being tested, it
     raises TooManyOutcomesForEnumeration. Tested bounds: within 2e-15 of
-    enumeration (k <= 20), within exponential quadrature's 1e-9 target
-    (k 32-256), and a sum within 1e-13 of 1 up to k = 256.
+    pf_exact_distribution (k <= 20) and 1e-15 of it (k 21-256), within
+    exponential quadrature's 1e-9 target (k 32-256), and a sum within 1e-13
+    of 1 up to k = 256.
     """
     gammas = [log_weights(inst) for inst in instances]
     chunks: list[list[int]] = []
@@ -591,7 +565,9 @@ def chi_square_gof(
     """Pearson goodness-of-fit of observed counts against an expected table.
 
     Categories whose expected count falls below 5 are pooled into one tail
-    category before computing the statistic. A single category after
+    category before computing the statistic; a tail still expecting fewer
+    than 5 merges into the smallest kept category, so that one or two
+    draws in it cannot dominate the statistic. A single category after
     pooling that covers the whole table is a vacuous pass (dof 0); if every
     category needed pooling the test is impossible and AllCategoriesMerged
     is raised. Observed mass on a zero-probability outcome fails outright.
@@ -635,7 +611,11 @@ def chi_square_gof(
             f"{total} observations"
         )
     if pooled:
-        kept.append((sum(c for c, _ in pooled), sum(e for _, e in pooled)))
+        count, expect = sum(c for c, _ in pooled), sum(e for _, e in pooled)
+        if expect < MIN_EXPECTED_COUNT:  # the tail joins the smallest kept cell
+            c, e = kept.pop(min(range(len(kept)), key=lambda j: kept[j][1]))
+            count, expect = count + c, expect + e
+        kept.append((count, expect))
     if len(kept) == 1:
         return GofResult(0.0, 0, 1.0, True)
 

@@ -8,7 +8,6 @@ from dpselect import (
     MECHANISMS,
     Exponential,
     RngState,
-    argmax_with_gap,
     em_exact_distribution,
     chi_square_gof,
     empirical_counts,
@@ -17,12 +16,10 @@ from dpselect import (
     permute_and_flip,
     pf_exact_distribution,
     report_noisy_max,
-    report_noisy_max_with_gap,
     rnm_exact_quadrature,
     samples,
 )
 from dpselect.core import ProbabilityTable
-from dpselect.errors import EmptySequence, NeedAtLeastTwoOutcomes
 from dpselect.noise import from_params
 
 from helpers import SMALLEST_EPSILON, instances, make_instance
@@ -297,56 +294,6 @@ class TestSeededReplay:
         assert capped[result.index] == best
         survivors = [i for i in range(k) if capped[i] == best]
         assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
-
-
-class TestArgmaxWithGap:
-    def test_plain_maximum(self):
-        assert argmax_with_gap([3.2, 1.5, 0.7]) == (0, pytest.approx(1.7))
-
-    def test_tie_breaks_to_smallest_index(self):
-        assert argmax_with_gap([1.0, 1.0]) == (0, 0.0)
-
-    def test_permuted_input(self):
-        assert argmax_with_gap([0.7, 1.5, 3.2]) == (2, pytest.approx(1.7))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            argmax_with_gap([])
-
-    def test_single_value_flagged(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert argmax_with_gap([4.2]) == (0, 0.0)
-
-
-class TestGapRelease:
-    def test_needs_two_outcomes(self):
-        with pytest.raises(NeedAtLeastTwoOutcomes):
-            report_noisy_max_with_gap(make_instance([1.0]), "exponential", RngState(0))
-
-    @pytest.mark.parametrize("kind", ["exponential", "laplace", "gumbel"])
-    def test_index_marginal_matches_report_noisy_max(self, kind):
-        inst = make_instance([1.0, 0.0, 0.4], epsilon=2.0)
-        for seed in range(200):
-            plain = report_noisy_max(inst, kind, RngState(seed))
-            gapped = report_noisy_max_with_gap(inst, kind, RngState(seed))
-            assert gapped.index == plain.index
-            assert gapped.label == plain.label
-
-    def test_reproducible_bitwise(self):
-        inst = make_instance([0.0, 0.0], epsilon=1.0)
-        a = report_noisy_max_with_gap(inst, "exponential", RngState(9))
-        b = report_noisy_max_with_gap(inst, "exponential", RngState(9))
-        assert (a.index, a.gap) == (b.index, b.gap)
-
-    def test_gap_positive_with_continuous_noise(self):
-        inst = make_instance([0.0, 0.0], epsilon=1.0)
-        results = [
-            report_noisy_max_with_gap(inst, "gumbel", RngState(seed))
-            for seed in range(2000)
-        ]
-        assert all(r.gap > 0.0 for r in results)
-        counts = [sum(1 for r in results if r.index == i) for i in range(2)]
-        assert abs(counts[0] - 1000) < 150  # roughly even index marginal
 
 
 class TestOutputContract:

@@ -68,7 +68,7 @@ class TestPfExact:
         table = pf_exact_distribution(make_instance([1.0, 0.0], epsilon=2.0))
         expected = (1.0 - math.exp(-1.0) / 2.0, math.exp(-1.0) / 2.0)
         assert table.probabilities == pytest.approx(expected, abs=1e-12)
-        assert table.provenance == "exact-enumeration"
+        assert table.provenance == "exact-poisson-binomial"
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_constant_scores_uniform(self, k):
@@ -81,8 +81,9 @@ class TestPfExact:
         assert table.probabilities[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_enumeration_limit(self):
-        with pytest.raises(TooManyOutcomesForEnumeration):
-            pf_exact_distribution(make_instance([0.0] * 21))
+        pf_exact_distribution(make_instance([0.0] * 256))
+        with pytest.raises(TooManyOutcomesForEnumeration, match="at most 256 outcomes"):
+            pf_exact_distribution(make_instance([0.0] * 257))
 
 
 class TestRnmExpoExact:
@@ -188,9 +189,9 @@ def underflow_instance(k, at=1):
     return make_instance([0.0, *rest], epsilon=2.0)
 
 
-# Above 14 outcomes both oracles split the outcomes into the first
-# ceil(k/2) and the rest; these cases put every kind of keep probability
-# (1, 0, subnormal) in the second half too.
+# Above 14 outcomes rnm_expo_exact_distribution splits the outcomes into the
+# first ceil(k/2) and the rest; these cases put every kind of keep
+# probability (1, 0, subnormal) in the second half too.
 ERROR_BOUND_CASES = [
     pytest.param(make_instance([0.0] * 20), id="k20-ties"),
     pytest.param(make_instance([3.0]), id="k1"),
@@ -222,7 +223,8 @@ ERROR_BOUND_CASES = [
 
 class TestEnumerationErrorBound:
     """ENUMERATION_LIMIT's comment states an error near 1e-10 at 2^20
-    terms; both oracles are held to that against an exact reference."""
+    terms; the rnm-expo enumeration and the pf DP are held to that against
+    an exact reference."""
 
     @pytest.mark.parametrize("inst", ERROR_BOUND_CASES)
     @pytest.mark.parametrize("fn", [pf_exact_distribution, rnm_expo_exact_distribution])
@@ -234,18 +236,19 @@ class TestEnumerationErrorBound:
 
 
 class TestEnumerationGolden:
-    """Up to 14 outcomes both oracles walk every pattern in one buffer, and
-    their tables are pinned bit for bit: per k, a digest of the tables of
-    one random instance at each of eps 0.1, 1 and 4, k ties and, from k = 3,
-    underflow_instance(k)."""
+    """Tables pinned bit for bit up to 14 outcomes, where the rnm-expo
+    enumeration walks every subset in one buffer: per k, a digest of the
+    tables of one random instance at each of eps 0.1, 1 and 4, k ties and,
+    from k = 3, underflow_instance(k). The pf digests are the coin-game
+    DP's, pinned once it met the 1e-15 and 1e-10 bounds above and below."""
 
     DIGESTS = {
         "pf": {
-            1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "b29e4b014daf6b34",
-            4: "8c1ee2146c2bef94", 5: "4287d4842591cdb5", 6: "818766b3bf4d16d7",
-            7: "4d92c2c1b991c3c2", 8: "841b8f94183bf69a", 9: "11d1253082ecba33",
-            10: "b305c44c52550bbb", 11: "ad7b88511de15571", 12: "4f1cb80a652c7fd4",
-            13: "2dd957140e666ab6", 14: "f10042c1bff1ec11",
+            1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "cf75ee2897ba08ff",
+            4: "6d90fee9e4823450", 5: "bd54a1d7668dd5b6", 6: "43ea1d4d3701df43",
+            7: "06726753836cb0d0", 8: "d9572b255f39fbe3", 9: "ac63c1e04bdb5536",
+            10: "bfa7716a04c7939e", 11: "61368f582ead9ea5", 12: "655c68823f2ab163",
+            13: "5d748b2852d67417", 14: "38a118509b279bf4",
         },
         "rnm-expo": {
             1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "16d5b5f7dbcf209e",
@@ -330,8 +333,9 @@ COIN_GAME_CASES = [
 
 
 class TestEnumerationAgainstDefinition:
-    """Each enumeration oracle against its own definition, walked term by
-    term in exact rationals from the same float keep probabilities."""
+    """Each exact pf and rnm-expo oracle against its own definition, walked
+    term by term in exact rationals from the same float keep
+    probabilities."""
 
     @pytest.mark.parametrize("inst", COIN_GAME_CASES)
     @pytest.mark.parametrize("fn, reference, bound", [
@@ -342,6 +346,60 @@ class TestEnumerationAgainstDefinition:
         table = fn(inst)
         for p, exact in zip(table.probabilities, reference(inst), strict=True):
             assert abs(Fraction(p) - exact) <= bound
+
+
+class TestPfBeyondEnumeration:
+    """The coin-game DP from k = 21 to QUADRATURE_LIMIT, where no
+    enumeration reaches."""
+
+    @pytest.mark.parametrize("k", [32, 64, 128, 256])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 8.0])
+    def test_within_quadrature_target(self, k, epsilon):
+        """Against report-noisy-max with exponential noise by quadrature, a
+        different formula: within QUADRATURE_TARGET per entry. Measured:
+        1.5e-13."""
+        inst = _spread_instance(k, epsilon, seed=k)
+        table = pf_exact_distribution(inst).probabilities
+        quad = rnm_exact_quadrature(inst, "exponential").probabilities
+        assert np.abs(np.subtract(table, quad)).max() <= oracle.QUADRATURE_TARGET
+
+    @pytest.mark.parametrize("k", [21, 32, 64, 100, 128, 200, 256])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.1, 1.0, 8.0])
+    def test_within_1e_15_of_log_tables(self, k, epsilon):
+        """Against the paper's identity by Gauss-Legendre: within 1e-15 per
+        entry. Measured: 4.4e-16."""
+        inst = _spread_instance(k, epsilon, seed=k + 1)
+        (log_p,) = oracle.pf_log_tables([inst])
+        table = pf_exact_distribution(inst).probabilities
+        assert np.abs(np.exp(log_p) - table).max() <= 1e-15
+
+    @pytest.mark.parametrize("scores", [
+        pytest.param([0.0] * 256, id="k256-ties"),
+        pytest.param(np.linspace(0.0, -5.0, 256), id="k256-spread"),
+        pytest.param(np.linspace(0.0, -400.0, 256), id="k256-wide"),
+        pytest.param([0.0] * 21, id="k21-ties"),
+    ])
+    def test_sum_within_1e_13_of_one(self, scores):
+        """Measured: at most 4.4e-16."""
+        table = pf_exact_distribution(make_instance(scores))
+        assert abs(math.fsum(table.probabilities) - 1.0) <= 1e-13
+
+    def test_score_range_beyond_doubles(self):
+        table = pf_exact_distribution(make_instance([1e308] + [-1e308] * 255))
+        assert table.probabilities == (1.0,) + (0.0,) * 255
+
+    def test_k256_peaks_below_stated_memory(self):
+        """The docstring's bound: below 2k^2 + 2 * BATCH_ELEMENTS doubles,
+        1.3 MiB at k = 256. Measured: 1.2 MB."""
+        inst = _spread_instance(256, 1.0, seed=3)
+        pf_exact_distribution(inst)
+        tracemalloc.start()
+        try:
+            pf_exact_distribution(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * 256**2 + 2 * BATCH_ELEMENTS) * 8
 
 
 class TestEquivalence:
@@ -737,7 +795,7 @@ class TestScalarAndBatchPaths:
 # (mechanism, mode) -> provenance and direct route of the table table_for
 # returns; every pair not listed has no route
 ROUTES = {
-    ("pf", "exact"): ("exact-enumeration", pf_exact_distribution),
+    ("pf", "exact"): ("exact-poisson-binomial", pf_exact_distribution),
     ("rnm-expo", "exact"): ("exact-closed-form", rnm_expo_exact_distribution),
     ("em", "exact"): ("exact-closed-form", em_exact_distribution),
     ("rnm-expo", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "exponential")),
@@ -819,6 +877,33 @@ class TestChiSquareGof:
         result = chi_square_gof([600, 394, 4, 2], expected, 0.001)
         assert result.degrees_of_freedom == 2
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
+
+    def test_tail_below_five_merges_into_smallest_kept_cell(self):
+        # the pooled tail expects 3: it joins the 197 cell, dof 2, not 3
+        expected = ProbabilityTable(
+            ("a", "b", "c", "d", "e"), (0.5, 0.3, 0.197, 0.002, 0.001), "exact-closed-form"
+        )
+        result = chi_square_gof([500, 300, 190, 10, 0], expected, 0.001)
+        assert result.degrees_of_freedom == 2
+        assert result.statistic == pytest.approx(0.0, abs=1e-12)
+
+    def test_tail_merged_into_the_only_kept_cell_is_vacuous(self):
+        expected = ProbabilityTable(("a", "b"), (0.998, 0.002), "exact-closed-form")
+        result = chi_square_gof([990, 10], expected, 0.001)
+        assert (result.degrees_of_freedom, result.passed) == (0, True)
+
+    def test_one_or_two_draws_in_a_tiny_tail_do_not_fail_the_test(self):
+        """alg-b at eps 4, k 8, 100,000 draws, seed 0: the probe instance of
+        scripts/equivalence_experiment.py's default grid. Its tail expects
+        0.125 draws and saw 2, which alone added 28 to the statistic when
+        the tail stood as a cell of its own (p = 4.3e-6, a wrong fail)."""
+        probe = random_instances(20, 4.0, 1.0, k_min=8, k_max=8, seed=0)[0]
+        counts = empirical_counts("alg-b", probe, 100_000, seed=0)
+        assert counts[1:4] == [2, 0, 0]
+        result = chi_square_gof(counts, pf_exact_distribution(probe), 0.001)
+        assert result.degrees_of_freedom == 4
+        assert result.statistic == pytest.approx(4.2, abs=0.01)
+        assert result.passed
 
     def test_all_cells_tiny_rejected(self):
         expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")

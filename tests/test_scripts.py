@@ -39,17 +39,22 @@ def test_equivalence_experiment():
     )
     assert [(r["epsilon"], r["k"]) for r in rows] == [(1.0, 4)]
     for row in rows:
+        assert row["rnm_expo_route"] == "enumeration"
         assert row["worst_exact_tv"] <= 1e-8
         assert 0.0 <= row["chi_square_p_alg_a"] <= 1.0
         assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
 
 
-def test_equivalence_experiment_at_the_enumeration_limit():
+def test_equivalence_experiment_either_side_of_the_enumeration_limit():
     rows = run_script(
-        "equivalence_experiment.py", "--k-values", "20", "--instances", "2",
+        "equivalence_experiment.py", "--k-values", "20", "21", "256", "--instances", "2",
         "--samples", "2000",
     )
-    assert [(r["epsilon"], r["k"]) for r in rows] == [(0.1, 20), (1.0, 20), (4.0, 20)]
+    assert [(r["epsilon"], r["k"], r["rnm_expo_route"]) for r in rows] == [
+        (epsilon, k, route)
+        for epsilon in (0.1, 1.0, 4.0)
+        for k, route in ((20, "enumeration"), (21, "quadrature"), (256, "quadrature"))
+    ]
     for row in rows:
         assert row["worst_exact_tv"] <= 1e-8
 
@@ -84,8 +89,8 @@ def test_count_below_one_is_a_usage_error(name, flag, count):
     ("utility_experiment.py", "--k-max 257", "--k-max must be between 2 and 256"),
     ("utility_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
     ("utility_experiment.py", "--epsilons 1.0 -2", "--epsilons: epsilon must be"),
-    ("equivalence_experiment.py", "--k-values 0", "--k-values must be between 1 and 20"),
-    ("equivalence_experiment.py", "--k-values 4 21", "--k-values must be between 1 and 20"),
+    ("equivalence_experiment.py", "--k-values 0", "--k-values must be between 1 and 256"),
+    ("equivalence_experiment.py", "--k-values 4 257", "--k-values must be between 1 and 256"),
     ("equivalence_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
     ("equivalence_experiment.py", "--epsilons 1.0 nan", "--epsilons: epsilon must be"),
 ])

@@ -5,7 +5,9 @@ simulation.
 
 Prints one JSON row per (epsilon, k) cell: worst exact TV distance across
 the cell's instances, plus the chi-square p-value of sampled runs of the
-two reformulation mechanisms against the exact permute-and-flip table.
+two reformulation mechanisms against the exact permute-and-flip table and
+the test's power: the smallest divergence sum (p - q)^2 / q it rejects
+with probability 0.9.
 Permute-and-flip's table comes from its coin-game DP. Report-noisy-max's
 comes from its enumeration up to ENUMERATION_LIMIT outcomes and from
 exponential-noise quadrature above; each row names that route.
@@ -73,18 +75,20 @@ def main() -> None:
             )
             probe = suite[0]
             reference = pf_exact_distribution(probe)
-            p_values = {}
+            gof = {}
             for mechanism in ("alg-a", "alg-b"):
                 counts = empirical_counts(mechanism, probe, args.samples, seed=args.seed)
-                p_values[mechanism] = chi_square_gof(counts, reference, 0.001).p_value
+                gof[mechanism] = chi_square_gof(counts, reference, 0.001)
             print(json.dumps({
                 "epsilon": epsilon,
                 "k": k,
                 "instances": args.instances,
                 "rnm_expo_route": route,
                 "worst_exact_tv": worst_tv,
-                "chi_square_p_alg_a": p_values["alg-a"],
-                "chi_square_p_alg_b": p_values["alg-b"],
+                "chi_square_p_alg_a": gof["alg-a"].p_value,
+                "chi_square_p_alg_b": gof["alg-b"].p_value,
+                "detectable_divergence_alg_a": gof["alg-a"].detectable_divergence,
+                "detectable_divergence_alg_b": gof["alg-b"].detectable_divergence,
             }))
 
 

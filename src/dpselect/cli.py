@@ -129,6 +129,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "statistic": gof.statistic,
                 "degrees_of_freedom": gof.degrees_of_freedom,
                 "p_value": gof.p_value,
+                "detectable_divergence": gof.detectable_divergence,
                 "pass": gof.passed,
             },
             "significance": args.significance,

@@ -58,11 +58,6 @@ class PairExceedsSensitivity(ValidationError):
     """A neighbor pair's score deviation exceeds the declared sensitivity."""
 
 
-class ScoreRangeOverflow(ValidationError):
-    """The scores' quadrature domain reaches past half the largest double,
-    so the width or the midpoints of its intervals would overflow."""
-
-
 class UnsupportedOracle(ValidationError):
     """The named mechanism has no route for the requested table: no exact
     oracle, no quadrature family, or no sampler."""
@@ -82,7 +77,7 @@ class AllCategoriesMerged(DpSelectError):
 
 
 class QuadratureNonConvergence(DpSelectError):
-    """Numerical integration did not reach the requested accuracy."""
+    """Quadrature missed its error target, or lost more mass than it allows."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(message)

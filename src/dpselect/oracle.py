@@ -11,8 +11,9 @@ and must keep agreeing:
 * for permute-and-flip, its coin game as a Poisson-binomial DP over the
   count of kept coins, up to QUADRATURE_LIMIT outcomes,
 * adaptive Gauss-Kronrod quadrature of the generic win-probability
-  integral over all k entries at once, in numpy, with a max-norm error
-  bound that covers every entry.
+  integral over all k entries at once, in numpy, in units of the noise
+  scale, with a max-norm error bound that covers every entry and a check
+  that the entries miss no more mass than it and the truncation allow.
 
 The paper's equivalence of permute-and-flip and report-noisy-max with
 exponential noise is checked by comparing the DP with the enumeration up
@@ -45,17 +46,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ProbabilityTable, ValidatedInstance
+from .core import PrivacyParams, ProbabilityTable, ValidatedInstance
 from .errors import (
     AllCategoriesMerged,
     LabelMismatch,
     QuadratureNonConvergence,
-    ScoreRangeOverflow,
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
 )
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
-from .noise import Exponential, Laplace, RngState, from_params, quantile
+from .noise import Exponential, Laplace, RngState, from_params
 
 # Each entry of an rnm-expo enumeration table sums the 2^(k-1) subsets that
 # contain it, directly or, above 14 outcomes, regrouped through two halves:
@@ -90,12 +90,15 @@ _SINGLE_WALK_LIMIT = BATCH_ELEMENTS.bit_length() - 1
 
 @dataclass(frozen=True)
 class GofResult:
-    """Pearson goodness-of-fit outcome at a caller-supplied significance."""
+    """Pearson goodness-of-fit outcome at a caller-supplied significance,
+    with its power: the smallest divergence sum (p - q)^2 / q over the
+    tested cells that it rejects with probability 0.9, None at dof 0."""
 
     statistic: float
     degrees_of_freedom: int
     p_value: float
     passed: bool
+    detectable_divergence: float | None
 
 
 def _check_outcome_count(k: int, limit: int, route: str) -> None:
@@ -328,69 +331,59 @@ def em_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
 
 def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable:
     """Win probabilities of report-noisy-max under any noise family, by
-    adaptive quadrature of P(i) = integral of f_i(v) * prod_{j != i} F_j(v).
+    adaptive quadrature of P(i) = integral of f(v - x_i) prod_{j != i} F(v - x_j)
+    over _win_integrand's domain, with f and F the family's unit-scale
+    noise and x = log_weights(inst): a table depends on the scores only
+    through rate * (q - max q), since the scale is 1 / rate.
 
-    All k entries are integrated at once with QUADPACK's 21-point
-    Gauss-Kronrod rule, refined by bisecting each round every interval with
-    at least its share of the error target (see _adaptive_gk21), in numpy.
-    The domain is truncated where every factor's tail mass drops below
-    1e-12 (analytic bounds per family). It is split where each tail's mass
-    is 1e-3 and 1e-6 and, for Laplace noise, whose density has a kink at
-    every score, at the score locations. The result is renormalized. Each
-    interval's error estimate is QUADPACK's, taken in the max norm over the
-    k entries, so their sum bounds every entry; QuadratureNonConvergence is
-    raised if it misses the 1e-9 absolute target, or if the integral is 0
-    because the scores' ulp dwarfs the noise scale ([1e20, 0, 5e19] at
-    scale 2). The integrand is evaluated at the 21 nodes of every interval
-    of a refinement round in (nodes, k) numpy calls, in chunks of at most
-    BATCH_ELEMENTS values, so memory stays flat in k. A domain reaching
-    past half the largest double, whose width or midpoints would overflow
-    (scores [1e308, -1e308]), raises ScoreRangeOverflow before integrating.
+    _adaptive_gk21 integrates all k entries at once, with an error estimate
+    that bounds every entry. QuadratureNonConvergence is raised if that
+    misses the 1e-9 target, or, naming the missing mass, if the entries'
+    sum is further from 1 than the estimate plus twice the (k + 1) * 1e-12
+    the domain leaves out. Only then are the entries renormalized.
     """
     k = len(inst.quality)
     _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
     win_density, edges = _win_integrand(inst, kind)
-    lo, hi = float(edges[0]), float(edges[-1])
-    if not math.isfinite(2.0 * max(-lo, hi)):
-        raise ScoreRangeOverflow(
-            f"scores from {min(inst.quality.scores)!r} to {inst.quality.best_score!r} give "
-            f"the quadrature domain [{lo!r}, {hi!r}], past half the largest double"
-        )
     raw, abs_error = _adaptive_gk21(win_density, k, edges)
     if abs_error > QUADRATURE_TARGET:
+        raise QuadratureNonConvergence(f"reached absolute error {abs_error:.3e} per entry "
+                                       f"(target {QUADRATURE_TARGET:.0e})", abs_error)
+    total = raw.sum()
+    allowed = abs_error + 2 * (k + 1) * _TAIL_MASS
+    if not abs(1.0 - total) <= allowed:
         raise QuadratureNonConvergence(
-            f"reached absolute error {abs_error:.3e} per entry "
-            f"(target {QUADRATURE_TARGET:.0e})",
-            achieved_error=abs_error,
-        )
-    if not raw.sum() > 0.0:  # no node met the mass, so some entry is off by 1/k or more
-        ulp = math.ulp(max(map(abs, inst.quality.scores)))
-        raise QuadratureNonConvergence(
-            f"the win densities integrate to {raw.sum():.3g}: the scores' ulp {ulp!r} dwarfs "
-            f"the noise scale {inst.params.scale!r}", achieved_error=1.0 / k)
-    return ProbabilityTable(
-        inst.quality.labels, (raw / raw.sum()).tolist(), "quadrature"
-    )
+            f"the win densities integrate to {total:.12g}: mass {1.0 - total:.3e} is missing, "
+            f"beyond the {allowed:.3e} that error and truncation allow", abs(1.0 - total))
+    return ProbabilityTable(inst.quality.labels, (raw / total).tolist(), "quadrature")
 
 
 def _win_integrand(inst: ValidatedInstance, kind: str):
-    """rnm_exact_quadrature's integrand, which maps points (m,) to the k
-    entries' win densities (m, k), and its integration edges: the truncated
-    domain's ends with the breakpoints between them."""
-    k = len(inst.quality)
-    noise = from_params(kind, inst.params)
-    scores = np.asarray(inst.quality.scores)
-    best = inst.quality.best_score
-    breaks = [best + quantile(noise, 1.0 - m) for m in _TAIL_SPLITS]
-    if isinstance(noise, Laplace):
-        breaks += inst.quality.scores  # the density has a kink at each score
+    """rnm_exact_quadrature's integrand, mapping points (m,) to the k win
+    densities (m, k), and its edges: the domain's ends and the breakpoints
+    between them. With Q the unit quantile and t = _TAIL_MASS, the domain
+    is the best outcome's window [Q(t), Q(1 - t)] extended down through
+    each window x_i + [Q(t), Q(1 - t)] that overlaps it, in descending x,
+    up to the first gap: an outcome past it wins with probability below
+    2t, and at most (k + 1) * t of the mass lies outside. Exponential noise
+    starts at 0, below which the best outcome's factor is 0. Tails split at
+    _TAIL_SPLITS above 0 and, but for exponential noise, above the
+    domain's lowest x; Laplace noise also at each x_i, its kinks."""
+    noise = from_params(kind, PrivacyParams(2.0, 1.0))  # rate = scale = 1
+    x = log_weights(inst)
+    masses = np.array([_TAIL_MASS, *_TAIL_SPLITS])
+    (bottom, *lower), (hi, *upper) = (noise.quantile(m).tolist() for m in (masses, 1.0 - masses))
+    lowest = 0.0
+    for x_i in sorted(x.tolist(), reverse=True):
+        if x_i < lowest - (hi - bottom):
+            break  # the first gap: x_i's window ends below the domain
+        lowest = x_i
+    breaks = upper + (x.tolist() if isinstance(noise, Laplace) else [])
     if isinstance(noise, Exponential):
-        lo = best  # some CDF factor is exactly 0 below the best score
+        lo = 0.0
     else:
-        lowest = float(scores.min())
-        lo = lowest + quantile(noise, _TAIL_MASS)
-        breaks += [lowest + quantile(noise, m) for m in _TAIL_SPLITS]
-    hi = best + quantile(noise, 1.0 - _TAIL_MASS)
+        lo = lowest + bottom
+        breaks += [lowest + q for q in lower]
     points = sorted({p for p in breaks if lo < p < hi})
     pdf, cdf = noise.pdf, noise.cdf
     running_product = np.multiply.accumulate
@@ -399,12 +392,12 @@ def _win_integrand(inst: ValidatedInstance, kind: str):
         # entry i's product of the other factors is the prefix product before
         # it times the suffix product after it: no division, since a factor
         # can be exactly 0
-        x = v[:, None] - scores
-        factors = np.ones((len(v), k + 2))
-        factors[:, 1:-1] = cdf(x)
+        u = v[:, None] - x
+        factors = np.ones((len(v), len(x) + 2))
+        factors[:, 1:-1] = cdf(u)
         before = running_product(factors, axis=1)[:, :-2]
         after = running_product(factors[:, ::-1], axis=1)[:, -3::-1]
-        return pdf(x) * before * after
+        return pdf(u) * before * after
 
     return win_density, np.array([lo, *points, hi])
 
@@ -601,7 +594,8 @@ def chi_square_gof(
         if p > 0.0
     ]
     if impossible:
-        return GofResult(math.inf, max(len(cells) - 1, 0), 0.0, False)
+        dof = max(len(cells) - 1, 0)
+        return GofResult(math.inf, dof, 0.0, False, _detectable(dof, significance, total))
 
     kept = [(c, e) for c, e in cells if e >= MIN_EXPECTED_COUNT]
     pooled = [(c, e) for c, e in cells if e < MIN_EXPECTED_COUNT]
@@ -617,7 +611,7 @@ def chi_square_gof(
             count, expect = count + c, expect + e
         kept.append((count, expect))
     if len(kept) == 1:
-        return GofResult(0.0, 0, 1.0, True)
+        return GofResult(0.0, 0, 1.0, True, None)
 
     # chdtrc is what scipy.stats.chi2.sf evaluates, bit for bit; importing
     # scipy.special alone costs well under half of scipy.stats
@@ -626,7 +620,16 @@ def chi_square_gof(
     statistic = math.fsum((c - e) ** 2 / e for c, e in kept)
     dof = len(kept) - 1
     p_value = float(chdtrc(dof, statistic))
-    return GofResult(statistic, dof, p_value, p_value >= significance)
+    return GofResult(statistic, dof, p_value, p_value >= significance,
+                     _detectable(dof, significance, total))
+
+
+def _detectable(dof: int, significance: float, n: int) -> float | None:
+    """The divergence whose n-fold puts the noncentral chi-square on dof
+    degrees of freedom past its critical value with probability 0.9."""
+    from scipy.special import chdtri, chndtrinc
+
+    return float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / n if dof else None
 
 
 EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {

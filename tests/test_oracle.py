@@ -27,7 +27,6 @@ from dpselect.errors import (
     AllCategoriesMerged,
     LabelMismatch,
     QuadratureNonConvergence,
-    ScoreRangeOverflow,
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
     ValidationError,
@@ -126,34 +125,46 @@ class TestScoreRangeBeyondDoubles:
         assert empirical_counts(name, make_instance(self.SCORES), 1000, seed=5) == [1000, 0]
 
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
-    @pytest.mark.parametrize("scores", [SCORES, [1e308, 0.0], [-1e308, -1e308]])
-    def test_quadrature_names_the_range_before_integrating(self, family, scores):
-        with pytest.raises(ScoreRangeOverflow, match="past half the largest double") as raised:
-            rnm_exact_quadrature(make_instance(scores), family)
-        assert f"to {max(scores)!r}" in str(raised.value)
+    @pytest.mark.parametrize("scores, epsilon, expected", [
+        (SCORES, 1.0, [1.0, 0.0]),
+        ([1e308, 0.0], 1.0, [1.0, 0.0]),
+        ([-1e308, -1e308], 1.0, [0.5, 0.5]),
+        # the smallest budget PrivacyParams accepts: noise scale 4.9e306
+        (SCORES, 4.1e-307, [1.0, 0.0]),
+        ([0.0, -1.0], 4.1e-307, [0.5, 0.5]),
+    ])
+    def test_quadrature_table(self, family, scores, epsilon, expected):
+        table = rnm_exact_quadrature(make_instance(scores, epsilon=epsilon), family)
+        assert np.abs(np.subtract(table.probabilities, expected)).max() <= 1e-15
 
 
 class TestScoresBeyondTheNoiseScale:
-    """Scores [w, 0, w / 2] at eps 1, noise scale 2. From w = 1e18 the best
-    score's ulp (128) dwarfs the scale, no quadrature node lands on the
-    mass, and the integral is 0: a named error, with no RuntimeWarning
-    (pytest turns one into an error)."""
+    """Scores of large magnitude at eps 1, noise scale 2. Quadrature runs in
+    units of the noise scale, relative to the best score, so the scores'
+    ulp only enters through the gaps it leaves; pytest turns any
+    RuntimeWarning into an error, so these also check that none is
+    raised."""
 
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
-    @pytest.mark.parametrize("w", [1e18, 1e20, 1e100, 1e300])
-    def test_zero_integral_names_the_ulp_and_scale(self, family, w):
-        with pytest.raises(QuadratureNonConvergence, match="integrate to 0") as raised:
-            rnm_exact_quadrature(make_instance([w, 0.0, w / 2]), family)
-        assert f"ulp {math.ulp(w)!r}" in str(raised.value)
-        assert "noise scale 2.0" in str(raised.value)
-        assert raised.value.achieved_error == pytest.approx(1 / 3)
-
-    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
-    @pytest.mark.parametrize("w", [1e3, 1e10, 1e15, 1e17])
+    @pytest.mark.parametrize("w", [1e3, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e17,
+                                   1e18, 1e20, 1e100, 1e300])
     def test_table_where_the_nodes_meet_the_mass(self, family, w):
-        # the other two entries are below 1e-100 (w = 1e3)
+        # the other two entries are below 1e-100 (w = 1e3); from w = 1e18 the
+        # best score's ulp (128) dwarfs the noise scale, and from 1e11 to 1e14
+        # it is a sizeable fraction of it
         table = rnm_exact_quadrature(make_instance([w, 0.0, w / 2]), family)
         assert np.abs(np.subtract(table.probabilities, [1.0, 0.0, 0.0])).max() <= 1e-15
+
+    @pytest.mark.parametrize("w", [1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
+    def test_laplace_pair_far_above_a_third_score(self, w):
+        """[w, w - 1, 0]: two Laplace scores one apart at scale 2 win
+        1 - e^-0.5 * 1.25 / 2 and the rest; the third, w / 2 noise scales
+        below, almost never. One interval over the empty stretch between the
+        pair and the third would see no density and lose 15 % of the mass,
+        which renormalizing would hide (0.642531 for the best)."""
+        table = rnm_exact_quadrature(make_instance([w, w - 1.0, 0.0]), "laplace")
+        best = 1.0 - math.exp(-0.5) * 1.25 / 2.0
+        assert np.abs(np.subtract(table.probabilities, [best, 1.0 - best, 0.0])).max() <= 1e-9
 
 
 def keep_probabilities(inst):
@@ -469,6 +480,23 @@ class TestQuadrature:
             rnm_exact_quadrature(make_instance([1.2, -0.4, 0.3]), "laplace")
         achieved = raised.value.achieved_error
         assert math.isfinite(achieved) and achieved > 1e-300
+
+    def test_lost_mass_raises_naming_it(self, monkeypatch):
+        """A domain that ends at the upper tail's 1e-6 split leaves about
+        1e-6 of the mass out: far above the error estimate and the 8e-12
+        truncation allowed at k = 3, so the table is refused rather than
+        renormalized."""
+        whole = oracle._win_integrand
+
+        def cut_short(inst, kind):
+            integrand, edges = whole(inst, kind)
+            return integrand, edges[:-1]
+
+        monkeypatch.setattr(oracle, "_win_integrand", cut_short)
+        with pytest.raises(QuadratureNonConvergence, match="is missing") as raised:
+            rnm_exact_quadrature(make_instance([1.2, -0.4, 0.3]), "laplace")
+        missing = raised.value.achieved_error
+        assert 1e-7 < missing < 1e-5 and f"mass {missing:.3e} is missing" in str(raised.value)
 
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
     def test_k64_meets_target(self, family):
@@ -867,7 +895,24 @@ class TestChiSquareGof:
         result = chi_square_gof([100], expected, 0.001)
         assert result.statistic == 0.0
         assert result.degrees_of_freedom == 0
-        assert result.passed
+        assert result.passed and result.detectable_divergence is None
+
+    @pytest.mark.parametrize("dof, n, divergence", [(1, 10**6, 2.09e-5), (7, 10**5, 3.18e-4)])
+    def test_detectable_divergence(self, dof, n, divergence):
+        """At significance 1e-3 the test rejects a divergence
+        sum (p - q)^2 / q of this size with probability 0.9: at n times it,
+        scipy.stats' noncentral chi-square puts 0.9 of its mass above the
+        critical value."""
+        from scipy.stats import chi2, ncx2
+
+        cells = dof + 1
+        uniform = ProbabilityTable(tuple(f"o{i}" for i in range(cells)), (1 / cells,) * cells,
+                                   "exact-closed-form")
+        result = chi_square_gof([n // cells] * cells, uniform, 0.001)
+        assert result.degrees_of_freedom == dof
+        assert result.detectable_divergence == pytest.approx(divergence, rel=2e-3)
+        power = ncx2.sf(chi2.isf(0.001, dof), dof, n * result.detectable_divergence)
+        assert power == pytest.approx(0.9, abs=1e-9)
 
     def test_small_cells_pooled(self):
         # two tiny expected cells pool into one tail category: dof 2, not 3

@@ -43,6 +43,8 @@ def test_equivalence_experiment():
         assert row["worst_exact_tv"] <= 1e-8
         assert 0.0 <= row["chi_square_p_alg_a"] <= 1.0
         assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
+        assert 0.0 < row["detectable_divergence_alg_a"] < 1.0
+        assert 0.0 < row["detectable_divergence_alg_b"] < 1.0
 
 
 def test_equivalence_experiment_either_side_of_the_enumeration_limit():

@@ -69,15 +69,17 @@ class QualityVector:
 class PrivacyParams:
     """Privacy budget and quality-score sensitivity.
 
-    The two derived noise calibrations used throughout:
+    The two derived noise calibrations, one the inverse of the other:
 
       rate  = epsilon / (2 * sensitivity)   (exponential noise)
       scale = 2 * sensitivity / epsilon     (Laplace and Gumbel noise)
 
     A sensitivity of zero is rejected rather than treated as "no noise
-    needed", since every mechanism divides by it. DerivedScaleOverflow is
-    raised unless the largest noise draw of every family, 36.8 * scale,
-    is finite (epsilon below about 4.1e-307 at sensitivity 1 overflows).
+    needed", since every mechanism divides by it. The mechanisms draw
+    unit-scale noise and scale the scores by the rate instead, so only the
+    rate must be positive and finite; DerivedScaleOverflow is raised
+    otherwise (epsilon 5e-324 at sensitivity 1 gives rate 0). The scale
+    may overflow to inf at an accepted budget: nothing draws at it.
     """
 
     epsilon: float
@@ -95,10 +97,10 @@ class PrivacyParams:
             raise NonPositiveSensitivity(
                 f"sensitivity must be a positive finite real, got {sensitivity!r}"
             )
-        if not (0.0 < self.rate < math.inf and 0.0 < 36.8 * self.scale < math.inf):
+        if not 0.0 < self.rate < math.inf:
             raise DerivedScaleOverflow(
                 f"epsilon={epsilon!r} with sensitivity={sensitivity!r} gives "
-                f"noise rate {self.rate!r} and scale {self.scale!r}"
+                f"noise rate {self.rate!r}"
             )
 
     @property

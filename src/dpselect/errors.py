@@ -33,7 +33,7 @@ class NonPositiveSensitivity(ValidationError):
 
 class DerivedScaleOverflow(ValidationError):
     """epsilon / sensitivity combination pushes the derived noise
-    rate or scale outside the finite double range."""
+    rate, epsilon / (2 * sensitivity), to 0 or to inf."""
 
 
 class DuplicateLabel(ValidationError):

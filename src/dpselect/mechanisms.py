@@ -7,6 +7,11 @@ two reformulations of permute-and-flip (`intermediate_a`, `intermediate_b`)
 that bridge it to report-noisy-max with exponential noise and exist so the
 equivalence can be checked empirically.
 
+Every mechanism sees the scores only through log_weights, in units of the
+noise scale relative to the best: permute-and-flip's coins are its exp,
+and every sampler that adds noise adds a unit-scale draw to it and
+compares with 0, so no score's ulp can round the noise away.
+
 All mechanisms are pure functions of (instance, rng). Noisy-score ties have
 probability zero with continuous noise and can only arise here through
 floating-point coincidence; they break toward the smallest index.
@@ -32,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ValidatedInstance
-from .noise import Exponential, RngState, from_params, samples
+from .noise import NOISE_FAMILIES, RngState, samples
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,14 @@ def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
 
 def log_weights(inst: ValidatedInstance) -> np.ndarray:
     """Each outcome's gamma_i = rate * (q_i - max q) <= 0, the log of its
-    shifted weight. It is -inf (weight 0), with no overflow warning, where
-    q_i - max q overflows a double."""
-    with np.errstate(over="ignore"):
-        return inst.params.rate * (np.asarray(inst.quality.scores) - inst.quality.best_score)
+    shifted weight and its score in units of the noise scale, relative to
+    the best. The halved difference cannot overflow, and doubling it last
+    gives rate * (q_i - max q) bit for bit wherever that difference is
+    finite and gamma_i is normal or 0. It is -inf (weight 0) only where
+    gamma_i is below -DBL_MAX: a Python float overflows without a warning,
+    and at the usual k a list beats numpy's per-call overhead."""
+    rate, best = inst.params.rate, inst.quality.best_score
+    return np.array([rate * (0.5 * q - 0.5 * best) * 2.0 for q in inst.quality.scores])
 
 
 def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> SelectionResult:
@@ -70,7 +79,8 @@ def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> Selec
 
     kind selects the noise family: "exponential" (rate eps/(2*sensitivity),
     nonnegative noise), "laplace", or "gumbel" (both at scale
-    2*sensitivity/eps). The Gumbel variant draws from the same output
+    2*sensitivity/eps), drawn at unit scale and added to log_weights: the
+    same argmax. The Gumbel variant draws from the same output
     distribution as the exponential mechanism.
     """
     return _one_row(inst, _report_noisy_max_batch(inst, kind, rng, 1))
@@ -79,11 +89,11 @@ def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> Selec
 def _report_noisy_max_batch(
     inst: ValidatedInstance, kind: str, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch report_noisy_max: the row-wise first argmax of the scores plus
-    a rows x k matrix of independent noise draws of the given family."""
+    """Batch report_noisy_max: the row-wise first argmax of log_weights plus
+    a rows x k matrix of independent unit-scale draws of the given family."""
     k = len(inst.quality)
-    draws = samples(from_params(kind, inst.params), rng, rows * k).reshape(rows, k)
-    return np.argmax(np.asarray(inst.quality.scores) + draws, axis=1)
+    draws = samples(NOISE_FAMILIES[kind], rng, rows * k).reshape(rows, k)
+    return np.argmax(log_weights(inst) + draws, axis=1)
 
 
 def exponential_mechanism(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
@@ -118,13 +128,10 @@ def permute_and_flip(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     At least one outcome attains the maximum score and carries a
     probability-1 coin, so the walk always terminates.
     """
-    quality = inst.quality
-    rate = inst.params.rate
-    best = quality.best_score
-    for index in rng.permutation(len(quality)):
-        heads_probability = math.exp(rate * (quality.scores[index] - best))
-        if rng.uniform() < heads_probability:
-            return SelectionResult(index, quality.labels[index])
+    gamma = log_weights(inst).tolist()
+    for index in rng.permutation(len(gamma)):
+        if rng.uniform() < math.exp(gamma[index]):
+            return SelectionResult(index, inst.quality.labels[index])
     raise AssertionError("unreachable: the best outcome's coin has probability 1")
 
 
@@ -146,45 +153,39 @@ def _permute_and_flip_batch(
 def intermediate_a(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Coin-game reformulation of permute-and-flip.
 
-    Adds exponential noise to every score, keeps the outcomes whose noisy
-    score reaches the best true score, and returns a uniform pick among
-    them. The keep-set cannot be empty: exponential noise is nonnegative,
-    so a maximizing outcome always survives.
+    Adds unit-scale exponential noise to every log weight, keeps the
+    outcomes whose noisy value reaches the best true score's 0, and returns
+    a uniform pick among them. The keep-set cannot be empty: exponential
+    noise is nonnegative, so a maximizing outcome always survives.
     """
-    quality = inst.quality
-    best = quality.best_score
-    noisy = np.asarray(quality.scores) + samples(
-        Exponential(inst.params.rate), rng, len(quality)
-    )
-    kept = np.flatnonzero(noisy >= best)
+    gamma = log_weights(inst)
+    kept = np.flatnonzero(gamma + samples(NOISE_FAMILIES["exponential"], rng, len(gamma)) >= 0.0)
     assert kept.size > 0, "a maximizing outcome always survives"
     index = int(kept[rng.integers(kept.size)])
-    return SelectionResult(index, quality.labels[index])
+    return SelectionResult(index, inst.quality.labels[index])
 
 
 def _intermediate_a_batch(
     inst: ValidatedInstance, rng: RngState, rows: int
 ) -> np.ndarray:
     """Batch intermediate_a: per row, a uniform pick among the outcomes
-    whose exponentially-noised score reaches the best true score."""
-    quality = inst.quality
-    k = len(quality)
-    noise = samples(Exponential(inst.params.rate), rng, rows * k).reshape(rows, k)
-    kept = np.asarray(quality.scores) + noise >= quality.best_score
-    return _uniform_pick(kept, rng)
+    whose exponentially-noised log weight reaches 0, the best score's."""
+    k = len(inst.quality)
+    noise = samples(NOISE_FAMILIES["exponential"], rng, rows * k).reshape(rows, k)
+    return _uniform_pick(log_weights(inst) + noise >= 0.0, rng)
 
 
 def intermediate_b(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """Censored-noise reformulation bridging permute-and-flip to
     report-noisy-max with exponential noise.
 
-    Caps each exponentially-noised score at the best true score, draws a
-    second independent exponential tie-break draw for every outcome (even
-    those the cap later excludes, so a seeded draw always consumes two
-    draws per outcome, score noise and tie-break interleaved in index
-    order), and returns the first argmax of capped score plus tie-break
-    over the outcomes whose capped score hit the cap. A maximizing outcome
-    always hits the cap, so that set is never empty.
+    Caps each log weight plus unit-scale exponential noise at 0, the best
+    true score's, draws a second independent tie-break draw for every
+    outcome (even those the cap later excludes, so a seeded draw always
+    consumes two draws per outcome, score noise and tie-break interleaved
+    in index order), and returns the first argmax of capped value plus
+    tie-break over the outcomes whose capped value hit the cap. A
+    maximizing outcome always hits the cap, so that set is never empty.
     """
     return _one_row(inst, _intermediate_b_batch(inst, rng, 1))
 
@@ -192,15 +193,13 @@ def intermediate_b(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
 def _intermediate_b_batch(
     inst: ValidatedInstance, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch intermediate_b: per row, the first argmax of capped score plus
-    tie-break, with the outcomes below the cap masked out."""
-    quality = inst.quality
-    k = len(quality)
-    best = quality.best_score
-    draws = samples(Exponential(inst.params.rate), rng, rows * 2 * k).reshape(rows, 2 * k)
-    capped = np.minimum(best, np.asarray(quality.scores) + draws[:, 0::2])
-    # below the cap an outcome keeps capped < best <= every candidate's value
-    return np.argmax(capped + draws[:, 1::2] * (capped == best), axis=1)
+    """Batch intermediate_b: per row, the first argmax of capped log weight
+    plus tie-break, with the outcomes below the cap masked out."""
+    k = len(inst.quality)
+    draws = samples(NOISE_FAMILIES["exponential"], rng, rows * 2 * k).reshape(rows, 2 * k)
+    capped = np.minimum(0.0, log_weights(inst) + draws[:, 0::2])
+    # below the cap an outcome keeps capped < 0 <= every candidate's value
+    return np.argmax(capped + draws[:, 1::2] * (capped == 0.0), axis=1)
 
 
 # noisy-max mechanism name -> noise family; the single source for both

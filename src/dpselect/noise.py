@@ -10,7 +10,9 @@ true value is already 0.
 
 Exponential noise is parameterized by its rate (inverse of its scale);
 Laplace and Gumbel noise by their scale. Keeping the two conventions
-explicit avoids the classic rate/scale inversion bug.
+explicit avoids the classic rate/scale inversion bug. The mechanisms use
+only the unit-scale members in NOISE_FAMILIES: they add noise to the
+scores in units of the noise scale, so no draw is ever scaled.
 
 Sampling is inverse-CDF from a single uniform draw per sample, so every
 stream is reproducible from its seed and directly checkable against the
@@ -21,11 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-
-from .core import PrivacyParams
 
 # Smallest nonzero value the uniform stream can produce; substituting it for
 # an exact 0.0 draw keeps the log-based quantiles finite.
@@ -107,20 +107,13 @@ class Gumbel:
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]
 
-# noise family -> its calibration for a budget: exponential noise at rate
-# epsilon/(2*sensitivity), Laplace or Gumbel noise at scale 2*sensitivity/epsilon
-NOISE_FAMILIES: dict[str, Callable[[PrivacyParams], NoiseKind]] = {
-    "exponential": lambda params: Exponential(params.rate),
-    "laplace": lambda params: Laplace(params.scale),
-    "gumbel": lambda params: Gumbel(params.scale),
+# noise family -> its unit-scale member, the noise every mechanism and the
+# quadrature route add to the scores in units of the noise scale
+NOISE_FAMILIES: dict[str, NoiseKind] = {
+    "exponential": Exponential(1.0),
+    "laplace": Laplace(1.0),
+    "gumbel": Gumbel(1.0),
 }
-
-
-def from_params(family: str, params: PrivacyParams) -> NoiseKind:
-    """The NOISE_FAMILIES calibration of a family for a given budget."""
-    if family not in NOISE_FAMILIES:
-        raise ValueError(f"unknown noise family {family!r}; expected one of {tuple(NOISE_FAMILIES)}")
-    return NOISE_FAMILIES[family](params)
 
 
 class RngState:

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PrivacyParams, ProbabilityTable, ValidatedInstance
+from .core import ProbabilityTable, ValidatedInstance
 from .errors import (
     AllCategoriesMerged,
     LabelMismatch,
@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedOracle,
 )
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
-from .noise import Exponential, Laplace, RngState, from_params
+from .noise import NOISE_FAMILIES, Exponential, Laplace, RngState
 
 # Each entry of an rnm-expo enumeration table sums the 2^(k-1) subsets that
 # contain it, directly or, above 14 outcomes, regrouped through two halves:
@@ -369,7 +369,9 @@ def _win_integrand(inst: ValidatedInstance, kind: str):
     starts at 0, below which the best outcome's factor is 0. Tails split at
     _TAIL_SPLITS above 0 and, but for exponential noise, above the
     domain's lowest x; Laplace noise also at each x_i, its kinks."""
-    noise = from_params(kind, PrivacyParams(2.0, 1.0))  # rate = scale = 1
+    if kind not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {kind!r}; expected one of {tuple(NOISE_FAMILIES)}")
+    noise = NOISE_FAMILIES[kind]
     x = log_weights(inst)
     masses = np.array([_TAIL_MASS, *_TAIL_SPLITS])
     (bottom, *lower), (hi, *upper) = (noise.quantile(m).tolist() for m in (masses, 1.0 - masses))

@@ -30,9 +30,9 @@ def run_python(*args, **env):
     )
 
 
-# the smallest epsilon PrivacyParams accepts at sensitivity 1: its noise
-# draws, up to 36.8 * scale in magnitude, stay below the largest double
-SMALLEST_EPSILON = 4.094135899653251e-307
+# the smallest epsilon PrivacyParams accepts at sensitivity 1: its rate,
+# epsilon / 2, is the smallest subnormal, 5e-324, where 5e-324 / 2 rounds to 0
+SMALLEST_EPSILON = 1e-323
 
 
 def make_instance(scores, epsilon=1.0, sensitivity=1.0, labels=None):

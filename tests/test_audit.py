@@ -102,6 +102,18 @@ class TestLogSpaceAudit:
         assert math.log(report.worst_ratio) == pytest.approx(0.70, abs=1e-12)
 
     @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_pair_whose_score_gap_overflows_passes(self, oracle):
+        # q - max q overflows a double on both sides, but the log weights
+        # rate * (q - max q) are -37.42 and -38.25: a log gap of
+        # rate * 4e306 = 0.8333 for the second outcome, inside eps = 1
+        q1, q2 = (8.98e307, -8.98e307), (9.18e307, -9.18e307)
+        params = PrivacyParams(1.0, 2.4e306)
+        report = privacy_ratio_audit(oracle, [pair(q1, q2)], params)
+        assert report.passed
+        assert report.per_pair[0].worst_outcome_label == "o1"
+        assert abs(report.worst_ratio - math.exp(params.rate * 4e306)) <= 1e-9
+
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
     def test_probability_below_1e_320_gets_a_finite_gap(self, oracle):
         q1, q2 = (0.0, -3.0, -800.0), (0.0, -3.0, -800.5)
         log_p = LOG_ORACLES[oracle]([make_instance(q, epsilon=2.0) for q in (q1, q2)])

@@ -80,12 +80,18 @@ class TestPrivacyParams:
         assert abs(p.rate * p.scale - 1.0) <= 1e-12
 
     def test_budget_whose_noise_overflows_rejected(self):
-        # scale 1e308: a draw of 36.8 * scale would be inf
+        # eps 5e-324 gives rate 5e-324 / 2, which rounds to 0; eps 1e308 at
+        # sensitivity 5e-324 gives rate 1e308 / 1e-323, which overflows
         with pytest.raises(DerivedScaleOverflow):
-            PrivacyParams(2e-308, 1.0)
+            PrivacyParams(5e-324, 1.0)
+        with pytest.raises(DerivedScaleOverflow):
+            PrivacyParams(1e308, 5e-324)
 
     def test_smallest_accepted_budget(self):
-        assert math.isfinite(36.8 * PrivacyParams(SMALLEST_EPSILON, 1.0).scale)
+        # the noise is drawn at unit scale, so only the rate must be positive
+        # and finite; the scale of 2e323 is inf
+        assert PrivacyParams(SMALLEST_EPSILON, 1.0).rate == 5e-324
+        assert PrivacyParams(2e-308, 1.0).rate == 1e-308
         with pytest.raises(DerivedScaleOverflow):
             PrivacyParams(math.nextafter(SMALLEST_EPSILON, 0.0), 1.0)
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dpselect import (
     MECHANISMS,
     Exponential,
+    Gumbel,
+    Laplace,
     RngState,
     em_exact_distribution,
     chi_square_gof,
@@ -20,7 +22,8 @@ from dpselect import (
     samples,
 )
 from dpselect.core import ProbabilityTable
-from dpselect.noise import from_params
+from dpselect.mechanisms import log_weights
+from dpselect.noise import NOISE_FAMILIES
 
 from helpers import SMALLEST_EPSILON, instances, make_instance
 
@@ -195,22 +198,38 @@ class TestScoreRangeBeyondDoubles:
         assert {MECHANISMS[name](inst, RngState(seed)).index for seed in range(20)} == {0}
 
 
+class TestLogWeights:
+    @given(inst=instances())
+    @settings(max_examples=200, deadline=None)
+    def test_rate_times_gap_bit_for_bit_where_normal(self, inst):
+        # halving before the subtraction changes no bit where the plain
+        # gamma is 0 or a normal double, so no seeded draw changes there
+        scores = np.asarray(inst.quality.scores)
+        reference = inst.params.rate * (scores - scores.max())
+        normal = (reference == 0.0) | (np.abs(reference) >= np.finfo(float).tiny)
+        assert log_weights(inst)[normal].tolist() == reference[normal].tolist()
+
+
 class TestSmallestBudget:
-    """At the smallest epsilon PrivacyParams accepts, noise draws come
-    within 0.2 % of the largest double and stay finite, so noisy max over
-    equal scores stays uniform. pytest turns an overflow RuntimeWarning
+    """Every mechanism draws unit-scale noise, whatever the budget, so at
+    the smallest epsilon PrivacyParams accepts (rate 5e-324, scale inf) and
+    at 2e-308 (scale 1e308) the draws stay finite and every sampler stays
+    uniform over equal scores. pytest turns an overflow RuntimeWarning
     into an error."""
 
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
     def test_noise_draws_finite(self, family):
-        noise = from_params(family, make_instance([0.0], epsilon=SMALLEST_EPSILON).params)
+        noise = NOISE_FAMILIES[family]
+        assert noise == {"exponential": Exponential(1.0), "laplace": Laplace(1.0),
+                         "gumbel": Gumbel(1.0)}[family]
         extremes = noise.quantile(np.array([2.0**-53, 0.5, 1.0 - 2.0**-53]))
         assert np.isfinite(extremes).all()
         assert np.isfinite(samples(noise, RngState(5), 10**5)).all()
 
-    @pytest.mark.parametrize("name", ["rnm-expo", "rnm-laplace", "rnm-gumbel", "alg-b"])
-    def test_equal_scores_stay_uniform(self, name):
-        inst = make_instance([0.0] * 4, epsilon=SMALLEST_EPSILON)
+    @pytest.mark.parametrize("epsilon", [SMALLEST_EPSILON, 2e-308])
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_equal_scores_stay_uniform(self, name, epsilon):
+        inst = make_instance([0.0] * 4, epsilon=epsilon)
         counts = empirical_counts(name, inst, 40000, seed=11)
         uniform = ProbabilityTable(inst.quality.labels, [0.25] * 4, "uniform")
         assert chi_square_gof(counts, uniform, 0.001).passed

@@ -117,8 +117,10 @@ class TestScoreRangeBeyondDoubles:
 
     @pytest.mark.parametrize("name", ["em", "pf", "rnm-expo"])
     def test_log_tables(self, name):
+        # the true log-probability rate * (q - max q) at rate 0.5: the gap
+        # overflows, the log weight does not
         (log_p,) = LOG_ORACLES[name]([make_instance(self.SCORES)])
-        assert log_p.tolist() == [0.0, -math.inf]
+        assert log_p.tolist() == [0.0, -1e308]
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     def test_batch_counts(self, name):
@@ -137,6 +139,18 @@ class TestScoreRangeBeyondDoubles:
         table = rnm_exact_quadrature(make_instance(scores, epsilon=epsilon), family)
         assert np.abs(np.subtract(table.probabilities, expected)).max() <= 1e-15
 
+    @pytest.mark.parametrize("route", [
+        pf_exact_distribution,
+        rnm_expo_exact_distribution,
+        lambda inst: rnm_exact_quadrature(inst, "exponential"),
+    ])
+    def test_tables_at_noise_scale_1e308(self, route):
+        # eps 2e-308, rate 1e-308: the second score's log weight is -2, so
+        # the table is [1 - e^-2 / 2, e^-2 / 2] = [0.9323323584, 0.0676676416]
+        table = route(make_instance(self.SCORES, epsilon=2e-308))
+        expected = [1.0 - math.exp(-2.0) / 2.0, math.exp(-2.0) / 2.0]
+        assert np.abs(np.subtract(table.probabilities, expected)).max() <= 1e-12
+
 
 class TestScoresBeyondTheNoiseScale:
     """Scores of large magnitude at eps 1, noise scale 2. Quadrature runs in
@@ -154,6 +168,21 @@ class TestScoresBeyondTheNoiseScale:
         # it is a sizeable fraction of it
         table = rnm_exact_quadrature(make_instance([w, 0.0, w / 2]), family)
         assert np.abs(np.subtract(table.probabilities, [1.0, 0.0, 0.0])).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    @pytest.mark.parametrize("scores", [
+        [1e16, 1e16], [1e20, 1e20, 0.0], [1e16, 1e16 - 2.0, 1e16 - 4.0],
+    ])
+    def test_samplers_keep_noise_the_ulp_rivals(self, name, scores):
+        """The scores' ulp, 2 at 1e16 and 16384 at 1e20, rivals or dwarfs
+        the noise scale: noise added to the raw scores would be rounded
+        away, picking the first of two tied scores about two times in
+        three at 1e16 and always at 1e20."""
+        inst = make_instance(scores)
+        counts = empirical_counts(name, inst, 40_000, seed=19)
+        assert chi_square_gof(counts, SAMPLING_REFERENCES[name](inst), 0.001).passed
+        tied = {i for i, s in enumerate(scores) if s == max(scores)}
+        assert {MECHANISMS[name](inst, RngState(seed)).index for seed in range(40)} >= tied
 
     @pytest.mark.parametrize("w", [1e4, 1e5, 1e6, 1e7, 1e8, 1e9])
     def test_laplace_pair_far_above_a_third_score(self, w):

@@ -151,8 +151,7 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
             f"distribution covers {dist.labels!r}, instance has "
             f"{inst.quality.labels!r}"
         )
-    best = inst.quality.best_score
-    return _expected_loss(dist.probabilities, [best - s for s in inst.quality.scores])
+    return _expected_loss(dist.probabilities, inst.quality)
 
 
 def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
@@ -160,32 +159,33 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     exponential mechanism per instance; count instances where
     permute-and-flip comes out worse beyond the 1e-9 slack. Both errors of
     every instance come from one batched pf_log_tables call and one
-    em_log_tables call, at every k. An outcome of probability 0 adds no
-    error, also where its loss overflows to inf; an error that is still
-    not finite raises ValueError. An empty suite is rejected: it would
-    pass without checking anything."""
+    em_log_tables call, at every k. An error above DBL_MAX raises
+    ValueError. An empty suite is rejected: it would pass without checking
+    anything."""
     if len(instances) == 0:
         raise ValueError("need at least one instance")
     records = []
     violations = 0
     tables = zip(instances, pf_log_tables(instances), em_log_tables(instances))
     for instance_id, (inst, log_pf, log_em) in enumerate(tables):
-        best = inst.quality.best_score
-        loss = [best - s for s in inst.quality.scores]
-        error_pf = _expected_loss(np.exp(log_pf).tolist(), loss)
-        error_em = _expected_loss(np.exp(log_em).tolist(), loss)
+        error_pf = _expected_loss(np.exp(log_pf).tolist(), inst.quality)
+        error_em = _expected_loss(np.exp(log_em).tolist(), inst.quality)
         if not (math.isfinite(error_pf) and math.isfinite(error_em)):
             raise ValueError(f"instance {instance_id}: expected error pf {error_pf!r}, "
-                             f"em {error_em!r} is not finite; a score gap overflows")
+                             f"em {error_em!r} is not finite")
         if error_pf > error_em + DOMINANCE_TOLERANCE:
             violations += 1
         records.append(UtilityRecord(instance_id, error_pf, error_em))
     return UtilityReport(per_instance=tuple(records), dominance_violations=violations)
 
 
-def _expected_loss(probabilities: Sequence[float], losses: Sequence[float]) -> float:
-    # an outcome of probability 0 adds 0, also where its loss overflows to inf
-    return math.fsum(p * loss for p, loss in zip(probabilities, losses) if p)
+def _expected_loss(probabilities: Sequence[float], quality: QualityVector) -> float:
+    """sum_i p_i * (max q - q_i) over the halved losses, which cannot
+    overflow, doubled last: the same bits as the plain sum wherever every
+    loss is finite and normal, and inf only for an error above DBL_MAX."""
+    half_best = 0.5 * quality.best_score
+    halves = (p * (half_best - 0.5 * s) for p, s in zip(probabilities, quality.scores))
+    return 2.0 * math.fsum(halves)
 
 
 def random_instances(

@@ -42,7 +42,7 @@ class QualityVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        object.__setattr__(self, "scores", tuple(self.scores))
         if len(self.scores) == 0:
             raise EmptyOutcomeSet("a quality vector needs at least one outcome")
         if len(self.labels) != len(self.scores):
@@ -52,9 +52,15 @@ class QualityVector:
             if label in seen:
                 raise DuplicateLabel(f"label {label!r} appears more than once")
             seen.add(label)
+        scores = []
         for label, score in zip(self.labels, self.scores):
-            if not math.isfinite(score):
-                raise NonFiniteScore(f"score for {label!r} is {score!r}")
+            try:
+                scores.append(float(score))
+            except OverflowError:  # an integer beyond the double range
+                raise NonFiniteScore(f"score for {label!r} overflows a double") from None
+            if not math.isfinite(scores[-1]):
+                raise NonFiniteScore(f"score for {label!r} is {scores[-1]!r}")
+        object.__setattr__(self, "scores", tuple(scores))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -69,17 +75,11 @@ class QualityVector:
 class PrivacyParams:
     """Privacy budget and quality-score sensitivity.
 
-    The two derived noise calibrations, one the inverse of the other:
-
-      rate  = epsilon / (2 * sensitivity)   (exponential noise)
-      scale = 2 * sensitivity / epsilon     (Laplace and Gumbel noise)
-
-    A sensitivity of zero is rejected rather than treated as "no noise
-    needed", since every mechanism divides by it. The mechanisms draw
-    unit-scale noise and scale the scores by the rate instead, so only the
-    rate must be positive and finite; DerivedScaleOverflow is raised
-    otherwise (epsilon 5e-324 at sensitivity 1 gives rate 0). The scale
-    may overflow to inf at an accepted budget: nothing draws at it.
+    The mechanisms add unit-scale noise to the scores times the rate,
+    epsilon / (2 * sensitivity), so the rate must be positive and finite;
+    DerivedScaleOverflow is raised otherwise (epsilon 5e-324 at sensitivity
+    1 gives rate 0). A sensitivity of zero is rejected rather than treated
+    as "no noise needed", since the rate divides by it.
     """
 
     epsilon: float
@@ -106,10 +106,6 @@ class PrivacyParams:
     @property
     def rate(self) -> float:
         return self.epsilon / (2.0 * self.sensitivity)
-
-    @property
-    def scale(self) -> float:
-        return 2.0 * self.sensitivity / self.epsilon
 
 
 @dataclass(frozen=True)

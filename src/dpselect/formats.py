@@ -64,7 +64,7 @@ def quality_vector_from_dict(obj: Any) -> QualityVector:
     _object(obj, "quality vector", {"labels": "list", "scores": "list"})
     labels = _list_of("string", obj, "labels")
     scores = _list_of("number", obj, "scores")
-    return QualityVector(tuple(labels), tuple(float(s) for s in scores))
+    return QualityVector(tuple(labels), tuple(scores))
 
 
 def load_quality_vector(path: str | Path) -> QualityVector:

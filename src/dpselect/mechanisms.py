@@ -77,11 +77,10 @@ def log_weights(inst: ValidatedInstance) -> np.ndarray:
 def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> SelectionResult:
     """Add one independent noise draw per score, return the argmax.
 
-    kind selects the noise family: "exponential" (rate eps/(2*sensitivity),
-    nonnegative noise), "laplace", or "gumbel" (both at scale
-    2*sensitivity/eps), drawn at unit scale and added to log_weights: the
-    same argmax. The Gumbel variant draws from the same output
-    distribution as the exponential mechanism.
+    kind selects the noise family, "exponential", "laplace" or "gumbel",
+    whose unit law is added to log_weights: the scores in units of the
+    noise scale 2*sensitivity/eps. The Gumbel variant draws from the same
+    output distribution as the exponential mechanism.
     """
     return _one_row(inst, _report_noisy_max_batch(inst, kind, rng, 1))
 

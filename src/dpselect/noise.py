@@ -1,18 +1,14 @@
 """The three noise distributions used by the selection mechanisms, and a
 seedable sampler for them.
 
-Each family is one class that owns its formulas: `quantile` (the inverse
-CDF), `cdf` and `pdf`. All three are numpy, so one formula serves a float
-and an array: the quadrature integrand evaluates every outcome's factor in
-one call. Arguments are clamped so that no `exp` overflows, even far
-outside the support: the Gumbel formulas stop at |t| = 700, where the
-true value is already 0.
-
-Exponential noise is parameterized by its rate (inverse of its scale);
-Laplace and Gumbel noise by their scale. Keeping the two conventions
-explicit avoids the classic rate/scale inversion bug. The mechanisms use
-only the unit-scale members in NOISE_FAMILIES: they add noise to the
-scores in units of the noise scale, so no draw is ever scaled.
+Each family is one parameter-free class that owns the formulas of its unit
+law: `quantile` (the inverse CDF), `cdf` and `pdf`. The mechanisms and the
+quadrature route add this noise to the scores in units of the noise scale,
+gamma = rate * (q - max q), so no draw is ever scaled. All formulas are
+numpy, so one serves a float and an array: the quadrature integrand
+evaluates every outcome's factor in one call. Arguments are clamped so
+that no `exp` overflows, even far outside the support: the Gumbel formulas
+stop at |x| = 700, where the true value is already 0.
 
 Sampling is inverse-CDF from a single uniform draw per sample, so every
 stream is reproducible from its seed and directly checkable against the
@@ -21,7 +17,6 @@ analytic CDF.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,87 +27,62 @@ import numpy as np
 _U_FLOOR = 2.0 ** -53
 
 
-def _set_positive_finite(obj, field: str) -> None:
-    """Store obj.field as a float, rejecting anything not positive and finite."""
-    value = float(getattr(obj, field))
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{field} must be positive and finite, got {value!r}")
-    object.__setattr__(obj, field, value)
-
-
 @dataclass(frozen=True)
 class Exponential:
-    """Nonnegative noise, density rate * exp(-rate * x) for x >= 0."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        _set_positive_finite(self, "rate")
+    """Nonnegative noise, density exp(-x) for x >= 0."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        return -np.log1p(-u) / self.rate
+        return -np.log1p(-u)
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        return -np.expm1(-self.rate * np.maximum(x, 0.0))
+        return -np.expm1(-np.maximum(x, 0.0))
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
+        return np.where(x < 0.0, 0.0, np.exp(-np.maximum(x, 0.0)))
 
 
 @dataclass(frozen=True)
 class Laplace:
-    """Symmetric noise, density exp(-|x| / scale) / (2 * scale)."""
-
-    scale: float
-
-    def __post_init__(self) -> None:
-        _set_positive_finite(self, "scale")
+    """Symmetric noise, density exp(-|x|) / 2."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        # scale * log(2u) below 0.5 and -scale * log(2(1 - u)) from it, bit for
-        # bit with no branch: 1 - u is exact there, and u = 0.5 gives -0.0
-        return -np.copysign(self.scale * np.log(2.0 * np.minimum(u, 1.0 - u)), 0.5 - u)
+        # log(2u) below 0.5 and -log(2(1 - u)) from it, bit for bit with no
+        # branch: 1 - u is exact there, and u = 0.5 gives -0.0
+        return -np.copysign(np.log(2.0 * np.minimum(u, 1.0 - u)), 0.5 - u)
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        # |x| / -scale is x / scale below 0 and -x / scale above, bit for bit
-        tail = 0.5 * np.exp(np.abs(x) / -self.scale)
+        tail = 0.5 * np.exp(-np.abs(x))
         return np.where(x < 0.0, tail, 1.0 - tail)
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        return np.exp(np.abs(x) / -self.scale) / (2.0 * self.scale)
+        return np.exp(-np.abs(x)) / 2.0
 
 
 @dataclass(frozen=True)
 class Gumbel:
-    """Max-stable noise, density exp(-x/scale - exp(-x/scale)) / scale."""
-
-    scale: float
-
-    def __post_init__(self) -> None:
-        _set_positive_finite(self, "scale")
+    """Max-stable noise, density exp(-x - exp(-x))."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        return -self.scale * np.log(-np.log(u))
+        return -np.log(-np.log(u))
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        # exp(t) would overflow from t = 710; the CDF is already 0 at t = 700
-        t = np.minimum(-x / self.scale, 700.0)
-        return np.exp(-np.exp(t))
+        # exp(-x) would overflow from x = -710; the CDF is already 0 at -700
+        return np.exp(-np.exp(np.minimum(-x, 700.0)))
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        # exp(-t) would overflow from t = -710; the density is already 0 at -700
-        t = np.maximum(x / self.scale, -700.0)
-        return np.exp(-t - np.exp(-t)) / self.scale
+        # exp(-x) would overflow from x = -710; the density is already 0 at -700
+        t = np.maximum(x, -700.0)
+        return np.exp(-t - np.exp(-t))
 
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]
 
-# noise family -> its unit-scale member, the noise every mechanism and the
-# quadrature route add to the scores in units of the noise scale
+# noise family -> its unit law, the noise every mechanism and the quadrature
+# route add to the scores in units of the noise scale
 NOISE_FAMILIES: dict[str, NoiseKind] = {
-    "exponential": Exponential(1.0),
-    "laplace": Laplace(1.0),
-    "gumbel": Gumbel(1.0),
+    "exponential": Exponential(),
+    "laplace": Laplace(),
+    "gumbel": Gumbel(),
 }
 
 

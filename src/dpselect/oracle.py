@@ -334,7 +334,7 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     adaptive quadrature of P(i) = integral of f(v - x_i) prod_{j != i} F(v - x_j)
     over _win_integrand's domain, with f and F the family's unit-scale
     noise and x = log_weights(inst): a table depends on the scores only
-    through rate * (q - max q), since the scale is 1 / rate.
+    through rate * (q - max q), since the noise scale is 1 / rate.
 
     _adaptive_gk21 integrates all k entries at once, with an error estimate
     that bounds every entry. QuadratureNonConvergence is raised if that

@@ -206,19 +206,14 @@ def test_criterion_8_sampler_correctness():
     start = time.perf_counter()
     ok = True
     details = []
-    kinds = [
-        Exponential(0.5), Exponential(1.0), Exponential(2.0),
-        Laplace(0.5), Laplace(1.0), Laplace(2.0),
-        Gumbel(0.5), Gumbel(1.0), Gumbel(2.0),
-    ]
-    for i, kind in enumerate(kinds):
-        draws = samples(kind, RngState(800 + i), 100_000)
+    for kind, seed in ((Exponential(), 801), (Laplace(), 804), (Gumbel(), 807)):
+        draws = samples(kind, RngState(seed), 100_000)
         result = stats.kstest(draws, kind.cdf)
         if result.pvalue < 0.001:
             ok = False
             details.append(f"KS failed for {kind!r} (p={result.pvalue:.2e})")
 
-    memoryless = Exponential(1.0)
+    memoryless = Exponential()
     draws = samples(memoryless, RngState(888), 400_000)
     for s, t in ((0.5, 0.5), (1.0, 2.0)):
         beyond = draws[draws > s]
@@ -232,7 +227,7 @@ def test_criterion_8_sampler_correctness():
     check(
         "criterion 8 (KS tests and exponential memorylessness)",
         ok,
-        "; ".join(details) if details else f"9 KS tests + 2 memorylessness checks, {elapsed:.1f}s",
+        "; ".join(details) if details else f"3 KS tests + 2 memorylessness checks, {elapsed:.1f}s",
     )
 
 

@@ -24,7 +24,6 @@ from dpselect.errors import (
     UnsupportedOracle,
 )
 
-from dpselect import audit
 from dpselect.oracle import LOG_ORACLES
 
 from helpers import instances, make_instance
@@ -183,6 +182,16 @@ class TestExpectedError:
     def test_nonnegative(self, inst):
         assert expected_error(inst, pf_exact_distribution(inst)) >= 0.0
 
+    @given(inst=instances(k_min=1, k_max=6))
+    @settings(max_examples=40, deadline=None)
+    def test_same_bits_as_the_plain_sum(self, inst):
+        # halving every loss and doubling the sum is exact here: every loss
+        # and every product is finite and normal or 0
+        table = pf_exact_distribution(inst)
+        best = inst.quality.best_score
+        plain = math.fsum(p * (best - s) for p, s in zip(table.probabilities, inst.quality.scores))
+        assert expected_error(inst, table) == plain
+
     @pytest.mark.parametrize("shift", [-250.0, 250.0])
     def test_shift_invariant(self, shift):
         scores = [1.3, -0.7, 0.2]
@@ -249,12 +258,25 @@ class TestDominance:
         one_hot = ProbabilityTable(inst.quality.labels, (1.0, 0.0), "one-hot")
         assert expected_error(inst, one_hot) == 0.0
 
-    def test_error_not_finite_is_rejected(self, monkeypatch):
-        # a positive probability on an infinite loss is no verdict, never a pass
-        monkeypatch.setattr(audit, "em_log_tables",
-                            lambda suite: [np.log([0.5, 0.5]) for _ in suite])
+    def test_error_whose_loss_overflows_is_finite(self):
+        # eps 2e-308, rate 1e-308: the second outcome wins with probability
+        # e^-2 / 2 under pf and 1 / (1 + e^2) under em, at a loss of 2e308,
+        # which overflows a double while both expected errors do not
+        inst = make_instance([1e308, -1e308], epsilon=2e-308)
+        record = dominance_check([inst]).per_instance[0]
+        for got, want in [(record.expected_error_pf, math.exp(-2.0) / 2.0 * 2e308),
+                          (record.expected_error_em, 2e308 / (1.0 + math.exp(2.0)))]:
+            assert abs(got - want) <= 1e-12 * want
+        assert expected_error(inst, pf_exact_distribution(inst)) == record.expected_error_pf
+        assert expected_error(inst, em_exact_distribution(inst)) == record.expected_error_em
+
+    def test_error_not_finite_is_rejected(self):
+        # eps 1e-320: the nine outcomes 3.4e308 below the best win with
+        # probability about 0.9, an expected error above DBL_MAX; that is no
+        # verdict, never a pass
+        inst = make_instance([1.7e308] + [-1.7e308] * 9, epsilon=1e-320)
         with pytest.raises(ValueError, match="not finite"):
-            dominance_check([make_instance([1e308, -1e308])])
+            dominance_check([inst])
 
     def test_empty_suite_rejected(self):
         # an empty suite would report zero violations without checking anything

@@ -350,6 +350,19 @@ class TestUtility:
         assert record["expected_error_em"] == 0.0
         assert record["pass"] is True
 
+    def test_score_gap_beyond_double_range_at_noise_scale_1e308(self, capsys, tmp_path):
+        # the loss 2e308 overflows, the expected errors e^-2 / 2 * 2e308
+        # (pf) and 2e308 / (1 + e^2) (em) do not
+        path = tmp_path / "far.json"
+        path.write_text('{"labels": ["a", "b"], "scores": [1e308, -1e308]}')
+        code, record, err = run(
+            capsys, "utility", "--epsilon", "2e-308", "--sensitivity", "1", "--scores", str(path),
+        )
+        assert (code, err) == (0, "")
+        assert record["expected_error_pf"] == pytest.approx(1.35335283e307, rel=1e-8)
+        assert record["expected_error_em"] == pytest.approx(2.38405844e307, rel=1e-8)
+        assert record["pass"] is True
+
     def test_random_suite(self, capsys, tmp_path):
         out = tmp_path / "utility.json"
         code, record, _ = run(
@@ -423,6 +436,18 @@ class TestExitCodeContract:
             "--sensitivity", "1", "--seed", "-4", "--scores", scores_file,
         )
         assert code == 2
+
+    def test_integer_score_beyond_double_range_exits_two(self, capsys, tmp_path):
+        scores = {"labels": ["a", "b"], "scores": [10**400, 0]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scores))
+        pairs = tmp_path / "huge_pairs.json"
+        pairs.write_text(json.dumps({"pairs": [{"q1": scores, "q2": scores}]}))
+        for argv in (["select", "--scores", str(path)], ["audit", "--pairs", str(pairs)]):
+            code, record, err = run(capsys, *argv, "--mechanism", "pf", "--epsilon", "1",
+                                    "--sensitivity", "1")
+            assert (code, record) == (2, None)
+            assert "NonFiniteScore" in err
 
     def test_bad_flags_exit_two(self, capsys):
         assert main(["select"]) == 2

@@ -40,7 +40,6 @@ class TestValidateInstance:
     def test_derived_rate(self):
         inst = make_instance([1.0, 0.0], epsilon=2.0, sensitivity=1.0)
         assert inst.params.rate == 1.0
-        assert inst.params.scale == 1.0
 
     def test_zero_epsilon_rejected(self):
         with pytest.raises(NonPositiveEpsilon):
@@ -65,6 +64,11 @@ class TestValidateInstance:
         with pytest.raises(NonFiniteScore):
             QualityVector(("a", "b"), (0.0, bad))
 
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_integer_beyond_double_range_rejected(self, bad):
+        with pytest.raises(NonFiniteScore, match="'b'"):
+            QualityVector(("a", "b"), (0, bad))
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabel):
             QualityVector(("a", "a"), (0.0, 1.0))
@@ -75,9 +79,9 @@ class TestPrivacyParams:
         epsilon=st.floats(min_value=1e-6, max_value=1e6),
         sensitivity=st.floats(min_value=1e-6, max_value=1e6),
     )
-    def test_rate_times_scale_is_one(self, epsilon, sensitivity):
+    def test_rate_is_epsilon_over_twice_the_sensitivity(self, epsilon, sensitivity):
         p = PrivacyParams(epsilon, sensitivity)
-        assert abs(p.rate * p.scale - 1.0) <= 1e-12
+        assert abs(p.rate * (2.0 * sensitivity) / epsilon - 1.0) <= 1e-12
 
     def test_budget_whose_noise_overflows_rejected(self):
         # eps 5e-324 gives rate 5e-324 / 2, which rounds to 0; eps 1e308 at
@@ -89,7 +93,7 @@ class TestPrivacyParams:
 
     def test_smallest_accepted_budget(self):
         # the noise is drawn at unit scale, so only the rate must be positive
-        # and finite; the scale of 2e323 is inf
+        # and finite
         assert PrivacyParams(SMALLEST_EPSILON, 1.0).rate == 5e-324
         assert PrivacyParams(2e-308, 1.0).rate == 1e-308
         with pytest.raises(DerivedScaleOverflow):

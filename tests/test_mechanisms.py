@@ -212,16 +212,16 @@ class TestLogWeights:
 
 class TestSmallestBudget:
     """Every mechanism draws unit-scale noise, whatever the budget, so at
-    the smallest epsilon PrivacyParams accepts (rate 5e-324, scale inf) and
-    at 2e-308 (scale 1e308) the draws stay finite and every sampler stays
-    uniform over equal scores. pytest turns an overflow RuntimeWarning
-    into an error."""
+    the smallest epsilon PrivacyParams accepts (rate 5e-324, noise scale
+    inf) and at 2e-308 (noise scale 1e308) the draws stay finite and every
+    sampler stays uniform over equal scores. pytest turns an overflow
+    RuntimeWarning into an error."""
 
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
     def test_noise_draws_finite(self, family):
         noise = NOISE_FAMILIES[family]
-        assert noise == {"exponential": Exponential(1.0), "laplace": Laplace(1.0),
-                         "gumbel": Gumbel(1.0)}[family]
+        assert noise == {"exponential": Exponential(), "laplace": Laplace(),
+                         "gumbel": Gumbel()}[family]
         extremes = noise.quantile(np.array([2.0**-53, 0.5, 1.0 - 2.0**-53]))
         assert np.isfinite(extremes).all()
         assert np.isfinite(samples(noise, RngState(5), 10**5)).all()
@@ -290,11 +290,10 @@ class TestSeededReplay:
         rng = RngState(seed)
         result = intermediate_a(inst, rng)
         reference = RngState(seed)
-        noise = samples(Exponential(inst.params.rate), reference, 3)
-        noisy = [s + n for s, n in zip(inst.quality.scores, noise)]
-        best = inst.quality.best_score
-        assert noisy[result.index] >= best
-        kept = [i for i, v in enumerate(noisy) if v >= best]
+        noise = samples(Exponential(), reference, 3)
+        noisy = [g + n for g, n in zip(log_weights(inst), noise)]
+        assert noisy[result.index] >= 0.0
+        kept = [i for i, v in enumerate(noisy) if v >= 0.0]
         assert result.index == kept[reference.integers(len(kept))]
         self.assert_same_position(rng, reference)
 
@@ -306,12 +305,11 @@ class TestSeededReplay:
         result = intermediate_b(inst, rng)
         reference = RngState(seed)
         # score noise and tie-break for every outcome, even those below the cap
-        draws = samples(Exponential(inst.params.rate), reference, 2 * k)
+        draws = samples(Exponential(), reference, 2 * k)
         self.assert_same_position(rng, reference)
-        best = inst.quality.best_score
-        capped = [min(best, s + draws[2 * i]) for i, s in enumerate(inst.quality.scores)]
-        assert capped[result.index] == best
-        survivors = [i for i in range(k) if capped[i] == best]
+        capped = [min(0.0, g + draws[2 * i]) for i, g in enumerate(log_weights(inst))]
+        assert capped[result.index] == 0.0
+        survivors = [i for i in range(k) if capped[i] == 0.0]
         assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
 
 

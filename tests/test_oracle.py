@@ -545,6 +545,36 @@ class TestQuadrature:
         assert np.allclose(quad.probabilities, closed.probabilities, atol=1e-9, rtol=0)
 
 
+class TestQuadratureGolden:
+    """Quadrature tables pinned bit for bit: per family and k, a digest of
+    the tables of one random instance at each of eps 0.1, 1 and 4 and of k
+    ties; at k = 2 also [1e308, -1e308] at eps 2e-308, where the noise
+    scale is 1e308."""
+
+    DIGESTS = {
+        "exponential": {2: "4ad29adc9a1647b6", 5: "1b90f47a73b46020",
+                        16: "cb91b0aaa9c2ca1c", 64: "799298a31a87356d"},
+        "laplace": {2: "5ef18ed667f4633f", 5: "8b4c51fdebd33e1f",
+                    16: "6c829b08e965fb15", 64: "49d0ee744b6679df"},
+        "gumbel": {2: "ec04dc4de9af1354", 5: "bfc370bcbac58d53",
+                   16: "909b2882aa8dc7e4", 64: "871f8a22e301b21b"},
+    }
+
+    @pytest.mark.parametrize("k", [2, 5, 16, 64])
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_tables_unchanged(self, family, k):
+        suite = [
+            *(random_instances(1, eps, 1.0, k_min=k, k_max=k, seed=k)[0]
+              for eps in (0.1, 1.0, 4.0)),
+            make_instance([0.0] * k),
+            *([make_instance([1e308, -1e308], epsilon=2e-308)] if k == 2 else []),
+        ]
+        digest = hashlib.sha256()
+        for inst in suite:
+            digest.update(np.array(rnm_exact_quadrature(inst, family).probabilities).tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[family][k]
+
+
 class TestGaussKronrod:
     """The quadrature route's integrator: QUADPACK's 21-point Gauss-Kronrod
     rule, in numpy, refined by bisecting each round every interval with at

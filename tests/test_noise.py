@@ -6,8 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from dpselect import Exponential, Gumbel, Laplace, RngState, quantile, samples
+from dpselect import (
+    Exponential,
+    Gumbel,
+    Laplace,
+    ProbabilityTable,
+    RngState,
+    chi_square_gof,
+    em_exact_distribution,
+    empirical_counts,
+    pf_exact_distribution,
+    quantile,
+    rnm_exact_quadrature,
+    rnm_expo_exact_distribution,
+    samples,
+)
 from dpselect.noise import NOISE_FAMILIES
+
+from helpers import make_instance
 
 ALL_KINDS = [
     pytest.param(Exponential(), id="exponential"),
@@ -236,3 +252,56 @@ class TestUnitLaws:
         assert type(kind)() == kind and type(kind).__name__.lower() == family
         with pytest.raises(TypeError):
             type(kind)(2.0)
+
+
+# the runner-up's win probability between two outcomes t noise scales apart:
+# the chance that the difference of two unit draws exceeds t
+RUNNER_UP_WINS = {
+    "exponential": lambda t: 0.5 * math.exp(-t),
+    "laplace": lambda t: 0.5 * math.exp(-t) * (1.0 + t / 2.0),
+    "gumbel": lambda t: 1.0 / (1.0 + math.exp(t)),
+}
+
+# each route from a two-outcome instance to a table: (noise family, route,
+# stated error bound)
+SCALE_ROUTES = {
+    "pf-exact": ("exponential", pf_exact_distribution, 1e-12),
+    "rnm-expo-exact": ("exponential", rnm_expo_exact_distribution, 1e-12),
+    "em-exact": ("gumbel", em_exact_distribution, 1e-12),
+    **{f"quadrature-{family}": (family, lambda inst, f=family: rnm_exact_quadrature(inst, f),
+                                1e-9) for family in ("exponential", "laplace", "gumbel")},
+}
+
+
+class TestNoiseScale:
+    """The families are unit laws: the noise scale b = 2 * sensitivity / eps
+    enters only through gamma = (q - max q) / b. So two outcomes 1.5 noise
+    scales apart get the same table at every scale, from b = 1e-300 (rate
+    1e300) to b = 1.7e308 (a subnormal rate); a rate that divided where it
+    should multiply would pull the runner-up to 0 or to 1/2."""
+
+    GAP = 1.5
+    SCALES = [1e-300, 0.5, 1.0, 2.7, 3.0, 1.7e308]
+
+    def instance(self, scale):
+        half = 0.5 * self.GAP * scale
+        return make_instance([half, -half], epsilon=2.0 / scale)
+
+    def table(self, family):
+        p = RUNNER_UP_WINS[family](self.GAP)
+        return ProbabilityTable(("o0", "o1"), (1.0 - p, p), "closed-form")
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("route", sorted(SCALE_ROUTES))
+    def test_table_depends_on_the_gap_in_noise_scales(self, route, scale):
+        family, fn, bound = SCALE_ROUTES[route]
+        got = fn(self.instance(scale)).probabilities
+        want = self.table(family).probabilities
+        assert np.abs(np.subtract(got, want)).max() <= bound, (got, want)
+
+    @pytest.mark.parametrize("scale", [1e-300, 2.7, 1.7e308])
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_sampler_follows_the_law_at_every_scale(self, family, scale):
+        name = {"exponential": "rnm-expo", "laplace": "rnm-laplace", "gumbel": "rnm-gumbel"}
+        counts = empirical_counts(name[family], self.instance(scale), 20_000, seed=20)
+        assert chi_square_gof(counts, self.table(family), 0.001).passed

@@ -9,8 +9,8 @@ two reformulation mechanisms against the exact permute-and-flip table and
 the test's power: the smallest divergence sum (p - q)^2 / q it rejects
 with probability 0.9.
 Permute-and-flip's table comes from its coin-game DP. Report-noisy-max's
-comes from its enumeration up to ENUMERATION_LIMIT outcomes and from
-exponential-noise quadrature above; each row names that route.
+comes from table_for's exact route: its enumeration up to ENUMERATION_LIMIT
+outcomes and exponential-noise quadrature above; each row names that route.
 """
 
 from __future__ import annotations
@@ -24,18 +24,14 @@ from dpselect import (
     empirical_counts,
     pf_exact_distribution,
     random_instances,
-    rnm_exact_quadrature,
-    rnm_expo_exact_distribution,
+    table_for,
     tv_distance,
 )
 from dpselect.errors import ValidationError
-from dpselect.oracle import ENUMERATION_LIMIT, QUADRATURE_LIMIT
+from dpselect.oracle import QUADRATURE_LIMIT
 
-# report-noisy-max's exact table by route
-RNM_EXPO_ROUTES = {
-    "enumeration": rnm_expo_exact_distribution,
-    "quadrature": lambda inst: rnm_exact_quadrature(inst, "exponential"),
-}
+# the route of report-noisy-max's exact table, by its provenance
+ROUTE_BY_PROVENANCE = {"exact-closed-form": "enumeration", "quadrature": "quadrature"}
 
 
 def main() -> None:
@@ -68,11 +64,10 @@ def main() -> None:
             suite = random_instances(
                 args.instances, epsilon, 1.0, k_min=k, k_max=k, seed=args.seed
             )
-            route = "enumeration" if k <= ENUMERATION_LIMIT else "quadrature"
-            worst_tv = max(
-                tv_distance(pf_exact_distribution(inst), RNM_EXPO_ROUTES[route](inst))
-                for inst in suite
-            )
+            pairs = [(pf_exact_distribution(inst), table_for("rnm-expo", inst, "exact"))
+                     for inst in suite]
+            worst_tv = max(tv_distance(pf, rnm) for pf, rnm in pairs)
+            (route,) = {ROUTE_BY_PROVENANCE[rnm.provenance] for _, rnm in pairs}
             probe = suite[0]
             reference = pf_exact_distribution(probe)
             gof = {}

@@ -108,6 +108,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "tv_distance": tv,
                 "tolerance": args.tolerance,
                 "pass": passed,
+                "provenances": [table.provenance for table in tables],
             }
         )
         return 0 if passed else 3
@@ -134,6 +135,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             },
             "significance": args.significance,
             "pass": gof.passed,
+            "provenances": [empirical.provenance, reference.provenance],
         }
     )
     return 0 if gof.passed else 3

@@ -21,15 +21,9 @@ to 20 outcomes and with exponential-noise quadrature above. The DP and the
 enumeration share no code, so a bug in one cannot hide in the other.
 Summation order per index is fixed, making results reproducible bit for
 bit. table_for is the one place that maps a mechanism and a mode to its
-route.
-
-A fourth route, LOG_ORACLES, gives natural-log tables of whole batches:
-the paper's one-integral identity for permute-and-flip and report-noisy-max
-with exponential noise, by Gauss-Legendre, and a log-softmax for the
-exponential mechanism. Log tables cannot underflow, so privacy_ratio_audit
-and dominance_check use this route at every k. The other routes remain
-its independent cross-checks; no equivalence check uses it, since it is
-the very identity the equivalence proves.
+route. LOG_ORACLES gives batches of natural-log tables, which cannot
+underflow, to privacy_ratio_audit and dominance_check: the same DP for pf
+and rnm-expo, and a log-softmax for em.
 
 Only chi_square_gof uses scipy (scipy.special), and it imports it when
 called: every other route, and every CLI command that runs no
@@ -38,7 +32,6 @@ goodness-of-fit test, starts without it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -124,7 +117,7 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     coin is kept and the pick then lands on it among 1 + S_-i kept coins,
     where S_-i counts the other kept outcomes, so
 
-        P(i) = p_i * E[1 / (1 + S_-i)] = p_i * pre_i^T H suf_(i+1),
+        P(i) = p_i * E_i,  E_i = E[1 / (1 + S_-i)] = pre_i^T H suf_(i+1),
 
     with pre_i the count law of coins 0..i-1, suf_(i+1) that of coins
     i+1..k-1, and H[s, t] = 1 / (1 + s + t). A count law takes one coin at
@@ -133,33 +126,52 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     g_(i-1)[s] = g_i[s] * (1 - p_i) + g_i[s + 1] * p_i, exact for s < i,
     the only counts pre_(i-1) can take. Every term is nonnegative, so
     nothing cancels, and ties, p = 1, p = 0 and subnormal p need no special
-    case. The k - 1 steps fill pre and g (g stored reversed, so both shift
-    the same way) in 2k^2 doubles, 1 MiB at k = 256, and the row products
-    pre_i * g_i are summed in chunks of at most BATCH_ELEMENTS values, so
-    memory peaks below 2k^2 + 2 * BATCH_ELEMENTS doubles. Tested
-    bounds: within 1e-15 of the coin game in exact rationals (k <= 8),
-    within 1e-10 of the exact table (k <= 20), within 1e-15 of
-    pf_log_tables (k 21-256) and within exponential quadrature's 1e-9
-    target (k 32-256). Above QUADRATURE_LIMIT outcomes, where these stop
-    being tested, it raises TooManyOutcomesForEnumeration.
+    case. Memory peaks below 2k^2 + 2 * BATCH_ELEMENTS doubles: _coin_game's
+    2k(k + 1), 1 MiB at k = 256, and row products pre_i * g_i summed in
+    chunks of BATCH_ELEMENTS / 2, which numpy buffers at most twice over.
+    Tested bounds: within 1e-15 of the coin game in exact rationals
+    (k <= 8, 21-64), 1e-10 of the exact table (k <= 20) and exponential
+    quadrature's 1e-9 target (k 32-256). Above QUADRATURE_LIMIT outcomes,
+    where these stop being tested, it raises TooManyOutcomesForEnumeration.
     """
     k = len(inst.quality)
-    _check_outcome_count(k, QUADRATURE_LIMIT, "the coin-game DP")
     p = np.exp(log_weights(inst))
-    pre, g = np.zeros((2, k, k))  # row n: pre_n, and g_(k-1-n) reversed
-    pre[0, 0] = 1.0  # no coin yet: a count of 0
-    g[0] = 1.0 / np.arange(k, 0, -1)
-    coins = p.tolist()
-    for n in range(1, k):
-        for law, coin in ((pre, coins[n - 1]), (g, coins[k - n])):
-            np.multiply(law[n - 1], 1.0 - coin, out=law[n])
-            law[n, 1:] += coin * law[n - 1, :-1]
-    g = g[::-1, ::-1]  # row i: g_i
-    out = np.empty(k)
-    step = max(1, BATCH_ELEMENTS // k)
-    for a in range(0, k, step):
-        out[a : a + step] = (pre[a : a + step] * g[a : a + step]).sum(axis=1)
+    pre, g = (law[:, 0] for law in _coin_game(p[None]))  # row i: pre_i, g_i
+    step = max(1, BATCH_ELEMENTS // (2 * k))
+    out = np.concatenate([(pre[a : a + step] * g[a : a + step]).sum(axis=1)
+                          for a in range(0, k, step)])
     return ProbabilityTable(inst.quality.labels, (p * out).tolist(), "exact-poisson-binomial")
+
+
+def _coin_game(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pf_exact_distribution's DP for rows p (rows, width) of keep
+    probabilities, padded with p = 0 coins, which are never kept. Returns
+    pre and g, (width, rows, width) each: pre[i, r] is row r's pre_i and
+    g[i, r] its g_i. Both live in one (width + 1, 2, rows, width) array, g's
+    counts reversed so both shift alike: a step's multiply writes law *
+    (1 - p) to its slot and law * p to the next, which its add shifts in.
+
+    Rounding bound (u = 2^-53): values are sums over paths of nonnegative
+    products, with one rounding per operation on a path. Keeping a count
+    rounds 1 - p (exact for p >= 1/2, by Sterbenz), the product and the
+    sum; shifting it, two. So pre_i[s] takes at most 3i - s, g_i[s]
+    1 + 3(k - 1 - i), their product 1, a pad coin 0, and the sum from count
+    i down to 0 in pf_log_tables s + 1 (i at s = i): at most 3k per path.
+    So E_i is within 3ku / (1 - 3ku) relative, plus under 10k^2 * 2^-1075
+    from underflow (5k^2 products, none amplified twofold), negligible as
+    E_i >= 1/k: within (3k + 1) u up to QUADRATURE_LIMIT.
+    """
+    rows, width = p.shape
+    _check_outcome_count(width, QUADRATURE_LIMIT, "the coin-game DP")
+    laws = np.zeros((width + 1, 2, rows, width))
+    # pre_0: no coin yet, a count of 0; g_(width-1) = H[:, 0], reversed
+    laws[0, 0, :, 0], laws[0, 1] = 1.0, 1.0 / np.arange(width, 0, -1)
+    # step n: pre takes coin n - 1 and g coin width - n
+    coins = np.stack((p[:, :-1].T, p[:, :0:-1].T), axis=1)[..., None]
+    for n, factor in enumerate(np.stack((1.0 - coins, coins), axis=1), 1):
+        np.multiply(laws[n - 1], factor, out=laws[n : n + 2])
+        np.add(laws[n, ..., 1:], laws[n + 1, ..., :-1], out=laws[n, ..., 1:])
+    return laws[:width, 0], laws[width - 1 :: -1, 1, :, ::-1]
 
 
 def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
@@ -244,81 +256,33 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-closed-form")
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre nodes and weights on [0, 1]: Newton's
-    method on the roots of P_m, evaluated with P_m' by the three-term
-    recurrence, from the usual cosine guesses."""
-    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
-    step = np.ones(m)
-    for _ in range(100):
-        p, prev = np.ones(m), np.zeros(m)
-        for j in range(1, m + 1):
-            p, prev = ((2 * j - 1) * x * p - (j - 1) * prev) / j, p
-        dp = m * (x * p - prev) / (x * x - 1.0)
-        if np.abs(step).max() < 1e-15:
-            break  # dp is taken at the converged nodes
-        step = p / dp
-        x = x - step
-    nodes, weights = 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
-    return nodes, weights
-
-
 def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
-    """Natural-log output tables of permute-and-flip, the same law as
-    report-noisy-max with exponential noise, for a batch of instances.
-
-    With gamma_i = rate * (q_i - max q) and e_i = exp(gamma_i), the paper's
-    identity is P(i) = e_i * I_i with I_i = integral over [0, 1] of
-    prod_{j != i} (1 - e_j t) dt in [1/k, 1], so log P(i) = gamma_i + log I_i
-    cannot underflow; a true zero is -inf. Gauss-Legendre with k // 2 + 1
-    nodes integrates the degree-(k - 1) integrand exactly. Each node's
-    leave-one-out product is exp(total - own) over the terms log1p(-e_j t),
-    never a division by a factor that can be 0. Round-off above 0 is cut.
-
-    The batch runs in one numpy pass over a (rows, nodes, k) array, padded
-    to the largest k with e_j = 0 (a factor of 1) and to its node count with
-    zero weights, in chunks of at most BATCH_ELEMENTS values and at least one
-    row. Each row keeps its own k // 2 + 1 nodes, and every sum runs left to
-    right, so a table is the same bit for bit alone or in any batch. Above
-    QUADRATURE_LIMIT outcomes, where the bounds below stop being tested, it
-    raises TooManyOutcomesForEnumeration. Tested bounds: within 2e-15 of
-    pf_exact_distribution (k <= 20) and 1e-15 of it (k 21-256), within
-    exponential quadrature's 1e-9 target (k 32-256), and a sum within 1e-13
-    of 1 up to k = 256.
+    """Natural-log tables of permute-and-flip, the same law as
+    report-noisy-max with exponential noise, for a batch: log P(i) =
+    gamma_i + log E_i, gamma_i = rate * (q_i - max q), with E_i in [1/k, 1]
+    and within (3k + 1) u relative (see _coin_game): no entry underflows, a
+    true zero is -inf, round-off above 0 is cut. Rows run in order of k,
+    padded, at most BATCH_ELEMENTS // 3k^2 (laws and products) and at least
+    one per chunk. E_i sums from count k - 1 down to 0, the order of the
+    bound, strictly left to right, adding pads' exact zeros, so a table is
+    the same bit for bit alone or in any batch. It raises
+    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes.
     """
     gammas = [log_weights(inst) for inst in instances]
-    chunks: list[list[int]] = []
-    # in order of k, so a chunk is as wide as its last row
-    for row in sorted(range(len(gammas)), key=lambda r: len(gammas[r])):
-        k = len(gammas[row])
-        _check_outcome_count(k, QUADRATURE_LIMIT, "the log-space identity")
-        if not chunks or (len(chunks[-1]) + 1) * (k // 2 + 1) * k > BATCH_ELEMENTS:
-            chunks.append([])
-        chunks[-1].append(row)
-    tables: list = [None] * len(gammas)
-    for chunk in chunks:
-        log_p = _pf_log_pass([gammas[r] for r in chunk])
+    order = sorted(range(len(gammas)), key=lambda r: len(gammas[r]))
+    tables = {}
+    while order:  # the widest rows first, so a chunk is as wide as its last row
+        width = len(gammas[order[-1]])
+        rows = max(1, BATCH_ELEMENTS // (3 * width * width))
+        chunk, order = order[-rows:], order[:-rows]
+        gamma = np.full((len(chunk), width), -np.inf)
         for i, r in enumerate(chunk):
-            tables[r] = log_p[i, : len(gammas[r])]
-    return tables
-
-
-def _pf_log_pass(gammas: list[np.ndarray]) -> np.ndarray:
-    """pf_log_tables' pass over rows in order of k, padded to the last one's
-    k with e_j = 0 and to its node count with t = w = 0: exact zeros that
-    every sum adds after a row's own terms."""
-    width = len(gammas[-1])
-    gamma = np.full((len(gammas), width), -np.inf)
-    t, w = np.zeros((2, len(gammas), width // 2 + 1))
-    for i, g in enumerate(gammas):
-        gamma[i, : len(g)] = g
-        t[i, : len(g) // 2 + 1], w[i, : len(g) // 2 + 1] = _legendre_nodes(len(g) // 2 + 1)
-    own = np.log1p(-t[:, :, None] * np.exp(gamma)[:, None, :])
-    total = np.add.accumulate(own, axis=2)[:, :, -1:]
-    integral = np.add.accumulate(w[:, :, None] * np.exp(total - own), axis=1)[:, -1]
-    return np.minimum(gamma + np.log(integral), 0.0)
+            gamma[i, : len(gammas[r])] = gammas[r]
+        pre, g = _coin_game(np.exp(gamma))
+        means = np.add.accumulate(pre[..., ::-1] * g[..., ::-1], axis=-1)[..., -1]
+        log_p = np.minimum(gamma + np.log(means.T), 0.0)
+        tables.update((r, log_p[i, : len(gammas[r])]) for i, r in enumerate(chunk))
+    return [tables[r] for r in range(len(gammas))]
 
 
 def em_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
@@ -667,12 +631,16 @@ def table_for(
     mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
 ) -> ProbabilityTable:
     """A mechanism's output table by one of three routes: "exact" (its
-    EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
+    EXACT_ORACLES entry, but for rnm-expo above ENUMERATION_LIMIT outcomes
+    exponential quadrature, never the pf DP, whose agreement with it is the
+    claim under test), "quadrature" (rnm_exact_quadrature with its
     RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
     seeded draws). Any other pair raises UnsupportedOracle, as
     require_route does."""
     require_route(mechanism, mode)
     if mode == "exact":
+        if mechanism == "rnm-expo" and len(inst.quality) > ENUMERATION_LIMIT:
+            return rnm_exact_quadrature(inst, "exponential")
         return EXACT_ORACLES[mechanism](inst)
     if mode == "quadrature":
         return rnm_exact_quadrature(inst, RNM_FAMILIES[mechanism])

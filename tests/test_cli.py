@@ -158,6 +158,34 @@ class TestCompare:
         assert code == 0
         assert record["tv_distance"] <= 1e-8
         assert record["pass"] is True
+        assert record["provenances"] == ["exact-poisson-binomial", "exact-closed-form"]
+
+    def test_pf_vs_rnm_expo_beyond_enumeration(self, capsys, tmp_path):
+        """At k = 256 exact mode takes rnm-expo's table from exponential
+        quadrature, never from the pf DP it is compared with."""
+        path = tmp_path / "scores256.json"
+        path.write_text(json.dumps({"labels": [f"o{i}" for i in range(256)],
+                                    "scores": [(37 * i % 256) / 25.6 - 5 for i in range(256)]}))
+        code, record, _ = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
+            "--epsilon", "1", "--sensitivity", "1", "--scores", str(path),
+        )
+        assert code == 0
+        assert record["tv_distance"] <= 1e-8
+        assert record["pass"] is True
+        assert record["provenances"] == ["exact-poisson-binomial", "quadrature"]
+
+    def test_pf_vs_rnm_expo_beyond_outcome_limit_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "scores257.json"
+        path.write_text(json.dumps({"labels": [f"o{i}" for i in range(257)],
+                                    "scores": [0.0] * 257}))
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
+            "--epsilon", "1", "--sensitivity", "1", "--scores", str(path),
+        )
+        assert code == 2
+        assert record is None
+        assert "TooManyOutcomesForEnumeration" in err and "256" in err
 
     def test_pf_vs_em_rejected_with_pinned_gap(self, capsys, scores_file):
         code, record, _ = run(
@@ -185,6 +213,7 @@ class TestCompare:
         assert code == 0
         assert record["chi_square"]["pass"] is True
         assert 0.0 <= record["chi_square"]["p_value"] <= 1.0
+        assert record["provenances"] == ["empirical(n=20000,seed=5)", "exact-closed-form"]
 
     def test_empirical_mode_counts_match_direct_chi_square(self, capsys, scores_file):
         code, record, _ = run(

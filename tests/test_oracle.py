@@ -34,7 +34,8 @@ from dpselect.errors import (
 from dpselect import oracle
 from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, LOG_ORACLES
 
-from helpers import instances, make_instance
+from dpselect.mechanisms import log_weights
+from helpers import instances, make_instance, rational_coin_game
 
 EXACT_FNS = [pf_exact_distribution, rnm_expo_exact_distribution, em_exact_distribution]
 
@@ -403,15 +404,17 @@ class TestPfBeyondEnumeration:
         quad = rnm_exact_quadrature(inst, "exponential").probabilities
         assert np.abs(np.subtract(table, quad)).max() <= oracle.QUADRATURE_TARGET
 
-    @pytest.mark.parametrize("k", [21, 32, 64, 100, 128, 200, 256])
+    @pytest.mark.parametrize("k", [21, 32, 64])
     @pytest.mark.parametrize("epsilon", [0.01, 0.1, 1.0, 8.0])
-    def test_within_1e_15_of_log_tables(self, k, epsilon):
-        """Against the paper's identity by Gauss-Legendre: within 1e-15 per
-        entry. Measured: 4.4e-16."""
+    def test_within_1e_15_of_rational_coin_game(self, k, epsilon):
+        """Against the coin game in exact rationals, P(i) = p_i * E_i by
+        rational_coin_game from the same float p_i: within 1e-15 per entry.
+        Measured: 2.6e-16. CI runs the same comparison at k = 128."""
         inst = _spread_instance(k, epsilon, seed=k + 1)
-        (log_p,) = oracle.pf_log_tables([inst])
+        p = np.exp(log_weights(inst))
         table = pf_exact_distribution(inst).probabilities
-        assert np.abs(np.exp(log_p) - table).max() <= 1e-15
+        exact = [Fraction(float(p_i)) * e for p_i, e in zip(p, rational_coin_game(p))]
+        assert max(abs(Fraction(x) - e) for x, e in zip(table, exact, strict=True)) <= 1e-15
 
     @pytest.mark.parametrize("scores", [
         pytest.param([0.0] * 256, id="k256-ties"),
@@ -430,7 +433,7 @@ class TestPfBeyondEnumeration:
 
     def test_k256_peaks_below_stated_memory(self):
         """The docstring's bound: below 2k^2 + 2 * BATCH_ELEMENTS doubles,
-        1.3 MiB at k = 256. Measured: 1.2 MB."""
+        1.3 MiB at k = 256. Measured: 1.26 MB."""
         inst = _spread_instance(256, 1.0, seed=3)
         pf_exact_distribution(inst)
         tracemalloc.start()
@@ -641,9 +644,9 @@ def random_spread_instances(count, seed, k_min=1, k_max=20):
 
 
 class TestLogTables:
-    """The fourth route: log tables from the paper's identity (pf and
-    rnm-expo) and the log-softmax (em), each held to a stated bound against
-    an independent route."""
+    """LOG_ORACLES: log tables from the coin-game DP (pf and rnm-expo) and
+    the log-softmax (em), each held to a stated bound against an
+    independent route."""
 
     def test_pf_within_2e_15_of_enumeration(self):
         """Over 200 random instances (k 1-20, eps 0.01-8) every entry is
@@ -717,40 +720,22 @@ class TestLogTables:
             assert np.array_equal(table, fn([inst])[0])
 
     def test_chunks_stay_within_batch_elements(self, monkeypatch):
-        """Each numpy pass holds at most BATCH_ELEMENTS values of its (rows,
-        nodes, k) array, or a single row."""
+        """Each _coin_game call holds at most BATCH_ELEMENTS values of its
+        laws and products, 3 width^2 per row, or a single row."""
         shapes = []
-        one_pass = oracle._pf_log_pass
+        coin_game = oracle._coin_game
 
-        def recording(gammas):
-            width = len(gammas[-1])
-            shapes.append((len(gammas), width // 2 + 1, width))
-            return one_pass(gammas)
+        def recording(p):
+            shapes.append(p.shape)
+            return coin_game(p)
 
-        monkeypatch.setattr(oracle, "_pf_log_pass", recording)
+        monkeypatch.setattr(oracle, "_coin_game", recording)
         batch = random_spread_instances(300, seed=304, k_min=15, k_max=40)
         batch.append(make_instance([0.0] * 256))
         oracle.pf_log_tables(batch)
-        assert sum(rows for rows, _, _ in shapes) == len(batch)
+        assert sum(rows for rows, _ in shapes) == len(batch)
         assert len(shapes) > 2
-        assert all(rows * nodes * k <= BATCH_ELEMENTS or rows == 1 for rows, nodes, k in shapes)
-
-    def test_newton_nodes_match_leggauss(self):
-        """Nodes and weights on [0, 1] agree with numpy's leggauss, mapped,
-        within 2e-14 for 1 to 129 nodes (measured: 9.6e-15, most of it
-        leggauss's own weight error), and integrate t^d exactly up to
-        degree 2m - 1."""
-        from numpy.polynomial.legendre import leggauss
-
-        for m in range(1, 130):
-            t, w = oracle._legendre_nodes(m)
-            x, weights = leggauss(m)
-            order = np.argsort(t)
-            assert np.abs(2.0 * t[order] - 1.0 - x).max() <= 2e-14
-            assert np.abs(2.0 * w[order] - weights).max() <= 2e-14
-            degrees = np.arange(2 * m)
-            moments = (w[:, None] * t[:, None] ** degrees).sum(axis=0)
-            assert np.abs(moments - 1.0 / (degrees + 1)).max() <= 1e-14
+        assert all(rows * 3 * width**2 <= BATCH_ELEMENTS or rows == 1 for rows, width in shapes)
 
     def test_true_zero_is_minus_infinity(self):
         # rate * (q - max q) = 5e299 * -1e10 leaves the double range
@@ -766,6 +751,60 @@ class TestLogTables:
     def test_dispatch_table_keyed_like_exact_oracles(self):
         assert set(oracle.LOG_ORACLES) == set(oracle.EXACT_ORACLES)
         assert oracle.LOG_ORACLES["pf"] is oracle.LOG_ORACLES["rnm-expo"]
+
+
+def dp_means(inst):
+    """_coin_game's E_i for one instance, summed as pf_log_tables sums them:
+    left to right from count k - 1 down to 0."""
+    pre, g = oracle._coin_game(np.exp(log_weights(inst))[None])
+    return np.add.accumulate(pre[..., ::-1] * g[..., ::-1], axis=-1)[:, 0, -1]
+
+
+def mean_errors(means, inst):
+    """Each mean's relative error against rational_coin_game."""
+    exact = rational_coin_game(np.exp(log_weights(inst)))
+    return [abs(Fraction(float(m)) - e) / e for m, e in zip(means, exact, strict=True)]
+
+
+def rounding_bound(k):
+    """_coin_game's stated bound on E_i, (3k + 1) u relative."""
+    return Fraction(3 * k + 1, 2**53)
+
+
+ROUNDING_CASES = [
+    pytest.param(make_instance([0.0]), id="k1"),
+    pytest.param(make_instance([0.0] * 64), id="k64-ties"),
+    pytest.param(make_instance(np.linspace(0.0, -1.0, 64)), id="k64-every-p-above-half"),
+    pytest.param(underflow_instance(21), id="k21-underflow"),
+    pytest.param(make_instance([0.0, -744.9, -745.6, -800.0, -1000.0, -3.0], epsilon=2.0),
+                 id="below-double-range"),
+    *(pytest.param(_inst, id=f"eps{epsilon}-k{len(_inst.quality)}")
+      for epsilon in (0.01, 1.0, 8.0)
+      for _inst in random_instances(3, epsilon, 1.0, k_min=2, k_max=64, seed=47)),
+]
+
+
+class TestCoinGameRoundingBound:
+    """_coin_game's stated bound, E_i within (3k + 1) u relative of the coin
+    game with the same float p_i, against rational_coin_game up to k = 64."""
+
+    @pytest.mark.parametrize("inst", ROUNDING_CASES)
+    def test_log_tables_read_these_means_bit_for_bit(self, inst):
+        (log_p,) = oracle.pf_log_tables([inst])
+        expected = np.minimum(log_weights(inst) + np.log(dp_means(inst)), 0.0)
+        assert np.array_equal(log_p, expected)
+
+    @pytest.mark.parametrize("inst", ROUNDING_CASES)
+    def test_means_within_stated_bound(self, inst):
+        """Measured: at most 9.6e-16 relative, and at most a tenth of the
+        bound, which is 2.1e-14 at k = 64."""
+        assert max(mean_errors(dp_means(inst), inst)) <= rounding_bound(len(inst.quality))
+
+    def test_injected_error_of_twice_the_bound_is_caught(self):
+        inst = _spread_instance(64, 1.0, seed=5)
+        bound = rounding_bound(64)
+        injected = dp_means(inst) * (1.0 + 2.0 * float(bound))
+        assert all(error > bound for error in mean_errors(injected, inst))
 
 
 def _spread_instance(k, epsilon, seed):

@@ -3,14 +3,13 @@
 exponential-noise noisy-max output distributions are, exactly and by
 simulation.
 
-Prints one JSON row per (epsilon, k) cell: worst exact TV distance across
-the cell's instances, plus the chi-square p-value of sampled runs of the
-two reformulation mechanisms against the exact permute-and-flip table and
-the test's power: the smallest divergence sum (p - q)^2 / q it rejects
-with probability 0.9.
-Permute-and-flip's table comes from its coin-game DP. Report-noisy-max's
-comes from table_for's exact route: its enumeration up to ENUMERATION_LIMIT
-outcomes and exponential-noise quadrature above; each row names that route.
+Prints one JSON row per (epsilon, k) cell: the worst TV distance across
+the cell's instances between permute-and-flip's coin-game DP and each of
+report-noisy-max's two routes, its exact Gauss-Legendre table and
+exponential-noise quadrature, plus the chi-square p-value of sampled runs
+of the two reformulation mechanisms against the exact permute-and-flip
+table and the test's power: the smallest divergence sum (p - q)^2 / q it
+rejects with probability 0.9.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from dpselect import (
     empirical_counts,
     pf_exact_distribution,
     random_instances,
-    table_for,
+    rnm_exact_quadrature,
+    rnm_expo_exact_distribution,
     tv_distance,
 )
 from dpselect.errors import ValidationError
 from dpselect.oracle import QUADRATURE_LIMIT
-
-# the route of report-noisy-max's exact table, by its provenance
-ROUTE_BY_PROVENANCE = {"exact-closed-form": "enumeration", "quadrature": "quadrature"}
 
 
 def main() -> None:
@@ -64,10 +61,11 @@ def main() -> None:
             suite = random_instances(
                 args.instances, epsilon, 1.0, k_min=k, k_max=k, seed=args.seed
             )
-            pairs = [(pf_exact_distribution(inst), table_for("rnm-expo", inst, "exact"))
-                     for inst in suite]
-            worst_tv = max(tv_distance(pf, rnm) for pf, rnm in pairs)
-            (route,) = {ROUTE_BY_PROVENANCE[rnm.provenance] for _, rnm in pairs}
+            pf = [pf_exact_distribution(inst) for inst in suite]
+            worst_tv = max(tv_distance(table, rnm_expo_exact_distribution(inst))
+                           for table, inst in zip(pf, suite))
+            worst_quadrature_tv = max(tv_distance(table, rnm_exact_quadrature(inst, "exponential"))
+                                      for table, inst in zip(pf, suite))
             probe = suite[0]
             reference = pf_exact_distribution(probe)
             gof = {}
@@ -78,8 +76,8 @@ def main() -> None:
                 "epsilon": epsilon,
                 "k": k,
                 "instances": args.instances,
-                "rnm_expo_route": route,
                 "worst_exact_tv": worst_tv,
+                "worst_quadrature_tv": worst_quadrature_tv,
                 "chi_square_p_alg_a": gof["alg-a"].p_value,
                 "chi_square_p_alg_b": gof["alg-b"].p_value,
                 "detectable_divergence_alg_a": gof["alg-a"].detectable_divergence,

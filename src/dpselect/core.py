@@ -145,10 +145,9 @@ class NeighborPair:
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Output distribution over outcome labels.
-
-    provenance records how the table was produced: "exact-closed-form",
-    "exact-poisson-binomial", "quadrature", or "empirical(n=...,seed=...)".
+    """Output distribution over outcome labels. provenance records how the
+    table was produced: "exact-closed-form", "exact-poisson-binomial",
+    "exact-gauss-legendre", "quadrature" or "empirical(n=...,seed=...)".
     Entries within 1e-12 outside [0, 1] are clamped; anything worse, or a
     sum off by more than 1e-9, is rejected.
     """

@@ -49,9 +49,8 @@ class EmptyPairList(ValidationError):
 
 
 class TooManyOutcomesForEnumeration(ValidationError):
-    """The requested outcome count exceeds the largest at which the route's
-    error bound is tested: 20 for the rnm-expo enumeration, 256 for the
-    others."""
+    """The requested outcome count exceeds 256, the largest at which every
+    exact route's and quadrature's error bound is tested."""
 
 
 class PairExceedsSensitivity(ValidationError):

@@ -6,19 +6,19 @@ Three independent routes produce the same numbers for the same mechanism
 and must keep agreeing:
 
 * closed forms: softmax for the exponential mechanism, and for
-  report-noisy-max with exponential noise an inclusion-exclusion sum
-  enumerated over subsets, up to ENUMERATION_LIMIT outcomes,
+  report-noisy-max with exponential noise Gauss-Legendre on its win
+  integral, exact for its polynomial integrand,
 * for permute-and-flip, its coin game as a Poisson-binomial DP over the
-  count of kept coins, up to QUADRATURE_LIMIT outcomes,
+  count of kept coins,
 * adaptive Gauss-Kronrod quadrature of the generic win-probability
   integral over all k entries at once, in numpy, in units of the noise
   scale, with a max-norm error bound that covers every entry and a check
   that the entries miss no more mass than it and the truncation allow.
 
-The paper's equivalence of permute-and-flip and report-noisy-max with
-exponential noise is checked by comparing the DP with the enumeration up
-to 20 outcomes and with exponential-noise quadrature above. The DP and the
-enumeration share no code, so a bug in one cannot hide in the other.
+Each takes up to QUADRATURE_LIMIT outcomes. The paper's equivalence of
+permute-and-flip and report-noisy-max with exponential noise is checked by
+comparing the DP with Gauss-Legendre and with exponential-noise
+quadrature, which share no code, so a bug in one cannot hide in another.
 Summation order per index is fixed, making results reproducible bit for
 bit. table_for is the one place that maps a mechanism and a mode to its
 route. LOG_ORACLES gives batches of natural-log tables, which cannot
@@ -32,6 +32,7 @@ goodness-of-fit test, starts without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,12 +51,6 @@ from .errors import (
 from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
 from .noise import NOISE_FAMILIES, Exponential, Laplace, RngState
 
-# Each entry of an rnm-expo enumeration table sums the 2^(k-1) subsets that
-# contain it, directly or, above 14 outcomes, regrouped through two halves:
-# at k = 20, terms with magnitudes <= 1 keep the floating-point error of the
-# alternating sum below 1e-10 (measured: at most 6e-13 against exact
-# rationals), comfortably inside the 1e-8 tolerance the equivalence checks use.
-ENUMERATION_LIMIT = 20
 QUADRATURE_LIMIT = 256
 QUADRATURE_TARGET = 1e-9
 # truncate the integration domain where every factor's tail mass is below this
@@ -73,12 +68,6 @@ MIN_EXPECTED_COUNT = 5.0
 # glibc's default 128 KiB mmap threshold, so a fresh process maps and
 # faults them in on every chunk.
 BATCH_ELEMENTS = 2**14
-# Up to this many outcomes the rnm-expo enumeration walks all 2^k subsets in
-# one buffer of at most BATCH_ELEMENTS values; above it, the first ceil(k/2)
-# and the other floor(k/2) outcomes' subsets in two halves of at most 2^10.
-# Equal halves cost least: a first half of 14 made k = 15 slower than one
-# buffer of 2^15, its per-pattern size pass outweighing one more doubling.
-_SINGLE_WALK_LIMIT = BATCH_ELEMENTS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -94,9 +83,10 @@ class GofResult:
     detectable_divergence: float | None
 
 
-def _check_outcome_count(k: int, limit: int, route: str) -> None:
-    if k > limit:
-        raise TooManyOutcomesForEnumeration(f"{route} supports at most {limit} outcomes, got {k}")
+def _check_outcome_count(k: int, route: str) -> None:
+    if k > QUADRATURE_LIMIT:
+        raise TooManyOutcomesForEnumeration(
+            f"{route} supports at most {QUADRATURE_LIMIT} outcomes, got {k}")
 
 
 def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
@@ -130,7 +120,7 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     2k(k + 1), 1 MiB at k = 256, and row products pre_i * g_i summed in
     chunks of BATCH_ELEMENTS / 2, which numpy buffers at most twice over.
     Tested bounds: within 1e-15 of the coin game in exact rationals
-    (k <= 8, 21-64), 1e-10 of the exact table (k <= 20) and exponential
+    (k <= 8, 21-64), 1e-15 of the exact table (k <= 20) and exponential
     quadrature's 1e-9 target (k 32-256). Above QUADRATURE_LIMIT outcomes,
     where these stop being tested, it raises TooManyOutcomesForEnumeration.
     """
@@ -162,7 +152,7 @@ def _coin_game(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     E_i >= 1/k: within (3k + 1) u up to QUADRATURE_LIMIT.
     """
     rows, width = p.shape
-    _check_outcome_count(width, QUADRATURE_LIMIT, "the coin-game DP")
+    _check_outcome_count(width, "the coin-game DP")
     laws = np.zeros((width + 1, 2, rows, width))
     # pre_0: no coin yet, a count of 0; g_(width-1) = H[:, 0], reversed
     laws[0, 0, :, 0], laws[0, 1] = 1.0, 1.0 / np.arange(width, 0, -1)
@@ -175,85 +165,67 @@ def _coin_game(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
-    """Exact output distribution of report-noisy-max with exponential noise.
+    """Exact output distribution of report-noisy-max with exponential noise:
+    P(i) = e_i * I_i, e_j = exp(gamma_j), gamma = log_weights(inst), with
+    I_i = integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in [1/k, 1]
+    by Gauss-Legendre on m = k // 2 + 1 nodes, exact for its degree k - 1.
+    Factors are (1 - t) + t * c_j, c_j = -expm1(gamma_j) in [0, 1], and an
+    entry's product is the prefix times the suffix product: nothing cancels
+    or divides. It shares no code with _coin_game or _win_integrand.
 
-    Expanding the win-probability integral of index i by
-    inclusion-exclusion over the other outcomes gives, with
-    e_j = exp(rate * (q_j - max q)):
-
-        P(i) = sum over subsets T of the others of
-               (-1)^|T| * e_i * prod_{j in T} e_j / (|T| + 1)
-
-    and, writing U = T + {i}, the same sum over the subsets of all k
-    outcomes that contain i:
-
-        P(i) = sum over U containing i of
-               (-1)^(|U| - 1) * prod_{j in U} e_j / |U|
-
-    Every exponent is <= 0, so each term lies in [-1, 1] and the
-    alternating sum stays well-conditioned. Up to 14 outcomes each subset
-    U is walked once: 2^k products build the signed terms in a buffer of
-    2^k doubles (at most BATCH_ELEMENTS), with the |U| in 2^k bytes, and
-    2^k adds fold them into the k entries. Above that, U splits into L, of
-    the first ceil(k/2) outcomes, and H. With a(S) = prod_{j in S} (-e_j),
-
-        P(i) = sum over L containing i of  -a(L) * sum_H a(H) / (|L| + |H|)
-
-    for i in the first half, and likewise in the second: the same terms,
-    regrouped. The inner sum depends on L only through |L|, so it is taken
-    once per size, pairwise over the H in walk order, where neighbours
-    nearly cancel. (Summing a(H) by |H| first would cancel sums of
-    like-signed terms instead: 4e-13 off the exact table on near-tied
-    scores, where this keeps 2e-14.) Each half is then folded like a table
-    of its own, of at most 2^10 values, so cost is about
-    (k + 2) * 2^ceil(k/2) products and adds.
+    Rounding bound (u = 2^-53), against I_i taken exactly from the floats
+    exp(gamma_j), the pf DP's inputs: these are within 2u of e_j, moving I_i
+    by at most 2u relative, as sum_j e_j |dI_i / de_j| <= I_i. A factor
+    takes 4u: expm1 2u, then t * c, 1 - t (exact for t >= 1/2) and their
+    sum; an entry's k - 1 factors take k - 2 products, its weight 1 and the
+    node sum m - 1, all on nonnegative terms: (5k + m - 4) u. The nodes
+    (within 0.81u, tested at m 1-21, 33, 65 and 129) add 0.81u absolute, as
+    the rule integrates |f'| exactly, to at most 1; the weights (within
+    1.56u) add 1.56u / min w <= 0.78 (m + 1)^2 u relative. As I_i >= 1/k:
+    within (7k + (k + 4)^2 / 5) u relative, 1.7e-12 at k = 256, plus under
+    2k^2 * 2^-1074 from underflow. Above QUADRATURE_LIMIT outcomes it raises
+    TooManyOutcomesForEnumeration. Memory: two (m, k + 1) arrays, <= 0.5 MiB.
     """
-    k = len(inst.quality)
-    _check_outcome_count(k, ENUMERATION_LIMIT, "enumeration")
-    shifted = np.exp(log_weights(inst)).tolist()
-    low = k if k <= _SINGLE_WALK_LIMIT else (k + 1) // 2
-    signed_product = np.empty(1 << low)
-    size = np.empty(1 << low, dtype=np.uint8)
-    # the empty subset's -1 makes every subset's sign (-1)^(|U| - 1)
-    signed_product[0], size[0] = -1.0, 0
-    n = 1
-    for e_j in shifted[:low]:
-        np.multiply(signed_product[:n], -e_j, out=signed_product[n : 2 * n])
-        np.add(size[:n], 1, out=size[n : 2 * n])
-        n *= 2
-    out = np.empty(k)
-    if k > low:
-        high_product = np.empty(1 << (k - low))
-        high_size = np.empty(1 << (k - low), dtype=np.uint8)
-        high_product[0], high_size[0] = 1.0, 0
-        m = 1
-        for e_j in shifted[low:]:
-            np.multiply(high_product[:m], -e_j, out=high_product[m : 2 * m])
-            np.add(high_size[:m], 1, out=high_size[m : 2 * m])
-            m *= 2
-        # |L| + |H| for each size of one half and each subset of the other;
-        # its one 0 only scales the empty L or H, which enter no entry
-        low_sizes = np.add.outer(np.arange(low + 1, dtype=np.uint8), high_size)
-        high_sizes = np.add.outer(np.arange(k - low + 1, dtype=np.uint8), size)
-        low_sizes[0, 0] = high_sizes[0, 0] = 1
-        # per size of L the sum over all H of a(H) / (|L| + |H|), and per
-        # size of H the sum over all L of -a(L) / (|L| + |H|)
-        per_low_size = (high_product / low_sizes).sum(axis=1)
-        per_high_size = (signed_product / high_sizes).sum(axis=1)
-        signed_product *= np.take(per_low_size, size)
-        high_product *= np.take(per_high_size, high_size)
-        for j in reversed(range(low, k)):
-            m //= 2
-            out[j] = high_product[m : 2 * m].sum()
-            high_product[:m] += high_product[m : 2 * m]
-    else:
-        size[0] = 1  # the empty subset enters no entry
-        signed_product /= size
-    for j in reversed(range(low)):
-        n //= 2
-        out[j] = signed_product[n : 2 * n].sum()
-        signed_product[:n] += signed_product[n : 2 * n]
-    return ProbabilityTable(inst.quality.labels, out.tolist(), "exact-closed-form")
+    gamma = log_weights(inst)
+    return ProbabilityTable(inst.quality.labels, (np.exp(gamma) * _win_integrals(gamma)).tolist(),
+                            "exact-gauss-legendre")
+
+
+def _win_integrals(gamma: np.ndarray) -> np.ndarray:
+    """rnm_expo_exact_distribution's integrals I_i for log weights gamma."""
+    k = len(gamma)
+    _check_outcome_count(k, "Gauss-Legendre")
+    t, w = _legendre_nodes(k // 2 + 1)
+    # column j: factor j, then in place its suffix product; products: the prefix before j
+    factors, products = np.ones((2, len(t), k + 1))
+    np.multiply(t[:, None], -np.expm1(gamma), out=factors[:, :k])
+    factors[:, :k] += (1.0 - t)[:, None]
+    np.multiply.accumulate(factors[:, :k], axis=1, out=products[:, 1:])
+    np.multiply.accumulate(factors[:, ::-1], axis=1, out=factors[:, ::-1])
+    np.multiply(products[:, :k], factors[:, 1:], out=products[:, :k])
+    products[:, :k] *= w[:, None]
+    return np.add.accumulate(products[:, :k], axis=0, out=products[:, :k])[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [0, 1]: Newton's
+    method on the roots of P_m, evaluated with P_m' by the three-term
+    recurrence, from the usual cosine guesses."""
+    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    step = np.ones(m)
+    for _ in range(100):
+        p, prev = np.ones(m), np.zeros(m)
+        for j in range(1, m + 1):
+            p, prev = ((2 * j - 1) * x * p - (j - 1) * prev) / j, p
+        dp = m * (x * p - prev) / (x * x - 1.0)
+        if np.abs(step).max() < 1e-15:
+            break  # dp is taken at the converged nodes
+        step = p / dp
+        x = x - step
+    nodes, weights = 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
+    return nodes, weights
 
 
 def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
@@ -307,7 +279,7 @@ def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable
     the domain leaves out. Only then are the entries renormalized.
     """
     k = len(inst.quality)
-    _check_outcome_count(k, QUADRATURE_LIMIT, "quadrature")
+    _check_outcome_count(k, "quadrature")
     win_density, edges = _win_integrand(inst, kind)
     raw, abs_error = _adaptive_gk21(win_density, k, edges)
     if abs_error > QUADRATURE_TARGET:
@@ -631,16 +603,12 @@ def table_for(
     mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
 ) -> ProbabilityTable:
     """A mechanism's output table by one of three routes: "exact" (its
-    EXACT_ORACLES entry, but for rnm-expo above ENUMERATION_LIMIT outcomes
-    exponential quadrature, never the pf DP, whose agreement with it is the
-    claim under test), "quadrature" (rnm_exact_quadrature with its
+    EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
     RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
     seeded draws). Any other pair raises UnsupportedOracle, as
     require_route does."""
     require_route(mechanism, mode)
     if mode == "exact":
-        if mechanism == "rnm-expo" and len(inst.quality) > ENUMERATION_LIMIT:
-            return rnm_exact_quadrature(inst, "exponential")
         return EXACT_ORACLES[mechanism](inst)
     if mode == "quadrature":
         return rnm_exact_quadrature(inst, RNM_FAMILIES[mechanism])

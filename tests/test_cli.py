@@ -158,11 +158,11 @@ class TestCompare:
         assert code == 0
         assert record["tv_distance"] <= 1e-8
         assert record["pass"] is True
-        assert record["provenances"] == ["exact-poisson-binomial", "exact-closed-form"]
+        assert record["provenances"] == ["exact-poisson-binomial", "exact-gauss-legendre"]
 
-    def test_pf_vs_rnm_expo_beyond_enumeration(self, capsys, tmp_path):
-        """At k = 256 exact mode takes rnm-expo's table from exponential
-        quadrature, never from the pf DP it is compared with."""
+    def test_pf_vs_rnm_expo_at_the_outcome_limit(self, capsys, tmp_path):
+        """At k = 256 exact mode still takes rnm-expo's table from
+        Gauss-Legendre, never from the pf DP it is compared with."""
         path = tmp_path / "scores256.json"
         path.write_text(json.dumps({"labels": [f"o{i}" for i in range(256)],
                                     "scores": [(37 * i % 256) / 25.6 - 5 for i in range(256)]}))
@@ -173,7 +173,7 @@ class TestCompare:
         assert code == 0
         assert record["tv_distance"] <= 1e-8
         assert record["pass"] is True
-        assert record["provenances"] == ["exact-poisson-binomial", "quadrature"]
+        assert record["provenances"] == ["exact-poisson-binomial", "exact-gauss-legendre"]
 
     def test_pf_vs_rnm_expo_beyond_outcome_limit_exits_two(self, capsys, tmp_path):
         path = tmp_path / "scores257.json"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -87,11 +88,11 @@ class TestPfExact:
 
 
 class TestRnmExpoExact:
-    def test_two_point_alternating_sum(self):
+    def test_two_point(self):
         table = rnm_expo_exact_distribution(make_instance([1.0, 0.0], epsilon=2.0))
-        # runner-up: exp(-1) - exp(-1)/2 = exp(-1)/2
+        # runner-up: exp(-1) * integral of (1 - t) over [0, 1] = exp(-1)/2
         assert table.probabilities[1] == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-12)
-        assert table.provenance == "exact-closed-form"
+        assert table.provenance == "exact-gauss-legendre"
 
     def test_single_outcome(self):
         table = rnm_expo_exact_distribution(make_instance([4.0], epsilon=1.0))
@@ -102,8 +103,9 @@ class TestRnmExpoExact:
         assert table.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_enumeration_limit(self):
-        with pytest.raises(TooManyOutcomesForEnumeration):
-            rnm_expo_exact_distribution(make_instance([0.0] * 21))
+        rnm_expo_exact_distribution(make_instance([0.0] * 256))
+        with pytest.raises(TooManyOutcomesForEnumeration, match="at most 256 outcomes"):
+            rnm_expo_exact_distribution(make_instance([0.0] * 257))
 
 
 class TestScoreRangeBeyondDoubles:
@@ -198,8 +200,8 @@ class TestScoresBeyondTheNoiseScale:
 
 
 def keep_probabilities(inst):
-    """The floats p_j = exp(rate * (q_j - max q)) both enumeration oracles
-    start from, as exact rationals."""
+    """The floats p_j = exp(rate * (q_j - max q)) the pf DP starts from, as
+    exact rationals."""
     scores = np.asarray(inst.quality.scores)
     shifted = np.exp(inst.params.rate * (scores - inst.quality.best_score))
     return [Fraction(float(x)) for x in shifted]
@@ -207,8 +209,8 @@ def keep_probabilities(inst):
 
 def rational_win_probabilities(inst):
     """e_i * integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in exact
-    rationals, from the same floats e_j = exp(rate * (q_j - max q)) the
-    enumeration oracles start from."""
+    rationals, from the floats e_j = exp(rate * (q_j - max q)) of
+    keep_probabilities."""
     e = keep_probabilities(inst)
     out = []
     for i, e_i in enumerate(e):
@@ -230,9 +232,8 @@ def underflow_instance(k, at=1):
     return make_instance([0.0, *rest], epsilon=2.0)
 
 
-# Above 14 outcomes rnm_expo_exact_distribution splits the outcomes into the
-# first ceil(k/2) and the rest; these cases put every kind of keep
-# probability (1, 0, subnormal) in the second half too.
+# every kind of keep probability (1, 0, subnormal), in either half of the
+# outcomes, odd and even k, up to 20 outcomes
 ERROR_BOUND_CASES = [
     pytest.param(make_instance([0.0] * 20), id="k20-ties"),
     pytest.param(make_instance([3.0]), id="k1"),
@@ -263,9 +264,10 @@ ERROR_BOUND_CASES = [
 
 
 class TestEnumerationErrorBound:
-    """ENUMERATION_LIMIT's comment states an error near 1e-10 at 2^20
-    terms; the rnm-expo enumeration and the pf DP are held to that against
-    an exact reference."""
+    """Gauss-Legendre and the pf DP against the win integral in exact
+    rationals: within 1e-15 per entry up to 20 outcomes. Measured: 3.1e-16
+    (Gauss-Legendre) and 2.1e-16 (the DP); the subset sum that Gauss-Legendre
+    replaced reached 1.5e-13."""
 
     @pytest.mark.parametrize("inst", ERROR_BOUND_CASES)
     @pytest.mark.parametrize("fn", [pf_exact_distribution, rnm_expo_exact_distribution])
@@ -273,15 +275,15 @@ class TestEnumerationErrorBound:
         exact = rational_win_probabilities(inst)
         table = fn(inst)
         for p, reference in zip(table.probabilities, exact, strict=True):
-            assert abs(Fraction(p) - reference) <= 1e-10
+            assert abs(Fraction(p) - reference) <= 1e-15
 
 
 class TestEnumerationGolden:
-    """Tables pinned bit for bit up to 14 outcomes, where the rnm-expo
-    enumeration walks every subset in one buffer: per k, a digest of the
+    """Tables pinned bit for bit up to 14 outcomes: per k, a digest of the
     tables of one random instance at each of eps 0.1, 1 and 4, k ties and,
     from k = 3, underflow_instance(k). The pf digests are the coin-game
-    DP's, pinned once it met the 1e-15 and 1e-10 bounds above and below."""
+    DP's, the rnm-expo ones Gauss-Legendre's, each pinned once it met its
+    bounds against exact rationals, above and below."""
 
     DIGESTS = {
         "pf": {
@@ -292,11 +294,11 @@ class TestEnumerationGolden:
             13: "5d748b2852d67417", 14: "38a118509b279bf4",
         },
         "rnm-expo": {
-            1: "c914e8188e43fff1", 2: "fd0e313dec160403", 3: "16d5b5f7dbcf209e",
-            4: "ea210b6c3fd4757f", 5: "54a2dbc680c945a4", 6: "53d2008df0a7822e",
-            7: "180c59fc8663a166", 8: "8a6e88b86421b9ee", 9: "dc5b729121547eea",
-            10: "6a84998e27429e8f", 11: "a75f41f29ab53833", 12: "9be7616081ac0bb2",
-            13: "b372923fd19c25ec", 14: "b4bab92b5a705f9a",
+            1: "c914e8188e43fff1", 2: "90d8e1c0592170b3", 3: "9354b440d07b0171",
+            4: "62d8fc483191c975", 5: "b9455447647d9e11", 6: "4b5365238cf2ed25",
+            7: "0e11422768260ea2", 8: "d8f03bb31bfab95d", 9: "b91ef461837b56a6",
+            10: "90695b97c5b254c0", 11: "d2e51c87a8097245", 12: "f95bfffff8d91568",
+            13: "3a8f46a38b8f70e0", 14: "4f08f2b6fbd9d912",
         },
     }
 
@@ -347,8 +349,9 @@ def coin_game_table(inst):
 
 
 def subset_sum_table(inst):
-    """Report-noisy-max's table as the per-outcome subset sum in the
-    rnm_expo_exact_distribution docstring, in exact rationals."""
+    """Report-noisy-max's table as its win integral expanded by
+    inclusion-exclusion over the other outcomes, a sum over subsets T of
+    (-1)^|T| * e_i * prod_{j in T} e_j / (|T| + 1), in exact rationals."""
     e = keep_probabilities(inst)
     out = []
     for i, e_i in enumerate(e):
@@ -381,7 +384,7 @@ class TestEnumerationAgainstDefinition:
     @pytest.mark.parametrize("inst", COIN_GAME_CASES)
     @pytest.mark.parametrize("fn, reference, bound", [
         pytest.param(pf_exact_distribution, coin_game_table, 1e-15, id="pf"),
-        pytest.param(rnm_expo_exact_distribution, subset_sum_table, 1e-13, id="rnm-expo"),
+        pytest.param(rnm_expo_exact_distribution, subset_sum_table, 1e-15, id="rnm-expo"),
     ])
     def test_every_entry_matches(self, fn, reference, bound, inst):
         table = fn(inst)
@@ -431,14 +434,17 @@ class TestPfBeyondEnumeration:
         table = pf_exact_distribution(make_instance([1e308] + [-1e308] * 255))
         assert table.probabilities == (1.0,) + (0.0,) * 255
 
-    def test_k256_peaks_below_stated_memory(self):
-        """The docstring's bound: below 2k^2 + 2 * BATCH_ELEMENTS doubles,
-        1.3 MiB at k = 256. Measured: 1.26 MB."""
+    @pytest.mark.parametrize("fn", [pf_exact_distribution, rnm_expo_exact_distribution],
+                             ids=["pf", "rnm-expo"])
+    def test_k256_peaks_below_stated_memory(self, fn):
+        """The DP's bound: below 2k^2 + 2 * BATCH_ELEMENTS doubles, 1.3 MiB
+        at k = 256. Gauss-Legendre keeps to it too, with its two (129, 257)
+        arrays, 0.5 MiB. Measured: 1.26 MB and 0.74 MB."""
         inst = _spread_instance(256, 1.0, seed=3)
-        pf_exact_distribution(inst)
+        fn(inst)
         tracemalloc.start()
         try:
-            pf_exact_distribution(inst)
+            fn(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,14 +656,13 @@ class TestLogTables:
 
     def test_pf_within_2e_15_of_enumeration(self):
         """Over 200 random instances (k 1-20, eps 0.01-8) every entry is
-        within 2e-15 of pf_exact_distribution's, and within 5e-13 of
-        rnm_expo_exact_distribution's, whose alternating sum is itself good
-        to about 2e-13. Measured: 5.6e-16 and 5.9e-15."""
+        within 2e-15 of pf_exact_distribution's and of
+        rnm_expo_exact_distribution's. Measured: 1.1e-16 and 5.6e-16."""
         batch = random_spread_instances(200, seed=300)
         for inst, log_p in zip(batch, oracle.pf_log_tables(batch), strict=True):
             p = np.exp(log_p)
             assert np.abs(p - pf_exact_distribution(inst).probabilities).max() <= 2e-15
-            assert np.abs(p - rnm_expo_exact_distribution(inst).probabilities).max() <= 5e-13
+            assert np.abs(p - rnm_expo_exact_distribution(inst).probabilities).max() <= 2e-15
 
     def test_em_within_1e_15_of_closed_form(self):
         """The log-softmax against em_exact_distribution's softmax: within
@@ -807,6 +812,73 @@ class TestCoinGameRoundingBound:
         assert all(error > bound for error in mean_errors(injected, inst))
 
 
+def legendre_nodes_at_50_digits(m):
+    """_legendre_nodes' Newton iteration, from the same cosine guesses, in
+    50-digit decimal arithmetic, iterated to a step below 1e-40: the nodes
+    and weights on [0, 1] as exact rationals."""
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n in range(m):
+            x, step = Decimal(math.cos(math.pi * (n + 0.75) / (m + 0.5))), 1
+            while abs(step) >= Decimal("1e-40"):
+                p, prev = Decimal(1), Decimal(0)
+                for j in range(1, m + 1):
+                    p, prev = ((2 * j - 1) * x * p - (j - 1) * prev) / j, p
+                dp = m * (x * p - prev) / (x * x - 1)
+                step = p / dp
+                x -= step
+            nodes.append(Fraction((1 + x) / 2))
+            weights.append(Fraction(1 / ((1 - x * x) * dp * dp)))
+    return nodes, weights
+
+
+def gauss_legendre_bound(k):
+    """rnm_expo_exact_distribution's stated bound on I_i, (7k + (k + 4)^2 / 5) u
+    relative."""
+    return Fraction(35 * k + (k + 4) ** 2, 5 * 2**53)
+
+
+class TestGaussLegendreRoundingBound:
+    """rnm_expo_exact_distribution's stated bound: I_i within
+    (7k + (k + 4)^2 / 5) u relative of the integral of the same float keep
+    probabilities, which is the coin game's E_i, against rational_coin_game
+    up to k = 64, with nodes and weights within 0.81u and 1.56u of the
+    exact ones."""
+
+    @pytest.mark.parametrize("inst", ROUNDING_CASES)
+    def test_integrals_within_stated_bound(self, inst):
+        """Measured: at most 32u relative (k = 64 ties, where the bound is
+        1371u), and at most 0.081 of the bound."""
+        integrals = oracle._win_integrals(log_weights(inst))
+        assert max(mean_errors(integrals, inst)) <= gauss_legendre_bound(len(inst.quality))
+
+    def test_injected_error_of_twice_the_bound_is_caught(self):
+        inst = _spread_instance(64, 1.0, seed=5)
+        bound = gauss_legendre_bound(64)
+        injected = oracle._win_integrals(log_weights(inst)) * (1.0 + 2.0 * float(bound))
+        assert all(error > bound for error in mean_errors(injected, inst))
+
+    def test_nodes_and_weights_within_stated_bounds(self):
+        """Against the same iteration at 50 digits, absolute on [0, 1].
+        Measured: 0.8095u and 1.559u."""
+        node_error = weight_error = 0
+        for m in [*range(1, 22), 33, 65, 129]:
+            nodes, weights = oracle._legendre_nodes(m)
+            exact_nodes, exact_weights = legendre_nodes_at_50_digits(m)
+            node_error = max(node_error, *(abs(Fraction(float(t)) - e)
+                                           for t, e in zip(nodes, exact_nodes, strict=True)))
+            weight_error = max(weight_error, *(abs(Fraction(float(w)) - e)
+                                               for w, e in zip(weights, exact_weights, strict=True)))
+        assert node_error <= Fraction(81, 100) / 2**53
+        assert weight_error <= Fraction(156, 100) / 2**53
+
+    def test_smallest_weight_as_stated(self):
+        """min w >= 2 / (m + 1)^2 at every node count up to k = 256."""
+        for m in range(1, oracle.QUADRATURE_LIMIT // 2 + 2):
+            assert oracle._legendre_nodes(m)[1].min() >= 2 / (m + 1) ** 2
+
+
 def _spread_instance(k, epsilon, seed):
     scores = np.random.default_rng(seed).uniform(-5.0, 5.0, size=k)
     return make_instance(scores, epsilon=epsilon)
@@ -922,7 +994,7 @@ class TestScalarAndBatchPaths:
 # returns; every pair not listed has no route
 ROUTES = {
     ("pf", "exact"): ("exact-poisson-binomial", pf_exact_distribution),
-    ("rnm-expo", "exact"): ("exact-closed-form", rnm_expo_exact_distribution),
+    ("rnm-expo", "exact"): ("exact-gauss-legendre", rnm_expo_exact_distribution),
     ("em", "exact"): ("exact-closed-form", em_exact_distribution),
     ("rnm-expo", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "exponential")),
     ("rnm-laplace", "quadrature"): ("quadrature", lambda i: rnm_exact_quadrature(i, "laplace")),

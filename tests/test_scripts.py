@@ -39,26 +39,27 @@ def test_equivalence_experiment():
     )
     assert [(r["epsilon"], r["k"]) for r in rows] == [(1.0, 4)]
     for row in rows:
-        assert row["rnm_expo_route"] == "enumeration"
         assert row["worst_exact_tv"] <= 1e-8
+        assert row["worst_quadrature_tv"] <= 1e-8
         assert 0.0 <= row["chi_square_p_alg_a"] <= 1.0
         assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
         assert 0.0 < row["detectable_divergence_alg_a"] < 1.0
         assert 0.0 < row["detectable_divergence_alg_b"] < 1.0
 
 
-def test_equivalence_experiment_either_side_of_the_enumeration_limit():
+def test_equivalence_experiment_up_to_the_outcome_limit():
+    """Every row compares the DP with both rnm-expo routes, at every k."""
     rows = run_script(
-        "equivalence_experiment.py", "--k-values", "20", "21", "256", "--instances", "2",
+        "equivalence_experiment.py", "--k-values", "1", "20", "21", "256", "--instances", "2",
         "--samples", "2000",
     )
-    assert [(r["epsilon"], r["k"], r["rnm_expo_route"]) for r in rows] == [
-        (epsilon, k, route)
-        for epsilon in (0.1, 1.0, 4.0)
-        for k, route in ((20, "enumeration"), (21, "quadrature"), (256, "quadrature"))
+    assert [(r["epsilon"], r["k"]) for r in rows] == [
+        (epsilon, k) for epsilon in (0.1, 1.0, 4.0) for k in (1, 20, 21, 256)
     ]
     for row in rows:
+        assert "rnm_expo_route" not in row
         assert row["worst_exact_tv"] <= 1e-8
+        assert row["worst_quadrature_tv"] <= 1e-8
 
 
 def test_utility_experiment():

@@ -21,8 +21,7 @@ _EXPORTS = {
              "ValidatedInstance", "sensitivity_from_pairs", "validate_instance"),
     "noise": ("Exponential", "Gumbel", "Laplace", "NoiseKind", "RngState", "quantile",
               "samples"),
-    "mechanisms": ("MECHANISMS", "SelectionResult", "exponential_mechanism", "intermediate_a",
-                   "intermediate_b", "permute_and_flip", "report_noisy_max"),
+    "mechanisms": ("MECHANISMS", "SelectionResult", "intermediate_a", "permute_and_flip"),
     "oracle": ("EXACT_ORACLES", "GofResult", "chi_square_gof", "em_exact_distribution",
                "empirical_counts", "empirical_distribution", "pf_exact_distribution",
                "rnm_exact_quadrature", "rnm_expo_exact_distribution", "table_for",

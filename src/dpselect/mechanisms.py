@@ -1,11 +1,11 @@
 """The selection mechanisms.
 
-Five samplers over a common instance type: report-noisy-max with
+Seven samplers over a common instance type: report-noisy-max with
 exponential, Laplace, or Gumbel noise; the exponential mechanism sampled
 directly from its closed-form output distribution; permute-and-flip; and
-two reformulations of permute-and-flip (`intermediate_a`, `intermediate_b`)
-that bridge it to report-noisy-max with exponential noise and exist so the
-equivalence can be checked empirically.
+two reformulations of permute-and-flip, alg-a (`intermediate_a`) and
+alg-b, that bridge it to report-noisy-max with exponential noise and exist
+so the equivalence can be checked empirically.
 
 Every mechanism sees the scores only through log_weights, in units of the
 noise scale relative to the best: permute-and-flip's coins are its exp,
@@ -16,20 +16,21 @@ All mechanisms are pure functions of (instance, rng). Noisy-score ties have
 probability zero with continuous noise and can only arise here through
 floating-point coincidence; they break toward the smallest index.
 
-Each mechanism has a batch sampler of (instance, rng, rows) that runs its
-algorithm for many independent draws at once with numpy and returns one
-chosen index per row; ``BATCH_SAMPLERS`` holds them under the
-``MECHANISMS`` keys. Each batch sampler follows its own mechanism's
-algorithm rather than any equivalence between mechanisms, so sampling one
-mechanism never borrows the distribution of another. A single draw of
-report-noisy-max, the exponential mechanism or `intermediate_b` is its
-batch sampler run for one row. Permute-and-flip's sequential walk and
-`intermediate_a`'s integer pick are different algorithms from their batch
-samplers and stay the single-draw references those are tested against.
+``BATCH_SAMPLERS`` is the one hand-written table: per mechanism, a batch
+sampler of (instance, rng, rows) that runs its algorithm for many
+independent draws at once with numpy and returns one chosen index per row.
+Each follows its own mechanism's algorithm rather than any equivalence
+between mechanisms, so sampling one mechanism never borrows the
+distribution of another. ``MECHANISMS`` is derived from it under the same
+keys: a single draw is the batch sampler run for one row, except for
+permute-and-flip's sequential walk and `intermediate_a`'s integer pick,
+which are different algorithms from their batch samplers and stay the
+single-draw references those are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -46,12 +47,6 @@ class SelectionResult:
 
     index: int
     label: str
-
-
-def _one_row(inst: ValidatedInstance, indices: np.ndarray) -> SelectionResult:
-    """The draw of a batch sampler run for one row."""
-    index = int(indices[0])
-    return SelectionResult(index, inst.quality.labels[index])
 
 
 def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
@@ -74,45 +69,29 @@ def log_weights(inst: ValidatedInstance) -> np.ndarray:
     return np.array([rate * (0.5 * q - 0.5 * best) * 2.0 for q in inst.quality.scores])
 
 
-def report_noisy_max(inst: ValidatedInstance, kind: str, rng: RngState) -> SelectionResult:
-    """Add one independent noise draw per score, return the argmax.
-
-    kind selects the noise family, "exponential", "laplace" or "gumbel",
-    whose unit law is added to log_weights: the scores in units of the
-    noise scale 2*sensitivity/eps. The Gumbel variant draws from the same
-    output distribution as the exponential mechanism.
-    """
-    return _one_row(inst, _report_noisy_max_batch(inst, kind, rng, 1))
-
-
 def _report_noisy_max_batch(
-    inst: ValidatedInstance, kind: str, rng: RngState, rows: int
+    inst: ValidatedInstance, rng: RngState, rows: int, kind: str
 ) -> np.ndarray:
-    """Batch report_noisy_max: the row-wise first argmax of log_weights plus
-    a rows x k matrix of independent unit-scale draws of the given family."""
+    """Report-noisy-max: per row, add one independent noise draw per score
+    and return the first argmax, over a rows x k matrix of unit-scale draws
+    of the family kind, "exponential", "laplace" or "gumbel", added to
+    log_weights: the scores in units of the noise scale 2*sensitivity/eps.
+    The Gumbel variant draws from the same output distribution as the
+    exponential mechanism."""
     k = len(inst.quality)
     draws = samples(NOISE_FAMILIES[kind], rng, rows * k).reshape(rows, k)
     return np.argmax(log_weights(inst) + draws, axis=1)
 
 
-def exponential_mechanism(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
-    """Sample index i with probability proportional to
-    exp(eps * q_i / (2 * sensitivity)).
-
-    Weights are computed in shifted form exp(rate * (q_i - max q)) so huge
-    scores cannot overflow, and the index is drawn by inverting the
-    cumulative weight sum with a single uniform. Deliberately not the
-    Gumbel-max trick: that lives in report_noisy_max("gumbel"), and keeping
-    the two code paths distinct lets tests cross-check them.
-    """
-    return _one_row(inst, _exponential_mechanism_batch(inst, rng, 1))
-
-
 def _exponential_mechanism_batch(
     inst: ValidatedInstance, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch exponential_mechanism: one searchsorted of rows uniforms over
-    the cumulative shifted weights."""
+    """The exponential mechanism: index i with probability proportional to
+    exp(eps * q_i / (2 * sensitivity)), from shifted weights
+    exp(rate * (q_i - max q)) so huge scores cannot overflow, by one
+    searchsorted of rows uniforms over the cumulative weights. Deliberately
+    not the Gumbel-max trick: that is report-noisy-max with Gumbel noise,
+    and keeping the two code paths distinct lets tests cross-check them."""
     cumulative = np.cumsum(np.exp(log_weights(inst)))
     u = rng.uniforms(rows) * cumulative[-1]
     index = np.searchsorted(cumulative, u, side="right")
@@ -174,26 +153,20 @@ def _intermediate_a_batch(
     return _uniform_pick(log_weights(inst) + noise >= 0.0, rng)
 
 
-def intermediate_b(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
-    """Censored-noise reformulation bridging permute-and-flip to
-    report-noisy-max with exponential noise.
-
-    Caps each log weight plus unit-scale exponential noise at 0, the best
-    true score's, draws a second independent tie-break draw for every
-    outcome (even those the cap later excludes, so a seeded draw always
-    consumes two draws per outcome, score noise and tie-break interleaved
-    in index order), and returns the first argmax of capped value plus
-    tie-break over the outcomes whose capped value hit the cap. A
-    maximizing outcome always hits the cap, so that set is never empty.
-    """
-    return _one_row(inst, _intermediate_b_batch(inst, rng, 1))
-
-
 def _intermediate_b_batch(
     inst: ValidatedInstance, rng: RngState, rows: int
 ) -> np.ndarray:
-    """Batch intermediate_b: per row, the first argmax of capped log weight
-    plus tie-break, with the outcomes below the cap masked out."""
+    """Censored-noise reformulation (alg-b) bridging permute-and-flip to
+    report-noisy-max with exponential noise.
+
+    Caps each log weight plus unit-scale exponential noise at 0, the best
+    true score's, and returns per row the first argmax of capped value plus
+    a second independent tie-break draw, with the outcomes below the cap
+    masked out. Every outcome gets its tie-break, even those the cap
+    excludes, so a row consumes two draws per outcome, score noise and
+    tie-break interleaved in index order. A maximizing outcome always hits
+    the cap, so the masked set is never empty.
+    """
     k = len(inst.quality)
     draws = samples(NOISE_FAMILIES["exponential"], rng, rows * 2 * k).reshape(rows, 2 * k)
     capped = np.minimum(0.0, log_weights(inst) + draws[:, 0::2])
@@ -201,8 +174,8 @@ def _intermediate_b_batch(
     return np.argmax(capped + draws[:, 1::2] * (capped == 0.0), axis=1)
 
 
-# noisy-max mechanism name -> noise family; the single source for both
-# mechanism tables below and for the oracle's quadrature route
+# noisy-max mechanism name -> noise family; the single source for the
+# sampler table below and for the oracle's quadrature route
 RNM_FAMILIES: dict[str, str] = {
     "rnm-expo": "exponential",
     "rnm-laplace": "laplace",
@@ -210,28 +183,26 @@ RNM_FAMILIES: dict[str, str] = {
 }
 
 
-def _with_family(fn: Callable, kind: str) -> Callable:
-    """fn(inst, kind, rng, ...) as a table entry of (inst, rng, ...)."""
-
-    def entry(inst, rng, *args, **kwargs):
-        return fn(inst, kind, rng, *args, **kwargs)
-
-    return entry
-
-
-MECHANISMS: dict[str, Callable[..., SelectionResult]] = {
-    "pf": permute_and_flip,
-    **{name: _with_family(report_noisy_max, kind) for name, kind in RNM_FAMILIES.items()},
-    "em": exponential_mechanism,
-    "alg-a": intermediate_a,
-    "alg-b": intermediate_b,
-}
-
-
 BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarray]] = {
     "pf": _permute_and_flip_batch,
-    **{name: _with_family(_report_noisy_max_batch, kind) for name, kind in RNM_FAMILIES.items()},
+    **{name: functools.partial(_report_noisy_max_batch, kind=kind)
+       for name, kind in RNM_FAMILIES.items()},
     "em": _exponential_mechanism_batch,
     "alg-a": _intermediate_a_batch,
     "alg-b": _intermediate_b_batch,
+}
+
+
+def _single_draw(sampler: Callable, inst: ValidatedInstance, rng: RngState) -> SelectionResult:
+    """A batch sampler's draw for one row."""
+    index = int(sampler(inst, rng, 1)[0])
+    return SelectionResult(index, inst.quality.labels[index])
+
+
+# the single draws that are separate algorithms from their batch samplers
+_REFERENCE_DRAWS = {"pf": permute_and_flip, "alg-a": intermediate_a}
+
+MECHANISMS: dict[str, Callable[[ValidatedInstance, RngState], SelectionResult]] = {
+    name: _REFERENCE_DRAWS.get(name, functools.partial(_single_draw, sampler))
+    for name, sampler in BATCH_SAMPLERS.items()
 }

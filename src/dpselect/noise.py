@@ -17,6 +17,7 @@ analytic CDF.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -91,10 +92,15 @@ class RngState:
 
     Same seed, same stream, bit for bit. A state is single-owner and
     mutable: concurrent tasks must each use an independently seeded state.
+    A seed that is not a Python or numpy integer, such as 1.9 or "12",
+    raises ValueError: truncating 1.9 would draw seed 1's stream.
     """
 
     def __init__(self, seed: int = 0):
-        seed = int(seed)
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
         self._gen = np.random.default_rng(seed)

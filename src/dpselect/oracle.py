@@ -116,40 +116,40 @@ def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     g_(i-1)[s] = g_i[s] * (1 - p_i) + g_i[s + 1] * p_i, exact for s < i,
     the only counts pre_(i-1) can take. Every term is nonnegative, so
     nothing cancels, and ties, p = 1, p = 0 and subnormal p need no special
-    case. Memory peaks below 2k^2 + 2 * BATCH_ELEMENTS doubles: _coin_game's
-    2k(k + 1), 1 MiB at k = 256, and row products pre_i * g_i summed in
-    chunks of BATCH_ELEMENTS / 2, which numpy buffers at most twice over.
-    Tested bounds: within 1e-15 of the coin game in exact rationals
-    (k <= 8, 21-64), 1e-15 of the exact table (k <= 20) and exponential
-    quadrature's 1e-9 target (k 32-256). Above QUADRATURE_LIMIT outcomes,
-    where these stop being tested, it raises TooManyOutcomesForEnumeration.
+    case. P(i) rounds once more than _coin_game's E_i: it is within
+    (3k + 2) u relative (u = 2^-53) of p_i * E_i with the same float p_i,
+    plus 2^-1075 absolute where it is subnormal. Memory peaks below 1.3 MiB
+    at k = 256 (see _coin_game). Above QUADRATURE_LIMIT outcomes it raises
+    TooManyOutcomesForEnumeration.
     """
-    k = len(inst.quality)
     p = np.exp(log_weights(inst))
-    pre, g = (law[:, 0] for law in _coin_game(p[None]))  # row i: pre_i, g_i
-    step = max(1, BATCH_ELEMENTS // (2 * k))
-    out = np.concatenate([(pre[a : a + step] * g[a : a + step]).sum(axis=1)
-                          for a in range(0, k, step)])
-    return ProbabilityTable(inst.quality.labels, (p * out).tolist(), "exact-poisson-binomial")
+    return ProbabilityTable(inst.quality.labels, (p * _coin_game(p[None])[0]).tolist(),
+                            "exact-poisson-binomial")
 
 
-def _coin_game(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pf_exact_distribution's DP for rows p (rows, width) of keep
-    probabilities, padded with p = 0 coins, which are never kept. Returns
-    pre and g, (width, rows, width) each: pre[i, r] is row r's pre_i and
-    g[i, r] its g_i. Both live in one (width + 1, 2, rows, width) array, g's
-    counts reversed so both shift alike: a step's multiply writes law *
-    (1 - p) to its slot and law * p to the next, which its add shifts in.
+def _coin_game(p: np.ndarray) -> np.ndarray:
+    """pf_exact_distribution's E_i (rows, width) for rows p (rows, width) of
+    keep probabilities, padded with p = 0 coins, which are never kept. All
+    count laws live in one (width + 1, 2, rows, width) array, g's counts
+    reversed so both shift alike: a step's multiply writes law * (1 - p) to
+    its slot and law * p to the next, which its add shifts in. E_i sums
+    pre_i[s] * g_i[s] strictly left to right from count width - 1 down to
+    0, adding pads' exact zeros, so a row's E is the same bit for bit alone
+    or in any batch, over BATCH_ELEMENTS // (2 rows width) indices i at a
+    time, and at least one, in one buffer that their running sums
+    overwrite. At one row memory peaks below 2k^2 + 2 * BATCH_ELEMENTS
+    doubles: the laws' 2k(k + 1), 1 MiB at k = 256, and the buffer, which
+    numpy's ufunc buffers at most triple.
 
     Rounding bound (u = 2^-53): values are sums over paths of nonnegative
     products, with one rounding per operation on a path. Keeping a count
     rounds 1 - p (exact for p >= 1/2, by Sterbenz), the product and the
     sum; shifting it, two. So pre_i[s] takes at most 3i - s, g_i[s]
     1 + 3(k - 1 - i), their product 1, a pad coin 0, and the sum from count
-    i down to 0 in pf_log_tables s + 1 (i at s = i): at most 3k per path.
-    So E_i is within 3ku / (1 - 3ku) relative, plus under 10k^2 * 2^-1075
-    from underflow (5k^2 products, none amplified twofold), negligible as
-    E_i >= 1/k: within (3k + 1) u up to QUADRATURE_LIMIT.
+    i down to 0 s + 1 (i at s = i): at most 3k per path. So E_i is within
+    3ku / (1 - 3ku) relative, plus under 10k^2 * 2^-1075 from underflow
+    (5k^2 products, none amplified twofold), negligible as E_i >= 1/k:
+    within (3k + 1) u up to QUADRATURE_LIMIT.
     """
     rows, width = p.shape
     _check_outcome_count(width, "the coin-game DP")
@@ -161,7 +161,16 @@ def _coin_game(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for n, factor in enumerate(np.stack((1.0 - coins, coins), axis=1), 1):
         np.multiply(laws[n - 1], factor, out=laws[n : n + 2])
         np.add(laws[n, ..., 1:], laws[n + 1, ..., :-1], out=laws[n, ..., 1:])
-    return laws[:width, 0], laws[width - 1 :: -1, 1, :, ::-1]
+    # index i: pre_i and g_i, each from count width - 1 down to 0
+    pre, g = laws[:width, 0, :, ::-1], laws[width - 1 :: -1, 1]
+    means = np.empty((rows, width))
+    step = max(1, BATCH_ELEMENTS // (2 * rows * width))
+    sums = np.empty((min(step, width), rows, width))
+    for a in range(0, width, step):
+        part = sums[: width - a]
+        np.multiply(pre[a : a + step], g[a : a + step], out=part)
+        means[:, a : a + step] = np.add.accumulate(part, axis=-1, out=part)[..., -1].T
+    return means
 
 
 def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
@@ -235,10 +244,9 @@ def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
     and within (3k + 1) u relative (see _coin_game): no entry underflows, a
     true zero is -inf, round-off above 0 is cut. Rows run in order of k,
     padded, at most BATCH_ELEMENTS // 3k^2 (laws and products) and at least
-    one per chunk. E_i sums from count k - 1 down to 0, the order of the
-    bound, strictly left to right, adding pads' exact zeros, so a table is
-    the same bit for bit alone or in any batch. It raises
-    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes.
+    one per chunk, and a table is the same bit for bit alone or in any
+    batch. It raises TooManyOutcomesForEnumeration above QUADRATURE_LIMIT
+    outcomes.
     """
     gammas = [log_weights(inst) for inst in instances]
     order = sorted(range(len(gammas)), key=lambda r: len(gammas[r]))
@@ -250,9 +258,7 @@ def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
         gamma = np.full((len(chunk), width), -np.inf)
         for i, r in enumerate(chunk):
             gamma[i, : len(gammas[r])] = gammas[r]
-        pre, g = _coin_game(np.exp(gamma))
-        means = np.add.accumulate(pre[..., ::-1] * g[..., ::-1], axis=-1)[..., -1]
-        log_p = np.minimum(gamma + np.log(means.T), 0.0)
+        log_p = np.minimum(gamma + np.log(_coin_game(np.exp(gamma))), 0.0)
         tables.update((r, log_p[i, : len(gammas[r])]) for i, r in enumerate(chunk))
     return [tables[r] for r in range(len(gammas))]
 
@@ -436,13 +442,10 @@ def empirical_counts(
     rest. pf and alg-a draw a chunk's k order keys per row after its coins
     or noise, so their chunk size is part of their seeded stream; the other
     streams do not depend on it. A callable of (instance, rng) runs once
-    per draw. Either way a fixed seed gives the same counts bit for bit.
-    The single draws of the rnm-*, em and alg-b entries of MECHANISMS are
-    their batch samplers run for one row, so both paths give them the same
-    counts. Those of pf and alg-a are separate algorithms that consume the
-    stream differently: their loop is the single-draw reference the batch
-    samplers are checked against, and one seed need not give the same
-    counts on both paths.
+    per draw. Either way a fixed seed gives the same counts bit for bit,
+    and both paths give the same counts for every MECHANISMS entry but pf
+    and alg-a, whose single draws are separate reference algorithms that
+    consume the stream differently.
     """
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")

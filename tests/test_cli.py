@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-import dpselect
 from dpselect import (
     PrivacyParams,
     chi_square_gof,
@@ -244,20 +243,6 @@ class TestCompare:
         assert code == 2
         assert record is None
         assert "rnm-laplace" in err
-
-    def test_empirical_mode_unsampled_mechanism_exits_two(
-        self, capsys, scores_file, monkeypatch
-    ):
-        # a mechanism without a batch sampler has no empirical route
-        monkeypatch.delitem(dpselect.oracle.BATCH_SAMPLERS, "alg-a")
-        code, record, err = run(
-            capsys, "compare", "--mechanism", "alg-a", "--mechanism", "em",
-            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
-            "--mode", "empirical", "--n", "1000",
-        )
-        assert code == 2
-        assert record is None
-        assert "UnsupportedOracle" in err and "alg-a" in err
 
     @pytest.mark.parametrize("significance", ["0", "-1", "1", "nan"])
     def test_significance_outside_open_unit_interval_exits_two(

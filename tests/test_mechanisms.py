@@ -14,15 +14,13 @@ from dpselect import (
     chi_square_gof,
     empirical_counts,
     intermediate_a,
-    intermediate_b,
     permute_and_flip,
     pf_exact_distribution,
-    report_noisy_max,
     rnm_exact_quadrature,
     samples,
 )
 from dpselect.core import ProbabilityTable
-from dpselect.mechanisms import log_weights
+from dpselect.mechanisms import BATCH_SAMPLERS, log_weights
 from dpselect.noise import NOISE_FAMILIES
 
 from helpers import SMALLEST_EPSILON, instances, make_instance
@@ -36,6 +34,12 @@ def permuted_table(table, perm):
         tuple(table.probabilities[j] for j in perm),
         table.provenance,
     )
+
+
+def test_single_draws_keyed_like_batch_samplers():
+    """MECHANISMS is derived from BATCH_SAMPLERS, so every mechanism has a
+    batch sampler, and so an empirical route, under the same key and order."""
+    assert list(MECHANISMS) == list(BATCH_SAMPLERS)
 
 
 class TestSingleOutcome:
@@ -302,7 +306,7 @@ class TestSeededReplay:
         inst = make_instance([1.0, 0.4, -2.0, 0.9], epsilon=1.0)
         k = len(inst.quality)
         rng = RngState(seed)
-        result = intermediate_b(inst, rng)
+        result = MECHANISMS["alg-b"](inst, rng)
         reference = RngState(seed)
         # score noise and tie-break for every outcome, even those below the cap
         draws = samples(Exponential(), reference, 2 * k)

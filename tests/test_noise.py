@@ -15,6 +15,7 @@ from dpselect import (
     chi_square_gof,
     em_exact_distribution,
     empirical_counts,
+    empirical_distribution,
     pf_exact_distribution,
     quantile,
     rnm_exact_quadrature,
@@ -240,6 +241,19 @@ class TestRngState:
     def test_seed_range_enforced(self, seed):
         with pytest.raises(ValueError):
             RngState(seed)
+
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "12"])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        # int() would truncate 1.9 to seed 1's stream and parse "12"
+        with pytest.raises(ValueError, match="integer"):
+            RngState(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert RngState(np.uint64(12)).uniforms(4).tolist() == RngState(12).uniforms(4).tolist()
+
+    def test_empirical_table_rejects_a_fractional_seed(self):
+        with pytest.raises(ValueError, match="integer"):
+            empirical_distribution("pf", make_instance([1.0, 0.0]), 1000, seed=1.9)
 
     def test_permutation_is_uniformly_seeded(self):
         assert RngState(3).permutation(5) == RngState(3).permutation(5)

@@ -1,0 +1,122 @@
+"""Mutation gate: small deliberate bugs in src/ that named tests must catch.
+
+Each mutant replaces one piece of text, which must occur exactly once in
+its file, and names the tests that must fail once it is applied. The
+named tests are first run on an unmutated copy, where they must pass.
+Then, per mutant, src/ (with tests/ and pyproject.toml, so that the tests
+import the copy) goes to a temporary directory, the mutant is applied
+there and pytest runs its tests, stopping at the first failure. A mutant
+is killed when a test fails, survives when they all pass, and is stale
+when its text no longer occurs exactly once or its tests do not run.
+
+Prints one JSON line per mutant and exits 1 if the unmutated run fails or
+any mutant survives or is stale. Standard library only; run from any
+directory:
+
+    python3 scripts/mutation_gate.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("pf-log-pads-always-kept", "src/dpselect/oracle.py",
+           "gamma = np.full((len(chunk), width), -np.inf)",
+           "gamma = np.full((len(chunk), width), 0.0)",
+           ("tests/test_oracle.py::TestLogTables::test_batch_equals_single_calls_bit_for_bit",)),
+    Mutant("gauss-legendre-one-node-short", "src/dpselect/oracle.py",
+           "t, w = _legendre_nodes(k // 2 + 1)",
+           "t, w = _legendre_nodes(k // 2)",
+           ("tests/test_oracle.py::TestRnmExpoExact::test_single_outcome",)),
+    Mutant("coin-game-sums-ascending", "src/dpselect/oracle.py",
+           "    pre = laws[:width, 0, :, ::-1]\n"
+           "    np.multiply(pre, laws[width - 1 :: -1, 1], out=pre)\n",
+           "    pre = laws[:width, 0]\n"
+           "    np.multiply(pre, laws[width - 1 :: -1, 1, :, ::-1], out=pre)\n",
+           ("tests/test_oracle.py::TestCoinGameGolden",)),
+    Mutant("quadrature-mode-reads-exact-oracles", "src/dpselect/oracle.py",
+           "lambda name, inst, n, seed: rnm_exact_quadrature(inst, RNM_FAMILIES[name])",
+           "lambda name, inst, n, seed: EXACT_ORACLES[name](inst) if name in EXACT_ORACLES"
+           " else rnm_exact_quadrature(inst, RNM_FAMILIES[name])",
+           ("tests/test_oracle.py::TestTableFor::test_route_matrix",)),
+    Mutant("expected-loss-without-fallback", "src/dpselect/audit.py",
+           "    if math.isfinite(plain):\n        return plain\n",
+           "    return plain\n",
+           ("tests/test_audit.py::TestDominance::test_error_whose_loss_overflows_is_finite",)),
+    Mutant("log-weights-divide-by-rate", "src/dpselect/mechanisms.py",
+           "rate * (0.5 * q - 0.5 * best) * 2.0",
+           "(0.5 * q - 0.5 * best) / rate * 2.0",
+           ("tests/test_noise.py::TestNoiseScale::test_table_depends_on_the_gap_in_noise_scales",)),
+    Mutant("quadrature-stops-early", "src/dpselect/oracle.py",
+           "target, limit = QUADRATURE_TARGET / 80.0, 400",
+           "target, limit = QUADRATURE_TARGET * 1e4, 400",
+           ("tests/test_oracle.py::TestQuadratureGolden",)),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file."""
+    return (ROOT / mutant.file).read_text().count(mutant.old)
+
+
+def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
+    """pytest's exit code for the tests on a copy of the repository, with
+    the mutant applied unless it is None."""
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
+        copy = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            path = copy / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    code = run_tests(None, sorted({t for m in MUTANTS for t in m.tests}))
+    print(json.dumps({"id": "unmutated", "status": "passed" if code == 0 else "failed",
+                      "pytest_exit": code, "seconds": round(time.perf_counter() - start, 2)}),
+          flush=True)
+    failed = code != 0
+    for mutant in MUTANTS:
+        start, count = time.perf_counter(), occurrences(mutant)
+        code = run_tests(mutant, list(mutant.tests)) if count == 1 else None
+        status = {1: "killed", 0: "survived"}.get(code, "stale")
+        print(json.dumps({"id": mutant.id, "file": mutant.file, "status": status,
+                          "occurrences": count, "pytest_exit": code,
+                          "seconds": round(time.perf_counter() - start, 2),
+                          "tests": list(mutant.tests)}), flush=True)
+        failed |= status != "killed"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -180,12 +180,18 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
 
 
 def _expected_loss(probabilities: Sequence[float], quality: QualityVector) -> float:
-    """sum_i p_i * (max q - q_i) over the halved losses, which cannot
-    overflow, doubled last: the same bits as the plain sum wherever every
-    loss is finite and normal, and inf only for an error above DBL_MAX."""
-    half_best = 0.5 * quality.best_score
-    halves = (p * (half_best - 0.5 * s) for p, s in zip(probabilities, quality.scores))
-    return 2.0 * math.fsum(halves)
+    """sum_i p_i * (max q - q_i), exactly rounded. Where a loss or the sum
+    overflows (a nan from 0 * inf, or fsum's OverflowError), the sum of the
+    halved losses, which cannot overflow, doubled last: inf only for an
+    error above DBL_MAX."""
+    best, pairs = quality.best_score, list(zip(probabilities, quality.scores))
+    try:
+        plain = math.fsum(p * (best - s) for p, s in pairs)
+    except OverflowError:
+        plain = math.inf
+    if math.isfinite(plain):
+        return plain
+    return 2.0 * math.fsum(p * (0.5 * best - 0.5 * s) for p, s in pairs)
 
 
 def random_instances(

@@ -39,6 +39,7 @@ from .noise import RngState
 from .oracle import (
     LOG_ORACLES,
     QUADRATURE_LIMIT,
+    ROUTES,
     chi_square_gof,
     empirical_counts,
     table_for,
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument("--scores", required=True, help="quality-vector JSON file")
-    tables.add_argument("--mode", choices=["exact", "quadrature", "empirical"],
+    tables.add_argument("--mode", choices=list(ROUTES),
                         default="exact", help="how to compute each table (default: exact)")
     tables.add_argument("--n", type=int, default=100000,
                         help="samples for empirical mode (default: 100000)")

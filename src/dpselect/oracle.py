@@ -133,13 +133,11 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     count laws live in one (width + 1, 2, rows, width) array, g's counts
     reversed so both shift alike: a step's multiply writes law * (1 - p) to
     its slot and law * p to the next, which its add shifts in. E_i sums
-    pre_i[s] * g_i[s] strictly left to right from count width - 1 down to
-    0, adding pads' exact zeros, so a row's E is the same bit for bit alone
-    or in any batch, over BATCH_ELEMENTS // (2 rows width) indices i at a
-    time, and at least one, in one buffer that their running sums
-    overwrite. At one row memory peaks below 2k^2 + 2 * BATCH_ELEMENTS
-    doubles: the laws' 2k(k + 1), 1 MiB at k = 256, and the buffer, which
-    numpy's ufunc buffers at most triple.
+    pre_i[s] * g_i[s], written over pre_i, strictly left to right from
+    count width - 1 down to 0, adding pads' exact zeros, so a row's E is
+    the same bit for bit alone or in any batch. Memory is the laws'
+    2 rows width (width + 1) doubles, 1 MiB for one row at k = 256, plus
+    numpy's ufunc buffers.
 
     Rounding bound (u = 2^-53): values are sums over paths of nonnegative
     products, with one rounding per operation on a path. Keeping a count
@@ -161,16 +159,11 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     for n, factor in enumerate(np.stack((1.0 - coins, coins), axis=1), 1):
         np.multiply(laws[n - 1], factor, out=laws[n : n + 2])
         np.add(laws[n, ..., 1:], laws[n + 1, ..., :-1], out=laws[n, ..., 1:])
-    # index i: pre_i and g_i, each from count width - 1 down to 0
-    pre, g = laws[:width, 0, :, ::-1], laws[width - 1 :: -1, 1]
-    means = np.empty((rows, width))
-    step = max(1, BATCH_ELEMENTS // (2 * rows * width))
-    sums = np.empty((min(step, width), rows, width))
-    for a in range(0, width, step):
-        part = sums[: width - a]
-        np.multiply(pre[a : a + step], g[a : a + step], out=part)
-        means[:, a : a + step] = np.add.accumulate(part, axis=-1, out=part)[..., -1].T
-    return means
+    # index i: pre_i * g_i over pre_i's slots, then its running sums there,
+    # each from count width - 1 down to 0
+    pre = laws[:width, 0, :, ::-1]
+    np.multiply(pre, laws[width - 1 :: -1, 1], out=pre)
+    return np.add.accumulate(pre, axis=-1, out=pre)[..., -1].T
 
 
 def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
@@ -243,17 +236,17 @@ def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
     gamma_i + log E_i, gamma_i = rate * (q_i - max q), with E_i in [1/k, 1]
     and within (3k + 1) u relative (see _coin_game): no entry underflows, a
     true zero is -inf, round-off above 0 is cut. Rows run in order of k,
-    padded, at most BATCH_ELEMENTS // 3k^2 (laws and products) and at least
-    one per chunk, and a table is the same bit for bit alone or in any
-    batch. It raises TooManyOutcomesForEnumeration above QUADRATURE_LIMIT
-    outcomes.
+    padded, per chunk as many as _coin_game's laws, 2k(k + 1) doubles a
+    row, fit in BATCH_ELEMENTS, and at least one, and a table is the same
+    bit for bit alone or in any batch. It raises
+    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes.
     """
     gammas = [log_weights(inst) for inst in instances]
     order = sorted(range(len(gammas)), key=lambda r: len(gammas[r]))
     tables = {}
     while order:  # the widest rows first, so a chunk is as wide as its last row
         width = len(gammas[order[-1]])
-        rows = max(1, BATCH_ELEMENTS // (3 * width * width))
+        rows = max(1, BATCH_ELEMENTS // (2 * width * (width + 1)))
         chunk, order = order[-rows:], order[:-rows]
         gamma = np.full((len(chunk), width), -np.inf)
         for i, r in enumerate(chunk):
@@ -409,9 +402,9 @@ def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
     Each round bisects, largest first, every interval whose error is at
     least its even share of QUADRATURE_TARGET / 80 (quad_vec's stop at
     epsabs = target / 10), and at least one, up to 400 intervals. It stops
-    once the summed error is below that or the summed rounding error, or
-    either is not finite. Returns the final intervals' summed integrals and
-    their summed error and rounding estimates."""
+    once the summed error is below that, or it or the summed rounding error
+    is not finite. Returns the final intervals' summed integrals and their
+    summed error and rounding estimates."""
     target, limit = QUADRATURE_TARGET / 80.0, 400
     a, b = edges[:-1], edges[1:]
     integral, error, rounding = _gk21(a, b, integrand, width)
@@ -425,7 +418,7 @@ def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
         integral, error, rounding = (np.concatenate((old[keep], new))
                                      for old, new in zip((integral, error, rounding), halves))
         err, rnd = error.sum(), rounding.sum()
-        if err < target or err < rnd or not np.isfinite(err + rnd):
+        if err < target or not np.isfinite(err + rnd):
             break
     return integral.sum(axis=0), float(error.sum() + rounding.sum())
 
@@ -586,20 +579,14 @@ LOG_ORACLES: dict[str, Callable[[Sequence[ValidatedInstance]], list[np.ndarray]]
     "em": em_log_tables,
 }
 
-# mode -> the table whose keys are the mechanisms that mode can compute
-_ROUTES = {"exact": EXACT_ORACLES, "quadrature": RNM_FAMILIES, "empirical": BATCH_SAMPLERS}
-
-
-def require_route(mechanism: str, mode: str) -> None:
-    """Raise UnsupportedOracle, naming the mechanisms the mode supports,
-    unless table_for has a route for this mechanism and mode."""
-    if mode not in _ROUTES:
-        raise UnsupportedOracle(f"unknown mode {mode!r}; expected one of {sorted(_ROUTES)}")
-    if mechanism not in _ROUTES[mode]:
-        raise UnsupportedOracle(
-            f"{mode} mode has no route for {mechanism!r}; "
-            f"it supports {sorted(_ROUTES[mode])}"
-        )
+# mode -> the table keyed by the mechanisms it has a route for, and the
+# function of (mechanism, instance, n, seed) that builds their tables
+ROUTES = {
+    "exact": (EXACT_ORACLES, lambda name, inst, n, seed: EXACT_ORACLES[name](inst)),
+    "quadrature": (RNM_FAMILIES,
+                   lambda name, inst, n, seed: rnm_exact_quadrature(inst, RNM_FAMILIES[name])),
+    "empirical": (BATCH_SAMPLERS, empirical_distribution),
+}
 
 
 def table_for(
@@ -608,11 +595,12 @@ def table_for(
     """A mechanism's output table by one of three routes: "exact" (its
     EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
     RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n
-    seeded draws). Any other pair raises UnsupportedOracle, as
-    require_route does."""
-    require_route(mechanism, mode)
-    if mode == "exact":
-        return EXACT_ORACLES[mechanism](inst)
-    if mode == "quadrature":
-        return rnm_exact_quadrature(inst, RNM_FAMILIES[mechanism])
-    return empirical_distribution(mechanism, inst, n, seed)
+    seeded draws). Any other pair raises UnsupportedOracle, naming the
+    modes or the mechanisms the mode supports."""
+    if mode not in ROUTES:
+        raise UnsupportedOracle(f"unknown mode {mode!r}; expected one of {sorted(ROUTES)}")
+    supported, build = ROUTES[mode]
+    if mechanism not in supported:
+        raise UnsupportedOracle(
+            f"{mode} mode has no route for {mechanism!r}; it supports {sorted(supported)}")
+    return build(mechanism, inst, n, seed)

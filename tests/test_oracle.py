@@ -318,6 +318,38 @@ class TestEnumerationGolden:
         assert digest.hexdigest()[:16] == self.DIGESTS[name][k]
 
 
+class TestCoinGameGolden:
+    """pf's linear and log tables pinned bit for bit above 14 outcomes, up
+    to QUADRATURE_LIMIT: per k, a digest of the tables of one random
+    instance at each of eps 0.1, 1 and 4, k ties and underflow_instance(k),
+    each E_i summed strictly left to right from count k - 1 down to 0."""
+
+    DIGESTS = {
+        "linear": {20: "4eb84457bd2aa93f", 64: "ca12b7093e49975b", 128: "4ae6681f5fd682b5",
+                   256: "99ee6358883c18f9"},
+        "log": {20: "10f3df0827afd3ea", 64: "81568acc0e6b34d0", 128: "5642ceefef920dd3",
+                256: "a1ff8963c57852cd"},
+    }
+
+    @pytest.mark.parametrize("k", [20, 64, 128, 256])
+    @pytest.mark.parametrize("table", ["linear", "log"])
+    def test_tables_unchanged(self, table, k):
+        suite = [
+            *(random_instances(1, eps, 1.0, k_min=k, k_max=k, seed=k)[0]
+              for eps in (0.1, 1.0, 4.0)),
+            make_instance([0.0] * k),
+            underflow_instance(k),
+        ]
+        if table == "linear":
+            tables = [np.array(pf_exact_distribution(inst).probabilities) for inst in suite]
+        else:
+            tables = oracle.pf_log_tables(suite)
+        digest = hashlib.sha256()
+        for values in tables:
+            digest.update(values.tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[table][k]
+
+
 class TestEnumerationMemory:
     """Memory stays flat in k: a table at the outcome limit peaks at a small
     multiple of BATCH_ELEMENTS doubles, where one buffer of 2^20 doubles
@@ -438,9 +470,10 @@ class TestPfBeyondEnumeration:
     @pytest.mark.parametrize("fn", [pf_exact_distribution, rnm_expo_exact_distribution],
                              ids=["pf", "rnm-expo"])
     def test_k256_peaks_below_stated_memory(self, fn):
-        """The DP's bound: below 2k^2 + 2 * BATCH_ELEMENTS doubles, 1.3 MiB
-        at k = 256. Gauss-Legendre keeps to it too, with its two (129, 257)
-        arrays, 0.5 MiB. Measured: 1.26 MB and 0.74 MB."""
+        """The DP's laws, 2k(k + 1) doubles, and numpy's ufunc buffers stay
+        below 2k^2 + 2 * BATCH_ELEMENTS doubles, 1.3 MiB at k = 256.
+        Gauss-Legendre keeps to it too, with its two (129, 257) arrays,
+        0.5 MiB. Measured: 1.26 MB and 0.74 MB."""
         inst = _spread_instance(256, 1.0, seed=3)
         fn(inst)
         tracemalloc.start()
@@ -727,7 +760,7 @@ class TestLogTables:
 
     def test_chunks_stay_within_batch_elements(self, monkeypatch):
         """Each _coin_game call holds at most BATCH_ELEMENTS values of its
-        laws and products, 3 width^2 per row, or a single row."""
+        laws, 2 width (width + 1) per row, or a single row."""
         shapes = []
         coin_game = oracle._coin_game
 
@@ -741,7 +774,8 @@ class TestLogTables:
         oracle.pf_log_tables(batch)
         assert sum(rows for rows, _ in shapes) == len(batch)
         assert len(shapes) > 2
-        assert all(rows * 3 * width**2 <= BATCH_ELEMENTS or rows == 1 for rows, width in shapes)
+        assert all(rows * 2 * width * (width + 1) <= BATCH_ELEMENTS or rows == 1
+                   for rows, width in shapes)
 
     def test_true_zero_is_minus_infinity(self):
         # rate * (q - max q) = 5e299 * -1e10 leaves the double range

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts on tiny grids, so a change to the
 public names they import cannot break them unnoticed."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,16 @@ import pytest
 import dpselect
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MUTATION_GATE = load_script("mutation_gate")
 
 
 def start_script(name, *argv):
@@ -104,3 +115,12 @@ def test_grid_value_out_of_range_is_a_usage_error(name, argv, message):
     assert "usage:" in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mutant", MUTATION_GATE.MUTANTS, ids=lambda m: m.id)
+def test_mutant_is_not_stale(mutant):
+    """Each mutant of scripts/mutation_gate.py still applies to one place
+    and names test files that exist; CI runs the gate itself."""
+    assert mutant.old != mutant.new
+    assert MUTATION_GATE.occurrences(mutant) == 1
+    assert mutant.tests and all((ROOT / t.split("::")[0]).is_file() for t in mutant.tests)

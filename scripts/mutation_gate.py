@@ -71,6 +71,30 @@ MUTANTS = (
            "target, limit = QUADRATURE_TARGET / 80.0, 400",
            "target, limit = QUADRATURE_TARGET * 1e4, 400",
            ("tests/test_oracle.py::TestQuadratureGolden",)),
+    Mutant("laplace-density-one-minus-tail", "src/dpselect/noise.py",
+           "return np.abs(out, out=out), half",
+           "return np.abs(out, out=out), 1.0 - half",
+           ("tests/test_noise.py::TestNoiseGolden",)),
+    Mutant("gumbel-density-without-t", "src/dpselect/noise.py",
+           "return out, np.exp(minus - e)",
+           "return out, np.exp(-e)",
+           ("tests/test_noise.py::TestNoiseGolden",)),
+    Mutant("exponential-density-not-zeroed-below-0", "src/dpselect/noise.py",
+           "np.exp(minus) * (x >= 0.0)",
+           "np.exp(minus)",
+           ("tests/test_noise.py::TestNoiseGolden",)),
+    Mutant("gk21-chunks-without-the-factor-rows-of-ones", "src/dpselect/oracle.py",
+           "BATCH_ELEMENTS // (21 * (width + 2))",
+           "BATCH_ELEMENTS // (21 * width)",
+           ("tests/test_oracle.py::TestQuadratureMemory",)),
+    Mutant("adaptive-right-halves-swapped", "src/dpselect/oracle.py",
+           "np.concatenate((b[keep], mid, b[split]))",
+           "np.concatenate((b[keep], b[split], mid))",
+           ("tests/test_oracle.py::TestQuadratureGolden",)),
+    Mutant("coin-game-h-shifted", "src/dpselect/oracle.py",
+           "1.0 / np.arange(width, 0, -1)",
+           "1.0 / np.arange(width + 1, 1, -1)",
+           ("tests/test_oracle.py::TestCoinGameGolden",)),
 )
 
 

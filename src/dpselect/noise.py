@@ -2,13 +2,16 @@
 seedable sampler for them.
 
 Each family is one parameter-free class that owns the formulas of its unit
-law: `quantile` (the inverse CDF), `cdf` and `pdf`. The mechanisms and the
-quadrature route add this noise to the scores in units of the noise scale,
-gamma = rate * (q - max q), so no draw is ever scaled. All formulas are
-numpy, so one serves a float and an array: the quadrature integrand
-evaluates every outcome's factor in one call. Arguments are clamped so
-that no `exp` overflows, even far outside the support: the Gumbel formulas
-stop at |x| = 700, where the true value is already 0.
+law: `quantile` (the inverse CDF) and `cdf_pdf`, which writes the CDF into
+a caller's array and returns the density, from one shared pass: one exp
+for Laplace, three for Gumbel, one clamp for exponential noise. `cdf` and
+`pdf` read their half off it. The mechanisms and the quadrature route add
+this noise to the scores in units of the noise scale, gamma = rate *
+(q - max q), so no draw is ever scaled. All formulas are numpy, so one
+serves a float and an array: the quadrature integrand evaluates every
+outcome's factor in one call. Arguments are clamped so that no `exp`
+overflows, even far outside the support: the Gumbel formulas stop at
+|x| = 700, where the true value is already 0.
 
 Sampling is inverse-CDF from a single uniform draw per sample, so every
 stream is reproducible from its seed and directly checkable against the
@@ -28,22 +31,31 @@ import numpy as np
 _U_FLOOR = 2.0 ** -53
 
 
+class _UnitLaw:
+    """cdf and pdf, each read off the family's one shared pass, cdf_pdf."""
+
+    def cdf(self, x: float | np.ndarray) -> np.ndarray:
+        return self.cdf_pdf(x, np.empty(np.shape(x)))[0]
+
+    def pdf(self, x: float | np.ndarray) -> np.ndarray:
+        return self.cdf_pdf(x, np.empty(np.shape(x)))[1]
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_UnitLaw):
     """Nonnegative noise, density exp(-x) for x >= 0."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
         return -np.log1p(-u)
 
-    def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        return -np.expm1(-np.maximum(x, 0.0))
-
-    def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        return np.where(x < 0.0, 0.0, np.exp(-np.maximum(x, 0.0)))
+    def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        minus = -np.maximum(x, 0.0)
+        np.negative(np.expm1(minus), out=out)
+        return out, np.exp(minus) * (x >= 0.0)  # a mask without a branch per point
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_UnitLaw):
     """Symmetric noise, density exp(-|x|) / 2."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
@@ -51,29 +63,27 @@ class Laplace:
         # branch: 1 - u is exact there, and u = 0.5 gives -0.0
         return -np.copysign(np.log(2.0 * np.minimum(u, 1.0 - u)), 0.5 - u)
 
-    def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        tail = 0.5 * np.exp(-np.abs(x))
-        return np.where(x < 0.0, tail, 1.0 - tail)
-
-    def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        return np.exp(-np.abs(x)) / 2.0
+    def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # half of exp(-|x|) is both the lower tail and the density; the CDF
+        # is |0 - half| = half below 0 and |1 - half| = 1 - half from it
+        half = 0.5 * np.exp(-np.abs(x))
+        np.subtract(x >= 0.0, half, out=out)
+        return np.abs(out, out=out), half
 
 
 @dataclass(frozen=True)
-class Gumbel:
+class Gumbel(_UnitLaw):
     """Max-stable noise, density exp(-x - exp(-x))."""
 
     def quantile(self, u: float | np.ndarray) -> np.ndarray:
         return -np.log(-np.log(u))
 
-    def cdf(self, x: float | np.ndarray) -> np.ndarray:
-        # exp(-x) would overflow from x = -710; the CDF is already 0 at -700
-        return np.exp(-np.exp(np.minimum(-x, 700.0)))
-
-    def pdf(self, x: float | np.ndarray) -> np.ndarray:
-        # exp(-x) would overflow from x = -710; the density is already 0 at -700
-        t = np.maximum(x, -700.0)
-        return np.exp(-t - np.exp(-t))
+    def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # exp(-x) would overflow from x = -710; both are already 0 at -700
+        minus = np.minimum(-x, 700.0)
+        e = np.exp(minus)
+        np.exp(-e, out=out)
+        return out, np.exp(minus - e)
 
 
 NoiseKind = Union[Exponential, Laplace, Gumbel]

@@ -154,9 +154,11 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     laws = np.zeros((width + 1, 2, rows, width))
     # pre_0: no coin yet, a count of 0; g_(width-1) = H[:, 0], reversed
     laws[0, 0, :, 0], laws[0, 1] = 1.0, 1.0 / np.arange(width, 0, -1)
-    # step n: pre takes coin n - 1 and g coin width - n
-    coins = np.stack((p[:, :-1].T, p[:, :0:-1].T), axis=1)[..., None]
-    for n, factor in enumerate(np.stack((1.0 - coins, coins), axis=1), 1):
+    # step n: pre takes coin n - 1 and g coin width - n, factor [1 - p, p]
+    factors = np.empty((width - 1, 2, 2, rows, 1))
+    factors[:, 1, 0, :, 0], factors[:, 1, 1, :, 0] = p[:, :-1].T, p[:, :0:-1].T
+    np.subtract(1.0, factors[:, 1], out=factors[:, 0])
+    for n, factor in enumerate(factors, 1):
         np.multiply(laws[n - 1], factor, out=laws[n : n + 2])
         np.add(laws[n, ..., 1:], laws[n + 1, ..., :-1], out=laws[n, ..., 1:])
     # index i: pre_i * g_i over pre_i's slots, then its running sums there,
@@ -322,21 +324,34 @@ def _win_integrand(inst: ValidatedInstance, kind: str):
         lo = lowest + bottom
         breaks += [lowest + q for q in lower]
     points = sorted({p for p in breaks if lo < p < hi})
-    pdf, cdf = noise.pdf, noise.cdf
-    running_product = np.multiply.accumulate
+    cdf_pdf = noise.cdf_pdf
 
     def win_density(v: np.ndarray) -> np.ndarray:
         # entry i's product of the other factors is the prefix product before
         # it times the suffix product after it: no division, since a factor
-        # can be exactly 0
-        u = v[:, None] - x
-        factors = np.ones((len(v), len(x) + 2))
-        factors[:, 1:-1] = cdf(u)
-        before = running_product(factors, axis=1)[:, :-2]
-        after = running_product(factors[:, ::-1], axis=1)[:, -3::-1]
-        return pdf(u) * before * after
+        # can be exactly 0. Row i + 1 of factors is outcome i's F, between
+        # two rows of ones.
+        factors = np.empty((len(x) + 2, len(v)))
+        factors[[0, -1]] = 1.0
+        _, density = cdf_pdf(v - x[:, None], factors[1:-1])
+        density *= _running_product(factors[:-2].copy())
+        density *= _running_product(factors[::-1])[-3::-1]
+        return np.ascontiguousarray(density.T)
 
     return win_density, np.array([lo, *points, hi])
+
+
+def _running_product(rows: np.ndarray) -> np.ndarray:
+    """rows' running product along axis 0, in place, each column's chain
+    multiplied in row order, bit for bit numpy's accumulate. Across 128
+    columns or more it takes one multiply per row over all of them; below,
+    the accumulate itself, one latency-bound chain per column, measured
+    faster than that many calls."""
+    if rows.shape[1] < 128:
+        return np.multiply.accumulate(rows, axis=0, out=rows)
+    for before, row in zip(rows, rows[1:]):
+        np.multiply(before, row, out=row)
+    return rows
 
 
 # QUADPACK's qk21 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the 21
@@ -375,24 +390,27 @@ def _gk21(a: np.ndarray, b: np.ndarray, integrand, width: int):
     that maps points (m,) to values (m, width). Returns the integrals
     (n, width), QUADPACK's error estimates in the max norm (n,) and its
     rounding-error estimates (n,). Each integrand call gets the nodes of as
-    many whole intervals as fit in BATCH_ELEMENTS values, and at least one."""
+    many whole intervals, and at least one, as keep its points times the
+    width + 2 rows of the win integrand's factors within BATCH_ELEMENTS, so
+    no array of a call reaches glibc's 128 KiB mmap threshold."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    integral, error, rounding = np.empty((len(a), width)), np.empty(len(a)), np.empty(len(a))
-    step = max(1, BATCH_ELEMENTS // (21 * width))
+    integral, gap, spread, rounding = np.empty((len(a), width)), *np.empty((3, len(a)))
+    step = max(1, BATCH_ELEMENTS // (21 * (width + 2)))
+    deviation = np.empty((min(step, len(a)), 21, width))  # |f - kronrod / 2|, then |f|
     for start in range(0, len(a), step):
         part = slice(start, start + step)
         hh = h[part, None]
         f = integrand((c[part, None] + hh * _GK21_NODES).ravel()).reshape(-1, 21, width)
         kronrod = _GK21_KRONROD @ f
-        gap = np.abs((kronrod - _GK21_GAUSS @ f[:, 1::2]) * hh).max(axis=1)
-        spread = (_GK21_KRONROD @ np.abs(f - 0.5 * kronrod[:, None]) * hh).max(axis=1)
-        with np.errstate(all="ignore"):  # spread 0 is dropped just below
-            scaled = spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5)
-        err = np.where((spread != 0.0) & (gap != 0.0), scaled, gap)
-        rnd = (50.0 * _EPS * hh * (_GK21_KRONROD @ np.abs(f))).max(axis=1)
-        error[part] = np.where(rnd > _TINY, np.maximum(err, rnd), err)
-        rounding[part] = rnd
+        gap[part] = np.abs((kronrod - _GK21_GAUSS @ f[:, 1::2]) * hh).max(axis=1)
+        dev = np.subtract(f, 0.5 * kronrod[:, None], out=deviation[: len(f)])
+        spread[part] = (_GK21_KRONROD @ np.abs(dev, out=dev) * hh).max(axis=1)
+        rounding[part] = (50.0 * _EPS * hh * (_GK21_KRONROD @ np.abs(f, out=dev))).max(axis=1)
         integral[part] = hh * kronrod
+    with np.errstate(all="ignore"):  # spread 0 is dropped just below
+        scaled = spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5)
+    err = np.where((spread != 0.0) & (gap != 0.0), scaled, gap)
+    error = np.where(rounding > _TINY, np.maximum(err, rounding), err)
     return integral, error, rounding
 
 

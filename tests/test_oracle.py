@@ -596,14 +596,20 @@ class TestQuadratureGolden:
 
     DIGESTS = {
         "exponential": {2: "4ad29adc9a1647b6", 5: "1b90f47a73b46020",
-                        16: "cb91b0aaa9c2ca1c", 64: "799298a31a87356d"},
+                        16: "cb91b0aaa9c2ca1c", 32: "ff51e9fe07db9820",
+                        64: "799298a31a87356d", 128: "15383044d32cddcc",
+                        256: "ae3b7f3eefb6f4c9"},
         "laplace": {2: "5ef18ed667f4633f", 5: "8b4c51fdebd33e1f",
-                    16: "6c829b08e965fb15", 64: "49d0ee744b6679df"},
+                    16: "6c829b08e965fb15", 32: "3f68845261c0e70e",
+                    64: "49d0ee744b6679df", 128: "a6c3bb510f16351a",
+                    256: "12d079001eeab335"},
         "gumbel": {2: "ec04dc4de9af1354", 5: "bfc370bcbac58d53",
-                   16: "909b2882aa8dc7e4", 64: "871f8a22e301b21b"},
+                   16: "909b2882aa8dc7e4", 32: "1a85611b917d046d",
+                   64: "871f8a22e301b21b", 128: "9a9ec0ff4ac35f33",
+                   256: "e12d34470eaf9754"},
     }
 
-    @pytest.mark.parametrize("k", [2, 5, 16, 64])
+    @pytest.mark.parametrize("k", [2, 5, 16, 32, 64, 128, 256])
     @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
     def test_tables_unchanged(self, family, k):
         suite = [
@@ -652,6 +658,47 @@ class TestGaussKronrod:
         raw, error = oracle._adaptive_gk21(integrand, k, edges)
         assert np.abs(raw - reference).max() <= 1e-12
         assert error <= oracle.QUADRATURE_TARGET
+
+
+class TestQuadratureMemory:
+    """No integrand array holds more than BATCH_ELEMENTS doubles, 128 KiB,
+    glibc's default mmap threshold, so memory stays flat in k: a chunk's
+    factors hold its points times k + 2 rows, the k factors between two
+    rows of ones."""
+
+    @pytest.mark.parametrize("k", [2, 32, 64, 256])
+    @pytest.mark.parametrize("family", ["exponential", "laplace", "gumbel"])
+    def test_factors_fit_in_batch_elements(self, monkeypatch, family, k):
+        whole, sizes = oracle._win_integrand, []
+
+        def recorded(inst, kind):
+            integrand, edges = whole(inst, kind)
+
+            def counted(v):
+                sizes.append(len(v))
+                return integrand(v)
+
+            return counted, edges
+
+        monkeypatch.setattr(oracle, "_win_integrand", recorded)
+        rnm_exact_quadrature(_spread_instance(k, 1.0, seed=k), family)
+        assert sizes and all(m * (k + 2) <= BATCH_ELEMENTS for m in sizes), sizes
+
+
+class TestRunningProduct:
+    """The integrand's running products, on both sides of the 128-column
+    switch, are numpy's accumulate along axis 0 bit for bit, zeros and
+    subnormals included, and so are they on a reversed view."""
+
+    @pytest.mark.parametrize("shape", [(5, 127), (5, 128), (34, 462), (258, 63)])
+    def test_equals_accumulate(self, shape):
+        rows = np.random.default_rng(shape[1]).uniform(0.0, 1.0, shape) ** 8
+        rows[2, ::7] = 0.0
+        want = np.multiply.accumulate(rows, axis=0)
+        assert oracle._running_product(rows.copy()).tobytes() == want.tobytes()
+        flipped = rows.copy()
+        oracle._running_product(flipped[::-1])
+        assert flipped[::-1].tobytes() == np.multiply.accumulate(rows[::-1], axis=0).tobytes()
 
 
 def log_identity_reference(inst):

@@ -95,6 +95,22 @@ MUTANTS = (
            "1.0 / np.arange(width, 0, -1)",
            "1.0 / np.arange(width + 1, 1, -1)",
            ("tests/test_oracle.py::TestCoinGameGolden",)),
+    Mutant("chi2-sf-without-the-odd-dof-erfc", "src/dpselect/oracle.py",
+           "q = math.erfc(math.sqrt(y)) if dof % 2 else 0.0",
+           "q = 0.0",
+           ("tests/test_oracle.py::TestChiSquarePValue",)),
+    Mutant("power-mixture-weights-shifted-one-term", "src/dpselect/oracle.py",
+           "w = _gamma_steps(0.0, mu, n)",
+           "w = _gamma_steps(1.0, mu, n)",
+           ("tests/test_oracle.py::TestDetectableDivergence",)),
+    Mutant("power-target-0.9", "src/dpselect/oracle.py",
+           "return f0 - 0.1, (f0 - 0.1)",
+           "return f0 - 0.9, (f0 - 0.9)",
+           ("tests/test_oracle.py::TestDetectableDivergence",)),
+    Mutant("critical-value-at-one-minus-alpha", "src/dpselect/oracle.py",
+           "-2.0 * math.log(significance)",
+           "-2.0 * math.log1p(-significance)",
+           ("tests/test_oracle.py::TestDetectableDivergence",)),
 )
 
 

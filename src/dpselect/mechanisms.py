@@ -40,6 +40,10 @@ import numpy as np
 from .core import ValidatedInstance
 from .noise import NOISE_FAMILIES, RngState, samples
 
+# glibc maps each fresh block of 128 KiB or more, page faults and all, until
+# it frees a larger one: freeing 1 MiB lets the chunk arrays reuse the heap
+np.empty(2**17)
+
 
 @dataclass(frozen=True)
 class SelectionResult:

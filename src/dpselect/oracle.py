@@ -25,9 +25,9 @@ route. LOG_ORACLES gives batches of natural-log tables, which cannot
 underflow, to privacy_ratio_audit and dominance_check: the same DP for pf
 and rnm-expo, and a log-softmax for em.
 
-Only chi_square_gof uses scipy (scipy.special), and it imports it when
-called: every other route, and every CLI command that runs no
-goodness-of-fit test, starts without it.
+chi_square_gof computes its p-value and its power from finite sums of
+positive terms (Abramowitz and Stegun 26.4) with math and numpy, so
+numpy is the package's one runtime dependency.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -515,11 +516,16 @@ def chi_square_gof(
     draws in it cannot dominate the statistic. A single category after
     pooling that covers the whole table is a vacuous pass (dof 0); if every
     category needed pooling the test is impossible and AllCategoriesMerged
-    is raised. Observed mass on a zero-probability outcome fails outright.
-    A significance outside (0, 1) would pass every sample (at 0 or below)
-    or none (at 1 or above), so it raises ValueError. So does a count that
-    is not a Python or numpy integer, even a whole float: truncating 5000.9
-    to 5000 would test other counts than the ones observed.
+    is raised. Observed mass on a zero-probability outcome fails outright,
+    with p = 0 and the dof and power of the pooled cells. A significance
+    outside (0, 1) would pass every sample (at 0 or below) or none (at 1 or
+    above), so it raises ValueError. So does a count that is not a Python
+    or numpy integer, even a whole float: truncating 5000.9 to 5000 would
+    test other counts than the ones observed.
+
+    The p-value is within 1e-12 relative of the chi-square survival
+    function where that is at least 1e-290 and 1e-300 absolute below, and
+    detectable_divergence within 1e-10 relative; tests check both on scipy.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must be strictly between 0 and 1, got {significance}")
@@ -537,51 +543,102 @@ def chi_square_gof(
     if total < 1:
         raise ValueError("need at least one observation")
 
-    impossible = any(
-        c > 0 and p == 0.0 for c, p in zip(counts, expected.probabilities)
-    )
-    cells = [
-        (c, p * total)
-        for c, p in zip(counts, expected.probabilities)
-        if p > 0.0
-    ]
-    if impossible:
-        dof = max(len(cells) - 1, 0)
-        return GofResult(math.inf, dof, 0.0, False, _detectable(dof, significance, total))
-
+    impossible = any(c > 0 and p == 0.0 for c, p in zip(counts, expected.probabilities))
+    cells = [(c, p * total) for c, p in zip(counts, expected.probabilities) if p > 0.0]
     kept = [(c, e) for c, e in cells if e >= MIN_EXPECTED_COUNT]
     pooled = [(c, e) for c, e in cells if e < MIN_EXPECTED_COUNT]
-    if not kept:
+    if not kept and not impossible:
         raise AllCategoriesMerged(
             f"every expected count is below {MIN_EXPECTED_COUNT} at "
             f"{total} observations"
         )
-    if pooled:
+    if kept and pooled:
         count, expect = sum(c for c, _ in pooled), sum(e for _, e in pooled)
         if expect < MIN_EXPECTED_COUNT:  # the tail joins the smallest kept cell
             c, e = kept.pop(min(range(len(kept)), key=lambda j: kept[j][1]))
             count, expect = count + c, expect + e
         kept.append((count, expect))
-    if len(kept) == 1:
+    dof = max(len(kept) - 1, 0)
+    detectable = _noncentrality(dof, significance) / total if dof else None
+    if impossible:
+        return GofResult(math.inf, dof, 0.0, False, detectable)
+    if not dof:
         return GofResult(0.0, 0, 1.0, True, None)
-
-    # chdtrc is what scipy.stats.chi2.sf evaluates, bit for bit; importing
-    # scipy.special alone costs well under half of scipy.stats
-    from scipy.special import chdtrc
-
     statistic = math.fsum((c - e) ** 2 / e for c, e in kept)
-    dof = len(kept) - 1
-    p_value = float(chdtrc(dof, statistic))
-    return GofResult(statistic, dof, p_value, p_value >= significance,
-                     _detectable(dof, significance, total))
+    p_value = _chi2_sf(dof, statistic)
+    return GofResult(statistic, dof, p_value, p_value >= significance, detectable)
 
 
-def _detectable(dof: int, significance: float, n: int) -> float | None:
-    """The divergence whose n-fold puts the noncentral chi-square on dof
-    degrees of freedom past its critical value with probability 0.9."""
-    from scipy.special import chdtri, chndtrinc
+def _chi2_sf(dof: int, x: float) -> float:
+    """Q(dof/2, x/2), the chi-square survival function at a whole dof >= 1
+    (Abramowitz and Stegun 26.4.4-5): erfc(sqrt(y)) for odd dof plus
+    e^-y y^j / Gamma(j + 1) for j = 0 or 1/2 up to dof/2 - 1, y = x/2,
+    each taken in log space. Nothing overflows or cancels; exactly 1.0 at
+    x = 0, and 0.0 where the sum falls below the normal range."""
+    y = 0.5 * x
+    if not y > 0.0:
+        return 1.0
+    log_y, h = math.log(y), 0.5 * (dof % 2)
+    q = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    for j in range(dof // 2):
+        q += math.exp((h + j) * log_y - y - math.lgamma(h + j + 1.0))
+    return q if q >= sys.float_info.min else 0.0
 
-    return float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / n if dof else None
+
+def _gamma_steps(a: float, y: float, n: int) -> np.ndarray:
+    """Q(a + i + 1, y) - Q(a + i, y) = y^(a + i) e^-y / Gamma(a + i + 1)
+    for i < n, in log space; at a = 0 the Poisson(y) probabilities of i."""
+    i = np.arange(float(n))
+    log_gamma = np.cumsum(np.log(a + i, out=np.full(n, math.lgamma(a + 1.0)), where=i > 0))
+    return np.exp((a + i) * math.log(y) - y - log_gamma)
+
+
+def _newton(f: Callable[[float], tuple[float, float]], x: float) -> float:
+    """Root on (0, inf) of a decreasing f, which returns its value and Newton
+    step, from x; a step out of the bracket bisects it or doubles x."""
+    lo, hi = 0.0, math.inf
+    for _ in range(100):
+        value, step = f(x)
+        if abs(step) <= 1e-14 * x:
+            return x - step
+        lo, hi = (x, hi) if value > 0.0 else (lo, x)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return x
+
+
+@functools.lru_cache(maxsize=256)
+def _noncentrality(dof: int, significance: float) -> float:
+    """The noncentrality lam at which the noncentral chi-square on dof degrees
+    of freedom passes c = Q^-1(significance) with probability 0.9: the root
+    of F(c; dof, lam) = sum_i Pois(i; lam/2) (1 - Q(dof/2 + i, c/2)) = 0.1,
+    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2."""
+    a, t = 0.5 * dof, -2.0 * math.log(significance)
+
+    def log_tail(c):  # Newton on log Q, nearly linear in the tail
+        q = _chi2_sf(dof, c)
+        density = 0.5 * math.exp((a - 1.0) * math.log(0.5 * c) - 0.5 * c - math.lgamma(a))
+        value = math.log(q) + 0.5 * t if q else -math.inf
+        return value, -value * q / density if density else math.nan
+
+    # Wilson and Hilferty's start, z from the normal tail's leading terms
+    z, v = math.sqrt(max(t - math.log(t) - math.log(2.0 * math.pi), 0.0)), 2.0 / (9.0 * dof)
+    c = _newton(log_tail, dof * max(1.0 - v + z * math.sqrt(v), 0.1) ** 3)
+    q0 = _chi2_sf(dof, c)
+
+    def miss(lam):
+        mu = 0.5 * lam
+        n = int(mu + 12.0 * math.sqrt(mu) + 30.0)
+        w = _gamma_steps(0.0, mu, n)
+        p = 1.0 - np.concatenate(([q0], q0 + np.cumsum(_gamma_steps(a, 0.5 * c, n))))
+        f0, f2 = float(w @ p[:-1]), float(w @ p[1:])
+        return f0 - 0.1, (f0 - 0.1) / (0.5 * (f2 - f0)) if f2 != f0 else math.nan
+
+    # the normal approximation's start: c = dof + lam - z sqrt(2 dof + 4 lam)
+    z = 1.2815515655446004
+    s = 2.0 * z + math.sqrt(max(4.0 * z * z + 4.0 * c - 2.0 * dof, 0.0))
+    return _newton(miss, max(0.25 * s * s - 0.5 * dof, 1e-3))
 
 
 EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {

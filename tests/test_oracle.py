@@ -1245,6 +1245,22 @@ class TestChiSquareGof:
         assert not result.passed
         assert result.p_value == 0.0
 
+    @pytest.mark.parametrize("probabilities, counts, dof", [
+        ((0.998, 0.002, 0.0), [990, 9, 1], 0),
+        ((0.5, 0.497, 0.003, 0.0), [500, 495, 4, 1], 1),
+    ])
+    def test_impossible_outcome_reports_the_pooled_dof(self, probabilities, counts, dof):
+        # the same counts with the impossible draw moved to the first cell
+        # pool to the same cells, so they report the same dof and power
+        labels = tuple("abcd"[: len(counts)])
+        expected = ProbabilityTable(labels, probabilities, "exact-closed-form")
+        result = chi_square_gof(counts, expected, 0.001)
+        possible = chi_square_gof([counts[0] + 1, *counts[1:-1], 0], expected, 0.001)
+        assert (result.passed, result.p_value, result.degrees_of_freedom) == (False, 0.0, dof)
+        assert possible.degrees_of_freedom == dof
+        assert result.detectable_divergence == possible.detectable_divergence
+        assert (result.detectable_divergence is None) == (dof == 0)
+
     def test_count_length_mismatch(self):
         expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
         with pytest.raises(LabelMismatch):
@@ -1273,14 +1289,24 @@ class TestChiSquareGof:
 
 
 class TestChiSquarePValue:
-    """chi_square_gof's p-value is bit for bit scipy.stats.chi2.sf, which
-    the package itself does not import."""
+    """chi_square_gof's p-value against scipy.stats.chi2.sf, which the
+    package itself does not import: within 1e-12 relative where the
+    reference is at least 1e-290 and 1e-300 absolute below that, with the
+    same verdict at 0.001, exactly 1.0 at a statistic of 0 and exactly 0.0
+    where the reference is 0.0."""
 
     @staticmethod
     def assert_matches_chi2_sf(result):
         from scipy.stats import chi2
 
-        assert result.p_value == float(chi2.sf(result.statistic, result.degrees_of_freedom))
+        reference = float(chi2.sf(result.statistic, result.degrees_of_freedom))
+        bound = 1e-12 * reference if reference >= 1e-290 else 1e-300
+        assert abs(result.p_value - reference) <= bound
+        assert result.passed == (reference >= 0.001)
+        if result.statistic == 0.0:
+            assert result.p_value == 1.0
+        if reference == 0.0:
+            assert result.p_value == 0.0
 
     @pytest.mark.parametrize("dof", range(1, 81))
     def test_grid_from_zero_to_far_tail(self, dof):
@@ -1331,6 +1357,26 @@ class TestChiSquarePValue:
         expected = ProbabilityTable(("a", "b"), (1.0, 0.0), "exact-closed-form")
         result = chi_square_gof([100, 0], expected, 0.001)
         assert (result.statistic, result.degrees_of_freedom, result.p_value) == (0.0, 0, 1.0)
+
+
+class TestDetectableDivergence:
+    """detectable_divergence against scipy's noncentrality inversion
+    chndtrinc(chdtri(dof, significance), dof, 0.1) / n within 1e-10
+    relative, over dof 1-255 and significance levels down to the
+    Bonferroni levels of a wrong-fail budget."""
+
+    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8])
+    def test_matches_scipy_noncentrality(self, significance):
+        from scipy.special import chdtri, chndtrinc
+
+        for dof in range(1, 256):
+            cells = dof + 1
+            uniform = ProbabilityTable(tuple(f"o{i}" for i in range(cells)), (1 / cells,) * cells,
+                                       "exact")
+            result = chi_square_gof([1000] * cells, uniform, significance)
+            reference = float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / (1000 * cells)
+            assert result.degrees_of_freedom == dof
+            assert result.detectable_divergence == pytest.approx(reference, rel=1e-10, abs=0)
 
 
 class TestTableInvariants:

@@ -111,6 +111,26 @@ MUTANTS = (
            "-2.0 * math.log(significance)",
            "-2.0 * math.log1p(-significance)",
            ("tests/test_oracle.py::TestDetectableDivergence",)),
+    Mutant("power-without-the-zero-above-0.9", "src/dpselect/oracle.py",
+           "    if significance >= 0.9:\n        return 0.0\n",
+           "",
+           ("tests/test_oracle.py::TestDetectableDivergence",)),
+    Mutant("cli-starts-the-blas-pool", "src/dpselect/cli.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+           "",
+           ("tests/test_cli.py::TestSingleThreadedBlas",)),
+    Mutant("audit-compares-q1-with-itself", "src/dpselect/audit.py",
+           "np.subtract(log_p1, log_p2,",
+           "np.subtract(log_p1, log_p1,",
+           ("tests/test_audit.py::TestPrivacyRatioAudit::test_em_swap_pair",)),
+    Mutant("dominance-takes-the-pf-error-from-em", "src/dpselect/audit.py",
+           "zip(instances, pf_log_tables(instances), em_log_tables(instances))",
+           "zip(instances, em_log_tables(instances), em_log_tables(instances))",
+           ("tests/test_audit.py::TestDominance::test_two_point_values",)),
+    Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
+           "draws[:, 1::2] * (capped == 0.0)",
+           "draws[:, 0::2] * (capped == 0.0)",
+           ("tests/test_mechanisms.py::TestSeededGolden",)),
 )
 
 

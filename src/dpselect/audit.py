@@ -194,6 +194,13 @@ def _expected_loss(probabilities: Sequence[float], quality: QualityVector) -> fl
     return 2.0 * math.fsum(p * (0.5 * best - 0.5 * s) for p, s in pairs)
 
 
+def _random_vectors(gen: np.random.Generator, count: int, k_min: int, k_max: int):
+    """Lazily, count (labels, scores) draws as random_instances describes."""
+    for _ in range(count):
+        k = int(gen.integers(k_min, k_max + 1))
+        yield tuple(f"o{i}" for i in range(k)), gen.uniform(-5.0, 5.0, size=k)
+
+
 def random_instances(
     count: int,
     epsilon: float,
@@ -204,15 +211,10 @@ def random_instances(
 ) -> list[ValidatedInstance]:
     """Deterministic suite of random instances: outcome count uniform in
     [k_min, k_max], scores i.i.d. uniform in [-5, 5]."""
-    gen = np.random.default_rng(seed)
     params = PrivacyParams(epsilon, sensitivity)
-    out = []
-    for _ in range(count):
-        k = int(gen.integers(k_min, k_max + 1))
-        scores = gen.uniform(-5.0, 5.0, size=k)
-        labels = tuple(f"o{i}" for i in range(k))
-        out.append(validate_instance(QualityVector(labels, tuple(scores)), params))
-    return out
+    vectors = _random_vectors(np.random.default_rng(seed), count, k_min, k_max)
+    return [validate_instance(QualityVector(labels, tuple(scores)), params)
+            for labels, scores in vectors]
 
 
 def perturbed_neighbor_pairs(
@@ -225,19 +227,12 @@ def perturbed_neighbor_pairs(
     """Deterministic suite of neighbor pairs: a base vector with scores
     i.i.d. uniform in [-5, 5] and a copy with every coordinate perturbed by
     a uniform draw within the sensitivity (with a one-part-in-1e9 margin
-    against rounding)."""
+    against rounding), drawn right after its base."""
     gen = np.random.default_rng(seed)
     reach = float(sensitivity) * (1.0 - 1e-9)
     out = []
-    for _ in range(count):
-        k = int(gen.integers(k_min, k_max + 1))
-        labels = tuple(f"o{i}" for i in range(k))
-        base = gen.uniform(-5.0, 5.0, size=k)
-        shifted = base + gen.uniform(-reach, reach, size=k)
-        out.append(
-            NeighborPair(
-                QualityVector(labels, tuple(base)),
-                QualityVector(labels, tuple(shifted)),
-            )
-        )
+    for labels, base in _random_vectors(gen, count, k_min, k_max):
+        shifted = base + gen.uniform(-reach, reach, size=len(base))
+        out.append(NeighborPair(QualityVector(labels, tuple(base)),
+                                QualityVector(labels, tuple(shifted))))
     return out

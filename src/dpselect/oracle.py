@@ -75,7 +75,8 @@ BATCH_ELEMENTS = 2**14
 class GofResult:
     """Pearson goodness-of-fit outcome at a caller-supplied significance,
     with its power: the smallest divergence sum (p - q)^2 / q over the
-    tested cells that it rejects with probability 0.9, None at dof 0."""
+    tested cells that it rejects with probability 0.9, 0.0 at a
+    significance of 0.9 or more, None at dof 0."""
 
     statistic: float
     degrees_of_freedom: int
@@ -613,7 +614,10 @@ def _noncentrality(dof: int, significance: float) -> float:
     """The noncentrality lam at which the noncentral chi-square on dof degrees
     of freedom passes c = Q^-1(significance) with probability 0.9: the root
     of F(c; dof, lam) = sum_i Pois(i; lam/2) (1 - Q(dof/2 + i, c/2)) = 0.1,
-    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2."""
+    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2. At a
+    significance of 0.9 or more the test rejects that often at lam = 0: 0.0."""
+    if significance >= 0.9:
+        return 0.0
     a, t = 0.5 * dof, -2.0 * math.log(significance)
 
     def log_tail(c):  # Newton on log Q, nearly linear in the tail

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -285,7 +286,40 @@ class TestDominance:
             dominance_check([])
 
 
+def suite_digest(vectors):
+    """sha256 over each quality vector's labels and score bytes, in order."""
+    digest = hashlib.sha256()
+    for quality in vectors:
+        digest.update(repr(quality.labels).encode())
+        digest.update(np.asarray(quality.scores, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 class TestSuiteGenerators:
+    """Many seeded tests draw their instances from these suites, so the
+    streams are pinned bit for bit."""
+
+    @pytest.mark.parametrize("args,expected", [
+        ((10, 1.0, 1.0, 2, 10, 0),
+         "c39e937dbdaa4f7211e89bf69c2e8676aeb6f3f02c271ce2ddb8d0fb5752e30e"),
+        ((20, 1.0, 1.0, 1, 20, 11),
+         "b3e0643b994149879f91b9ec8cf8cfd3aa8c60837d9cd12e5ebac10394b15d19"),
+        ((5, 2.0, 1.0, 21, 256, 12),
+         "bccd19cc5f1725efca82fe64eb213a70491ec601e2a90fe02c16726accf6ddbc"),
+    ])
+    def test_random_instances_golden(self, args, expected):
+        assert suite_digest(inst.quality for inst in random_instances(*args)) == expected
+
+    @pytest.mark.parametrize("args,expected", [
+        ((30, 1.0, 2, 8, 4), "75439080dd9b5f0934f01a3d4d614d00b3a69ecbb80daa6a1f54981c5e0760e2"),
+        ((50, 0.75, 2, 10, 13),
+         "72cbbcd80a1e3ead46bde2b9c61da6b58903c1387e6fb2b03f63966cd256378e"),
+        ((5, 2.4, 21, 256, 3), "5b079b51aafa9544bc68b4b0cea43dabbed52095acd03c5537e6d39b55694230"),
+    ])
+    def test_perturbed_neighbor_pairs_golden(self, args, expected):
+        pairs = perturbed_neighbor_pairs(*args)
+        assert suite_digest(q for pair in pairs for q in (pair.q1, pair.q2)) == expected
+
     def test_random_instances_deterministic(self):
         a = random_instances(5, 1.0, 1.0, seed=77)
         b = random_instances(5, 1.0, 1.0, seed=77)

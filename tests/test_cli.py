@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from dpselect import (
 from dpselect.cli import main
 
 from helpers import run_python
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -45,6 +48,18 @@ def pairs_file(tmp_path):
             }
         )
     )
+    return str(path)
+
+
+# k = 20 and k = 256 scores on a grid of 1/4 and 1/25.6, each in a shuffled order
+K20_SCORES = [(7 * i % 20) / 4 for i in range(20)]
+K256_SCORES = [(37 * i % 256) / 25.6 - 5 for i in range(256)]
+
+
+def write_scores(directory, scores):
+    path = directory / f"scores{len(scores)}.json"
+    path.write_text(json.dumps({"labels": [f"o{i}" for i in range(len(scores))],
+                                "scores": scores}))
     return str(path)
 
 
@@ -159,28 +174,33 @@ class TestCompare:
         assert record["pass"] is True
         assert record["provenances"] == ["exact-poisson-binomial", "exact-gauss-legendre"]
 
-    def test_pf_vs_rnm_expo_at_the_outcome_limit(self, capsys, tmp_path):
-        """At k = 256 exact mode still takes rnm-expo's table from
+    @pytest.mark.parametrize("scores", [K20_SCORES, K256_SCORES], ids=["k20", "k256"])
+    def test_pf_vs_rnm_expo_at_the_outcome_limit(self, capsys, tmp_path, scores):
+        """Up to k = 256 exact mode takes rnm-expo's table from
         Gauss-Legendre, never from the pf DP it is compared with."""
-        path = tmp_path / "scores256.json"
-        path.write_text(json.dumps({"labels": [f"o{i}" for i in range(256)],
-                                    "scores": [(37 * i % 256) / 25.6 - 5 for i in range(256)]}))
         code, record, _ = run(
             capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
-            "--epsilon", "1", "--sensitivity", "1", "--scores", str(path),
+            "--epsilon", "1", "--sensitivity", "1", "--scores", write_scores(tmp_path, scores),
         )
         assert code == 0
         assert record["tv_distance"] <= 1e-8
         assert record["pass"] is True
         assert record["provenances"] == ["exact-poisson-binomial", "exact-gauss-legendre"]
 
+    def test_pf_vs_em_rejected_at_k20(self, capsys, tmp_path):
+        code, record, _ = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "em",
+            "--epsilon", "1", "--sensitivity", "1", "--scores", write_scores(tmp_path, K20_SCORES),
+        )
+        assert code == 3
+        assert record["tv_distance"] > 1e-8
+        assert record["pass"] is False
+        assert record["provenances"] == ["exact-poisson-binomial", "exact-closed-form"]
+
     def test_pf_vs_rnm_expo_beyond_outcome_limit_exits_two(self, capsys, tmp_path):
-        path = tmp_path / "scores257.json"
-        path.write_text(json.dumps({"labels": [f"o{i}" for i in range(257)],
-                                    "scores": [0.0] * 257}))
         code, record, err = run(
             capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
-            "--epsilon", "1", "--sensitivity", "1", "--scores", str(path),
+            "--epsilon", "1", "--sensitivity", "1", "--scores", write_scores(tmp_path, [0.0] * 257),
         )
         assert code == 2
         assert record is None
@@ -514,11 +534,22 @@ class TestScoreRangeBeyondDoubles:
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["probabilities"] == [1.0, 0.0, 0.0]
 
-    def test_quadrature_dist(self, far_scores):
-        done = self.dpselect("dist", "--mechanism", "rnm-laplace", "--mode", "quadrature",
+    @pytest.mark.parametrize("mechanism", ["rnm-expo", "rnm-laplace", "rnm-gumbel"])
+    def test_quadrature_dist(self, far_scores, mechanism):
+        # the score gap overflows a double
+        done = self.dpselect("dist", "--mechanism", mechanism, "--mode", "quadrature",
                              "--scores", far_scores)
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["probabilities"] == [1.0, 0.0]
+
+    def test_pf_dist_at_noise_scale_1e308(self, far_scores):
+        # the draws are unit-scale, so the budget is valid; the gap is two
+        # noise scales: the README's [0.932332358, 0.0676676416]
+        done = run_python("-W", "error::RuntimeWarning", "-m", "dpselect", "dist",
+                          "--mechanism", "pf", "--epsilon", "2e-308", "--sensitivity", "1",
+                          "--scores", far_scores)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["probabilities"] == [0.932332358, 0.0676676416]
 
 
 class TestModuleInvocation:
@@ -532,59 +563,74 @@ class TestModuleInvocation:
         assert json.loads(proc.stdout) == expected
 
 
-# Imports the named module, runs main(argv) when argv is not empty, and
-# prints the exit code and the scipy modules loaded as the last line.
-_SCIPY_PROBE = """
-import importlib, json, sys
-module = importlib.import_module(sys.argv[1])
-argv = sys.argv[2:]
-code = module.main(argv) if argv else None
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": loaded}))
+# Makes scipy unimportable and records every attempt to import it, then
+# runs each command through main and each script as __main__, and prints
+# the exit codes and the scipy and numpy.polynomial modules loaded or
+# tried as the last line.
+_NO_SCIPY_PROBE = """
+import json, runpy, sys
+tried = []
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            tried.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+from dpselect.cli import main
+commands, scripts = json.loads(sys.argv[1])
+codes = [main(argv) for argv in commands]
+for path, argv in scripts:
+    sys.argv = [path, *argv]
+    runpy.run_path(path, run_name="__main__")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m.startswith("numpy.polynomial"))
+print(json.dumps({"codes": codes, "loaded": loaded, "tried": tried}))
 """
 
 PRIVACY = ("--epsilon", "2", "--sensitivity", "1")
 
 
-class TestScipyLoadedOnlyWhenUsed:
-    """No command loads scipy in a fresh interpreter: quadrature and the
-    chi-square test run on numpy and math alone. scipy stays a test
-    dependency, the reference the tests compare against."""
-
-    @staticmethod
-    def probe(module, *argv):
-        proc = run_python("-c", _SCIPY_PROBE, module, *argv)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
-
-    @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
-    def test_import_loads_no_scipy(self, module):
-        assert self.probe(module)["scipy"] == []
-
-    @pytest.mark.parametrize("argv", [
-        ("select", "--mechanism", "pf", *PRIVACY, "--scores", "{scores}"),
-        ("dist", "--mechanism", "pf", "--mode", "exact", *PRIVACY, "--scores", "{scores}"),
-        ("dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *PRIVACY,
-         "--scores", "{scores}"),
-        ("compare", "--mechanism", "pf", "--mechanism", "rnm-expo", *PRIVACY,
-         "--scores", "{scores}"),
-        ("compare", "--mechanism", "rnm-laplace", "--mechanism", "rnm-gumbel",
-         "--mode", "quadrature", "--tolerance", "1", *PRIVACY, "--scores", "{scores}"),
-        ("audit", "--mechanism", "pf", *PRIVACY, "--pairs", "{pairs}"),
-        ("utility", *PRIVACY, "--scores", "{scores}"),
-    ], ids=["select", "dist-exact", "dist-quadrature", "compare-exact",
-            "compare-quadrature", "audit", "utility"])
-    def test_commands_without_chi_square_load_no_scipy(self, argv, scores_file, pairs_file):
-        argv = [a.format(scores=scores_file, pairs=pairs_file) for a in argv]
-        assert self.probe("dpselect.cli", *argv) == {"code": 0, "scipy": []}
-
-    def test_empirical_compare_loads_no_scipy(self, scores_file):
-        result = self.probe(
-            "dpselect.cli", "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
-            "--mode", "empirical", "--n", "2000", "--seed", "5", *PRIVACY,
-            "--scores", scores_file,
-        )
-        assert result == {"code": 0, "scipy": []}
+def test_every_command_and_script_runs_without_scipy(tmp_path, scores_file):
+    """Quadrature and the chi-square test run on numpy and math alone:
+    with scipy unimportable, every command and both experiment scripts
+    exit 0 in one fresh interpreter, and none of them tries to import
+    scipy. scipy stays a test dependency, the reference the tests compare
+    against."""
+    underflow = tmp_path / "underflow_pair.json"
+    underflow.write_text(json.dumps({"pairs": [{
+        "q1": {"labels": ["a", "b"], "scores": [0, -744.9]},
+        "q2": {"labels": ["a", "b"], "scores": [0, -745.6]}}]}))
+    scores = (*PRIVACY, "--scores", scores_file)
+    commands = [
+        *(["audit", "--mechanism", m, *PRIVACY, "--pairs", str(underflow)]
+          for m in ("pf", "rnm-expo", "em")),
+        ["utility", "--random", "20", "--k-max", "64", *PRIVACY],
+        ["utility", *scores],
+        ["select", "--mechanism", "pf", *scores],
+        ["dist", "--mechanism", "pf", "--mode", "exact", *scores],
+        ["dist", "--mechanism", "rnm-expo", "--mode", "exact", *scores],
+        ["dist", "--mechanism", "rnm-laplace", "--mode", "quadrature", *scores],
+        ["dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *scores],
+        ["dist", "--mechanism", "alg-b", "--mode", "empirical", "--n", "2000", *scores],
+        ["compare", "--mechanism", "pf", "--mechanism", "rnm-expo", *scores],
+        ["compare", "--mechanism", "rnm-laplace", "--mechanism", "rnm-gumbel",
+         "--mode", "quadrature", "--tolerance", "1", *scores],
+        ["compare", "--mechanism", "pf", "--mechanism", "rnm-expo", "--mode", "empirical",
+         "--n", "2000", "--seed", "5", *scores],
+        ["compare", "--mechanism", "alg-a", "--mechanism", "pf", "--mode", "empirical", *scores],
+    ]
+    scripts = [
+        (str(ROOT / "scripts" / "equivalence_experiment.py"),
+         ["--instances", "2", "--epsilons", "1", "--k-values", "3", "--samples", "20000"]),
+        (str(ROOT / "scripts" / "utility_experiment.py"),
+         ["--instances", "5", "--k-max", "4", "--epsilons", "1"]),
+    ]
+    proc = run_python("-c", _NO_SCIPY_PROBE, json.dumps([commands, scripts]))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "loaded": [], "tried": []}
 
 
 # Prints the OPENBLAS_NUM_THREADS a fresh `import dpselect.cli` leaves and

@@ -1365,18 +1365,29 @@ class TestDetectableDivergence:
     relative, over dof 1-255 and significance levels down to the
     Bonferroni levels of a wrong-fail budget."""
 
-    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8])
+    @staticmethod
+    def uniform_gof(dof, significance):
+        cells = dof + 1
+        uniform = ProbabilityTable(tuple(f"o{i}" for i in range(cells)), (1 / cells,) * cells,
+                                   "exact")
+        result = chi_square_gof([1000] * cells, uniform, significance)
+        assert result.degrees_of_freedom == dof
+        return result
+
+    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8, 0.89])
     def test_matches_scipy_noncentrality(self, significance):
         from scipy.special import chdtri, chndtrinc
 
         for dof in range(1, 256):
-            cells = dof + 1
-            uniform = ProbabilityTable(tuple(f"o{i}" for i in range(cells)), (1 / cells,) * cells,
-                                       "exact")
-            result = chi_square_gof([1000] * cells, uniform, significance)
-            reference = float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / (1000 * cells)
-            assert result.degrees_of_freedom == dof
+            result = self.uniform_gof(dof, significance)
+            reference = float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / (1000 * (dof + 1))
             assert result.detectable_divergence == pytest.approx(reference, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("significance", [0.9, 0.95, 1 - 1e-16])
+    def test_zero_where_the_test_rejects_that_often_at_no_divergence(self, significance):
+        # power at divergence 0 is the significance itself
+        for dof in (1, 2, 10, 255):
+            assert self.uniform_gof(dof, significance).detectable_divergence == 0.0
 
 
 class TestTableInvariants:

@@ -8,6 +8,9 @@ import the copy) goes to a temporary directory, the mutant is applied
 there and pytest runs its tests, stopping at the first failure. A mutant
 is killed when a test fails, survives when they all pass, and is stale
 when its text no longer occurs exactly once or its tests do not run.
+Each pytest run may map at most MEMORY_LIMIT bytes, so a mutant whose
+loop allocates without end fails its tests with MemoryError instead of
+exhausting the machine's memory.
 
 Prints one JSON line per mutant and exits 1 if the unmutated run fails or
 any mutant survives or is stale. Standard library only; run from any
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -29,6 +33,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# address space per pytest run; the unmutated tests map under 0.4 GiB
+MEMORY_LIMIT = 2 * 2**30
 
 
 class Mutant(NamedTuple):
@@ -104,9 +110,14 @@ MUTANTS = (
            "w = _gamma_steps(1.0, mu, n)",
            ("tests/test_oracle.py::TestDetectableDivergence",)),
     Mutant("power-target-0.9", "src/dpselect/oracle.py",
-           "return f0 - 0.1, (f0 - 0.1)",
-           "return f0 - 0.9, (f0 - 0.9)",
+           "0.9 - significance",
+           "0.1 - significance",
            ("tests/test_oracle.py::TestDetectableDivergence",)),
+    Mutant("power-null-tail-recomputed", "src/dpselect/oracle.py",
+           "(0.9 - significance)",
+           "(0.9 - _chi2_sf(dof, c))",
+           ("tests/test_oracle.py::TestDetectableDivergence"
+            "::test_matches_scipy_noncentrality[0.8999]",)),
     Mutant("critical-value-at-one-minus-alpha", "src/dpselect/oracle.py",
            "-2.0 * math.log(significance)",
            "-2.0 * math.log1p(-significance)",
@@ -131,12 +142,32 @@ MUTANTS = (
            "draws[:, 1::2] * (capped == 0.0)",
            "draws[:, 0::2] * (capped == 0.0)",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
+    Mutant("alg-b-chunk-as-wide-as-k", "src/dpselect/oracle.py",
+           '"alg-b": 2 * k',
+           '"alg-b": k',
+           ("tests/test_oracle.py::TestSamplingMemory",)),
+    Mutant("intermediate-a-picks-its-last-survivor", "src/dpselect/mechanisms.py",
+           "kept[rng.integers(kept.size)]",
+           "kept[-1]",
+           ("tests/test_mechanisms.py::TestSeededReplay",)),
+    Mutant("uniform-pick-ignores-its-mask", "src/dpselect/mechanisms.py",
+           "np.argmin(keys + ~mask, axis=1)",
+           "np.argmin(keys, axis=1)",
+           ("tests/test_mechanisms.py::TestSeededGolden",)),
+    Mutant("exponential-quantile-without-log1p", "src/dpselect/noise.py",
+           "-np.log1p(-u)",
+           "-np.log(1.0 - u)",
+           ("tests/test_noise.py::TestNoiseGolden",)),
 )
 
 
 def occurrences(mutant: Mutant) -> int:
     """How often the mutant's old text occurs in its file."""
     return (ROOT / mutant.file).read_text().count(mutant.old)
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
@@ -156,6 +187,7 @@ def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=_limit_memory,
         ).returncode
 
 

@@ -444,37 +444,27 @@ def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
 
 
 def empirical_counts(
-    mechanism, inst: ValidatedInstance, n: int, seed: int
+    mechanism: str, inst: ValidatedInstance, n: int, seed: int
 ) -> list[int]:
-    """Outcome counts of n independent runs of a mechanism under one seeded
-    stream.
-
-    A name from MECHANISMS draws through its vectorized BATCH_SAMPLERS
-    entry, in chunks of BATCH_ELEMENTS // w rows and at least one, where w
-    is the width of a row's widest array: 1 for em, 2k for alg-b, k for the
-    rest. pf and alg-a draw a chunk's k order keys per row after its coins
-    or noise, so their chunk size is part of their seeded stream; the other
-    streams do not depend on it. A callable of (instance, rng) runs once
-    per draw. Either way a fixed seed gives the same counts bit for bit,
-    and both paths give the same counts for every MECHANISMS entry but pf
-    and alg-a, whose single draws are separate reference algorithms that
-    consume the stream differently.
+    """Outcome counts of n independent runs of a mechanism, named as in
+    BATCH_SAMPLERS, under one seeded stream: its vectorized sampler draws
+    in chunks of BATCH_ELEMENTS // w rows and at least one, where w is the
+    width of a row's widest array: 1 for em, 2k for alg-b, k for the rest.
+    pf and alg-a draw a chunk's k order keys per row after its coins or
+    noise, so their chunk size is part of their seeded stream; the other
+    streams do not depend on it. A fixed seed gives the same counts bit for
+    bit. Any other mechanism, a callable included, or an n that is not an
+    integer raises ValueError.
     """
+    try:
+        n, sampler = operator.index(n), BATCH_SAMPLERS[mechanism]
+    except (KeyError, TypeError):
+        raise ValueError(f"need a mechanism name, one of {sorted(BATCH_SAMPLERS)}, and an "
+                         f"integer n; got {mechanism!r} and n={n!r}") from None
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
     rng = RngState(seed)
     k = len(inst.quality)
-    if callable(mechanism):
-        counts = [0] * k
-        for _ in range(n):
-            counts[mechanism(inst, rng).index] += 1
-        return counts
-    try:
-        sampler = BATCH_SAMPLERS[mechanism]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {mechanism!r}; expected one of {sorted(BATCH_SAMPLERS)}"
-        ) from None
     chunk = max(1, BATCH_ELEMENTS // {"em": 1, "alg-b": 2 * k}.get(mechanism, k))
     counts = np.zeros(k, dtype=np.int64)
     for start in range(0, n, chunk):
@@ -483,7 +473,7 @@ def empirical_counts(
 
 
 def empirical_distribution(
-    mechanism, inst: ValidatedInstance, n: int, seed: int
+    mechanism: str, inst: ValidatedInstance, n: int, seed: int
 ) -> ProbabilityTable:
     """Frequency table of n independent mechanism runs; reproducible for a
     fixed seed."""
@@ -526,7 +516,8 @@ def chi_square_gof(
 
     The p-value is within 1e-12 relative of the chi-square survival
     function where that is at least 1e-290 and 1e-300 absolute below, and
-    detectable_divergence within 1e-10 relative; tests check both on scipy.
+    detectable_divergence within 1e-10 relative; tests check both on scipy,
+    the power at dof 1-255 and significances from 1e-8 up to 0.8999.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must be strictly between 0 and 1, got {significance}")
@@ -614,8 +605,11 @@ def _noncentrality(dof: int, significance: float) -> float:
     """The noncentrality lam at which the noncentral chi-square on dof degrees
     of freedom passes c = Q^-1(significance) with probability 0.9: the root
     of F(c; dof, lam) = sum_i Pois(i; lam/2) (1 - Q(dof/2 + i, c/2)) = 0.1,
-    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2. At a
-    significance of 0.9 or more the test rejects that often at lam = 0: 0.0."""
+    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2. The null
+    term F(c; dof, 0) is 1 - significance by c's definition: recomputing it
+    from c would add Q's rounding, which F - 0.1 near 0 amplifies just
+    below a significance of 0.9. At 0.9 or more the test rejects that often
+    at lam = 0: 0.0."""
     if significance >= 0.9:
         return 0.0
     a, t = 0.5 * dof, -2.0 * math.log(significance)
@@ -629,15 +623,16 @@ def _noncentrality(dof: int, significance: float) -> float:
     # Wilson and Hilferty's start, z from the normal tail's leading terms
     z, v = math.sqrt(max(t - math.log(t) - math.log(2.0 * math.pi), 0.0)), 2.0 / (9.0 * dof)
     c = _newton(log_tail, dof * max(1.0 - v + z * math.sqrt(v), 0.1) ** 3)
-    q0 = _chi2_sf(dof, c)
 
-    def miss(lam):
+    def miss(lam):  # F(c; dof, lam) - 0.1 and its Newton step
         mu = 0.5 * lam
         n = int(mu + 12.0 * math.sqrt(mu) + 30.0)
         w = _gamma_steps(0.0, mu, n)
-        p = 1.0 - np.concatenate(([q0], q0 + np.cumsum(_gamma_steps(a, 0.5 * c, n))))
+        # F(c; dof + 2i, 0) - 0.1, from F(c; dof, 0) = 1 - significance
+        steps = np.concatenate(([0.0], _gamma_steps(a, 0.5 * c, n)))
+        p = (0.9 - significance) - np.cumsum(steps)
         f0, f2 = float(w @ p[:-1]), float(w @ p[1:])
-        return f0 - 0.1, (f0 - 0.1) / (0.5 * (f2 - f0)) if f2 != f0 else math.nan
+        return f0, f0 / (0.5 * (f2 - f0)) if f2 != f0 else math.nan
 
     # the normal approximation's start: c = dof + lam - z sqrt(2 dof + 4 lam)
     z = 1.2815515655446004

@@ -1,5 +1,6 @@
-"""Shared test fixtures: instance factory, hypothesis strategies and a
-fresh-interpreter runner."""
+"""Shared test fixtures: instance factory, hypothesis strategies, a
+fresh-interpreter runner and the one path from seeded draws to a
+chi-square verdict."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from pathlib import Path
 import hypothesis.strategies as st
 
 import dpselect
-from dpselect import PrivacyParams, QualityVector, validate_instance
+from dpselect import (
+    PrivacyParams,
+    QualityVector,
+    RngState,
+    chi_square_gof,
+    empirical_counts,
+    validate_instance,
+)
 
 
 def run_python(*args, **env):
@@ -65,11 +73,29 @@ def make_instance(scores, epsilon=1.0, sensitivity=1.0, labels=None):
     )
 
 
-score_lists = st.lists(
-    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=8,
-)
+# the significance of every sampled chi-square verdict in the tests
+SIGNIFICANCE = 0.001
+
+
+def draw_counts(mechanism, inst, n, seed):
+    """Outcome counts of n seeded draws. A mechanism name draws through
+    empirical_counts; a single-draw function of (instance, rng), such as
+    the reference walks permute_and_flip and intermediate_a, runs once per
+    draw on one RngState(seed)."""
+    if isinstance(mechanism, str):
+        return empirical_counts(mechanism, inst, n, seed)
+    rng = RngState(seed)
+    counts = [0] * len(inst.quality)
+    for _ in range(n):
+        counts[mechanism(inst, rng).index] += 1
+    return counts
+
+
+def sampled_verdict(mechanism, inst, n, seed, expected):
+    """draw_counts(mechanism, inst, n, seed) and their chi-square goodness
+    of fit against the expected table at SIGNIFICANCE."""
+    counts = draw_counts(mechanism, inst, n, seed)
+    return counts, chi_square_gof(counts, expected, SIGNIFICANCE)
 
 
 @st.composite

@@ -17,10 +17,8 @@ from dpselect import (
     Laplace,
     PrivacyParams,
     RngState,
-    chi_square_gof,
     dominance_check,
     em_exact_distribution,
-    empirical_counts,
     expected_error,
     perturbed_neighbor_pairs,
     pf_exact_distribution,
@@ -32,7 +30,7 @@ from dpselect import (
     tv_distance,
 )
 
-from helpers import make_instance
+from helpers import make_instance, sampled_verdict
 
 
 def check(criterion, passed, detail):
@@ -116,8 +114,7 @@ def test_criterion_3_intermediate_mechanisms_match_pf():
         )
         reference = pf_exact_distribution(inst)
         for mechanism in ("alg-a", "alg-b"):
-            counts = empirical_counts(mechanism, inst, 1_000_000, seed=1000 + i)
-            result = chi_square_gof(counts, reference, 0.001)
+            _, result = sampled_verdict(mechanism, inst, 1_000_000, 1000 + i, reference)
             total += 1
             if not result.passed:
                 failures += 1
@@ -139,8 +136,8 @@ def test_criterion_4_gumbel_variant_is_exponential_mechanism():
         inst = make_instance(
             inst.quality.scores, epsilons[i % 3], 1.0, labels=inst.quality.labels
         )
-        counts = empirical_counts("rnm-gumbel", inst, 1_000_000, seed=2000 + i)
-        result = chi_square_gof(counts, em_exact_distribution(inst), 0.001)
+        _, result = sampled_verdict("rnm-gumbel", inst, 1_000_000, 2000 + i,
+                                    em_exact_distribution(inst))
         if not result.passed:
             failures += 1
     elapsed = time.perf_counter() - start

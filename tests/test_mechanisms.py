@@ -11,7 +11,6 @@ from dpselect import (
     Laplace,
     RngState,
     em_exact_distribution,
-    chi_square_gof,
     empirical_counts,
     intermediate_a,
     permute_and_flip,
@@ -23,7 +22,7 @@ from dpselect.core import ProbabilityTable
 from dpselect.mechanisms import BATCH_SAMPLERS, log_weights
 from dpselect.noise import NOISE_FAMILIES
 
-from helpers import SMALLEST_EPSILON, instances, make_instance
+from helpers import SMALLEST_EPSILON, instances, make_instance, sampled_verdict
 
 MECHANISM_NAMES = sorted(MECHANISMS)
 
@@ -67,17 +66,17 @@ class TestSymmetry:
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     def test_equal_scores_uniform(self, name):
         inst = make_instance([0.0, 0.0, 0.0], epsilon=1.7)
-        counts = empirical_counts(name, inst, 30_000, seed=2024)
         expected = ProbabilityTable(
             inst.quality.labels, (1 / 3, 1 / 3, 1 / 3), "exact-closed-form"
         )
-        assert chi_square_gof(counts, expected, 0.001).passed
+        _, gof = sampled_verdict(name, inst, 30_000, 2024, expected)
+        assert gof.passed
 
     def test_two_tied_best_coins_split_evenly(self):
         inst = make_instance([5.0, 5.0], epsilon=2.0)
-        counts = empirical_counts("pf", inst, 30_000, seed=11)
         expected = ProbabilityTable(inst.quality.labels, (0.5, 0.5), "exact-closed-form")
-        assert chi_square_gof(counts, expected, 0.001).passed
+        _, gof = sampled_verdict("pf", inst, 30_000, 11, expected)
+        assert gof.passed
 
 
 class TestDeterminism:
@@ -174,24 +173,24 @@ class TestDistributionalExamples:
     @pytest.mark.parametrize("name", ["alg-a", "alg-b"])
     def test_intermediates_match_permute_and_flip(self, name):
         inst = make_instance([1.0, 0.0], epsilon=2.0, sensitivity=1.0)
-        counts = empirical_counts(name, inst, 200_000, seed=33)
-        assert chi_square_gof(counts, pf_exact_distribution(inst), 0.001).passed
+        _, gof = sampled_verdict(name, inst, 200_000, 33, pf_exact_distribution(inst))
+        assert gof.passed
 
     def test_exponential_mechanism_two_point(self):
         inst = make_instance([1.0, 0.0], epsilon=2.0, sensitivity=1.0)
-        counts = empirical_counts("em", inst, 200_000, seed=34)
-        assert chi_square_gof(counts, em_exact_distribution(inst), 0.001).passed
+        _, gof = sampled_verdict("em", inst, 200_000, 34, em_exact_distribution(inst))
+        assert gof.passed
 
     def test_exponential_mechanism_huge_scores_no_overflow(self):
         inst = make_instance([1_000_000.0, 999_999.0], epsilon=2.0, sensitivity=1.0)
-        counts = empirical_counts("em", inst, 50_000, seed=35)
         reference = em_exact_distribution(
             make_instance([1.0, 0.0], epsilon=2.0, sensitivity=1.0)
         )
         reference = ProbabilityTable(
             inst.quality.labels, reference.probabilities, reference.provenance
         )
-        assert chi_square_gof(counts, reference, 0.001).passed
+        _, gof = sampled_verdict("em", inst, 50_000, 35, reference)
+        assert gof.passed
 
 
 class TestScoreRangeBeyondDoubles:
@@ -234,9 +233,9 @@ class TestSmallestBudget:
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     def test_equal_scores_stay_uniform(self, name, epsilon):
         inst = make_instance([0.0] * 4, epsilon=epsilon)
-        counts = empirical_counts(name, inst, 40000, seed=11)
         uniform = ProbabilityTable(inst.quality.labels, [0.25] * 4, "uniform")
-        assert chi_square_gof(counts, uniform, 0.001).passed
+        _, gof = sampled_verdict(name, inst, 40000, 11, uniform)
+        assert gof.passed
 
 
 class TestPermutationEquivariance:
@@ -257,12 +256,12 @@ class TestPermutationEquivariance:
         perm = [2, 0, 1]
         inst = make_instance(scores, epsilon=1.5)
         relabeled = make_instance([scores[j] for j in perm], epsilon=1.5)
-        counts = empirical_counts(name, relabeled, 60_000, seed=77)
         expected = permuted_table(reference(inst), perm)
         expected = ProbabilityTable(
             relabeled.quality.labels, expected.probabilities, expected.provenance
         )
-        assert chi_square_gof(counts, expected, 0.001).passed
+        _, gof = sampled_verdict(name, relabeled, 60_000, 77, expected)
+        assert gof.passed
 
 
 class TestSeededReplay:

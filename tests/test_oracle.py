@@ -36,7 +36,7 @@ from dpselect import oracle
 from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, LOG_ORACLES
 
 from dpselect.mechanisms import log_weights
-from helpers import instances, make_instance, rational_coin_game
+from helpers import draw_counts, instances, make_instance, rational_coin_game, sampled_verdict
 
 EXACT_FNS = [pf_exact_distribution, rnm_expo_exact_distribution, em_exact_distribution]
 
@@ -182,8 +182,8 @@ class TestScoresBeyondTheNoiseScale:
         away, picking the first of two tied scores about two times in
         three at 1e16 and always at 1e20."""
         inst = make_instance(scores)
-        counts = empirical_counts(name, inst, 40_000, seed=19)
-        assert chi_square_gof(counts, SAMPLING_REFERENCES[name](inst), 0.001).passed
+        _, gof = sampled_verdict(name, inst, 40_000, 19, SAMPLING_REFERENCES[name](inst))
+        assert gof.passed
         tied = {i for i, s in enumerate(scores) if s == max(scores)}
         assert {MECHANISMS[name](inst, RngState(seed)).index for seed in range(40)} >= tied
 
@@ -1019,15 +1019,22 @@ class TestEmpirical:
         sigma = math.sqrt(target * (1 - target) / 1_000_000)
         assert abs(table.probabilities[1] - target) <= 3.0 * sigma
 
+    # each names the mechanisms in its ValueError
     def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'alg-a', 'alg-b', 'em'"):
             empirical_distribution("quantum", make_instance([0.0]), 10, seed=0)
 
-    def test_callable_mechanism_accepted(self):
-        table = empirical_distribution(
-            MECHANISMS["em"], make_instance([0.0, 0.0]), 100, seed=0
-        )
-        assert sum(table.probabilities) == pytest.approx(1.0)
+    def test_callable_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="'alg-a', 'alg-b', 'em'"):
+            empirical_distribution(MECHANISMS["em"], make_instance([0.0, 0.0]), 100, seed=0)
+
+    def test_unhashable_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="'alg-a', 'alg-b', 'em'"):
+            empirical_counts(["pf"], make_instance([0.0, 0.0]), 100, seed=0)
+
+    def test_float_run_count_rejected(self):
+        with pytest.raises(ValueError, match="'alg-a', 'alg-b', 'em'"):
+            empirical_counts("pf", make_instance([0.0, 0.0]), 1e3, seed=0)
 
 
 # the exact table each mechanism's samples are tested against, as in the
@@ -1058,11 +1065,12 @@ SEPARATE_SINGLE_DRAWS = ("pf", "alg-a")
 
 
 class TestScalarAndBatchPaths:
-    """A mechanism passed as a callable runs its single draw in a loop;
-    passed by name it runs the batch sampler. Both must follow the same
-    reference table. The single draws of pf and alg-a are separate
-    algorithms, sampled on both paths; the others are their batch samplers
-    run for one row, so their two paths must give identical counts."""
+    """helpers.draw_counts runs a MECHANISMS single draw once per draw on one
+    stream; empirical_counts runs the mechanism's batch sampler. Both must
+    follow the same reference table. The single draws of pf and alg-a are
+    the separate reference walks permute_and_flip and intermediate_a,
+    sampled on both paths; the others are their batch samplers run for one
+    row, so their two paths must give identical counts."""
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     @pytest.mark.parametrize("scores,epsilon,never", SCORE_CASES)
@@ -1071,9 +1079,9 @@ class TestScalarAndBatchPaths:
         reference = SAMPLING_REFERENCES[name](inst)
         paths = (MECHANISMS[name], name) if name in SEPARATE_SINGLE_DRAWS else (name,)
         for mechanism in paths:
-            counts = empirical_counts(mechanism, inst, 10_000, seed=41)
+            counts, gof = sampled_verdict(mechanism, inst, 10_000, 41, reference)
             assert sum(counts) == 10_000
-            assert chi_square_gof(counts, reference, 0.001).passed
+            assert gof.passed
             assert [counts[i] for i in never] == [0] * len(never)
 
     @pytest.mark.parametrize(
@@ -1084,7 +1092,7 @@ class TestScalarAndBatchPaths:
     ])
     def test_single_draw_is_one_batch_row(self, name, scores, epsilon, never):
         inst = make_instance(scores, epsilon=epsilon)
-        counts = empirical_counts(MECHANISMS[name], inst, 2000, seed=13)
+        counts = draw_counts(MECHANISMS[name], inst, 2000, seed=13)
         assert counts == empirical_counts(name, inst, 2000, seed=13)
         assert [counts[i] for i in never] == [0] * len(never)
 
@@ -1092,16 +1100,39 @@ class TestScalarAndBatchPaths:
     def test_single_draw_is_one_hot(self, name):
         inst = make_instance([1.0, 0.0, 2.0])
         for mechanism in (MECHANISMS[name], name):
-            assert sorted(empirical_counts(mechanism, inst, 1, seed=5)) == [0, 0, 1]
+            assert sorted(draw_counts(mechanism, inst, 1, seed=5)) == [0, 0, 1]
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
     def test_one_past_chunk_boundary(self, name):
         inst = make_instance([0.4, -0.2, 0.0, 0.3])
         n = BATCH_ELEMENTS // 4 + 1
-        counts = empirical_counts(name, inst, n, seed=9)
+        counts, gof = sampled_verdict(name, inst, n, 9, SAMPLING_REFERENCES[name](inst))
         assert sum(counts) == n
-        assert chi_square_gof(counts, SAMPLING_REFERENCES[name](inst), 0.001).passed
+        assert gof.passed
         assert empirical_counts(name, inst, n, seed=9) == counts
+
+
+class TestSamplingMemory:
+    """No uniform request of an empirical_counts chunk holds more than
+    BATCH_ELEMENTS doubles, 128 KiB, glibc's default mmap threshold: a
+    chunk's rows times its widest row, 2k draws for alg-b, stay within it.
+    alg-b's stream does not depend on its chunk size, so no seeded count
+    shows a chunk that is too wide."""
+
+    @pytest.mark.parametrize("k", [2, 9, 256])
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_uniform_requests_fit_in_batch_elements(self, monkeypatch, name, k):
+        whole, sizes = RngState.uniforms, []
+
+        def recorded(rng, n):
+            sizes.append(n)
+            return whole(rng, n)
+
+        monkeypatch.setattr(RngState, "uniforms", recorded)
+        # a chunk holds at most BATCH_ELEMENTS rows, so this crosses a boundary
+        n = BATCH_ELEMENTS + 1
+        assert sum(empirical_counts(name, _spread_instance(k, 1.0, seed=k), n, seed=3)) == n
+        assert len(sizes) > 1 and max(sizes) <= BATCH_ELEMENTS, max(sizes)
 
 
 # (mechanism, mode) -> provenance and direct route of the table table_for
@@ -1227,9 +1258,8 @@ class TestChiSquareGof:
         0.125 draws and saw 2, which alone added 28 to the statistic when
         the tail stood as a cell of its own (p = 4.3e-6, a wrong fail)."""
         probe = random_instances(20, 4.0, 1.0, k_min=8, k_max=8, seed=0)[0]
-        counts = empirical_counts("alg-b", probe, 100_000, seed=0)
+        counts, result = sampled_verdict("alg-b", probe, 100_000, 0, pf_exact_distribution(probe))
         assert counts[1:4] == [2, 0, 0]
-        result = chi_square_gof(counts, pf_exact_distribution(probe), 0.001)
         assert result.degrees_of_freedom == 4
         assert result.statistic == pytest.approx(4.2, abs=0.01)
         assert result.passed
@@ -1374,7 +1404,7 @@ class TestDetectableDivergence:
         assert result.degrees_of_freedom == dof
         return result
 
-    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8, 0.89])
+    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8, 0.89, 0.8999])
     def test_matches_scipy_noncentrality(self, significance):
         from scipy.special import chdtri, chndtrinc
 
@@ -1447,7 +1477,6 @@ class TestEnumerationVsSimulation:
     def test_million_pf_samples_match_enumeration_on_random_instances(self):
         failures = 0
         for inst in random_instances(10, 1.0, 1.0, k_min=2, k_max=6, seed=321):
-            counts = empirical_counts("pf", inst, 1_000_000, seed=1000)
-            result = chi_square_gof(counts, pf_exact_distribution(inst), 0.001)
+            _, result = sampled_verdict("pf", inst, 1_000_000, 1000, pf_exact_distribution(inst))
             failures += 0 if result.passed else 1
         assert failures == 0

@@ -70,8 +70,8 @@ MUTANTS = (
            "    return plain\n",
            ("tests/test_audit.py::TestDominance::test_error_whose_loss_overflows_is_finite",)),
     Mutant("log-weights-divide-by-rate", "src/dpselect/mechanisms.py",
-           "rate * (0.5 * q - 0.5 * best) * 2.0",
-           "(0.5 * q - 0.5 * best) / rate * 2.0",
+           "rate * (q - best) if",
+           "(q - best) / rate if",
            ("tests/test_noise.py::TestNoiseScale::test_table_depends_on_the_gap_in_noise_scales",)),
     Mutant("quadrature-stops-early", "src/dpselect/oracle.py",
            "target, limit = QUADRATURE_TARGET / 80.0, 400",
@@ -121,7 +121,7 @@ MUTANTS = (
     Mutant("critical-value-at-one-minus-alpha", "src/dpselect/oracle.py",
            "-2.0 * math.log(significance)",
            "-2.0 * math.log1p(-significance)",
-           ("tests/test_oracle.py::TestDetectableDivergence",)),
+           ("tests/test_oracle.py::TestDetectableDivergence::test_search_without_a_root_raises",)),
     Mutant("power-without-the-zero-above-0.9", "src/dpselect/oracle.py",
            "    if significance >= 0.9:\n        return 0.0\n",
            "",
@@ -139,8 +139,8 @@ MUTANTS = (
            "zip(instances, em_log_tables(instances), em_log_tables(instances))",
            ("tests/test_audit.py::TestDominance::test_two_point_values",)),
     Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
-           "draws[:, 1::2] * (capped == 0.0)",
-           "draws[:, 0::2] * (capped == 0.0)",
+           "noisy, tie = draws[0::2], draws[1::2]",
+           "noisy, tie = draws[0::2], draws[0::2]",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
     Mutant("alg-b-chunk-as-wide-as-k", "src/dpselect/oracle.py",
            '"alg-b": 2 * k',
@@ -151,13 +151,36 @@ MUTANTS = (
            "kept[-1]",
            ("tests/test_mechanisms.py::TestSeededReplay",)),
     Mutant("uniform-pick-ignores-its-mask", "src/dpselect/mechanisms.py",
-           "np.argmin(keys + ~mask, axis=1)",
-           "np.argmin(keys, axis=1)",
+           "    keys -= mask\n",
+           "",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
     Mutant("exponential-quantile-without-log1p", "src/dpselect/noise.py",
-           "-np.log1p(-u)",
-           "-np.log(1.0 - u)",
+           "np.log1p(np.negative(u, out=out), out=out)",
+           "np.log(np.subtract(1.0, u, out=out), out=out)",
            ("tests/test_noise.py::TestNoiseGolden",)),
+    Mutant("uniform-floor-3^-53", "src/dpselect/noise.py",
+           "_U_FLOOR = 2.0 ** -53",
+           "_U_FLOOR = 3.0 ** -53",
+           ("tests/test_noise.py::TestSampling"
+            "::test_zero_uniform_draws_the_noise_at_the_smallest_uniform",)),
+    Mutant("pf-batch-heads-at-equality", "src/dpselect/mechanisms.py",
+           "rng.uniforms(rows * k) < coins",
+           "rng.uniforms(rows * k) <= coins",
+           ("tests/test_mechanisms.py::TestFixedUniforms"
+            "::test_batch_permute_and_flip_heads_are_strict",)),
+    Mutant("pf-walk-heads-at-equality", "src/dpselect/mechanisms.py",
+           "rng.uniform() < math.exp",
+           "rng.uniform() <= math.exp",
+           ("tests/test_mechanisms.py::TestFixedUniforms::test_permute_and_flip_heads_are_strict",)),
+    Mutant("em-search-from-the-left", "src/dpselect/mechanisms.py",
+           'side="right"',
+           'side="left"',
+           ("tests/test_mechanisms.py::TestFixedUniforms"
+            "::test_exponential_mechanism_skips_a_leading_zero_weight",)),
+    Mutant("dominance-counts-a-violation-twice", "src/dpselect/audit.py",
+           "violations += 1",
+           "violations += 2",
+           ("tests/test_audit.py::TestDominance::test_violations_counted_once_per_instance",)),
 )
 
 

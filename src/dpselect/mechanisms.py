@@ -16,16 +16,16 @@ All mechanisms are pure functions of (instance, rng). Noisy-score ties have
 probability zero with continuous noise and can only arise here through
 floating-point coincidence; they break toward the smallest index.
 
-``BATCH_SAMPLERS`` is the one hand-written table: per mechanism, a batch
-sampler of (instance, rng, rows) that runs its algorithm for many
-independent draws at once with numpy and returns one chosen index per row.
-Each follows its own mechanism's algorithm rather than any equivalence
-between mechanisms, so sampling one mechanism never borrows the
-distribution of another. ``MECHANISMS`` is derived from it under the same
-keys: a single draw is the batch sampler run for one row, except for
-permute-and-flip's sequential walk and `intermediate_a`'s integer pick,
-which are different algorithms from their batch samplers and stay the
-single-draw references those are tested against.
+``BATCH_SAMPLERS`` is the one hand-written table: per mechanism, a builder
+of (instance, rows) that computes its operands once (log weights or pf's
+coins tiled to rows x k, em's cumulative weights) and returns draw(rng,
+rows), which runs its own algorithm, never another's, for up to rows
+draws at once, in place on the stream's flat arrays: one index per row.
+``MECHANISMS`` is derived from it under the same keys: a single draw is
+the batch sampler built and run for one row, except for
+permute-and-flip's walk and `intermediate_a`'s integer pick, separate
+algorithms that stay the single-draw references their batch samplers are
+tested against.
 """
 
 from __future__ import annotations
@@ -53,54 +53,62 @@ class SelectionResult:
     label: str
 
 
-def _uniform_pick(mask: np.ndarray, rng: RngState) -> np.ndarray:
-    """Per row, a uniformly random True column of a boolean matrix whose
-    rows each hold at least one True: the smallest of one uniform key per
-    entry, with the False entries masked out."""
-    keys = rng.uniforms(mask.size).reshape(mask.shape)
-    return np.argmin(keys + ~mask, axis=1)  # a masked key + 1 >= 1 never wins
+def _uniform_pick(mask: np.ndarray, rng: RngState, k: int) -> np.ndarray:
+    """Per row of k entries of a flat mask, each row holding a True, a
+    uniform pick of a True column: the least uniform key, less 1 where True
+    (exact, keys being multiples of 2^-53 in [0, 1), and below the rest)."""
+    keys = rng.uniforms(mask.size)
+    keys -= mask
+    return np.argmin(keys.reshape(-1, k), axis=1)
 
 
 def log_weights(inst: ValidatedInstance) -> np.ndarray:
     """Each outcome's gamma_i = rate * (q_i - max q) <= 0, the log of its
     shifted weight and its score in units of the noise scale, relative to
-    the best. The halved difference cannot overflow, and doubling it last
-    gives rate * (q_i - max q) bit for bit wherever that difference is
-    finite and gamma_i is normal or 0. It is -inf (weight 0) only where
-    gamma_i is below -DBL_MAX: a Python float overflows without a warning,
-    and at the usual k a list beats numpy's per-call overhead."""
+    the best. Where q_i - max q overflows, the difference of the halved
+    scores, which cannot, doubled last gives gamma_i bit for bit where it
+    is normal or 0. It is -inf (weight 0) only where gamma_i is below
+    -DBL_MAX: a Python float overflows without a warning, and at the usual
+    k a list beats numpy's per-call overhead."""
     rate, best = inst.params.rate, inst.quality.best_score
-    return np.array([rate * (0.5 * q - 0.5 * best) * 2.0 for q in inst.quality.scores])
+    return np.array([rate * (q - best) if q - best > -math.inf
+                     else rate * (0.5 * q - 0.5 * best) * 2.0 for q in inst.quality.scores])
 
 
-def _report_noisy_max_batch(
-    inst: ValidatedInstance, rng: RngState, rows: int, kind: str
-) -> np.ndarray:
+def _report_noisy_max_batch(inst: ValidatedInstance, rows: int, kind: str) -> Callable:
     """Report-noisy-max: per row, add one independent noise draw per score
     and return the first argmax, over a rows x k matrix of unit-scale draws
     of the family kind, "exponential", "laplace" or "gumbel", added to
     log_weights: the scores in units of the noise scale 2*sensitivity/eps.
     The Gumbel variant draws from the same output distribution as the
     exponential mechanism."""
-    k = len(inst.quality)
-    draws = samples(NOISE_FAMILIES[kind], rng, rows * k).reshape(rows, k)
-    return np.argmax(log_weights(inst) + draws, axis=1)
+    k, gamma, noise = len(inst.quality), np.tile(log_weights(inst), rows), NOISE_FAMILIES[kind]
+
+    def draw(rng: RngState, rows: int) -> np.ndarray:
+        values = samples(noise, rng, rows * k)
+        values += gamma[: values.size]
+        return np.argmax(values.reshape(rows, k), axis=1)
+
+    return draw
 
 
-def _exponential_mechanism_batch(
-    inst: ValidatedInstance, rng: RngState, rows: int
-) -> np.ndarray:
+def _exponential_mechanism_batch(inst: ValidatedInstance, rows: int) -> Callable:
     """The exponential mechanism: index i with probability proportional to
     exp(eps * q_i / (2 * sensitivity)), from shifted weights
     exp(rate * (q_i - max q)) so huge scores cannot overflow, by one
     searchsorted of rows uniforms over the cumulative weights. Deliberately
     not the Gumbel-max trick: that is report-noisy-max with Gumbel noise,
-    and keeping the two code paths distinct lets tests cross-check them."""
+    and keeping the two code paths distinct lets tests cross-check them.
+    A uniform u <= 1 - 2^-53 puts u T at least T 2^-53 below the total T =
+    m 2^e >= 1 (2^52 <= m < 2^53), over half an ulp or half at m = 2^52, where
+    T's lower neighbour is that close: no draw passes the last positive weight."""
     cumulative = np.cumsum(np.exp(log_weights(inst)))
-    u = rng.uniforms(rows) * cumulative[-1]
-    index = np.searchsorted(cumulative, u, side="right")
-    # u can land on the rounded-down total, one past the last index
-    return np.minimum(index, len(inst.quality) - 1)
+
+    def draw(rng: RngState, rows: int) -> np.ndarray:
+        u = rng.uniforms(rows)
+        return np.searchsorted(cumulative, np.multiply(u, cumulative[-1], out=u), side="right")
+
+    return draw
 
 
 def permute_and_flip(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
@@ -117,9 +125,7 @@ def permute_and_flip(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     raise AssertionError("unreachable: the best outcome's coin has probability 1")
 
 
-def _permute_and_flip_batch(
-    inst: ValidatedInstance, rng: RngState, rows: int
-) -> np.ndarray:
+def _permute_and_flip_batch(inst: ValidatedInstance, rows: int) -> Callable:
     """Batch permute_and_flip: every row flips all k coins up front and
     returns the heads that comes first in a uniformly random visiting
     order, i.e. the heads with the smallest of k uniform order keys.
@@ -127,9 +133,8 @@ def _permute_and_flip_batch(
     The best outcome's coin has probability exactly 1 and a uniform draw is
     below 1, so every row holds at least one heads.
     """
-    k = len(inst.quality)
-    heads = rng.uniforms(rows * k).reshape(rows, k) < np.exp(log_weights(inst))
-    return _uniform_pick(heads, rng)
+    k, coins = len(inst.quality), np.tile(np.exp(log_weights(inst)), rows)
+    return lambda rng, rows: _uniform_pick(rng.uniforms(rows * k) < coins[: rows * k], rng, k)
 
 
 def intermediate_a(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
@@ -147,35 +152,41 @@ def intermediate_a(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     return SelectionResult(index, inst.quality.labels[index])
 
 
-def _intermediate_a_batch(
-    inst: ValidatedInstance, rng: RngState, rows: int
-) -> np.ndarray:
+def _intermediate_a_batch(inst: ValidatedInstance, rows: int) -> Callable:
     """Batch intermediate_a: per row, a uniform pick among the outcomes
     whose exponentially-noised log weight reaches 0, the best score's."""
-    k = len(inst.quality)
-    noise = samples(NOISE_FAMILIES["exponential"], rng, rows * k).reshape(rows, k)
-    return _uniform_pick(log_weights(inst) + noise >= 0.0, rng)
+    k, gamma = len(inst.quality), np.tile(log_weights(inst), rows)
+
+    def draw(rng: RngState, rows: int) -> np.ndarray:
+        noisy = samples(NOISE_FAMILIES["exponential"], rng, rows * k)
+        noisy += gamma[: noisy.size]
+        return _uniform_pick(noisy >= 0.0, rng, k)
+
+    return draw
 
 
-def _intermediate_b_batch(
-    inst: ValidatedInstance, rng: RngState, rows: int
-) -> np.ndarray:
+def _intermediate_b_batch(inst: ValidatedInstance, rows: int) -> Callable:
     """Censored-noise reformulation (alg-b) bridging permute-and-flip to
     report-noisy-max with exponential noise.
 
     Caps each log weight plus unit-scale exponential noise at 0, the best
     true score's, and returns per row the first argmax of capped value plus
     a second independent tie-break draw, with the outcomes below the cap
-    masked out. Every outcome gets its tie-break, even those the cap
-    excludes, so a row consumes two draws per outcome, score noise and
-    tie-break interleaved in index order. A maximizing outcome always hits
-    the cap, so the masked set is never empty.
+    masked out to 0, below every tie-break. Every outcome gets its
+    tie-break, even those the cap excludes, so a row consumes two draws per
+    outcome, score noise and tie-break interleaved in index order. A
+    maximizing outcome always hits the cap, so the masked set is never empty.
     """
-    k = len(inst.quality)
-    draws = samples(NOISE_FAMILIES["exponential"], rng, rows * 2 * k).reshape(rows, 2 * k)
-    capped = np.minimum(0.0, log_weights(inst) + draws[:, 0::2])
-    # below the cap an outcome keeps capped < 0 <= every candidate's value
-    return np.argmax(capped + draws[:, 1::2] * (capped == 0.0), axis=1)
+    k, gamma = len(inst.quality), np.tile(log_weights(inst), rows)
+
+    def draw(rng: RngState, rows: int) -> np.ndarray:
+        draws = samples(NOISE_FAMILIES["exponential"], rng, rows * 2 * k)
+        noisy, tie = draws[0::2], draws[1::2]
+        noisy += gamma[: noisy.size]
+        # the cap min(noisy, 0) is 0 exactly where noisy >= 0
+        return np.argmax((tie * (noisy >= 0.0)).reshape(rows, k), axis=1)
+
+    return draw
 
 
 # noisy-max mechanism name -> noise family; the single source for the
@@ -187,7 +198,7 @@ RNM_FAMILIES: dict[str, str] = {
 }
 
 
-BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarray]] = {
+BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, int], Callable]] = {
     "pf": _permute_and_flip_batch,
     **{name: functools.partial(_report_noisy_max_batch, kind=kind)
        for name, kind in RNM_FAMILIES.items()},
@@ -197,9 +208,9 @@ BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, RngState, int], np.ndarra
 }
 
 
-def _single_draw(sampler: Callable, inst: ValidatedInstance, rng: RngState) -> SelectionResult:
+def _single_draw(build: Callable, inst: ValidatedInstance, rng: RngState) -> SelectionResult:
     """A batch sampler's draw for one row."""
-    index = int(sampler(inst, rng, 1)[0])
+    index = int(build(inst, 1)(rng, 1)[0])
     return SelectionResult(index, inst.quality.labels[index])
 
 

@@ -9,7 +9,8 @@ for Laplace, three for Gumbel, one clamp for exponential noise. `cdf` and
 this noise to the scores in units of the noise scale, gamma = rate *
 (q - max q), so no draw is ever scaled. All formulas are numpy, so one
 serves a float and an array: the quadrature integrand evaluates every
-outcome's factor in one call. Arguments are clamped so that no `exp`
+outcome's factor in one call, and `quantile` can write every step into an
+array `out`, u itself included. Arguments are clamped so that no `exp`
 overflows, even far outside the support: the Gumbel formulas stop at
 |x| = 700, where the true value is already 0.
 
@@ -45,8 +46,8 @@ class _UnitLaw:
 class Exponential(_UnitLaw):
     """Nonnegative noise, density exp(-x) for x >= 0."""
 
-    def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        return -np.log1p(-u)
+    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.negative(np.log1p(np.negative(u, out=out), out=out), out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         minus = -np.maximum(x, 0.0)
@@ -58,10 +59,12 @@ class Exponential(_UnitLaw):
 class Laplace(_UnitLaw):
     """Symmetric noise, density exp(-|x|) / 2."""
 
-    def quantile(self, u: float | np.ndarray) -> np.ndarray:
+    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # log(2u) below 0.5 and -log(2(1 - u)) from it, bit for bit with no
         # branch: 1 - u is exact there, and u = 0.5 gives -0.0
-        return -np.copysign(np.log(2.0 * np.minimum(u, 1.0 - u)), 0.5 - u)
+        sign, low = 0.5 - u, np.minimum(u, 1.0 - u, out=out)  # sign before out is written
+        low = np.log(np.multiply(low, 2.0, out=out), out=out)
+        return np.negative(np.copysign(low, sign, out=out), out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # half of exp(-|x|) is both the lower tail and the density; the CDF
@@ -75,8 +78,8 @@ class Laplace(_UnitLaw):
 class Gumbel(_UnitLaw):
     """Max-stable noise, density exp(-x - exp(-x))."""
 
-    def quantile(self, u: float | np.ndarray) -> np.ndarray:
-        return -np.log(-np.log(u))
+    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.negative(np.log(np.negative(np.log(u, out=out), out=out), out=out), out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # exp(-x) would overflow from x = -710; both are already 0 at -700
@@ -141,5 +144,6 @@ def quantile(kind: NoiseKind, u: float) -> float:
 
 
 def samples(kind: NoiseKind, rng: RngState, n: int) -> np.ndarray:
-    """n draws, each the inverse-CDF transform of one uniform draw."""
-    return kind.quantile(np.maximum(rng.uniforms(n), _U_FLOOR))
+    """n draws, each the inverse-CDF transform of one uniform draw, in place."""
+    u = rng.uniforms(n)
+    return kind.quantile(np.maximum(u, _U_FLOOR, out=u), out=u)

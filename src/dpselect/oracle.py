@@ -447,28 +447,26 @@ def empirical_counts(
     mechanism: str, inst: ValidatedInstance, n: int, seed: int
 ) -> list[int]:
     """Outcome counts of n independent runs of a mechanism, named as in
-    BATCH_SAMPLERS, under one seeded stream: its vectorized sampler draws
-    in chunks of BATCH_ELEMENTS // w rows and at least one, where w is the
-    width of a row's widest array: 1 for em, 2k for alg-b, k for the rest.
-    pf and alg-a draw a chunk's k order keys per row after its coins or
-    noise, so their chunk size is part of their seeded stream; the other
-    streams do not depend on it. A fixed seed gives the same counts bit for
-    bit. Any other mechanism, a callable included, or an n that is not an
-    integer raises ValueError.
-    """
+    BATCH_SAMPLERS, under one seeded stream: its sampler, built once for
+    chunks of BATCH_ELEMENTS // w rows, and at least one, where w is a
+    row's widest array (1 for em, 2k for alg-b, k for the rest), draws
+    chunk after chunk. pf and alg-a draw a chunk's order keys after its
+    coins or noise, so their chunk size is part of their seeded stream;
+    the other streams do not depend on it. A fixed seed gives the same
+    counts bit for bit. Any other mechanism or a non-integer n raises
+    ValueError."""
     try:
-        n, sampler = operator.index(n), BATCH_SAMPLERS[mechanism]
+        n, build = operator.index(n), BATCH_SAMPLERS[mechanism]
     except (KeyError, TypeError):
         raise ValueError(f"need a mechanism name, one of {sorted(BATCH_SAMPLERS)}, and an "
                          f"integer n; got {mechanism!r} and n={n!r}") from None
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
-    rng = RngState(seed)
-    k = len(inst.quality)
-    chunk = max(1, BATCH_ELEMENTS // {"em": 1, "alg-b": 2 * k}.get(mechanism, k))
-    counts = np.zeros(k, dtype=np.int64)
+    rng, k = RngState(seed), len(inst.quality)
+    chunk = min(n, max(1, BATCH_ELEMENTS // {"em": 1, "alg-b": 2 * k}.get(mechanism, k)))
+    draw, counts = build(inst, chunk), np.zeros(k, dtype=np.int64)
     for start in range(0, n, chunk):
-        counts += np.bincount(sampler(inst, rng, min(chunk, n - start)), minlength=k)
+        counts += np.bincount(draw(rng, min(chunk, n - start)), minlength=k)
     return counts.tolist()
 
 
@@ -509,18 +507,20 @@ def chi_square_gof(
     category needed pooling the test is impossible and AllCategoriesMerged
     is raised. Observed mass on a zero-probability outcome fails outright,
     with p = 0 and the dof and power of the pooled cells. A significance
-    outside (0, 1) would pass every sample (at 0 or below) or none (at 1 or
-    above), so it raises ValueError. So does a count that is not a Python
-    or numpy integer, even a whole float: truncating 5000.9 to 5000 would
+    outside [DBL_MIN, 1) raises ValueError: at 0 or below every sample
+    would pass, at 1 or above none, and below DBL_MIN = 2.2e-308 the power's
+    tail inversion underflows. So does a count that is not a Python or
+    numpy integer, even a whole float: truncating 5000.9 to 5000 would
     test other counts than the ones observed.
 
     The p-value is within 1e-12 relative of the chi-square survival
     function where that is at least 1e-290 and 1e-300 absolute below, and
     detectable_divergence within 1e-10 relative; tests check both on scipy,
-    the power at dof 1-255 and significances from 1e-8 up to 0.8999.
+    the power at dof 1-255 and significances from DBL_MIN up to 0.8999.
     """
-    if not 0.0 < significance < 1.0:
-        raise ValueError(f"significance must be strictly between 0 and 1, got {significance}")
+    if not sys.float_info.min <= significance < 1.0:
+        raise ValueError(f"significance must be strictly between 0 and 1, and at least "
+                         f"the smallest normal double {sys.float_info.min}; got {significance}")
     try:
         counts = [operator.index(c) for c in observed_counts]
     except TypeError:
@@ -585,10 +585,11 @@ def _gamma_steps(a: float, y: float, n: int) -> np.ndarray:
     return np.exp((a + i) * math.log(y) - y - log_gamma)
 
 
-def _newton(f: Callable[[float], tuple[float, float]], x: float) -> float:
-    """Root on (0, inf) of a decreasing f, which returns its value and Newton
-    step, from x; a step out of the bracket bisects it or doubles x."""
-    lo, hi = 0.0, math.inf
+def _newton(f: Callable[[float], tuple[float, float]], x: float, bound: float = math.inf) -> float:
+    """Root on (0, bound) of a decreasing f, which returns its value and
+    Newton step, from x < bound; a step out of the bracket bisects it or,
+    unbounded, doubles x. ArithmeticError if f > 0 up to a finite bound."""
+    lo, hi = 0.0, bound
     for _ in range(100):
         value, step = f(x)
         if abs(step) <= 1e-14 * x:
@@ -597,24 +598,16 @@ def _newton(f: Callable[[float], tuple[float, float]], x: float) -> float:
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    if hi == bound < math.inf:
+        raise ArithmeticError(f"no root below {bound}: f > 0 up to {lo}")
     return x
 
 
-@functools.lru_cache(maxsize=256)
-def _noncentrality(dof: int, significance: float) -> float:
-    """The noncentrality lam at which the noncentral chi-square on dof degrees
-    of freedom passes c = Q^-1(significance) with probability 0.9: the root
-    of F(c; dof, lam) = sum_i Pois(i; lam/2) (1 - Q(dof/2 + i, c/2)) = 0.1,
-    with dF/dlam = -(F(c; dof, lam) - F(c; dof + 2, lam)) / 2. The null
-    term F(c; dof, 0) is 1 - significance by c's definition: recomputing it
-    from c would add Q's rounding, which F - 0.1 near 0 amplifies just
-    below a significance of 0.9. At 0.9 or more the test rejects that often
-    at lam = 0: 0.0."""
-    if significance >= 0.9:
-        return 0.0
+def _critical_value(dof: int, significance: float) -> float:
+    """c = Q^-1(significance) by Newton steps on log Q, nearly linear in the tail."""
     a, t = 0.5 * dof, -2.0 * math.log(significance)
 
-    def log_tail(c):  # Newton on log Q, nearly linear in the tail
+    def log_tail(c):
         q = _chi2_sf(dof, c)
         density = 0.5 * math.exp((a - 1.0) * math.log(0.5 * c) - 0.5 * c - math.lgamma(a))
         value = math.log(q) + 0.5 * t if q else -math.inf
@@ -622,7 +615,25 @@ def _noncentrality(dof: int, significance: float) -> float:
 
     # Wilson and Hilferty's start, z from the normal tail's leading terms
     z, v = math.sqrt(max(t - math.log(t) - math.log(2.0 * math.pi), 0.0)), 2.0 / (9.0 * dof)
-    c = _newton(log_tail, dof * max(1.0 - v + z * math.sqrt(v), 0.1) ** 3)
+    return _newton(log_tail, dof * max(1.0 - v + z * math.sqrt(v), 0.1) ** 3)
+
+
+@functools.lru_cache(maxsize=256)
+def _noncentrality(dof: int, significance: float) -> float:
+    """The noncentrality lam at which the noncentral chi-square on dof degrees
+    of freedom passes c = _critical_value(dof, significance) with
+    probability 0.9: the root of F(c; dof, lam) = sum_i Pois(i; lam/2)
+    (1 - Q(dof/2 + i, c/2)) = 0.1, with dF/dlam = -(F(c; dof, lam) -
+    F(c; dof + 2, lam)) / 2. The null term F(c; dof, 0) is 1 - significance
+    by c's definition: recomputing it from c would add Q's rounding, which
+    F - 0.1 near 0 amplifies just below a significance of 0.9. At 0.9 or
+    more the test rejects that often at lam = 0: 0.0. Below, the root is
+    under 2c + 100, where F's mean dof + lam passes c by 3 or more standard
+    deviations sqrt(2 dof + 4 lam), so F <= 0.1 (Cantelli); it is at most
+    2,077 at dof 1-255 from DBL_MIN, and no root below 2c + 100 raises."""
+    if significance >= 0.9:
+        return 0.0
+    a, c = 0.5 * dof, _critical_value(dof, significance)
 
     def miss(lam):  # F(c; dof, lam) - 0.1 and its Newton step
         mu = 0.5 * lam
@@ -637,7 +648,7 @@ def _noncentrality(dof: int, significance: float) -> float:
     # the normal approximation's start: c = dof + lam - z sqrt(2 dof + 4 lam)
     z = 1.2815515655446004
     s = 2.0 * z + math.sqrt(max(4.0 * z * z + 4.0 * c - 2.0 * dof, 0.0))
-    return _newton(miss, max(0.25 * s * s - 0.5 * dof, 1e-3))
+    return _newton(miss, max(0.25 * s * s - 0.5 * dof, 1e-3), 2.0 * c + 100.0)
 
 
 EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {

@@ -1,9 +1,10 @@
 """Shared test fixtures: instance factory, hypothesis strategies, a
-fresh-interpreter runner and the one path from seeded draws to a
-chi-square verdict."""
+fresh-interpreter runner, a stream of fixed uniforms and the one path from
+seeded draws to a chi-square verdict."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 
 import dpselect
 from dpselect import (
@@ -37,6 +39,24 @@ def run_python(*args, **env):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120,
     )
+
+
+class FixedUniforms:
+    """A stand-in for RngState that serves the given uniforms, cycled in
+    order, to uniform() and uniforms(n), and visits outcomes in index
+    order: permutation(n) is range(n)."""
+
+    def __init__(self, *uniforms: float):
+        self._uniforms = itertools.cycle(uniforms)
+
+    def uniform(self) -> float:
+        return next(self._uniforms)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return np.array([next(self._uniforms) for _ in range(n)])
+
+    def permutation(self, n: int) -> list[int]:
+        return list(range(n))
 
 
 # the smallest epsilon PrivacyParams accepts at sensitivity 1: its rate,

@@ -25,6 +25,7 @@ from dpselect.errors import (
     UnsupportedOracle,
 )
 
+from dpselect import audit
 from dpselect.oracle import LOG_ORACLES
 
 from helpers import instances, make_instance
@@ -211,6 +212,24 @@ class TestDominance:
         assert record.expected_error_pf == pytest.approx(0.183940, abs=1e-6)
         assert record.expected_error_em == pytest.approx(0.268941, abs=1e-6)
         assert report.dominance_violations == 0
+
+    def test_violations_counted_once_per_instance(self, monkeypatch):
+        # pf's table made uniform on instances 1 and 3: on separated scores
+        # uniform errs more than em, so exactly those two are violations
+        suite = random_instances(5, 1.0, 1.0, k_min=2, k_max=6, seed=10)
+        real = audit.pf_log_tables
+
+        def uniform_on_two(instances):
+            tables = real(instances)
+            for i in (1, 3):
+                tables[i] = np.full(len(tables[i]), -math.log(len(tables[i])))
+            return tables
+
+        monkeypatch.setattr(audit, "pf_log_tables", uniform_on_two)
+        report = dominance_check(suite)
+        worse = [r.expected_error_pf - r.expected_error_em > 1e-9 for r in report.per_instance]
+        assert worse == [False, True, False, True, False]
+        assert report.dominance_violations == 2
 
     def test_constant_scores_zero_error_for_both(self):
         report = dominance_check([make_instance([4.0, 4.0, 4.0], epsilon=1.0)])

@@ -278,6 +278,16 @@ class TestCompare:
         assert record is None
         assert "significance must be strictly between 0 and 1" in err
 
+    def test_significance_below_the_smallest_normal_exits_two(self, capsys, scores_file):
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "pf",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "empirical", "--n", "1000", "--significance", "1e-308",
+        )
+        assert code == 2
+        assert record is None
+        assert "smallest normal double" in err
+
     @pytest.mark.parametrize("tolerance", ["-1e-9", "nan", "inf", "-inf"])
     def test_tolerance_negative_or_not_finite_exits_two(
         self, capsys, scores_file, tolerance

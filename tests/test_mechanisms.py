@@ -22,7 +22,7 @@ from dpselect.core import ProbabilityTable
 from dpselect.mechanisms import BATCH_SAMPLERS, log_weights
 from dpselect.noise import NOISE_FAMILIES
 
-from helpers import SMALLEST_EPSILON, instances, make_instance, sampled_verdict
+from helpers import SMALLEST_EPSILON, FixedUniforms, instances, make_instance, sampled_verdict
 
 MECHANISM_NAMES = sorted(MECHANISMS)
 
@@ -314,6 +314,49 @@ class TestSeededReplay:
         assert capped[result.index] == 0.0
         survivors = [i for i in range(k) if capped[i] == 0.0]
         assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
+
+
+class TestFixedUniforms:
+    """The samplers' comparisons at the ends of the uniform stream, 0 and
+    1 - 2^-53, on fixed uniforms: an outcome whose weight underflows to 0
+    is never drawn, and em's search never passes the last outcome of
+    positive weight."""
+
+    # outcome 0's weight exp(-5e307) is 0; outcome 1 holds the best score
+    ZERO_FIRST = [-1e308, 0.0]
+
+    def test_permute_and_flip_heads_are_strict(self):
+        # the walk visits outcome 0 first, and u = 0 is not below its coin 0
+        inst = make_instance(self.ZERO_FIRST)
+        assert permute_and_flip(inst, FixedUniforms(0.0)).index == 1
+
+    def test_batch_permute_and_flip_heads_are_strict(self):
+        # coins and order keys all 0: outcome 0 would win every tie
+        inst = make_instance(self.ZERO_FIRST)
+        assert BATCH_SAMPLERS["pf"](inst, 4)(FixedUniforms(0.0), 4).tolist() == [1] * 4
+
+    def test_exponential_mechanism_skips_a_leading_zero_weight(self):
+        inst = make_instance(self.ZERO_FIRST)
+        assert BATCH_SAMPLERS["em"](inst, 2)(FixedUniforms(0.0), 2).tolist() == [1] * 2
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_largest_uniform_picks_the_last_of_equal_weights(self, k):
+        # the total k is a power of two, where u * k is exactly k - 2^-53 k
+        inst = make_instance([0.0] * k)
+        assert BATCH_SAMPLERS["em"](inst, 1)(FixedUniforms(1.0 - 2.0**-53), 1).tolist() == [k - 1]
+
+    def test_largest_uniform_picks_the_last_positive_weight(self):
+        # weights from e^-10 to 1, each adding to a total of at most 40,
+        # and weights 0 that trail some of them
+        gen = np.random.default_rng(8)
+        for k in range(1, 41):
+            scores = gen.uniform(-10.0, 0.0, size=k)
+            scores[gen.random(k) < 0.3] = -1e308
+            scores[gen.integers(k)] = 0.0
+            inst = make_instance(scores, epsilon=2.0)
+            last = int(np.flatnonzero(np.exp(log_weights(inst)) > 0.0)[-1])
+            draw = BATCH_SAMPLERS["em"](inst, 3)
+            assert draw(FixedUniforms(1.0 - 2.0**-53), 3).tolist() == [last] * 3
 
 
 class TestOutputContract:

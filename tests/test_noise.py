@@ -22,7 +22,7 @@ from dpselect import (
 )
 from dpselect.noise import NOISE_FAMILIES
 
-from helpers import make_instance, sampled_verdict
+from helpers import FixedUniforms, make_instance, sampled_verdict
 
 ALL_KINDS = [
     pytest.param(Exponential(), id="exponential"),
@@ -186,6 +186,13 @@ class TestSampling:
         assert [samples(kind, a, 1)[0] for _ in range(200)] == [
             samples(kind, b, 1)[0] for _ in range(200)
         ]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_uniform_draws_the_noise_at_the_smallest_uniform(self, kind):
+        # the stream can return exactly 0.0, where the log-based quantiles
+        # are infinite; it draws as the smallest nonzero uniform, 2^-53
+        draws = samples(kind, FixedUniforms(0.0, 2.0**-53), 2)
+        assert np.isfinite(draws[0]) and draws[0] == draws[1] == kind.quantile(2.0**-53)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_batch_matches_scalar_stream(self, kind):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -1303,6 +1305,14 @@ class TestChiSquareGof:
         with pytest.raises(ValueError, match="significance"):
             chi_square_gof([900, 100], expected, significance)
 
+    @pytest.mark.parametrize("significance", [1e-308, 5e-324])
+    def test_significance_below_the_smallest_normal_rejected(self, significance):
+        # below DBL_MIN the tail Q underflows, and the power would stall at
+        # its value there, claiming up to 4.7 % too much at 5e-324
+        expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
+        with pytest.raises(ValueError, match="smallest normal"):
+            chi_square_gof([900, 100], expected, significance)
+
     @pytest.mark.parametrize(
         "counts", [[5000.9, 4999.9], [5000.0, 5000.0], [np.float64(5000), 5000], ["5000", 5000]]
     )
@@ -1393,7 +1403,8 @@ class TestDetectableDivergence:
     """detectable_divergence against scipy's noncentrality inversion
     chndtrinc(chdtri(dof, significance), dof, 0.1) / n within 1e-10
     relative, over dof 1-255 and significance levels down to the
-    Bonferroni levels of a wrong-fail budget."""
+    Bonferroni levels of a wrong-fail budget and to the smallest accepted,
+    DBL_MIN."""
 
     @staticmethod
     def uniform_gof(dof, significance):
@@ -1404,7 +1415,8 @@ class TestDetectableDivergence:
         assert result.degrees_of_freedom == dof
         return result
 
-    @pytest.mark.parametrize("significance", [1e-3, 1e-4, 5e-6, 1e-8, 0.89, 0.8999])
+    @pytest.mark.parametrize("significance",
+                             [sys.float_info.min, 1e-3, 1e-4, 5e-6, 1e-8, 0.89, 0.8999])
     def test_matches_scipy_noncentrality(self, significance):
         from scipy.special import chdtri, chndtrinc
 
@@ -1412,6 +1424,19 @@ class TestDetectableDivergence:
             result = self.uniform_gof(dof, significance)
             reference = float(chndtrinc(chdtri(dof, significance), dof, 0.1)) / (1000 * (dof + 1))
             assert result.detectable_divergence == pytest.approx(reference, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("dof", [1, 10, 255])
+    def test_search_without_a_root_raises(self, monkeypatch, dof):
+        # c taken at 1 - significance leaves F(c; dof, lam) - 0.1 positive
+        # for every lam: the search must stop at its bound, not double lam
+        # (and its Poisson sums) a hundred times
+        critical_value = oracle._critical_value
+        monkeypatch.setattr(oracle, "_critical_value",
+                            lambda dof, significance: critical_value(dof, 1.0 - significance))
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="no root below"):
+            oracle._noncentrality.__wrapped__(dof, 1e-3)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("significance", [0.9, 0.95, 1 - 1e-16])
     def test_zero_where_the_test_rejects_that_often_at_no_divergence(self, significance):

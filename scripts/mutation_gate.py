@@ -135,8 +135,8 @@ MUTANTS = (
            "np.subtract(log_p1, log_p1,",
            ("tests/test_audit.py::TestPrivacyRatioAudit::test_em_swap_pair",)),
     Mutant("dominance-takes-the-pf-error-from-em", "src/dpselect/audit.py",
-           "zip(instances, pf_log_tables(instances), em_log_tables(instances))",
-           "zip(instances, em_log_tables(instances), em_log_tables(instances))",
+           'exact_tables("pf", instances)',
+           'exact_tables("em", instances)',
            ("tests/test_audit.py::TestDominance::test_two_point_values",)),
     Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
            "noisy, tie = draws[0::2], draws[1::2]",
@@ -181,6 +181,43 @@ MUTANTS = (
            "violations += 1",
            "violations += 2",
            ("tests/test_audit.py::TestDominance::test_violations_counted_once_per_instance",)),
+    Mutant("rnm-expo-factor-from-the-coin-game", "src/dpselect/oracle.py",
+           "lambda gamma, w: _win_integrals(gamma),",
+           "lambda gamma, w: _coin_game(w),",
+           ("tests/test_oracle.py::TestGaussLegendreRoundingBound"
+            "::test_log_tables_read_these_integrals_bit_for_bit",)),
+    Mutant("gauss-legendre-chunks-ignore-the-node-count", "src/dpselect/oracle.py",
+           "lambda k: k // 2,",
+           "lambda k: 0,",
+           ("tests/test_oracle.py::TestLogTables::test_batch_equals_single_calls_bit_for_bit",)),
+    Mutant("em-factor-drops-its-last-weight", "src/dpselect/oracle.py",
+           "np.add.accumulate(w, axis=1)",
+           "np.add.accumulate(w[:, :-1], axis=1)",
+           ("tests/test_oracle.py::TestSoftmaxRoundingBound::test_linear_table_within_stated_bound",)),
+    Mutant("probability-sum-tolerance-1.5e-9", "src/dpselect/core.py",
+           "PROBABILITY_SUM_TOLERANCE = 1e-9",
+           "PROBABILITY_SUM_TOLERANCE = 1.5e-9",
+           ("tests/test_core.py::TestProbabilityTable::test_sum_just_beyond_the_tolerance_rejected",)),
+    Mutant("random-instances-from-k-3", "src/dpselect/audit.py",
+           "    sensitivity: float,\n    k_min: int = 2,\n    k_max: int = 10,\n    seed: int = 0,\n"
+           ") -> list[ValidatedInstance]:",
+           "    sensitivity: float,\n    k_min: int = 3,\n    k_max: int = 10,\n    seed: int = 0,\n"
+           ") -> list[ValidatedInstance]:",
+           ("tests/test_audit.py::TestSuiteGenerators::test_random_instances_defaults",)),
+    Mutant("newton-runs-out-its-steps", "src/dpselect/oracle.py",
+           "        if hi - lo <= 1e-14 * x:\n            break\n",
+           "",
+           ("tests/test_oracle.py::TestDetectableDivergence"
+            "::test_critical_value_stops_once_its_bracket_collapses",)),
+    Mutant("critical-value-starts-below-the-mean", "src/dpselect/oracle.py",
+           "max(1.0 - v + z * math.sqrt(v), 0.1)",
+           "max(1.0 - v - z * math.sqrt(v), 0.1)",
+           ("tests/test_oracle.py::TestDetectableDivergence"
+            "::test_matches_scipy_noncentrality[2.2250738585072014e-308]",)),
+    Mutant("compare-samples-before-checking-significance", "src/dpselect/cli.py",
+           "    _check_significance(args.significance)\n",
+           "",
+           ("tests/test_cli.py::TestCompare::test_bad_significance_exits_two_before_any_draw",)),
 )
 
 

@@ -1,5 +1,7 @@
 """Executable verification of the privacy guarantee and the utility
-dominance claim, built on the exact log-space oracles (oracle.LOG_ORACLES).
+dominance claim, built on the exact tables of oracle.FACTORS' routes
+(oracle.exact_tables): the audit reads their log tables, the dominance
+check their linear ones.
 
 Privacy auditing works only through exact output distributions: Monte
 Carlo estimates of per-outcome probability ratios produce false alarms at
@@ -36,7 +38,7 @@ from .errors import (
     PairExceedsSensitivity,
     UnsupportedOracle,
 )
-from .oracle import LOG_ORACLES, em_log_tables, pf_log_tables
+from .oracle import FACTORS, exact_tables
 
 # multiplicative slack on the e^eps bound, absorbing oracle round-off
 RATIO_SLACK = 1e-9
@@ -79,30 +81,26 @@ class UtilityReport:
     dominance_violations: int
 
 
-def privacy_ratio_audit(
-    oracle: str,
-    pairs: Sequence[NeighborPair],
-    params: PrivacyParams,
-) -> AuditReport:
+def privacy_ratio_audit(oracle: str, pairs: Sequence[NeighborPair],
+                        params: PrivacyParams) -> AuditReport:
     """Check the per-outcome probability ratios of a mechanism's exact
     output distributions against the e^eps bound, over the given pairs.
 
     oracle names a mechanism with an exact oracle: one of "pf", "rnm-expo",
     "em". Every pair must stay within the declared sensitivity per
     outcome; a violating pair is rejected, not silently skipped. Both
-    tables of every pair come from one batched LOG_ORACLES call, and a
-    pair's ratio is exp of its largest |log p1 - log p2|, so the check is
-    direction-symmetric. The verdict compares the largest gap with
-    eps + log1p(RATIO_SLACK), so it holds where e^eps overflows a double
-    (the bound then reads inf). The report lists pairs in input order.
+    tables of every pair come from one batched exact_tables call in log
+    space, each mechanism's from its own route, and a pair's ratio is exp
+    of its largest |log p1 - log p2|, so the check is direction-symmetric.
+    The verdict compares the largest gap with eps + log1p(RATIO_SLACK), so
+    it holds where e^eps overflows a double (the bound then reads inf).
+    The report lists pairs in input order.
     """
     try:
-        log_tables = LOG_ORACLES[oracle]
+        FACTORS[oracle]
     except (KeyError, TypeError):
-        raise UnsupportedOracle(
-            f"{oracle!r} has no exact output-distribution oracle; "
-            f"expected one of {sorted(LOG_ORACLES)}"
-        ) from None
+        raise UnsupportedOracle(f"{oracle!r} has no exact output-distribution oracle; "
+                                f"expected one of {sorted(FACTORS)}") from None
     pairs = list(pairs)
     if not pairs:
         raise EmptyPairList("need at least one neighbor pair to audit")
@@ -112,13 +110,10 @@ def privacy_ratio_audit(
         # tiny relative slack so a pair constructed as q + u with |u| <= delta
         # is not rejected over the last-ulp rounding of q + u
         if deviation > params.sensitivity * (1.0 + 1e-12):
-            raise PairExceedsSensitivity(
-                f"pair {pair_index} deviates by {deviation!r}, "
-                f"declared sensitivity is {params.sensitivity!r}"
-            )
-    tables = log_tables(
-        [validate_instance(q, params) for pair in pairs for q in (pair.q1, pair.q2)]
-    )
+            raise PairExceedsSensitivity(f"pair {pair_index} deviates by {deviation!r}, "
+                                         f"declared sensitivity is {params.sensitivity!r}")
+    instances = [validate_instance(q, params) for pair in pairs for q in (pair.q1, pair.q2)]
+    tables = exact_tables(oracle, instances, log=True)
     per_pair = []
     worst_gap = 0.0
     with np.errstate(over="ignore"):  # a gap above 709.78 is ratio inf
@@ -147,10 +142,8 @@ def expected_error(inst: ValidatedInstance, dist: ProbabilityTable) -> float:
     sum_i P(i) * (max q - q_i). Nonnegative, and invariant under shifting
     every score by the same constant."""
     if dist.labels != inst.quality.labels:
-        raise LabelMismatch(
-            f"distribution covers {dist.labels!r}, instance has "
-            f"{inst.quality.labels!r}"
-        )
+        raise LabelMismatch(f"distribution covers {dist.labels!r}, "
+                            f"instance has {inst.quality.labels!r}")
     return _expected_loss(dist.probabilities, inst.quality)
 
 
@@ -158,18 +151,19 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     """Compare exact expected errors of permute-and-flip and the
     exponential mechanism per instance; count instances where
     permute-and-flip comes out worse beyond the 1e-9 slack. Both errors of
-    every instance come from one batched pf_log_tables call and one
-    em_log_tables call, at every k. An error above DBL_MAX raises
+    every instance come from one batched exact_tables call per mechanism,
+    at every k, the linear tables that pf_exact_distribution and
+    em_exact_distribution read bit for bit. An error above DBL_MAX raises
     ValueError. An empty suite is rejected: it would pass without checking
     anything."""
     if len(instances) == 0:
         raise ValueError("need at least one instance")
     records = []
     violations = 0
-    tables = zip(instances, pf_log_tables(instances), em_log_tables(instances))
-    for instance_id, (inst, log_pf, log_em) in enumerate(tables):
-        error_pf = _expected_loss(np.exp(log_pf).tolist(), inst.quality)
-        error_em = _expected_loss(np.exp(log_em).tolist(), inst.quality)
+    tables = zip(instances, exact_tables("pf", instances), exact_tables("em", instances))
+    for instance_id, (inst, pf, em) in enumerate(tables):
+        error_pf = _expected_loss(pf.tolist(), inst.quality)
+        error_em = _expected_loss(em.tolist(), inst.quality)
         if not (math.isfinite(error_pf) and math.isfinite(error_em)):
             raise ValueError(f"instance {instance_id}: expected error pf {error_pf!r}, "
                              f"em {error_em!r} is not finite")

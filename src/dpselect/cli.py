@@ -37,9 +37,10 @@ from .formats import (
 from .mechanisms import MECHANISMS
 from .noise import RngState
 from .oracle import (
-    LOG_ORACLES,
+    FACTORS,
     QUADRATURE_LIMIT,
     ROUTES,
+    _check_significance,
     chi_square_gof,
     empirical_counts,
     table_for,
@@ -114,6 +115,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 0 if passed else 3
 
     # empirical: sample the first mechanism, test against the second's exact table
+    _check_significance(args.significance)
     reference = table_for(second, inst, "exact")
     counts = empirical_counts(first, inst, args.n, args.seed)
     empirical = ProbabilityTable(inst.quality.labels, [c / args.n for c in counts],
@@ -164,16 +166,9 @@ def cmd_utility(args: argparse.Namespace) -> int:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
     else:
         if not 2 <= args.k_max <= QUADRATURE_LIMIT:
-            return _invalid(
-                f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}"
-            )
-        instances = random_instances(
-            args.random,
-            args.epsilon,
-            args.sensitivity,
-            k_max=args.k_max,
-            seed=args.seed,
-        )
+            return _invalid(f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}")
+        instances = random_instances(args.random, args.epsilon, args.sensitivity,
+                                     k_max=args.k_max, seed=args.seed)
     report = dominance_check(instances)
     if args.out:
         write_json(asdict(report), args.out)
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[privacy],
                        help="check per-outcome probability ratios against e^epsilon")
-    p.add_argument("--mechanism", required=True, choices=sorted(LOG_ORACLES),
+    p.add_argument("--mechanism", required=True, choices=sorted(FACTORS),
                    help="mechanism with an exact oracle")
     p.add_argument("--pairs", required=True, help="neighbor-pairs JSON file")
     p.add_argument("--out", help="write the full audit report to this file")

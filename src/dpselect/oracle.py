@@ -15,15 +15,16 @@ and must keep agreeing:
   scale, with a max-norm error bound that covers every entry and a check
   that the entries miss no more mass than it and the truncation allow.
 
-Each takes up to QUADRATURE_LIMIT outcomes. The paper's equivalence of
-permute-and-flip and report-noisy-max with exponential noise is checked by
-comparing the DP with Gauss-Legendre and with exponential-noise
-quadrature, which share no code, so a bug in one cannot hide in another.
-Summation order per index is fixed, making results reproducible bit for
-bit. table_for is the one place that maps a mechanism and a mode to its
-route. LOG_ORACLES gives batches of natural-log tables, which cannot
-underflow, to privacy_ratio_audit and dominance_check: the same DP for pf
-and rnm-expo, and a log-softmax for em.
+Each exact route is P(i) = e^(gamma_i) C_i, gamma = log_weights(inst),
+with a FACTORS factor C_i in [1/k, 1] that states its rounding bound: pf's
+E_i, rnm-expo's I_i (equal, by the paper's identity), em's 1 / sum_j
+e^(gamma_j). exact_tables gives linear and log tables, which cannot
+underflow, to the oracles and audits. The paper's equivalence is checked
+by comparing the DP with Gauss-Legendre, in linear and log space, and
+with exponential-noise quadrature, which share no code, so a bug in one
+cannot hide in another. Summation order per index is fixed, making
+results reproducible bit for bit. table_for is the one place that maps a
+mechanism and a mode to its route.
 
 chi_square_gof computes its p-value and its power from finite sums of
 positive terms (Abramowitz and Stegun 26.4) with math and numpy, so
@@ -91,55 +92,90 @@ def _check_outcome_count(k: int, route: str) -> None:
             f"{route} supports at most {QUADRATURE_LIMIT} outcomes, got {k}")
 
 
-def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
-    """Closed-form output distribution of the exponential mechanism:
-    P(i) proportional to exp(rate * q_i), evaluated in shifted form."""
-    weights = np.exp(log_weights(inst))
-    return ProbabilityTable(
-        inst.quality.labels, (weights / weights.sum()).tolist(), "exact-closed-form"
-    )
-
-
 def pf_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
-    """Exact permute-and-flip output distribution by a Poisson-binomial DP.
+    """Exact permute-and-flip table by the coin-game DP (_coin_game)."""
+    return _exact_table("pf", inst)
 
-    Permute-and-flip is distributed like the coin game that independently
-    keeps each outcome j with probability p_j = exp(rate * (q_j - max q))
-    and returns a uniform pick among the kept ones. Outcome i wins when its
-    coin is kept and the pick then lands on it among 1 + S_-i kept coins,
-    where S_-i counts the other kept outcomes, so
 
-        P(i) = p_i * E_i,  E_i = E[1 / (1 + S_-i)] = pre_i^T H suf_(i+1),
+def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
+    """Exact table of report-noisy-max with exponential noise, by
+    Gauss-Legendre on its win integral (_win_integrals)."""
+    return _exact_table("rnm-expo", inst)
 
-    with pre_i the count law of coins 0..i-1, suf_(i+1) that of coins
-    i+1..k-1, and H[s, t] = 1 / (1 + s + t). A count law takes one coin at
-    a time, law[s] <- law[s] * (1 - p_j) + law[s - 1] * p_j. So does
-    g_i = H suf_(i+1), with the shift the other way, from g_(k-1) = H[:, 0]:
-    g_(i-1)[s] = g_i[s] * (1 - p_i) + g_i[s + 1] * p_i, exact for s < i,
-    the only counts pre_(i-1) can take. Every term is nonnegative, so
-    nothing cancels, and ties, p = 1, p = 0 and subnormal p need no special
-    case. P(i) rounds once more than _coin_game's E_i: it is within
-    (3k + 2) u relative (u = 2^-53) of p_i * E_i with the same float p_i,
-    plus 2^-1075 absolute where it is subnormal. Memory peaks below 1.3 MiB
-    at k = 256 (see _coin_game). Above QUADRATURE_LIMIT outcomes it raises
-    TooManyOutcomesForEnumeration.
-    """
-    p = np.exp(log_weights(inst))
-    return ProbabilityTable(inst.quality.labels, (p * _coin_game(p[None])[0]).tolist(),
-                            "exact-poisson-binomial")
+
+def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
+    """Exact table of the exponential mechanism, a softmax (_softmax_factor)."""
+    return _exact_table("em", inst)
+
+
+def _exact_table(mechanism: str, inst: ValidatedInstance) -> ProbabilityTable:
+    """One instance's linear table, exact_tables' chunk of that one row."""
+    factor, _, provenance = FACTORS[mechanism]
+    table = _chunk_tables(factor, log_weights(inst)[None], log=False)[0]
+    return ProbabilityTable(inst.quality.labels, table.tolist(), provenance)
+
+
+def _chunk_tables(factor: Callable, gamma: np.ndarray, log: bool) -> np.ndarray:
+    """A chunk's tables from its rows gamma of log weights and the weights."""
+    w = np.exp(gamma)
+    c = factor(gamma, w)
+    return np.minimum(gamma + np.log(c), 0.0) if log else w * c
+
+
+def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
+                 log: bool = False) -> list[np.ndarray]:
+    """A FACTORS mechanism's table per instance: e^gamma * C or, with log,
+    min(gamma + log C, 0), where no entry underflows and a true zero is
+    -inf. Rows of one FACTORS key run in order of k, padded with -inf to
+    their chunk's widest, as many per chunk as keep the DP's laws, 2 width
+    (width + 1) values a row and the most of any factor, within
+    BATCH_ELEMENTS, and at least one: a table is the same bit for bit alone
+    or in any batch. pf and rnm-expo raise TooManyOutcomesForEnumeration
+    above QUADRATURE_LIMIT outcomes."""
+    factor, share, _ = FACTORS[mechanism]
+    gammas = [log_weights(inst) for inst in instances]
+    groups, tables = {}, [None] * len(gammas)
+    for r in sorted(range(len(gammas)), key=lambda r: len(gammas[r])):
+        groups.setdefault(share(len(gammas[r])), []).append(r)
+    for order in groups.values():
+        while order:  # the widest rows first, so a chunk is as wide as its last row
+            width = len(gammas[order[-1]])
+            chunk = order[-max(1, BATCH_ELEMENTS // (2 * width * (width + 1))):]
+            del order[-len(chunk):]
+            gamma = np.full((len(chunk), width), -np.inf)
+            for i, r in enumerate(chunk):
+                gamma[i, : len(gammas[r])] = gammas[r]
+            table = _chunk_tables(factor, gamma, log)
+            for i, r in enumerate(chunk):
+                tables[r] = table[i, : len(gammas[r])]
+    return tables
 
 
 def _coin_game(p: np.ndarray) -> np.ndarray:
-    """pf_exact_distribution's E_i (rows, width) for rows p (rows, width) of
-    keep probabilities, padded with p = 0 coins, which are never kept. All
-    count laws live in one (width + 1, 2, rows, width) array, g's counts
-    reversed so both shift alike: a step's multiply writes law * (1 - p) to
-    its slot and law * p to the next, which its add shifts in. E_i sums
-    pre_i[s] * g_i[s], written over pre_i, strictly left to right from
-    count width - 1 down to 0, adding pads' exact zeros, so a row's E is
-    the same bit for bit alone or in any batch. Memory is the laws'
-    2 rows width (width + 1) doubles, 1 MiB for one row at k = 256, plus
-    numpy's ufunc buffers.
+    """pf's factor: E_i (rows, width) for rows p (rows, width) of keep
+    probabilities p_j = exp(gamma_j), padded with p = 0 coins, never kept.
+    Permute-and-flip is distributed like the coin game that independently
+    keeps each outcome j with probability p_j and returns a uniform pick
+    among the kept ones. Outcome i wins when its coin is kept and the pick
+    then lands on it among 1 + S_-i kept coins, where S_-i counts the other
+    kept outcomes, so P(i) = p_i * E_i, E_i = E[1 / (1 + S_-i)] =
+    pre_i^T H suf_(i+1), with pre_i the count law of coins 0..i-1,
+    suf_(i+1) that of coins i+1..k-1, and H[s, t] = 1 / (1 + s + t). A
+    count law takes one coin at a time, law[s] <- law[s] * (1 - p_j) +
+    law[s - 1] * p_j. So does g_i = H suf_(i+1), with the shift the other
+    way, from g_(k-1) = H[:, 0]: g_(i-1)[s] = g_i[s] * (1 - p_i) +
+    g_i[s + 1] * p_i, exact for s < i, the only counts pre_(i-1) can take.
+    Every term is nonnegative, so nothing cancels, and ties, p = 1, p = 0
+    and subnormal p need no special case.
+
+    All count laws live in one (width + 1, 2, rows, width) array, g's
+    counts reversed so both shift alike: a step's multiply writes
+    law * (1 - p) to its slot and law * p to the next, which its add
+    shifts in. E_i sums pre_i[s] * g_i[s], written over pre_i, strictly
+    left to right from count width - 1 down to 0, adding pads' exact
+    zeros, so a row's E is the same bit for bit alone or in any batch.
+    Memory is the laws' 2 rows width (width + 1) doubles, 1 MiB for one
+    row at k = 256, plus numpy's ufunc buffers.
 
     Rounding bound (u = 2^-53): values are sums over paths of nonnegative
     products, with one rounding per operation on a path. Keeping a count
@@ -149,7 +185,9 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     i down to 0 s + 1 (i at s = i): at most 3k per path. So E_i is within
     3ku / (1 - 3ku) relative, plus under 10k^2 * 2^-1075 from underflow
     (5k^2 products, none amplified twofold), negligible as E_i >= 1/k:
-    within (3k + 1) u up to QUADRATURE_LIMIT.
+    within (3k + 1) u up to QUADRATURE_LIMIT. P(i) = p_i * E_i rounds once
+    more: within (3k + 2) u relative of p_i E_i with the same float p_i,
+    plus 2^-1075 absolute where it is subnormal.
     """
     rows, width = p.shape
     _check_outcome_count(width, "the coin-game DP")
@@ -170,14 +208,17 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     return np.add.accumulate(pre, axis=-1, out=pre)[..., -1].T
 
 
-def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
-    """Exact output distribution of report-noisy-max with exponential noise:
-    P(i) = e_i * I_i, e_j = exp(gamma_j), gamma = log_weights(inst), with
-    I_i = integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in [1/k, 1]
-    by Gauss-Legendre on m = k // 2 + 1 nodes, exact for its degree k - 1.
-    Factors are (1 - t) + t * c_j, c_j = -expm1(gamma_j) in [0, 1], and an
-    entry's product is the prefix times the suffix product: nothing cancels
-    or divides. It shares no code with _coin_game or _win_integrand.
+def _win_integrals(gamma: np.ndarray) -> np.ndarray:
+    """rnm-expo's factor: the win integrals I (rows, k) of rows gamma
+    (rows, k) of log weights, padded with -inf, all of one node count.
+    I_i = integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in [1/k, 1],
+    e_j = exp(gamma_j), by Gauss-Legendre on m = k // 2 + 1 nodes, exact
+    for its degree k - 1. Factors are (1 - t) + t * c_j, c_j =
+    -expm1(gamma_j) in [0, 1], and an entry's product is the prefix times
+    the suffix product: nothing cancels or divides. A pad's factor
+    t + (1 - t) is exactly 1 at every node up to QUADRATURE_LIMIT, so pads
+    move no bit. It shares no code with _coin_game or _win_integrand.
+    Memory: two (rows, m, k + 1) arrays.
 
     Rounding bound (u = 2^-53), against I_i taken exactly from the floats
     exp(gamma_j), the pf DP's inputs: these are within 2u of e_j, moving I_i
@@ -189,28 +230,20 @@ def rnm_expo_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
     the rule integrates |f'| exactly, to at most 1; the weights (within
     1.56u) add 1.56u / min w <= 0.78 (m + 1)^2 u relative. As I_i >= 1/k:
     within (7k + (k + 4)^2 / 5) u relative, 1.7e-12 at k = 256, plus under
-    2k^2 * 2^-1074 from underflow. Above QUADRATURE_LIMIT outcomes it raises
-    TooManyOutcomesForEnumeration. Memory: two (m, k + 1) arrays, <= 0.5 MiB.
+    2k^2 * 2^-1074 from underflow.
     """
-    gamma = log_weights(inst)
-    return ProbabilityTable(inst.quality.labels, (np.exp(gamma) * _win_integrals(gamma)).tolist(),
-                            "exact-gauss-legendre")
-
-
-def _win_integrals(gamma: np.ndarray) -> np.ndarray:
-    """rnm_expo_exact_distribution's integrals I_i for log weights gamma."""
-    k = len(gamma)
+    rows, k = gamma.shape
     _check_outcome_count(k, "Gauss-Legendre")
     t, w = _legendre_nodes(k // 2 + 1)
     # column j: factor j, then in place its suffix product; products: the prefix before j
-    factors, products = np.ones((2, len(t), k + 1))
-    np.multiply(t[:, None], -np.expm1(gamma), out=factors[:, :k])
-    factors[:, :k] += (1.0 - t)[:, None]
-    np.multiply.accumulate(factors[:, :k], axis=1, out=products[:, 1:])
-    np.multiply.accumulate(factors[:, ::-1], axis=1, out=factors[:, ::-1])
-    np.multiply(products[:, :k], factors[:, 1:], out=products[:, :k])
-    products[:, :k] *= w[:, None]
-    return np.add.accumulate(products[:, :k], axis=0, out=products[:, :k])[-1]
+    factors, products = np.ones((2, rows, len(t), k + 1))
+    np.multiply(t[:, None], -np.expm1(gamma)[:, None], out=factors[..., :k])
+    factors[..., :k] += (1.0 - t)[:, None]
+    np.multiply.accumulate(factors[..., :k], axis=2, out=products[..., 1:])
+    np.multiply.accumulate(factors[..., ::-1], axis=2, out=factors[..., ::-1])
+    np.multiply(products[..., :k], factors[..., 1:], out=products[..., :k])
+    products[..., :k] *= w[:, None]
+    return np.add.accumulate(products[..., :k], axis=1, out=products[..., :k])[:, -1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,38 +267,27 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def pf_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
-    """Natural-log tables of permute-and-flip, the same law as
-    report-noisy-max with exponential noise, for a batch: log P(i) =
-    gamma_i + log E_i, gamma_i = rate * (q_i - max q), with E_i in [1/k, 1]
-    and within (3k + 1) u relative (see _coin_game): no entry underflows, a
-    true zero is -inf, round-off above 0 is cut. Rows run in order of k,
-    padded, per chunk as many as _coin_game's laws, 2k(k + 1) doubles a
-    row, fit in BATCH_ELEMENTS, and at least one, and a table is the same
-    bit for bit alone or in any batch. It raises
-    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes.
-    """
-    gammas = [log_weights(inst) for inst in instances]
-    order = sorted(range(len(gammas)), key=lambda r: len(gammas[r]))
-    tables = {}
-    while order:  # the widest rows first, so a chunk is as wide as its last row
-        width = len(gammas[order[-1]])
-        rows = max(1, BATCH_ELEMENTS // (2 * width * (width + 1)))
-        chunk, order = order[-rows:], order[:-rows]
-        gamma = np.full((len(chunk), width), -np.inf)
-        for i, r in enumerate(chunk):
-            gamma[i, : len(gammas[r])] = gammas[r]
-        log_p = np.minimum(gamma + np.log(_coin_game(np.exp(gamma))), 0.0)
-        tables.update((r, log_p[i, : len(gammas[r])]) for i, r in enumerate(chunk))
-    return [tables[r] for r in range(len(gammas))]
+def _softmax_factor(w: np.ndarray) -> np.ndarray:
+    """em's factor 1 / sum_j w_j (rows, 1) for rows w = exp(gamma), padded
+    with zeros. Each sum runs left to right, as the em sampler's cumulative
+    weights do, so pads add exact zeros at its end; the best outcome's w is
+    1, so the sum lies in [1, k]. Rounding bound (u = 2^-53), against
+    w_i / sum_j w_j with the same float w: the sum of k nonnegative terms
+    takes at most k - 1 roundings on a term's path, the reciprocal and
+    P(i) = w_i * C one each, so P(i) is within (k + 1) u / (1 - (k + 1) u)
+    relative, plus 2^-1075 absolute where subnormal (measured: 9.9u)."""
+    return 1.0 / np.add.accumulate(w, axis=1)[:, -1:]
 
 
-def em_log_tables(instances: Sequence[ValidatedInstance]) -> list[np.ndarray]:
-    """Natural-log output tables of the exponential mechanism for a batch of
-    instances: the log-softmax gamma_i - log sum_j exp(gamma_j). The sum is
-    at least 1, the best outcome's term, so no entry underflows; a true zero
-    (gamma_i = -inf) is -inf."""
-    return [gamma - np.log(np.exp(gamma).sum()) for gamma in map(log_weights, instances)]
+# mechanism -> (its factor C of a chunk's rows gamma of log weights, padded
+# with -inf, and w = e^gamma; the key on k that a chunk's rows share; the
+# provenance). pf's and em's pads are coins never kept and zeros ending a
+# sum; Gauss-Legendre takes its node count from the chunk's width.
+FACTORS = {
+    "pf": (lambda gamma, w: _coin_game(w), lambda k: 0, "exact-poisson-binomial"),
+    "rnm-expo": (lambda gamma, w: _win_integrals(gamma), lambda k: k // 2, "exact-gauss-legendre"),
+    "em": (lambda gamma, w: _softmax_factor(w), lambda k: 0, "exact-closed-form"),
+}
 
 
 def rnm_exact_quadrature(inst: ValidatedInstance, kind: str) -> ProbabilityTable:
@@ -443,9 +465,7 @@ def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
     return integral.sum(axis=0), float(error.sum() + rounding.sum())
 
 
-def empirical_counts(
-    mechanism: str, inst: ValidatedInstance, n: int, seed: int
-) -> list[int]:
+def empirical_counts(mechanism: str, inst: ValidatedInstance, n: int, seed: int) -> list[int]:
     """Outcome counts of n independent runs of a mechanism, named as in
     BATCH_SAMPLERS, under one seeded stream: its sampler, built once for
     chunks of BATCH_ELEMENTS // w rows, and at least one, where w is a
@@ -470,33 +490,24 @@ def empirical_counts(
     return counts.tolist()
 
 
-def empirical_distribution(
-    mechanism: str, inst: ValidatedInstance, n: int, seed: int
-) -> ProbabilityTable:
+def empirical_distribution(mechanism: str, inst: ValidatedInstance, n: int,
+                           seed: int) -> ProbabilityTable:
     """Frequency table of n independent mechanism runs; reproducible for a
     fixed seed."""
     counts = empirical_counts(mechanism, inst, n, seed)
-    return ProbabilityTable(
-        inst.quality.labels,
-        [c / n for c in counts],
-        f"empirical(n={n},seed={seed})",
-    )
+    return ProbabilityTable(inst.quality.labels, [c / n for c in counts],
+                            f"empirical(n={n},seed={seed})")
 
 
 def tv_distance(p: ProbabilityTable, q: ProbabilityTable) -> float:
     """Total variation distance, half the L1 distance between the tables."""
     if p.labels != q.labels:
-        raise LabelMismatch(
-            f"tables cover different outcomes: {p.labels!r} vs {q.labels!r}"
-        )
+        raise LabelMismatch(f"tables cover different outcomes: {p.labels!r} vs {q.labels!r}")
     return 0.5 * math.fsum(abs(a - b) for a, b in zip(p.probabilities, q.probabilities))
 
 
-def chi_square_gof(
-    observed_counts: Sequence[int],
-    expected: ProbabilityTable,
-    significance: float,
-) -> GofResult:
+def chi_square_gof(observed_counts: Sequence[int], expected: ProbabilityTable,
+                   significance: float) -> GofResult:
     """Pearson goodness-of-fit of observed counts against an expected table.
 
     Categories whose expected count falls below 5 are pooled into one tail
@@ -518,17 +529,13 @@ def chi_square_gof(
     detectable_divergence within 1e-10 relative; tests check both on scipy,
     the power at dof 1-255 and significances from DBL_MIN up to 0.8999.
     """
-    if not sys.float_info.min <= significance < 1.0:
-        raise ValueError(f"significance must be strictly between 0 and 1, and at least "
-                         f"the smallest normal double {sys.float_info.min}; got {significance}")
+    _check_significance(significance)
     try:
         counts = [operator.index(c) for c in observed_counts]
     except TypeError:
         raise ValueError("counts must be integers") from None
     if len(counts) != len(expected):
-        raise LabelMismatch(
-            f"{len(counts)} counts for {len(expected)} expected categories"
-        )
+        raise LabelMismatch(f"{len(counts)} counts for {len(expected)} expected categories")
     if any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative")
     total = sum(counts)
@@ -541,9 +548,7 @@ def chi_square_gof(
     pooled = [(c, e) for c, e in cells if e < MIN_EXPECTED_COUNT]
     if not kept and not impossible:
         raise AllCategoriesMerged(
-            f"every expected count is below {MIN_EXPECTED_COUNT} at "
-            f"{total} observations"
-        )
+            f"every expected count is below {MIN_EXPECTED_COUNT} at {total} observations")
     if kept and pooled:
         count, expect = sum(c for c, _ in pooled), sum(e for _, e in pooled)
         if expect < MIN_EXPECTED_COUNT:  # the tail joins the smallest kept cell
@@ -559,6 +564,14 @@ def chi_square_gof(
     statistic = math.fsum((c - e) ** 2 / e for c, e in kept)
     p_value = _chi2_sf(dof, statistic)
     return GofResult(statistic, dof, p_value, p_value >= significance, detectable)
+
+
+def _check_significance(significance: float) -> None:
+    """chi_square_gof's check of its significance, also made before any
+    draw is spent on a test it would refuse."""
+    if not sys.float_info.min <= significance < 1.0:
+        raise ValueError(f"significance must be strictly between 0 and 1, and at least "
+                         f"the smallest normal double {sys.float_info.min}; got {significance}")
 
 
 def _chi2_sf(dof: int, x: float) -> float:
@@ -588,13 +601,17 @@ def _gamma_steps(a: float, y: float, n: int) -> np.ndarray:
 def _newton(f: Callable[[float], tuple[float, float]], x: float, bound: float = math.inf) -> float:
     """Root on (0, bound) of a decreasing f, which returns its value and
     Newton step, from x < bound; a step out of the bracket bisects it or,
-    unbounded, doubles x. ArithmeticError if f > 0 up to a finite bound."""
+    unbounded, doubles x, until the step or, where f's rounding outweighs
+    its slope, the bracket is within 1e-14 x. ArithmeticError if f > 0 up
+    to a finite bound."""
     lo, hi = 0.0, bound
     for _ in range(100):
         value, step = f(x)
         if abs(step) <= 1e-14 * x:
             return x - step
         lo, hi = (x, hi) if value > 0.0 else (lo, x)
+        if hi - lo <= 1e-14 * x:
+            break
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
@@ -657,26 +674,18 @@ EXACT_ORACLES: dict[str, Callable[[ValidatedInstance], ProbabilityTable]] = {
     "em": em_exact_distribution,
 }
 
-# the same mechanisms' natural-log tables, one array per instance of a batch
-LOG_ORACLES: dict[str, Callable[[Sequence[ValidatedInstance]], list[np.ndarray]]] = {
-    "pf": pf_log_tables,
-    "rnm-expo": pf_log_tables,
-    "em": em_log_tables,
-}
-
 # mode -> the table keyed by the mechanisms it has a route for, and the
 # function of (mechanism, instance, n, seed) that builds their tables
 ROUTES = {
-    "exact": (EXACT_ORACLES, lambda name, inst, n, seed: EXACT_ORACLES[name](inst)),
+    "exact": (FACTORS, lambda name, inst, n, seed: EXACT_ORACLES[name](inst)),
     "quadrature": (RNM_FAMILIES,
                    lambda name, inst, n, seed: rnm_exact_quadrature(inst, RNM_FAMILIES[name])),
     "empirical": (BATCH_SAMPLERS, empirical_distribution),
 }
 
 
-def table_for(
-    mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0, seed: int = 0
-) -> ProbabilityTable:
+def table_for(mechanism: str, inst: ValidatedInstance, mode: str, n: int = 0,
+              seed: int = 0) -> ProbabilityTable:
     """A mechanism's output table by one of three routes: "exact" (its
     EXACT_ORACLES entry), "quadrature" (rnm_exact_quadrature with its
     RNM_FAMILIES noise family) or "empirical" (empirical_distribution of n

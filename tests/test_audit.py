@@ -26,7 +26,7 @@ from dpselect.errors import (
 )
 
 from dpselect import audit
-from dpselect.oracle import LOG_ORACLES
+from dpselect.oracle import exact_tables
 
 from helpers import instances, make_instance
 
@@ -117,7 +117,7 @@ class TestLogSpaceAudit:
     @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
     def test_probability_below_1e_320_gets_a_finite_gap(self, oracle):
         q1, q2 = (0.0, -3.0, -800.0), (0.0, -3.0, -800.5)
-        log_p = LOG_ORACLES[oracle]([make_instance(q, epsilon=2.0) for q in (q1, q2)])
+        log_p = exact_tables(oracle, [make_instance(q, epsilon=2.0) for q in (q1, q2)], log=True)
         assert max(log_p[0][2], log_p[1][2]) < math.log(1e-320)
         report = privacy_ratio_audit(oracle, [pair(q1, q2)], PrivacyParams(2.0, 1.0))
         assert math.isfinite(report.worst_ratio)
@@ -130,8 +130,8 @@ class TestLogSpaceAudit:
         # both sides, an outcome neither dataset can produce
         q1, q2 = (0.0, -1e10), (1e-300, -1e10)
         params = PrivacyParams(1.0, 1e-300)
-        tables = LOG_ORACLES[oracle]([validate_instance(QualityVector(("o0", "o1"), q), params)
-                                      for q in (q1, q2)])
+        tables = exact_tables(oracle, [validate_instance(QualityVector(("o0", "o1"), q), params)
+                                       for q in (q1, q2)], log=True)
         assert [t[1] for t in tables] == [-math.inf, -math.inf]
         report = privacy_ratio_audit(oracle, [pair(q1, q2)], params)
         assert report.worst_ratio == 1.0
@@ -217,15 +217,16 @@ class TestDominance:
         # pf's table made uniform on instances 1 and 3: on separated scores
         # uniform errs more than em, so exactly those two are violations
         suite = random_instances(5, 1.0, 1.0, k_min=2, k_max=6, seed=10)
-        real = audit.pf_log_tables
+        real = audit.exact_tables
 
-        def uniform_on_two(instances):
-            tables = real(instances)
-            for i in (1, 3):
-                tables[i] = np.full(len(tables[i]), -math.log(len(tables[i])))
+        def uniform_on_two(mechanism, instances, log=False):
+            tables = real(mechanism, instances, log)
+            if mechanism == "pf":
+                for i in (1, 3):
+                    tables[i] = np.full(len(tables[i]), 1.0 / len(tables[i]))
             return tables
 
-        monkeypatch.setattr(audit, "pf_log_tables", uniform_on_two)
+        monkeypatch.setattr(audit, "exact_tables", uniform_on_two)
         report = dominance_check(suite)
         worse = [r.expected_error_pf - r.expected_error_em > 1e-9 for r in report.per_instance]
         assert worse == [False, True, False, True, False]
@@ -254,12 +255,13 @@ class TestDominance:
             assert abs(record.expected_error_em - record.expected_error_pf) <= 1e-9
 
     def test_errors_match_enumeration_tables(self):
+        """The batch reads the linear tables of the exact oracles, bit for
+        bit, at every k."""
         suite = random_instances(60, 1.0, 1.0, k_min=1, k_max=20, seed=11)
-        for inst, record in zip(suite, dominance_check(suite).per_instance):
-            pf = expected_error(inst, pf_exact_distribution(inst))
-            em = expected_error(inst, em_exact_distribution(inst))
-            assert record.expected_error_pf == pytest.approx(pf, abs=1e-14)
-            assert record.expected_error_em == pytest.approx(em, abs=1e-14)
+        suite += random_instances(6, 1.0, 1.0, k_min=21, k_max=256, seed=12)
+        for inst, record in zip(suite, dominance_check(suite).per_instance, strict=True):
+            assert record.expected_error_pf == expected_error(inst, pf_exact_distribution(inst))
+            assert record.expected_error_em == expected_error(inst, em_exact_distribution(inst))
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0, 4.0])
     def test_no_violations_beyond_enumeration(self, epsilon):
@@ -338,6 +340,13 @@ class TestSuiteGenerators:
     def test_perturbed_neighbor_pairs_golden(self, args, expected):
         pairs = perturbed_neighbor_pairs(*args)
         assert suite_digest(q for pair in pairs for q in (pair.q1, pair.q2)) == expected
+
+    def test_random_instances_defaults(self):
+        """k from 2 to 10 at seed 0: the first golden suite's draws."""
+        suite = random_instances(10, 1.0, 1.0)
+        assert suite_digest(inst.quality for inst in suite) == (
+            "c39e937dbdaa4f7211e89bf69c2e8676aeb6f3f02c271ce2ddb8d0fb5752e30e")
+        assert min(len(inst.quality) for inst in random_instances(100, 1.0, 1.0)) == 2
 
     def test_random_instances_deterministic(self):
         a = random_instances(5, 1.0, 1.0, seed=77)

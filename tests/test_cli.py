@@ -278,6 +278,19 @@ class TestCompare:
         assert record is None
         assert "significance must be strictly between 0 and 1" in err
 
+    def test_bad_significance_exits_two_before_any_draw(self, capsys, monkeypatch, scores_file):
+        def never(*args):
+            raise AssertionError("empirical_counts called with an invalid significance")
+
+        monkeypatch.setattr("dpselect.cli.empirical_counts", never)
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "pf", "--mechanism", "pf",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "empirical", "--n", "20000000", "--significance", "0",
+        )
+        assert (code, record) == (2, None)
+        assert "significance must be strictly between 0 and 1" in err
+
     def test_significance_below_the_smallest_normal_exits_two(self, capsys, scores_file):
         code, record, err = run(
             capsys, "compare", "--mechanism", "pf", "--mechanism", "pf",

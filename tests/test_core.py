@@ -174,3 +174,11 @@ class TestProbabilityTable:
     def test_bad_sum_rejected(self):
         with pytest.raises(InvalidProbabilityTable):
             ProbabilityTable(("a", "b"), (0.7, 0.2), "exact-closed-form")
+
+    @pytest.mark.parametrize("gap", [1.2e-9, -1.2e-9])
+    def test_sum_just_beyond_the_tolerance_rejected(self, gap):
+        # PROBABILITY_SUM_TOLERANCE is 1e-9: a sum 1 +- 1.2e-9 is out, 1 +- 0.8e-9 in
+        with pytest.raises(InvalidProbabilityTable):
+            ProbabilityTable(("a", "b"), (0.5, 0.5 + gap), "exact-closed-form")
+        inside = ProbabilityTable(("a", "b"), (0.5, 0.5 + gap / 1.5), "exact-closed-form")
+        assert inside.probabilities == (0.5, 0.5 + gap / 1.5)

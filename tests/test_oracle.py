@@ -35,7 +35,7 @@ from dpselect.errors import (
     ValidationError,
 )
 from dpselect import oracle
-from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, LOG_ORACLES
+from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, FACTORS, exact_tables
 
 from dpselect.mechanisms import log_weights
 from helpers import draw_counts, instances, make_instance, rational_coin_game, sampled_verdict
@@ -124,7 +124,7 @@ class TestScoreRangeBeyondDoubles:
     def test_log_tables(self, name):
         # the true log-probability rate * (q - max q) at rate 0.5: the gap
         # overflows, the log weight does not
-        (log_p,) = LOG_ORACLES[name]([make_instance(self.SCORES)])
+        (log_p,) = exact_tables(name, [make_instance(self.SCORES)], log=True)
         assert log_p.tolist() == [0.0, -1e308]
 
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
@@ -345,7 +345,7 @@ class TestCoinGameGolden:
         if table == "linear":
             tables = [np.array(pf_exact_distribution(inst).probabilities) for inst in suite]
         else:
-            tables = oracle.pf_log_tables(suite)
+            tables = exact_tables("pf", suite, log=True)
         digest = hashlib.sha256()
         for values in tables:
             digest.update(values.tobytes())
@@ -733,25 +733,26 @@ def random_spread_instances(count, seed, k_min=1, k_max=20):
 
 
 class TestLogTables:
-    """LOG_ORACLES: log tables from the coin-game DP (pf and rnm-expo) and
-    the log-softmax (em), each held to a stated bound against an
-    independent route."""
+    """exact_tables' log tables: the coin-game DP (pf), Gauss-Legendre
+    (rnm-expo) and the softmax factor (em), each held to a stated bound
+    against an independent route."""
 
     def test_pf_within_2e_15_of_enumeration(self):
-        """Over 200 random instances (k 1-20, eps 0.01-8) every entry is
-        within 2e-15 of pf_exact_distribution's and of
-        rnm_expo_exact_distribution's. Measured: 1.1e-16 and 5.6e-16."""
+        """Over 200 random instances (k 1-20, eps 0.01-8) every entry of pf's
+        and of rnm-expo's log table is within 2e-15 of pf_exact_distribution's
+        and of rnm_expo_exact_distribution's. Measured: 1.1e-16 and 5.6e-16."""
         batch = random_spread_instances(200, seed=300)
-        for inst, log_p in zip(batch, oracle.pf_log_tables(batch), strict=True):
-            p = np.exp(log_p)
-            assert np.abs(p - pf_exact_distribution(inst).probabilities).max() <= 2e-15
-            assert np.abs(p - rnm_expo_exact_distribution(inst).probabilities).max() <= 2e-15
+        for name in ("pf", "rnm-expo"):
+            for inst, log_p in zip(batch, exact_tables(name, batch, log=True), strict=True):
+                p = np.exp(log_p)
+                assert np.abs(p - pf_exact_distribution(inst).probabilities).max() <= 2e-15
+                assert np.abs(p - rnm_expo_exact_distribution(inst).probabilities).max() <= 2e-15
 
     def test_em_within_1e_15_of_closed_form(self):
-        """The log-softmax against em_exact_distribution's softmax: within
+        """em's log table against em_exact_distribution's softmax: within
         1e-15 per entry over 200 such instances. Measured: 1.1e-16."""
         batch = random_spread_instances(200, seed=301)
-        for inst, log_p in zip(batch, oracle.em_log_tables(batch), strict=True):
+        for inst, log_p in zip(batch, exact_tables("em", batch, log=True), strict=True):
             closed = em_exact_distribution(inst).probabilities
             assert np.abs(np.exp(log_p) - closed).max() <= 1e-15
 
@@ -765,23 +766,26 @@ class TestLogTables:
           for inst in random_spread_instances(6, seed=302, k_max=12)),
     ])
     def test_log_entries_within_1e_14_of_rational_reference(self, inst):
-        """In log space, where no entry underflows, every entry is within
-        1e-14 of log_identity_reference, also for probabilities far below
-        1e-308. Measured: 8.9e-16."""
-        (log_p,) = oracle.pf_log_tables([inst])
-        assert np.isfinite(log_p).all()
-        assert np.abs(log_p - log_identity_reference(inst)).max() <= 1e-14
+        """In log space, where no entry underflows, every entry of pf's and
+        of rnm-expo's log table is within 1e-14 of log_identity_reference,
+        also for probabilities far below 1e-308. Measured: 8.9e-16."""
+        for name in ("pf", "rnm-expo"):
+            (log_p,) = exact_tables(name, [inst], log=True)
+            assert np.isfinite(log_p).all()
+            assert np.abs(log_p - log_identity_reference(inst)).max() <= 1e-14
 
     @pytest.mark.parametrize("k", [32, 64, 128, 256])
     @pytest.mark.parametrize("epsilon", [0.1, 1.0, 8.0])
     def test_pf_within_quadrature_target_at_large_k(self, k, epsilon):
-        """Beyond enumeration, against rnm_exact_quadrature with exponential
-        noise, a different formula: within its 1e-9 target QUADRATURE_TARGET
-        per entry. Measured: 1.5e-13."""
+        """Beyond enumeration, pf's and rnm-expo's log tables against
+        rnm_exact_quadrature with exponential noise, a different formula:
+        within its 1e-9 target QUADRATURE_TARGET per entry. Measured:
+        1.5e-13."""
         inst = _spread_instance(k, epsilon, seed=k)
-        (log_p,) = oracle.pf_log_tables([inst])
         quad = rnm_exact_quadrature(inst, "exponential").probabilities
-        assert np.abs(np.exp(log_p) - quad).max() <= oracle.QUADRATURE_TARGET
+        for name in ("pf", "rnm-expo"):
+            (log_p,) = exact_tables(name, [inst], log=True)
+            assert np.abs(np.exp(log_p) - quad).max() <= oracle.QUADRATURE_TARGET
 
     @pytest.mark.parametrize("scores", [
         pytest.param([0.0] * 256, id="k256-ties"),
@@ -791,55 +795,94 @@ class TestLogTables:
         pytest.param([0.0], id="k1"),
     ])
     def test_sum_drifts_from_one_by_at_most_1e_13(self, scores):
-        """The entries sum to 1 within 1e-13 up to k = 256. Measured: 1.1e-14."""
-        (log_p,) = oracle.pf_log_tables([make_instance(scores)])
-        assert abs(math.fsum(np.exp(log_p)) - 1.0) <= 1e-13
-        assert (log_p <= 0.0).all()
+        """The entries sum to 1 within 1e-13 up to k = 256, for every
+        mechanism. Measured: 1.1e-14."""
+        for name in FACTORS:
+            (log_p,) = exact_tables(name, [make_instance(scores)], log=True)
+            assert abs(math.fsum(np.exp(log_p)) - 1.0) <= 1e-13
+            assert (log_p <= 0.0).all()
 
-    @pytest.mark.parametrize("fn", [oracle.pf_log_tables, oracle.em_log_tables])
-    def test_batch_equals_single_calls_bit_for_bit(self, fn):
-        """Mixed k in one batch, with more rows of one node count than one
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    @pytest.mark.parametrize("name", ["pf", "rnm-expo", "em"])
+    def test_batch_equals_single_calls_bit_for_bit(self, name, log):
+        """Mixed k in one batch, with more rows of one chunk key than one
         chunk holds and rows at k = 256 that get a chunk each."""
         batch = random_spread_instances(150, seed=303, k_max=24)
         batch += [_spread_instance(256, 1.0, seed=1), make_instance([2.0]), *batch[:3]]
-        batched = fn(batch)
+        batch += [make_instance([0.0] * k) for k in (9, 10, 11)] * 300
+        batched = exact_tables(name, batch, log=log)
         assert len(batched) == len(batch)
         for inst, table in zip(batch, batched):
-            assert np.array_equal(table, fn([inst])[0])
+            assert np.array_equal(table, exact_tables(name, [inst], log=log)[0])
 
     def test_chunks_stay_within_batch_elements(self, monkeypatch):
-        """Each _coin_game call holds at most BATCH_ELEMENTS values of its
-        laws, 2 width (width + 1) per row, or a single row."""
-        shapes = []
-        coin_game = oracle._coin_game
-
-        def recording(p):
-            shapes.append(p.shape)
-            return coin_game(p)
-
-        monkeypatch.setattr(oracle, "_coin_game", recording)
+        """Each _coin_game or _win_integrals call holds at most
+        BATCH_ELEMENTS values of its arrays, the DP's laws 2 width
+        (width + 1) per row, Gauss-Legendre's two (m, width + 1) arrays,
+        or a single row."""
         batch = random_spread_instances(300, seed=304, k_min=15, k_max=40)
         batch.append(make_instance([0.0] * 256))
-        oracle.pf_log_tables(batch)
-        assert sum(rows for rows, _ in shapes) == len(batch)
-        assert len(shapes) > 2
-        assert all(rows * 2 * width * (width + 1) <= BATCH_ELEMENTS or rows == 1
-                   for rows, width in shapes)
+        for name, values in [("pf", lambda width: 2 * width * (width + 1)),
+                             ("rnm-expo", lambda width: 2 * (width // 2 + 1) * (width + 1))]:
+            shapes = []
+            factor, *rest = FACTORS[name]
+
+            def recording(gamma, w):
+                shapes.append(gamma.shape)
+                return factor(gamma, w)
+
+            monkeypatch.setitem(FACTORS, name, (recording, *rest))
+            exact_tables(name, batch, log=True)
+            assert sum(rows for rows, _ in shapes) == len(batch)
+            assert len(shapes) > 2
+            assert all(rows * values(width) <= BATCH_ELEMENTS or rows == 1
+                       for rows, width in shapes)
 
     def test_true_zero_is_minus_infinity(self):
         # rate * (q - max q) = 5e299 * -1e10 leaves the double range
         inst = make_instance([0.0, -1e10], epsilon=1.0, sensitivity=1e-300)
-        for fn in (oracle.pf_log_tables, oracle.em_log_tables):
-            (log_p,) = fn([inst])
+        for name in FACTORS:
+            (log_p,) = exact_tables(name, [inst], log=True)
             assert log_p.tolist() == [0.0, -math.inf]
 
     def test_outcome_limit(self):
-        with pytest.raises(TooManyOutcomesForEnumeration):
-            oracle.pf_log_tables([make_instance([0.0] * 3), make_instance([0.0] * 257)])
+        for name in ("pf", "rnm-expo"):
+            with pytest.raises(TooManyOutcomesForEnumeration):
+                exact_tables(name, [make_instance([0.0] * 3), make_instance([0.0] * 257)], log=True)
 
     def test_dispatch_table_keyed_like_exact_oracles(self):
-        assert set(oracle.LOG_ORACLES) == set(oracle.EXACT_ORACLES)
-        assert oracle.LOG_ORACLES["pf"] is oracle.LOG_ORACLES["rnm-expo"]
+        """FACTORS drives the exact tables, the exact route and the audit,
+        keyed like EXACT_ORACLES, each route with its own provenance."""
+        assert set(FACTORS) == set(EXACT_ORACLES) == set(oracle.ROUTES["exact"][0])
+        inst = make_instance([0.0, -1.0, -2.0])
+        for name, (*_, provenance) in FACTORS.items():
+            assert EXACT_ORACLES[name](inst).provenance == provenance
+
+    @pytest.mark.parametrize("inst", [
+        pytest.param(make_instance([0.0, -744.9, -745.6, -800.0, -1000.0, -3.0], epsilon=2.0),
+                     id="below-double-range"),
+        pytest.param(make_instance([0.0, -1e10, -1.0, -1e10], epsilon=1.0, sensitivity=1e-300),
+                     id="true-zeros"),
+        pytest.param(underflow_instance(40), id="k40-underflow"),
+        pytest.param(make_instance([0.0] * 256), id="k256-ties"),
+        pytest.param(make_instance(np.linspace(0.0, -3000.0, 256)), id="k256-far-below"),
+        *(pytest.param(inst, id=f"random-k{len(inst.quality)}")
+          for inst in random_spread_instances(8, seed=305, k_max=256)),
+    ])
+    def test_pf_and_rnm_expo_agree_within_their_bounds(self, inst):
+        """The paper's identity entry by entry in log space, from two routes
+        that share no code: |log P - log P'| is at most the sum of the DP's
+        and Gauss-Legendre's stated relative bounds on E and I, plus the
+        rounding of each log (u log k) and of each sum (u |log P|), with the
+        same -inf pattern on both sides. Measured: at most 8.9e-15, and at
+        most 0.04 of the two bounds."""
+        pf, rnm = (exact_tables(name, [inst], log=True)[0] for name in ("pf", "rnm-expo"))
+        assert np.array_equal(np.isinf(pf), np.isinf(rnm))
+        finite = np.isfinite(pf)
+        k, u = len(pf), 2.0**-53
+        bound = float(rounding_bound(k) + gauss_legendre_bound(k)) * (1.0 + 1e-6)
+        allowed = bound + 2.0 * u * (math.log(k) + 2.0 + np.abs(pf[finite]))
+        assert (np.abs(pf[finite] - rnm[finite]) <= allowed).all()
 
 
 def dp_means(inst):
@@ -894,7 +937,7 @@ class TestCoinGameRoundingBound:
 
     @pytest.mark.parametrize("inst", ROUNDING_CASES)
     def test_log_tables_read_these_means_bit_for_bit(self, inst):
-        (log_p,) = oracle.pf_log_tables([inst])
+        (log_p,) = exact_tables("pf", [inst], log=True)
         expected = np.minimum(log_weights(inst) + np.log(dp_means(inst)), 0.0)
         assert np.array_equal(log_p, expected)
 
@@ -951,6 +994,11 @@ def legendre_nodes_at_50_digits(m):
     return nodes, weights
 
 
+def gl_integrals(inst):
+    """_win_integrals' I_i for one instance."""
+    return oracle._win_integrals(log_weights(inst)[None])[0]
+
+
 def gauss_legendre_bound(k):
     """rnm_expo_exact_distribution's stated bound on I_i, (7k + (k + 4)^2 / 5) u
     relative."""
@@ -968,13 +1016,31 @@ class TestGaussLegendreRoundingBound:
     def test_integrals_within_stated_bound(self, inst):
         """Measured: at most 32u relative (k = 64 ties, where the bound is
         1371u), and at most 0.081 of the bound."""
-        integrals = oracle._win_integrals(log_weights(inst))
-        assert max(mean_errors(integrals, inst)) <= gauss_legendre_bound(len(inst.quality))
+        assert max(mean_errors(gl_integrals(inst), inst)) <= gauss_legendre_bound(len(inst.quality))
+
+    @pytest.mark.parametrize("inst", ROUNDING_CASES)
+    def test_log_tables_read_these_integrals_bit_for_bit(self, inst):
+        (log_p,) = exact_tables("rnm-expo", [inst], log=True)
+        expected = np.minimum(log_weights(inst) + np.log(gl_integrals(inst)), 0.0)
+        assert np.array_equal(log_p, expected)
+
+    @pytest.mark.parametrize("inst", ROUNDING_CASES)
+    def test_linear_table_reads_these_integrals_bit_for_bit(self, inst):
+        expected = np.exp(log_weights(inst)) * gl_integrals(inst)
+        assert rnm_expo_exact_distribution(inst).probabilities == tuple(expected.tolist())
+
+    def test_padding_leaves_every_factor_exactly_one(self):
+        """A -inf pad's factor (1 - t) + t * 1 is exactly 1 at every node
+        count up to QUADRATURE_LIMIT, so pads leave a row's products as
+        they are."""
+        for m in range(1, oracle.QUADRATURE_LIMIT // 2 + 2):
+            t = oracle._legendre_nodes(m)[0]
+            assert (t * -np.expm1(-np.inf) + (1.0 - t) == 1.0).all()
 
     def test_injected_error_of_twice_the_bound_is_caught(self):
         inst = _spread_instance(64, 1.0, seed=5)
         bound = gauss_legendre_bound(64)
-        injected = oracle._win_integrals(log_weights(inst)) * (1.0 + 2.0 * float(bound))
+        injected = gl_integrals(inst) * (1.0 + 2.0 * float(bound))
         assert all(error > bound for error in mean_errors(injected, inst))
 
     def test_nodes_and_weights_within_stated_bounds(self):
@@ -995,6 +1061,43 @@ class TestGaussLegendreRoundingBound:
         """min w >= 2 / (m + 1)^2 at every node count up to k = 256."""
         for m in range(1, oracle.QUADRATURE_LIMIT // 2 + 2):
             assert oracle._legendre_nodes(m)[1].min() >= 2 / (m + 1) ** 2
+
+
+def softmax_errors(probabilities, inst):
+    """Each entry's error against w_i / sum_j w_j in exact rationals, from
+    the same float weights w = exp(gamma), in units of _softmax_factor's
+    stated bound, (k + 1) u / (1 - (k + 1) u) relative plus 2^-1075
+    absolute."""
+    w = [Fraction(float(x)) for x in np.exp(log_weights(inst))]
+    total, n = sum(w), len(w) + 1
+    bound = Fraction(n, 2**53 - n)
+    return [abs(Fraction(x) - w_i / total) / (bound * w_i / total + Fraction(1, 2**1075))
+            for x, w_i in zip(probabilities, w, strict=True)]
+
+
+class TestSoftmaxRoundingBound:
+    """em's linear table, w_i times 1 / sum_j w_j, within the stated bound
+    of the softmax of the same float weights in exact rationals."""
+
+    @pytest.mark.parametrize("inst", [
+        *ROUNDING_CASES,
+        pytest.param(make_instance([0.0] * 256), id="k256-ties"),
+        pytest.param(make_instance(np.linspace(0.0, -800.0, 256), epsilon=2.0),
+                     id="k256-subnormal"),
+        *(pytest.param(_inst, id=f"k{k}-eps{epsilon}")
+          for k in (100, 200, 256) for epsilon in (0.1, 1.0, 8.0)
+          for _inst in random_instances(1, epsilon, 1.0, k_min=k, k_max=k, seed=k)),
+    ])
+    def test_linear_table_within_stated_bound(self, inst):
+        """Measured: at most 5.5u relative where P(i) is normal, against a
+        bound of 257u at k = 256."""
+        assert max(softmax_errors(em_exact_distribution(inst).probabilities, inst)) <= 1
+
+    def test_injected_error_of_twice_the_bound_is_caught(self):
+        inst = _spread_instance(64, 1.0, seed=5)
+        injected = np.array(em_exact_distribution(inst).probabilities)
+        injected *= 1.0 + 2.0 * 65 / 2**53
+        assert all(error > 1 for error in softmax_errors(injected, inst))
 
 
 def _spread_instance(k, epsilon, seed):
@@ -1437,6 +1540,21 @@ class TestDetectableDivergence:
         with pytest.raises(ArithmeticError, match="no root below"):
             oracle._noncentrality.__wrapped__(dof, 1e-3)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("significance", [0.89, 0.8999])
+    def test_critical_value_stops_once_its_bracket_collapses(self, monkeypatch, significance):
+        """At dof 3000 the rounding of log Q outweighs its slope near c, so
+        Newton's steps stay above 1e-14 c while its bracket collapses: it
+        returns within 20 evaluations of Q, not 100, and within 1e-13 of
+        scipy's chi2.isf."""
+        from scipy.stats import chi2
+
+        calls = []
+        chi2_sf = oracle._chi2_sf
+        monkeypatch.setattr(oracle, "_chi2_sf", lambda dof, x: calls.append(x) or chi2_sf(dof, x))
+        c = oracle._critical_value(3000, significance)
+        assert len(calls) <= 20
+        assert c == pytest.approx(chi2.isf(significance, 3000), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("significance", [0.9, 0.95, 1 - 1e-16])
     def test_zero_where_the_test_rejects_that_often_at_no_divergence(self, significance):

@@ -218,6 +218,14 @@ MUTANTS = (
            "    _check_significance(args.significance)\n",
            "",
            ("tests/test_cli.py::TestCompare::test_bad_significance_exits_two_before_any_draw",)),
+    Mutant("entrypoint-collects-its-imports", "src/dpselect/cli.py",
+           "    gc.freeze()\n",
+           "",
+           ("tests/test_cli.py::TestFrozenImportHeap::test_entrypoint_freezes_the_import_heap",)),
+    Mutant("main-freezes-the-heap", "src/dpselect/cli.py",
+           "def main(argv: list[str] | None = None) -> int:\n",
+           "def main(argv: list[str] | None = None) -> int:\n    gc.freeze()\n",
+           ("tests/test_cli.py::TestFrozenImportHeap::test_main_freezes_nothing",)),
 )
 
 

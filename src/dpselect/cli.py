@@ -10,11 +10,20 @@ Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller has
 set it, before numpy loads, so a command starts no BLAS thread pool. Set
 the variable yourself (e.g. OPENBLAS_NUM_THREADS=4 dpselect ...) to
 override it; once numpy is loaded the variable has no effect.
+
+entrypoint(), which the `dpselect` console script, `python -m dpselect`
+and `python -m dpselect.cli` run, freezes the heap the imports built
+(gc.freeze()) before the command runs: the command's own objects are
+collected as usual, but no collection, shutdown's included, walks the
+import-time objects again. Importing this module and calling main() leave
+garbage collection as it was, so programs that embed the command line
+call main(), not entrypoint().
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -271,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # the imports live until the process exits: no collection need walk them
+    gc.freeze()
     raise SystemExit(main(sys.argv[1:]))
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
+import dpselect.cli
 from dpselect import (
     PrivacyParams,
     chi_square_gof,
@@ -575,15 +577,38 @@ class TestScoreRangeBeyondDoubles:
         assert json.loads(done.stdout)["probabilities"] == [0.932332358, 0.0676676416]
 
 
+# The argv and exit code of one command of each kind; {scores}, {pairs}
+# and {out} are filled in per run.
+ENTRY_COMMANDS = {
+    "select": (["select", "--mechanism", "em", "--seed", "3", "--scores", "{scores}"], 0),
+    "dist": (["dist", "--mechanism", "pf", "--scores", "{scores}", "--out", "{out}"], 0),
+    "compare": (["compare", "--mechanism", "pf", "--mechanism", "em", "--scores", "{scores}"], 3),
+    "audit": (["audit", "--mechanism", "rnm-expo", "--pairs", "{pairs}", "--out", "{out}"], 0),
+    "utility": (["utility", "--scores", "{scores}", "--out", "{out}"], 0),
+}
+
+
 class TestModuleInvocation:
+    @pytest.mark.parametrize("command", sorted(ENTRY_COMMANDS))
     @pytest.mark.parametrize("module", ["dpselect", "dpselect.cli"])
-    def test_python_dash_m_runs_the_command(self, capsys, module, scores_file):
-        argv = ("select", "--mechanism", "em", "--epsilon", "1",
-                "--sensitivity", "1", "--seed", "3", "--scores", scores_file)
-        _, expected, _ = run(capsys, *argv)
-        proc = run_python("-m", module, *argv)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == expected
+    def test_python_dash_m_runs_the_command(self, capsys, tmp_path, module, command,
+                                            scores_file, pairs_file):
+        """`python -m` prints the same record, exits with the same code and
+        writes the same --out file as an in-process main()."""
+        template, expected_code = ENTRY_COMMANDS[command]
+
+        def argv(out):
+            return [a.format(scores=scores_file, pairs=pairs_file, out=tmp_path / out)
+                    for a in (*template, "--epsilon", "2", "--sensitivity", "1")]
+
+        assert main(argv("main.json")) == expected_code
+        expected = capsys.readouterr().out
+        proc = run_python("-m", module, *argv("module.json"))
+        assert (proc.returncode, proc.stdout) == (expected_code, expected), proc.stderr
+        written = "{out}" in template
+        assert (tmp_path / "module.json").is_file() == written
+        if written:
+            assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
 # Makes scipy unimportable and records every attempt to import it, then
@@ -686,3 +711,78 @@ class TestSingleThreadedBlas:
 
     def test_caller_setting_is_kept(self):
         assert self.probe(OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+
+
+# Imported at interpreter start from a sitecustomize.py on PYTHONPATH:
+# prints the collector's state once the command has returned, as the
+# process shuts down.
+_GC_AT_EXIT_HOOK = """
+import atexit, gc, json
+atexit.register(lambda: print(json.dumps({"frozen": gc.get_freeze_count(),
+                                          "enabled": gc.isenabled()})))
+"""
+
+# The console script pip writes for `dpselect = dpselect.cli:entrypoint`
+_CONSOLE_SCRIPT = """
+import sys
+from dpselect.cli import entrypoint
+sys.argv[0] = "dpselect"
+sys.exit(entrypoint())
+"""
+
+# Prints what a fresh `import dpselect.cli` leaves of the collector's state,
+# with the collector on, or off (argv[1] "off") before the import.
+_IMPORT_GC_PROBE = """
+import gc, json, sys
+if sys.argv[1] == "off":
+    gc.disable()
+import dpselect.cli
+print(json.dumps({"frozen": gc.get_freeze_count(), "enabled": gc.isenabled()}))
+"""
+
+# Runs a command through main() in a fresh interpreter and prints its exit
+# code and the frozen object count before and after.
+_MAIN_GC_PROBE = """
+import gc, json, sys
+from dpselect.cli import main
+before = gc.get_freeze_count()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "frozen": [before, gc.get_freeze_count()],
+                  "enabled": gc.isenabled()}))
+"""
+
+
+class TestFrozenImportHeap:
+    """A command's process freezes the objects its imports made, so no
+    collection walks them again; importing dpselect.cli and calling main()
+    leave garbage collection as the caller had it."""
+
+    @pytest.mark.parametrize("launch", [("-c", _CONSOLE_SCRIPT), ("-m", "dpselect"),
+                                        ("-m", "dpselect.cli")],
+                             ids=["console-script", "python-m-dpselect", "python-m-dpselect.cli"])
+    def test_entrypoint_freezes_the_import_heap(self, tmp_path, scores_file, launch):
+        (tmp_path / "sitecustomize.py").write_text(_GC_AT_EXIT_HOOK)
+        src = Path(dpselect.cli.__file__).resolve().parents[1]
+        proc = run_python(*launch, "select", "--mechanism", "pf", *PRIVACY,
+                          "--scores", scores_file,
+                          PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+        assert proc.returncode == 0, proc.stderr
+        record, at_exit = map(json.loads, proc.stdout.splitlines())
+        assert record["label"] in ("a", "b")
+        # numpy and the package alone leave over 20,000 objects
+        assert at_exit["frozen"] > 10_000
+        assert at_exit["enabled"] is True
+
+    @pytest.mark.parametrize("collector", ["on", "off"])
+    def test_import_freezes_nothing_and_keeps_the_collector_state(self, collector):
+        proc = run_python("-c", _IMPORT_GC_PROBE, collector)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"frozen": 0, "enabled": collector == "on"}
+
+    def test_main_freezes_nothing(self, scores_file):
+        proc = run_python("-c", _MAIN_GC_PROBE, "select", "--mechanism", "pf", *PRIVACY,
+                          "--scores", scores_file)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"code": 0, "frozen": [0, 0], "enabled": True}

@@ -139,12 +139,17 @@ MUTANTS = (
            'exact_tables("em", instances)',
            ("tests/test_audit.py::TestDominance::test_two_point_values",)),
     Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
-           "noisy, tie = draws[0::2], draws[1::2]",
-           "noisy, tie = draws[0::2], draws[0::2]",
+           "(u[1::2] * capped)",
+           "(u[0::2] * capped)",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
-    Mutant("alg-b-chunk-as-wide-as-k", "src/dpselect/oracle.py",
-           '"alg-b": 2 * k',
-           '"alg-b": k',
+    Mutant("alg-b-tie-without-floor", "src/dpselect/mechanisms.py",
+           "u = floored_uniforms(rng, rows * 2 * k)",
+           "u = rng.uniforms(rows * 2 * k)",
+           ("tests/test_mechanisms.py::TestFixedUniforms"
+            "::test_intermediate_b_zero_tie_break_still_beats_the_masked_out",)),
+    Mutant("alg-b-chunk-as-wide-as-k", "src/dpselect/mechanisms.py",
+           "(_intermediate_b_batch, lambda k: 2 * k)",
+           "(_intermediate_b_batch, lambda k: k)",
            ("tests/test_oracle.py::TestSamplingMemory",)),
     Mutant("intermediate-a-picks-its-last-survivor", "src/dpselect/mechanisms.py",
            "kept[rng.integers(kept.size)]",
@@ -154,6 +159,11 @@ MUTANTS = (
            "    keys -= mask\n",
            "",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
+    Mutant("uniform-pick-k2-prefers-the-later-index", "src/dpselect/mechanisms.py",
+           "keys[1::2] < keys[0::2]",
+           "keys[1::2] <= keys[0::2]",
+           ("tests/test_mechanisms.py::TestFixedUniforms"
+            "::test_two_outcome_pick_keeps_index_0_on_equal_keys",)),
     Mutant("exponential-quantile-without-log1p", "src/dpselect/noise.py",
            "np.log1p(np.negative(u, out=out), out=out)",
            "np.log(np.subtract(1.0, u, out=out), out=out)",

@@ -35,7 +35,7 @@ from typing import Any
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .audit import dominance_check, privacy_ratio_audit, random_instances
-from .core import PrivacyParams, ProbabilityTable, validate_instance
+from .core import PrivacyParams, validate_instance
 from .errors import DpSelectError
 from .formats import (
     audit_report_to_dict,
@@ -52,6 +52,7 @@ from .oracle import (
     _check_significance,
     chi_square_gof,
     empirical_counts,
+    frequency_table,
     table_for,
     tv_distance,
 )
@@ -127,8 +128,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _check_significance(args.significance)
     reference = table_for(second, inst, "exact")
     counts = empirical_counts(first, inst, args.n, args.seed)
-    empirical = ProbabilityTable(inst.quality.labels, [c / args.n for c in counts],
-                                 f"empirical(n={args.n},seed={args.seed})")
+    empirical = frequency_table(inst, counts, args.seed)
     gof = chi_square_gof(counts, reference, args.significance)
     _emit(
         {

@@ -20,7 +20,8 @@ floating-point coincidence; they break toward the smallest index.
 of (instance, rows) that computes its operands once (log weights or pf's
 coins tiled to rows x k, em's cumulative weights) and returns draw(rng,
 rows), which runs its own algorithm, never another's, for up to rows
-draws at once, in place on the stream's flat arrays: one index per row.
+draws at once on the stream's flat arrays, one index per row; beside it,
+the values a row's widest array holds, which set a chunk's rows.
 ``MECHANISMS`` is derived from it under the same keys: a single draw is
 the batch sampler built and run for one row, except for
 permute-and-flip's walk and `intermediate_a`'s integer pick, separate
@@ -38,10 +39,15 @@ from typing import Callable
 import numpy as np
 
 from .core import ValidatedInstance
-from .noise import NOISE_FAMILIES, RngState, samples
+from .noise import NOISE_FAMILIES, RngState, floored_uniforms, samples
 
-# glibc maps each fresh block of 128 KiB or more, page faults and all, until
-# it frees a larger one: freeing 1 MiB lets the chunk arrays reuse the heap
+# No array of a batch-sampling chunk holds more than this many values (see
+# BATCH_SAMPLERS), so memory stays flat in the number of draws. At 2^14
+# doubles (128 KiB) a chunk's matrices stay cache-sized: 2^15 and 2^16
+# measured both slower and larger in peak memory. glibc maps each fresh
+# block of 128 KiB or more, page faults and all, until it frees a larger
+# one: freeing 1 MiB here lets the chunk arrays reuse the heap.
+BATCH_ELEMENTS = 2**14
 np.empty(2**17)
 
 
@@ -55,10 +61,14 @@ class SelectionResult:
 
 def _uniform_pick(mask: np.ndarray, rng: RngState, k: int) -> np.ndarray:
     """Per row of k entries of a flat mask, each row holding a True, a
-    uniform pick of a True column: the least uniform key, less 1 where True
-    (exact, keys being multiples of 2^-53 in [0, 1), and below the rest)."""
+    uniform pick of a True column: the first least uniform key, less 1
+    where True (exact, keys being multiples of 2^-53 in [0, 1), and below
+    the rest). At k = 2 one column comparison stands in for numpy's
+    per-row argmin, which costs more there than the draws it reduces."""
     keys = rng.uniforms(mask.size)
     keys -= mask
+    if k == 2:
+        return (keys[1::2] < keys[0::2]).view(np.int8)
     return np.argmin(keys.reshape(-1, k), axis=1)
 
 
@@ -80,13 +90,15 @@ def _report_noisy_max_batch(inst: ValidatedInstance, rows: int, kind: str) -> Ca
     and return the first argmax, over a rows x k matrix of unit-scale draws
     of the family kind, "exponential", "laplace" or "gumbel", added to
     log_weights: the scores in units of the noise scale 2*sensitivity/eps.
-    The Gumbel variant draws from the same output distribution as the
-    exponential mechanism."""
+    Each sum gamma + x is taken as gamma - (-x), the same bits, from the
+    family's negated quantile, which saves a negation pass. The Gumbel
+    variant draws from the same output distribution as the exponential
+    mechanism."""
     k, gamma, noise = len(inst.quality), np.tile(log_weights(inst), rows), NOISE_FAMILIES[kind]
 
     def draw(rng: RngState, rows: int) -> np.ndarray:
-        values = samples(noise, rng, rows * k)
-        values += gamma[: values.size]
+        u = floored_uniforms(rng, rows * k)
+        values = np.subtract(gamma[: u.size], noise.negated_quantile(u, out=u), out=u)
         return np.argmax(values.reshape(rows, k), axis=1)
 
     return draw
@@ -154,13 +166,16 @@ def intermediate_a(inst: ValidatedInstance, rng: RngState) -> SelectionResult:
 
 def _intermediate_a_batch(inst: ValidatedInstance, rows: int) -> Callable:
     """Batch intermediate_a: per row, a uniform pick among the outcomes
-    whose exponentially-noised log weight reaches 0, the best score's."""
+    whose exponentially-noised log weight reaches 0, the best score's. The
+    rounded gamma + x is >= 0 exactly where the negated noise -x <= gamma:
+    rounding keeps the sign of a sum of two doubles, which is 0 only where
+    they cancel."""
     k, gamma = len(inst.quality), np.tile(log_weights(inst), rows)
+    negated = NOISE_FAMILIES["exponential"].negated_quantile
 
     def draw(rng: RngState, rows: int) -> np.ndarray:
-        noisy = samples(NOISE_FAMILIES["exponential"], rng, rows * k)
-        noisy += gamma[: noisy.size]
-        return _uniform_pick(noisy >= 0.0, rng, k)
+        u = floored_uniforms(rng, rows * k)
+        return _uniform_pick(negated(u, out=u) <= gamma[: u.size], rng, k)
 
     return draw
 
@@ -173,18 +188,24 @@ def _intermediate_b_batch(inst: ValidatedInstance, rows: int) -> Callable:
     true score's, and returns per row the first argmax of capped value plus
     a second independent tie-break draw, with the outcomes below the cap
     masked out to 0, below every tie-break. Every outcome gets its
-    tie-break, even those the cap excludes, so a row consumes two draws per
-    outcome, score noise and tie-break interleaved in index order. A
+    tie-break, even those the cap excludes, so a row consumes two uniforms
+    per outcome, score noise and tie-break interleaved in index order. A
     maximizing outcome always hits the cap, so the masked set is never empty.
+
+    A draw floors a row's 2k uniforms once and transforms only the score
+    half, into a contiguous array; the cap is 0 where -x <= gamma, as in
+    intermediate_a. A tie-break is its floored uniform u itself, not its
+    exponential draw -log1p(-u), which is strictly increasing on the grid
+    of multiples of 2^-53: the argmax is the same, and the floor keeps every
+    tie-break above the masked-out 0.
     """
     k, gamma = len(inst.quality), np.tile(log_weights(inst), rows)
+    negated = NOISE_FAMILIES["exponential"].negated_quantile
 
     def draw(rng: RngState, rows: int) -> np.ndarray:
-        draws = samples(NOISE_FAMILIES["exponential"], rng, rows * 2 * k)
-        noisy, tie = draws[0::2], draws[1::2]
-        noisy += gamma[: noisy.size]
-        # the cap min(noisy, 0) is 0 exactly where noisy >= 0
-        return np.argmax((tie * (noisy >= 0.0)).reshape(rows, k), axis=1)
+        u = floored_uniforms(rng, rows * 2 * k)
+        capped = negated(u[0::2], out=np.empty(rows * k)) <= gamma[: rows * k]
+        return np.argmax((u[1::2] * capped).reshape(rows, k), axis=1)
 
     return draw
 
@@ -198,13 +219,16 @@ RNM_FAMILIES: dict[str, str] = {
 }
 
 
-BATCH_SAMPLERS: dict[str, Callable[[ValidatedInstance, int], Callable]] = {
-    "pf": _permute_and_flip_batch,
-    **{name: functools.partial(_report_noisy_max_batch, kind=kind)
+# mechanism -> (its builder, the values a row's widest array holds at k
+# outcomes): a chunk of BATCH_ELEMENTS values holds that many fewer rows
+BATCH_SAMPLERS: dict[str, tuple[Callable[[ValidatedInstance, int], Callable],
+                                Callable[[int], int]]] = {
+    "pf": (_permute_and_flip_batch, lambda k: k),
+    **{name: (functools.partial(_report_noisy_max_batch, kind=kind), lambda k: k)
        for name, kind in RNM_FAMILIES.items()},
-    "em": _exponential_mechanism_batch,
-    "alg-a": _intermediate_a_batch,
-    "alg-b": _intermediate_b_batch,
+    "em": (_exponential_mechanism_batch, lambda k: 1),
+    "alg-a": (_intermediate_a_batch, lambda k: k),
+    "alg-b": (_intermediate_b_batch, lambda k: 2 * k),
 }
 
 
@@ -218,6 +242,6 @@ def _single_draw(build: Callable, inst: ValidatedInstance, rng: RngState) -> Sel
 _REFERENCE_DRAWS = {"pf": permute_and_flip, "alg-a": intermediate_a}
 
 MECHANISMS: dict[str, Callable[[ValidatedInstance, RngState], SelectionResult]] = {
-    name: _REFERENCE_DRAWS.get(name, functools.partial(_single_draw, sampler))
-    for name, sampler in BATCH_SAMPLERS.items()
+    name: _REFERENCE_DRAWS.get(name, functools.partial(_single_draw, build))
+    for name, (build, _) in BATCH_SAMPLERS.items()
 }

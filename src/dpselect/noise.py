@@ -2,17 +2,18 @@
 seedable sampler for them.
 
 Each family is one parameter-free class that owns the formulas of its unit
-law: `quantile` (the inverse CDF) and `cdf_pdf`, which writes the CDF into
-a caller's array and returns the density, from one shared pass: one exp
-for Laplace, three for Gumbel, one clamp for exponential noise. `cdf` and
-`pdf` read their half off it. The mechanisms and the quadrature route add
-this noise to the scores in units of the noise scale, gamma = rate *
+law: `negated_quantile`, minus the inverse CDF (`quantile`, the one
+negation shared by every family), and `cdf_pdf`, which writes the CDF
+into a caller's array and returns the density, from one shared pass: one
+exp for Laplace, three for Gumbel, one clamp for exponential noise. `cdf`
+and `pdf` read their half off it. The mechanisms and the quadrature route
+add this noise to the scores in units of the noise scale, gamma = rate *
 (q - max q), so no draw is ever scaled. All formulas are numpy, so one
 serves a float and an array: the quadrature integrand evaluates every
-outcome's factor in one call, and `quantile` can write every step into an
-array `out`, u itself included. Arguments are clamped so that no `exp`
-overflows, even far outside the support: the Gumbel formulas stop at
-|x| = 700, where the true value is already 0.
+outcome's factor in one call, and either quantile can write every step
+into an array `out`, u itself included. Arguments are clamped so that no
+`exp` overflows, even far outside the support: the Gumbel formulas stop
+at |x| = 700, where the true value is already 0.
 
 Sampling is inverse-CDF from a single uniform draw per sample, so every
 stream is reproducible from its seed and directly checkable against the
@@ -33,7 +34,11 @@ _U_FLOOR = 2.0 ** -53
 
 
 class _UnitLaw:
-    """cdf and pdf, each read off the family's one shared pass, cdf_pdf."""
+    """quantile, the negation of the family's negated_quantile, and cdf
+    and pdf, each read off the family's one shared pass, cdf_pdf."""
+
+    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.negative(self.negated_quantile(u, out), out=out)
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
         return self.cdf_pdf(x, np.empty(np.shape(x)))[0]
@@ -46,8 +51,8 @@ class _UnitLaw:
 class Exponential(_UnitLaw):
     """Nonnegative noise, density exp(-x) for x >= 0."""
 
-    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.negative(np.log1p(np.negative(u, out=out), out=out), out=out)
+    def negated_quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.log1p(np.negative(u, out=out), out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         minus = -np.maximum(x, 0.0)
@@ -59,12 +64,12 @@ class Exponential(_UnitLaw):
 class Laplace(_UnitLaw):
     """Symmetric noise, density exp(-|x|) / 2."""
 
-    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # log(2u) below 0.5 and -log(2(1 - u)) from it, bit for bit with no
-        # branch: 1 - u is exact there, and u = 0.5 gives -0.0
+    def negated_quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # -log(2u) below 0.5 and log(2(1 - u)) from it, bit for bit with no
+        # branch: 1 - u is exact there, and u = 0.5 gives 0.0 (quantile -0.0)
         sign, low = 0.5 - u, np.minimum(u, 1.0 - u, out=out)  # sign before out is written
         low = np.log(np.multiply(low, 2.0, out=out), out=out)
-        return np.negative(np.copysign(low, sign, out=out), out=out)
+        return np.copysign(low, sign, out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # half of exp(-|x|) is both the lower tail and the density; the CDF
@@ -78,8 +83,8 @@ class Laplace(_UnitLaw):
 class Gumbel(_UnitLaw):
     """Max-stable noise, density exp(-x - exp(-x))."""
 
-    def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.negative(np.log(np.negative(np.log(u, out=out), out=out), out=out), out=out)
+    def negated_quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.log(np.negative(np.log(u, out=out), out=out), out=out)
 
     def cdf_pdf(self, x: float | np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # exp(-x) would overflow from x = -710; both are already 0 at -700
@@ -143,7 +148,13 @@ def quantile(kind: NoiseKind, u: float) -> float:
     return float(kind.quantile(u))
 
 
-def samples(kind: NoiseKind, rng: RngState, n: int) -> np.ndarray:
-    """n draws, each the inverse-CDF transform of one uniform draw, in place."""
+def floored_uniforms(rng: RngState, n: int) -> np.ndarray:
+    """n uniform draws, an exact 0.0 raised in place to _U_FLOOR."""
     u = rng.uniforms(n)
-    return kind.quantile(np.maximum(u, _U_FLOOR, out=u), out=u)
+    return np.maximum(u, _U_FLOOR, out=u)
+
+
+def samples(kind: NoiseKind, rng: RngState, n: int) -> np.ndarray:
+    """n draws, each the inverse-CDF transform of one floored uniform, in place."""
+    u = floored_uniforms(rng, n)
+    return kind.quantile(u, out=u)

@@ -50,7 +50,7 @@ from .errors import (
     TooManyOutcomesForEnumeration,
     UnsupportedOracle,
 )
-from .mechanisms import BATCH_SAMPLERS, RNM_FAMILIES, log_weights
+from .mechanisms import BATCH_ELEMENTS, BATCH_SAMPLERS, RNM_FAMILIES, log_weights
 from .noise import NOISE_FAMILIES, Exponential, Laplace, RngState
 
 QUADRATURE_LIMIT = 256
@@ -62,14 +62,6 @@ _TAIL_MASS = 1e-12
 _TAIL_SPLITS = (1e-3, 1e-6)
 
 MIN_EXPECTED_COUNT = 5.0
-
-# No array of a batch-sampling chunk holds more than this many values (see
-# empirical_counts), so memory stays flat in the number of draws. At 2^14
-# doubles (128 KiB) a chunk's matrices stay cache-sized: 2^15 and 2^16
-# measured both slower and larger in peak memory. Larger arrays also pass
-# glibc's default 128 KiB mmap threshold, so a fresh process maps and
-# faults them in on every chunk.
-BATCH_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -468,35 +460,40 @@ def _adaptive_gk21(integrand, width: int, edges: np.ndarray):
 def empirical_counts(mechanism: str, inst: ValidatedInstance, n: int, seed: int) -> list[int]:
     """Outcome counts of n independent runs of a mechanism, named as in
     BATCH_SAMPLERS, under one seeded stream: its sampler, built once for
-    chunks of BATCH_ELEMENTS // w rows, and at least one, where w is a
-    row's widest array (1 for em, 2k for alg-b, k for the rest), draws
-    chunk after chunk. pf and alg-a draw a chunk's order keys after its
-    coins or noise, so their chunk size is part of their seeded stream;
-    the other streams do not depend on it. A fixed seed gives the same
-    counts bit for bit. Any other mechanism or a non-integer n raises
-    ValueError."""
+    chunks of BATCH_ELEMENTS // w rows, and at least one, where w is the
+    width BATCH_SAMPLERS gives a row, draws chunk after chunk. pf and alg-a
+    draw a chunk's order keys after its coins or noise, so their chunk size
+    is part of their seeded stream; the other streams do not depend on it.
+    A fixed seed gives the same counts bit for bit. Any other mechanism or
+    a non-integer n raises ValueError."""
     try:
-        n, build = operator.index(n), BATCH_SAMPLERS[mechanism]
+        n, (build, width) = operator.index(n), BATCH_SAMPLERS[mechanism]
     except (KeyError, TypeError):
         raise ValueError(f"need a mechanism name, one of {sorted(BATCH_SAMPLERS)}, and an "
                          f"integer n; got {mechanism!r} and n={n!r}") from None
     if n < 1:
         raise ValueError(f"need at least one run, got n={n}")
     rng, k = RngState(seed), len(inst.quality)
-    chunk = min(n, max(1, BATCH_ELEMENTS // {"em": 1, "alg-b": 2 * k}.get(mechanism, k)))
+    chunk = min(n, max(1, BATCH_ELEMENTS // width(k)))
     draw, counts = build(inst, chunk), np.zeros(k, dtype=np.int64)
     for start in range(0, n, chunk):
         counts += np.bincount(draw(rng, min(chunk, n - start)), minlength=k)
     return counts.tolist()
 
 
+def frequency_table(inst: ValidatedInstance, counts: list[int], seed: int) -> ProbabilityTable:
+    """The frequency table of outcome counts drawn under a seed, with the
+    draws and the seed in its provenance."""
+    n = sum(counts)
+    return ProbabilityTable(inst.quality.labels, [c / n for c in counts],
+                            f"empirical(n={n},seed={seed})")
+
+
 def empirical_distribution(mechanism: str, inst: ValidatedInstance, n: int,
                            seed: int) -> ProbabilityTable:
     """Frequency table of n independent mechanism runs; reproducible for a
     fixed seed."""
-    counts = empirical_counts(mechanism, inst, n, seed)
-    return ProbabilityTable(inst.quality.labels, [c / n for c in counts],
-                            f"empirical(n={n},seed={seed})")
+    return frequency_table(inst, empirical_counts(mechanism, inst, n, seed), seed)
 
 
 def tv_distance(p: ProbabilityTable, q: ProbabilityTable) -> float:

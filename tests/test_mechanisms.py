@@ -35,6 +35,12 @@ def permuted_table(table, perm):
     )
 
 
+def batch_draw(name, inst, rng, rows):
+    """The indices of one draw of rows from name's batch sampler, built for
+    that many rows."""
+    return BATCH_SAMPLERS[name][0](inst, rows)(rng, rows).tolist()
+
+
 def test_single_draws_keyed_like_batch_samplers():
     """MECHANISMS is derived from BATCH_SAMPLERS, so every mechanism has a
     batch sampler, and so an empirical route, under the same key and order."""
@@ -316,6 +322,43 @@ class TestSeededReplay:
         assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
 
 
+class TestIntermediateBTieBreak:
+    """alg-b breaks ties by each outcome's floored uniform u, where the
+    censored-noise algorithm takes a second exponential draw, -log1p(-u),
+    from the same uniform. The transform is strictly increasing on the
+    uniform grid, so both give the same pick in every row."""
+
+    @staticmethod
+    def exponential_tie_break_picks(inst, seed, rows):
+        k = len(inst.quality)
+        draws = samples(Exponential(), RngState(seed), rows * 2 * k)
+        noisy = draws[0::2] + np.tile(log_weights(inst), rows)
+        capped = np.minimum(noisy, 0.0) == 0.0
+        return np.argmax((draws[1::2] * capped).reshape(rows, k), axis=1).tolist()
+
+    @pytest.mark.parametrize("scores", [
+        [0.5, 0.5],
+        TestSeededGolden.SCORES,
+        [0.3, -1.2, 1.1, 0.0, -4.0, 1.1, 0.8, -0.5, 1.05, -9.0, 0.9, 0.2],
+    ], ids=["k2", "k9", "k12"])
+    def test_same_picks_as_exponential_tie_breaks(self, scores):
+        # each instance ties for its best score, where only the tie-break decides
+        inst, rows = make_instance(scores, epsilon=1.5), 100_000
+        picks = batch_draw("alg-b", inst, RngState(77), rows)
+        assert picks == self.exponential_tie_break_picks(inst, 77, rows)
+
+    @pytest.mark.parametrize("draw", [0.5, 1.0, 2.0])
+    def test_exponential_draw_strictly_increasing_on_the_uniform_grid(self, draw):
+        # where the draw crosses a power of two its ulp doubles, and one step
+        # of 2^-53 in u moves it least: e^draw 2^-53 / ulp is 1.65, 1.36 and
+        # 1.85 ulps just above 0.5, 1 and 2
+        m = round(-math.expm1(-draw) * 2**53)
+        u = np.arange(m - 500_000, m + 500_000) * 2.0**-53
+        x = Exponential().quantile(u)
+        assert x[0] < draw < x[-1]
+        assert (np.diff(x) > 0.0).all()
+
+
 class TestFixedUniforms:
     """The samplers' comparisons at the ends of the uniform stream, 0 and
     1 - 2^-53, on fixed uniforms: an outcome whose weight underflows to 0
@@ -333,17 +376,30 @@ class TestFixedUniforms:
     def test_batch_permute_and_flip_heads_are_strict(self):
         # coins and order keys all 0: outcome 0 would win every tie
         inst = make_instance(self.ZERO_FIRST)
-        assert BATCH_SAMPLERS["pf"](inst, 4)(FixedUniforms(0.0), 4).tolist() == [1] * 4
+        assert batch_draw("pf", inst, FixedUniforms(0.0), 4) == [1] * 4
+
+    @pytest.mark.parametrize("name", ["pf", "alg-a"])
+    def test_two_outcome_pick_keeps_index_0_on_equal_keys(self, name):
+        # both outcomes kept and both order keys 0, as argmin would keep
+        inst = make_instance([0.0, 0.0])
+        assert batch_draw(name, inst, FixedUniforms(0.0), 4) == [0] * 4
+
+    def test_intermediate_b_zero_tie_break_still_beats_the_masked_out(self):
+        # outcome 0 is masked out below the cap and outcome 1, the only one
+        # to hit it, draws a tie-break uniform of 0: floored to 2^-53, it
+        # still ranks above outcome 0's masked 0
+        inst = make_instance(self.ZERO_FIRST)
+        assert batch_draw("alg-b", inst, FixedUniforms(0.0), 4) == [1] * 4
 
     def test_exponential_mechanism_skips_a_leading_zero_weight(self):
         inst = make_instance(self.ZERO_FIRST)
-        assert BATCH_SAMPLERS["em"](inst, 2)(FixedUniforms(0.0), 2).tolist() == [1] * 2
+        assert batch_draw("em", inst, FixedUniforms(0.0), 2) == [1] * 2
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_largest_uniform_picks_the_last_of_equal_weights(self, k):
         # the total k is a power of two, where u * k is exactly k - 2^-53 k
         inst = make_instance([0.0] * k)
-        assert BATCH_SAMPLERS["em"](inst, 1)(FixedUniforms(1.0 - 2.0**-53), 1).tolist() == [k - 1]
+        assert batch_draw("em", inst, FixedUniforms(1.0 - 2.0**-53), 1) == [k - 1]
 
     def test_largest_uniform_picks_the_last_positive_weight(self):
         # weights from e^-10 to 1, each adding to a total of at most 40,
@@ -355,8 +411,7 @@ class TestFixedUniforms:
             scores[gen.integers(k)] = 0.0
             inst = make_instance(scores, epsilon=2.0)
             last = int(np.flatnonzero(np.exp(log_weights(inst)) > 0.0)[-1])
-            draw = BATCH_SAMPLERS["em"](inst, 3)
-            assert draw(FixedUniforms(1.0 - 2.0**-53), 3).tolist() == [last] * 3
+            assert batch_draw("em", inst, FixedUniforms(1.0 - 2.0**-53), 3) == [last] * 3
 
 
 class TestOutputContract:

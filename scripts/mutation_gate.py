@@ -228,6 +228,18 @@ MUTANTS = (
            "    _check_significance(args.significance)\n",
            "",
            ("tests/test_cli.py::TestCompare::test_bad_significance_exits_two_before_any_draw",)),
+    Mutant("exit-three-unless-the-record-passes", "src/dpselect/cli.py",
+           'record.get("pass") is False',
+           'not record.get("pass")',
+           ("tests/test_cli.py::TestModuleInvocation",)),
+    Mutant("out-written-after-the-record", "src/dpselect/cli.py",
+           "        if saved is not None and args.out:\n"
+           "            write_json(saved, args.out)\n"
+           "        print(json.dumps(_nine_significant(record)))\n",
+           "        print(json.dumps(_nine_significant(record)))\n"
+           "        if saved is not None and args.out:\n"
+           "            write_json(saved, args.out)\n",
+           ("tests/test_cli.py::TestExitCodeContract::test_out_file_is_written_before_the_record",)),
     Mutant("entrypoint-collects-its-imports", "src/dpselect/cli.py",
            "    gc.freeze()\n",
            "",

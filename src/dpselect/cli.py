@@ -6,6 +6,14 @@ precision), and reports diagnostics on standard error.
 
 Exit codes: 0 success or check passed, 2 invalid input, 3 check failed.
 
+Each cmd_* handler returns (record, saved) and neither prints nor writes:
+record is the dict printed on standard output, saved the dict --out
+writes (None for select and compare, which have no --out). main() writes
+saved first, then prints record, and exits 3 when record["pass"] is False
+and 0 otherwise; a DpSelectError, ValueError or OSError raised on the way
+prints one "error: <type>: <message>" line on standard error, nothing on
+standard output, and exits 2.
+
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller has
 set it, before numpy loads, so a command starts no BLAS thread pool. Set
 the variable yourself (e.g. OPENBLAS_NUM_THREADS=4 dpselect ...) to
@@ -70,59 +78,42 @@ def _nine_significant(obj: Any) -> Any:
     return obj
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(_nine_significant(record)))
-
-
-def _invalid(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _instance(args: argparse.Namespace):
     quality = load_quality_vector(args.scores)
     return validate_instance(quality, PrivacyParams(args.epsilon, args.sensitivity))
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args: argparse.Namespace) -> tuple[dict, dict | None]:
     inst = _instance(args)
     result = MECHANISMS[args.mechanism](inst, RngState(args.seed))
-    _emit({"label": result.label, "index": result.index})
-    return 0
+    return {"label": result.label, "index": result.index}, None
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
-    table = table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed)
-    if args.out:
-        write_json(asdict(table), args.out)
-    _emit(asdict(table))
-    return 0
+def cmd_dist(args: argparse.Namespace) -> tuple[dict, dict | None]:
+    table = asdict(table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed))
+    return table, table
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> tuple[dict, dict | None]:
     mechanisms = args.mechanism or []
     if len(mechanisms) != 2:
-        return _invalid("compare needs exactly two --mechanism flags")
+        raise ValueError("compare needs exactly two --mechanism flags")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        return _invalid(f"--tolerance must be finite and at least 0, got {args.tolerance}")
+        raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     inst = _instance(args)
     first, second = mechanisms
 
     if args.mode != "empirical":
         tables = [table_for(m, inst, args.mode) for m in mechanisms]
         tv = tv_distance(tables[0], tables[1])
-        passed = tv <= args.tolerance
-        _emit(
-            {
-                "mechanisms": mechanisms,
-                "mode": args.mode,
-                "tv_distance": tv,
-                "tolerance": args.tolerance,
-                "pass": passed,
-                "provenances": [table.provenance for table in tables],
-            }
-        )
-        return 0 if passed else 3
+        return {
+            "mechanisms": mechanisms,
+            "mode": args.mode,
+            "tv_distance": tv,
+            "tolerance": args.tolerance,
+            "pass": tv <= args.tolerance,
+            "provenances": [table.provenance for table in tables],
+        }, None
 
     # empirical: sample the first mechanism, test against the second's exact table
     _check_significance(args.significance)
@@ -130,57 +121,47 @@ def cmd_compare(args: argparse.Namespace) -> int:
     counts = empirical_counts(first, inst, args.n, args.seed)
     empirical = frequency_table(inst, counts, args.seed)
     gof = chi_square_gof(counts, reference, args.significance)
-    _emit(
-        {
-            "mechanisms": mechanisms,
-            "mode": "empirical",
-            "n": args.n,
-            "tv_distance": tv_distance(empirical, reference),
-            "chi_square": {
-                "statistic": gof.statistic,
-                "degrees_of_freedom": gof.degrees_of_freedom,
-                "p_value": gof.p_value,
-                "detectable_divergence": gof.detectable_divergence,
-                "pass": gof.passed,
-            },
-            "significance": args.significance,
+    return {
+        "mechanisms": mechanisms,
+        "mode": "empirical",
+        "n": args.n,
+        "tv_distance": tv_distance(empirical, reference),
+        "chi_square": {
+            "statistic": gof.statistic,
+            "degrees_of_freedom": gof.degrees_of_freedom,
+            "p_value": gof.p_value,
+            "detectable_divergence": gof.detectable_divergence,
             "pass": gof.passed,
-            "provenances": [empirical.provenance, reference.provenance],
-        }
-    )
-    return 0 if gof.passed else 3
+        },
+        "significance": args.significance,
+        "pass": gof.passed,
+        "provenances": [empirical.provenance, reference.provenance],
+    }, None
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> tuple[dict, dict | None]:
     pairs = load_neighbor_pairs(args.pairs)
     params = PrivacyParams(args.epsilon, args.sensitivity)
     report = privacy_ratio_audit(args.mechanism, pairs, params)
-    if args.out:
-        write_json(audit_report_to_dict(report), args.out)
-    _emit(
-        {
-            "mechanism": args.mechanism,
-            "pairs": len(pairs),
-            "bound": report.bound,
-            "worst_ratio": report.worst_ratio,
-            "pass": report.passed,
-        }
-    )
-    return 0 if report.passed else 3
+    return {
+        "mechanism": args.mechanism,
+        "pairs": len(pairs),
+        "bound": report.bound,
+        "worst_ratio": report.worst_ratio,
+        "pass": report.passed,
+    }, audit_report_to_dict(report)
 
 
-def cmd_utility(args: argparse.Namespace) -> int:
+def cmd_utility(args: argparse.Namespace) -> tuple[dict, dict | None]:
     params = PrivacyParams(args.epsilon, args.sensitivity)
     if args.scores is not None:
         instances = [validate_instance(load_quality_vector(args.scores), params)]
     else:
         if not 2 <= args.k_max <= QUADRATURE_LIMIT:
-            return _invalid(f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}")
+            raise ValueError(f"--k-max must be between 2 and {QUADRATURE_LIMIT}, got {args.k_max}")
         instances = random_instances(args.random, args.epsilon, args.sensitivity,
                                      k_max=args.k_max, seed=args.seed)
     report = dominance_check(instances)
-    if args.out:
-        write_json(asdict(report), args.out)
     record = {
         "instances": len(instances),
         "dominance_violations": report.dominance_violations,
@@ -189,8 +170,7 @@ def cmd_utility(args: argparse.Namespace) -> int:
     if len(instances) == 1:
         record["expected_error_pf"] = report.per_instance[0].expected_error_pf
         record["expected_error_em"] = report.per_instance[0].expected_error_em
-    _emit(record)
-    return 0 if report.dominance_violations == 0 else 3
+    return record, asdict(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,10 +253,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        record, saved = args.handler(args)
+        if saved is not None and args.out:
+            write_json(saved, args.out)
+        print(json.dumps(_nine_significant(record)))
     except (DpSelectError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return 3 if record.get("pass") is False else 0
 
 
 def entrypoint() -> None:

@@ -101,17 +101,9 @@ def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
 
 
 def _exact_table(mechanism: str, inst: ValidatedInstance) -> ProbabilityTable:
-    """One instance's linear table, exact_tables' chunk of that one row."""
-    factor, _, provenance = FACTORS[mechanism]
-    table = _chunk_tables(factor, log_weights(inst)[None], log=False)[0]
-    return ProbabilityTable(inst.quality.labels, table.tolist(), provenance)
-
-
-def _chunk_tables(factor: Callable, gamma: np.ndarray, log: bool) -> np.ndarray:
-    """A chunk's tables from its rows gamma of log weights and the weights."""
-    w = np.exp(gamma)
-    c = factor(gamma, w)
-    return np.minimum(gamma + np.log(c), 0.0) if log else w * c
+    """One instance's linear table, exact_tables of that one instance."""
+    (table,) = exact_tables(mechanism, [inst])
+    return ProbabilityTable(inst.quality.labels, table.tolist(), FACTORS[mechanism][2])
 
 
 def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
@@ -123,8 +115,13 @@ def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
     (width + 1) values a row and the most of any factor, within
     BATCH_ELEMENTS, and at least one: a table is the same bit for bit alone
     or in any batch. pf and rnm-expo raise TooManyOutcomesForEnumeration
-    above QUADRATURE_LIMIT outcomes."""
-    factor, share, _ = FACTORS[mechanism]
+    above QUADRATURE_LIMIT outcomes; a name outside FACTORS raises
+    UnsupportedOracle."""
+    try:
+        factor, share, _ = FACTORS[mechanism]
+    except (KeyError, TypeError):
+        raise UnsupportedOracle(f"{mechanism!r} has no exact output-distribution oracle; "
+                                f"expected one of {sorted(FACTORS)}") from None
     gammas = [log_weights(inst) for inst in instances]
     groups, tables = {}, [None] * len(gammas)
     for r in sorted(range(len(gammas)), key=lambda r: len(gammas[r])):
@@ -137,7 +134,9 @@ def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
             gamma = np.full((len(chunk), width), -np.inf)
             for i, r in enumerate(chunk):
                 gamma[i, : len(gammas[r])] = gammas[r]
-            table = _chunk_tables(factor, gamma, log)
+            w = np.exp(gamma)
+            c = factor(gamma, w)
+            table = np.minimum(gamma + np.log(c), 0.0) if log else w * c
             for i, r in enumerate(chunk):
                 tables[r] = table[i, : len(gammas[r])]
     return tables

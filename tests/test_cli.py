@@ -314,7 +314,7 @@ class TestCompare:
         )
         assert code == 2
         assert record is None
-        assert "--tolerance must be finite and at least 0" in err
+        assert "error: ValueError: --tolerance must be finite and at least 0" in err
 
     def test_needs_exactly_two_mechanisms(self, capsys, scores_file):
         code, record, err = run(
@@ -322,7 +322,8 @@ class TestCompare:
             "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
         )
         assert code == 2
-        assert "two" in err
+        assert record is None
+        assert err == "error: ValueError: compare needs exactly two --mechanism flags\n"
 
     def test_quadrature_mode_unresolvable_mechanism(self, capsys, scores_file):
         code, _, err = run(
@@ -464,7 +465,7 @@ class TestUtility:
         )
         assert code == 2
         assert record is None
-        assert f"--k-max must be between 2 and 256, got {k_max}" in err
+        assert f"error: ValueError: --k-max must be between 2 and 256, got {k_max}" in err
         assert "low >= high" not in err
 
     def test_random_k_max_up_to_quadrature_limit(self, capsys):
@@ -507,6 +508,20 @@ class TestExitCodeContract:
                                     "--sensitivity", "1")
             assert (code, record) == (2, None)
             assert "NonFiniteScore" in err
+
+    @pytest.mark.parametrize("command", ["dist", "audit", "utility"])
+    def test_out_file_is_written_before_the_record(self, capsys, tmp_path, command,
+                                                   scores_file, pairs_file):
+        """--out goes to its file before the record goes to stdout: a file
+        that cannot be written exits 2 with nothing on stdout."""
+        template, _ = ENTRY_COMMANDS[command]
+        out = tmp_path / "missing" / "out.json"
+        code = main([a.format(scores=scores_file, pairs=pairs_file, out=out)
+                     for a in (*template, "--epsilon", "2", "--sensitivity", "1")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: FileNotFoundError: ")
 
     def test_bad_flags_exit_two(self, capsys):
         assert main(["select"]) == 2

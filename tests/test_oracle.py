@@ -850,6 +850,13 @@ class TestLogTables:
             with pytest.raises(TooManyOutcomesForEnumeration):
                 exact_tables(name, [make_instance([0.0] * 3), make_instance([0.0] * 257)], log=True)
 
+    @pytest.mark.parametrize("name", ["alg-a", None])
+    def test_name_without_a_factor_raises_unsupported_oracle(self, name):
+        with pytest.raises(UnsupportedOracle,
+                           match=r"has no exact output-distribution oracle; expected one of "
+                                 r"\['em', 'pf', 'rnm-expo'\]"):
+            exact_tables(name, [make_instance([0.0, -1.0])])
+
     def test_dispatch_table_keyed_like_exact_oracles(self):
         """FACTORS drives the exact tables, the exact route and the audit,
         keyed like EXACT_ORACLES, each route with its own provenance."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -141,6 +142,105 @@ class TestSeededGolden:
     def test_seeded_batch_counts_unchanged(self, name):
         inst = make_instance(self.SCORES, epsilon=1.5)
         assert empirical_counts(name, inst, 40_000, seed=2026) == self.COUNTS[name]
+
+
+class TestRegimeGolden:
+    """Seeded batch counts, as in TestSeededGolden, at the k where a
+    sampler's pick changes how it runs: k = 2 (one column comparison), 3,
+    11 and 12 (the last k of column passes and the first of numpy's
+    per-row argmax), 128 and 129 (em's last k of threshold counting and
+    its first of searchsorted) and 256. Each instance ties its best score
+    at the first and last outcome and, from k = 4, gives outcome 1 weight
+    0, so a wrong tie-break or a pick of an impossible outcome shows. Each
+    value is a digest of the 40,000-draw counts under seed 2026."""
+
+    KS = (2, 3, 11, 12, 128, 129, 256)
+    DIGESTS = {
+        2: {
+            "alg-a": "c2eeddbfe3872758",
+            "alg-b": "6e32afd379956acc",
+            "em": "01fe0bf2a730889b",
+            "pf": "91ce88f2dc60d178",
+            "rnm-expo": "4765939f384ca763",
+            "rnm-gumbel": "eb1cbda252de9b58",
+            "rnm-laplace": "1ef3f1b55789a409",
+        },
+        3: {
+            "alg-a": "b05778330012db17",
+            "alg-b": "81ed079ec2a59f53",
+            "em": "5c28416d234bd237",
+            "pf": "f18fa8d821614957",
+            "rnm-expo": "495bafded60dab51",
+            "rnm-gumbel": "941334aebf815dce",
+            "rnm-laplace": "276f03de5a64ce34",
+        },
+        11: {
+            "alg-a": "3ffa26c1356930b3",
+            "alg-b": "35904ead0ce08fe6",
+            "em": "eb68718aff855695",
+            "pf": "c30c6d0aa3ee45d4",
+            "rnm-expo": "69d78d858f05c86f",
+            "rnm-gumbel": "4191e41cc827bb11",
+            "rnm-laplace": "404e0c9ffba79f7b",
+        },
+        12: {
+            "alg-a": "fd3cb9b9326b398a",
+            "alg-b": "02727632315e62da",
+            "em": "2b804f0fd5311ed8",
+            "pf": "a3798458070932f1",
+            "rnm-expo": "f9db65cfdeebf9bd",
+            "rnm-gumbel": "3e6d96554b19e26d",
+            "rnm-laplace": "a8cede54bb9be1a0",
+        },
+        128: {
+            "alg-a": "0268475784acb44f",
+            "alg-b": "78d915088a1647ef",
+            "em": "ddd70fbf26e90061",
+            "pf": "759354480bed4a43",
+            "rnm-expo": "9b38863349a6b87c",
+            "rnm-gumbel": "7e217cc2db9457fe",
+            "rnm-laplace": "9b38863349a6b87c",
+        },
+        129: {
+            "alg-a": "264040e19bd0e7fd",
+            "alg-b": "314b1b18bd4df5e3",
+            "em": "e63d3dd99aaa6b8a",
+            "pf": "245e856d7da63e79",
+            "rnm-expo": "c0cb906b52c311fb",
+            "rnm-gumbel": "c7f908228c97fbf2",
+            "rnm-laplace": "c0cb906b52c311fb",
+        },
+        256: {
+            "alg-a": "2f14b0802e43b780",
+            "alg-b": "9b4a3b07061a280e",
+            "em": "61ad94c8c3c35d77",
+            "pf": "94d69d8ba7302942",
+            "rnm-expo": "13bcf043404ac950",
+            "rnm-gumbel": "db6788e2c37dea12",
+            "rnm-laplace": "13bcf043404ac950",
+        },
+    }
+
+    @staticmethod
+    def instance(k):
+        scores = np.round(np.random.default_rng(k).uniform(-3.0, 0.0, k), 1)
+        scores[0] = 0.0
+        if k >= 3:
+            scores[-1] = 0.0
+        if k >= 4:
+            scores[1] = -1e308
+        return make_instance(scores, epsilon=1.5)
+
+    def test_covers_every_mechanism(self):
+        assert list(self.DIGESTS) == list(self.KS)
+        assert all(sorted(table) == MECHANISM_NAMES for table in self.DIGESTS.values())
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_seeded_batch_counts_unchanged(self, name, k):
+        counts = empirical_counts(name, self.instance(k), 40_000, seed=2026)
+        digest = hashlib.sha256(np.array(counts, dtype=np.int64).tobytes()).hexdigest()[:16]
+        assert digest == self.DIGESTS[k][name], counts
 
 
 class TestShiftInvariance:

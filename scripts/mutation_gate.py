@@ -139,8 +139,8 @@ MUTANTS = (
            'exact_tables("em", instances)',
            ("tests/test_audit.py::TestDominance::test_two_point_values",)),
     Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
-           "(u[1::2] * capped)",
-           "(u[0::2] * capped)",
+           "_first_max(u[1::2] * capped, k)",
+           "_first_max(u[0::2] * capped, k)",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
     Mutant("alg-b-tie-without-floor", "src/dpselect/mechanisms.py",
            "u = floored_uniforms(rng, rows * 2 * k)",
@@ -156,14 +156,22 @@ MUTANTS = (
            "kept[-1]",
            ("tests/test_mechanisms.py::TestSeededReplay",)),
     Mutant("uniform-pick-ignores-its-mask", "src/dpselect/mechanisms.py",
-           "    keys -= mask\n",
-           "",
+           "np.subtract(mask, keys, out=keys)",
+           "np.negative(keys, out=keys)",
            ("tests/test_mechanisms.py::TestSeededGolden",)),
     Mutant("uniform-pick-k2-prefers-the-later-index", "src/dpselect/mechanisms.py",
-           "keys[1::2] < keys[0::2]",
-           "keys[1::2] <= keys[0::2]",
+           "values[1::2] > values[0::2]",
+           "values[1::2] >= values[0::2]",
            ("tests/test_mechanisms.py::TestFixedUniforms"
             "::test_two_outcome_pick_keeps_index_0_on_equal_keys",)),
+    Mutant("first-max-keeps-the-last-tie", "src/dpselect/mechanisms.py",
+           "(prefix[:-1] < prefix[-1])",
+           "(prefix[:-1] <= prefix[-1])",
+           ("tests/test_mechanisms.py::TestColumnPicks::test_first_max_is_the_first_argmax",)),
+    Mutant("first-max-skips-column-0", "src/dpselect/mechanisms.py",
+           "prefix[0] = values[0::k]",
+           "prefix[0] = -np.inf",
+           ("tests/test_mechanisms.py::TestColumnPicks::test_first_max_is_the_first_argmax",)),
     Mutant("exponential-quantile-without-log1p", "src/dpselect/noise.py",
            "np.log1p(np.negative(u, out=out), out=out)",
            "np.log(np.subtract(1.0, u, out=out), out=out)",
@@ -183,8 +191,13 @@ MUTANTS = (
            "rng.uniform() <= math.exp",
            ("tests/test_mechanisms.py::TestFixedUniforms::test_permute_and_flip_heads_are_strict",)),
     Mutant("em-search-from-the-left", "src/dpselect/mechanisms.py",
-           'side="right"',
-           'side="left"',
+           'np.searchsorted(cumulative, x, side="right")\n',
+           'np.searchsorted(cumulative, x, side="left")\n',
+           ("tests/test_mechanisms.py::TestFixedUniforms"
+            "::test_exponential_mechanism_skips_a_leading_zero_weight_at_the_cut_over[search]",)),
+    Mutant("em-count-strict", "src/dpselect/mechanisms.py",
+           "np.greater_equal(x, c, out=reached)",
+           "np.greater(x, c, out=reached)",
            ("tests/test_mechanisms.py::TestFixedUniforms"
             "::test_exponential_mechanism_skips_a_leading_zero_weight",)),
     Mutant("dominance-counts-a-violation-twice", "src/dpselect/audit.py",

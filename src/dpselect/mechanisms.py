@@ -22,6 +22,8 @@ coins tiled to rows x k, em's cumulative weights) and returns draw(rng,
 rows), which runs its own algorithm, never another's, for up to rows
 draws at once on the stream's flat arrays, one index per row; beside it,
 the values a row's widest array holds, which set a chunk's rows.
+A draw picks each row's index by column passes over the chunk up to a
+cut-over in k, by numpy's argmax or searchsorted above it, the same bits.
 ``MECHANISMS`` is derived from it under the same keys: a single draw is
 the batch sampler built and run for one row, except for
 permute-and-flip's walk and `intermediate_a`'s integer pick, separate
@@ -49,6 +51,11 @@ from .noise import NOISE_FAMILIES, RngState, floored_uniforms, samples
 # one: freeing 1 MiB here lets the chunk arrays reuse the heap.
 BATCH_ELEMENTS = 2**14
 np.empty(2**17)
+# The largest k at which a pick is contiguous column passes over a chunk,
+# not numpy's per-row argmax or searchsorted (timings in each helper); at
+# most 256, as the passes count to k - 1 in uint8
+FIRST_MAX_COLUMNS = 11
+SEARCH_COUNT_MAX_K = 128
 
 
 @dataclass(frozen=True)
@@ -59,17 +66,55 @@ class SelectionResult:
     label: str
 
 
+def _first_max(values: np.ndarray, k: int) -> np.ndarray:
+    """Per row of k entries of a flat array without NaNs, the index of its
+    first maximum, np.argmax's bits. Up to k = FIRST_MAX_COLUMNS, k column
+    passes replace a reduction per row: prefix maxima P[j] = max(P[j - 1],
+    column j) in one (k, rows) buffer, then the count of P[j] < P[k - 1],
+    the first index of the maximum as P is nondecreasing; at k = 2, one
+    comparison. us per 2^14 values (2 Xeon vCPUs, numpy 2.4; at k = 12 alg-b,
+    of half-size chunks, took 16.0 ms per 10^5 draws by passes, 15.3 by argmax):
+
+        k        2   3   4   5   6   7   8   9  10  11  12  13
+        argmax 104  78  69  59  47  49  42  41  39  36  31  30
+        passes   7  17  20  22  23  26  26  29  28  31  30  31"""
+    if k > FIRST_MAX_COLUMNS:
+        return np.argmax(values.reshape(-1, k), axis=1)
+    if k == 2:
+        return (values[1::2] > values[0::2]).view(np.int8)
+    prefix = np.empty((k, values.size // k))
+    prefix[0] = values[0::k]
+    for j in range(1, k):
+        np.maximum(prefix[j - 1], values[j::k], out=prefix[j])
+    return (prefix[:-1] < prefix[-1]).view(np.uint8).sum(axis=0, dtype=np.uint8)
+
+
+def _search_right(cumulative: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cumulative, x, side="right") over a nondecreasing
+    cumulative for x below its last value. Up to k = SEARCH_COUNT_MAX_K
+    entries, k - 1 passes of index += x >= c in uint8 replace a binary
+    search per needle; the count grows with k and the search with log k,
+    and the cut-over keeps a margin. us per 2^14 draws (as _first_max):
+
+        k        2   3   7  11  12  16  32  64 128 192 256
+        search 210 123 195 217 311 366 484 673 801 887 944
+        count    8   9  21  34  44  51 113 205 460 690 828"""
+    if cumulative.size > SEARCH_COUNT_MAX_K:
+        return np.searchsorted(cumulative, x, side="right")
+    index, reached = np.zeros(x.size, dtype=np.uint8), np.empty(x.size, dtype=bool)
+    for c in cumulative[:-1].tolist():
+        index += np.greater_equal(x, c, out=reached).view(np.uint8)
+    return index
+
+
 def _uniform_pick(mask: np.ndarray, rng: RngState, k: int) -> np.ndarray:
     """Per row of k entries of a flat mask, each row holding a True, a
-    uniform pick of a True column: the first least uniform key, less 1
-    where True (exact, keys being multiples of 2^-53 in [0, 1), and below
-    the rest). At k = 2 one column comparison stands in for numpy's
-    per-row argmin, which costs more there than the draws it reduces."""
+    uniform pick of a True column: the first maximum of mask less a
+    uniform key, the first least key among the True columns. The
+    difference is exact, keys being multiples of 2^-53 in [0, 1), so the
+    ties are those of the argmin of key - mask."""
     keys = rng.uniforms(mask.size)
-    keys -= mask
-    if k == 2:
-        return (keys[1::2] < keys[0::2]).view(np.int8)
-    return np.argmin(keys.reshape(-1, k), axis=1)
+    return _first_max(np.subtract(mask, keys, out=keys), k)
 
 
 def log_weights(inst: ValidatedInstance) -> np.ndarray:
@@ -99,7 +144,7 @@ def _report_noisy_max_batch(inst: ValidatedInstance, rows: int, kind: str) -> Ca
     def draw(rng: RngState, rows: int) -> np.ndarray:
         u = floored_uniforms(rng, rows * k)
         values = np.subtract(gamma[: u.size], noise.negated_quantile(u, out=u), out=u)
-        return np.argmax(values.reshape(rows, k), axis=1)
+        return _first_max(values, k)
 
     return draw
 
@@ -108,17 +153,18 @@ def _exponential_mechanism_batch(inst: ValidatedInstance, rows: int) -> Callable
     """The exponential mechanism: index i with probability proportional to
     exp(eps * q_i / (2 * sensitivity)), from shifted weights
     exp(rate * (q_i - max q)) so huge scores cannot overflow, by one
-    searchsorted of rows uniforms over the cumulative weights. Deliberately
+    _search_right of rows uniforms over the cumulative weights. Deliberately
     not the Gumbel-max trick: that is report-noisy-max with Gumbel noise,
     and keeping the two code paths distinct lets tests cross-check them.
     A uniform u <= 1 - 2^-53 puts u T at least T 2^-53 below the total T =
     m 2^e >= 1 (2^52 <= m < 2^53), over half an ulp or half at m = 2^52, where
-    T's lower neighbour is that close: no draw passes the last positive weight."""
+    T's lower neighbour is that close: no draw reaches T or passes the last
+    positive weight."""
     cumulative = np.cumsum(np.exp(log_weights(inst)))
 
     def draw(rng: RngState, rows: int) -> np.ndarray:
         u = rng.uniforms(rows)
-        return np.searchsorted(cumulative, np.multiply(u, cumulative[-1], out=u), side="right")
+        return _search_right(cumulative, np.multiply(u, cumulative[-1], out=u))
 
     return draw
 
@@ -205,7 +251,7 @@ def _intermediate_b_batch(inst: ValidatedInstance, rows: int) -> Callable:
     def draw(rng: RngState, rows: int) -> np.ndarray:
         u = floored_uniforms(rng, rows * 2 * k)
         capped = negated(u[0::2], out=np.empty(rows * k)) <= gamma[: rows * k]
-        return np.argmax((u[1::2] * capped).reshape(rows, k), axis=1)
+        return _first_max(u[1::2] * capped, k)
 
     return draw
 

@@ -20,7 +20,14 @@ from dpselect import (
     samples,
 )
 from dpselect.core import ProbabilityTable
-from dpselect.mechanisms import BATCH_SAMPLERS, log_weights
+from dpselect.mechanisms import (
+    BATCH_SAMPLERS,
+    FIRST_MAX_COLUMNS,
+    SEARCH_COUNT_MAX_K,
+    _first_max,
+    _search_right,
+    log_weights,
+)
 from dpselect.noise import NOISE_FAMILIES
 
 from helpers import SMALLEST_EPSILON, FixedUniforms, instances, make_instance, sampled_verdict
@@ -235,6 +242,10 @@ class TestRegimeGolden:
         assert list(self.DIGESTS) == list(self.KS)
         assert all(sorted(table) == MECHANISM_NAMES for table in self.DIGESTS.values())
 
+    def test_covers_each_side_of_each_cut_over(self):
+        cut_overs = (FIRST_MAX_COLUMNS, SEARCH_COUNT_MAX_K)
+        assert {k + step for k in cut_overs for step in (0, 1)} <= set(self.KS)
+
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("name", MECHANISM_NAMES)
     def test_seeded_batch_counts_unchanged(self, name, k):
@@ -422,6 +433,38 @@ class TestSeededReplay:
         assert result.index == max(survivors, key=lambda i: (capped[i] + draws[2 * i + 1], -i))
 
 
+class TestColumnPicks:
+    """_first_max and _search_right give the bits of the numpy calls they
+    stand in for at small k, np.argmax per row and np.searchsorted to the
+    right, on both sides of their cut-overs."""
+
+    @pytest.mark.parametrize("k", range(1, FIRST_MAX_COLUMNS + 3))
+    def test_first_max_is_the_first_argmax(self, k):
+        gen = np.random.default_rng(k)
+        # few distinct values, so most rows tie at their maximum
+        tied = gen.choice([-np.inf, -1.0, -0.0, 0.0, 0.5], size=(3000, k))
+        tied[:5] = np.array([[0.5], [-np.inf], [-0.0], [0.0], [0.0]])  # all-equal rows
+        tied[3, ::2] = tied[4, 1::2] = -0.0  # zeros of alternating signs
+        for values in (tied, gen.standard_normal((3000, k)), tied[:1], tied[4:5]):
+            expected = np.argmax(values, axis=1).tolist()
+            assert _first_max(values.ravel(), k).tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, SEARCH_COUNT_MAX_K, SEARCH_COUNT_MAX_K + 1])
+    def test_search_right_is_searchsorted(self, k):
+        gen = np.random.default_rng(k)
+        # weights 0 repeat a cumulative value, at the start, in the middle
+        # and at the end; the sampler's x stay below the total
+        weights = np.where(gen.random(k) < 0.3, 0.0, gen.uniform(0.0, 2.0, k))
+        weights[0], weights[k // 2] = 0.0, 1.0
+        cumulative = np.cumsum(weights)
+        thresholds = cumulative[:-1]
+        x = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                            np.nextafter(thresholds, np.inf), gen.uniform(0.0, cumulative[-1], 3000)])
+        x = x[x < cumulative[-1]]
+        expected = np.searchsorted(cumulative, x, side="right").tolist()
+        assert _search_right(cumulative, x).tolist() == expected
+
+
 class TestIntermediateBTieBreak:
     """alg-b breaks ties by each outcome's floored uniform u, where the
     censored-noise algorithm takes a second exponential draw, -log1p(-u),
@@ -484,6 +527,14 @@ class TestFixedUniforms:
         inst = make_instance([0.0, 0.0])
         assert batch_draw(name, inst, FixedUniforms(0.0), 4) == [0] * 4
 
+    @pytest.mark.parametrize("k", [3, FIRST_MAX_COLUMNS, FIRST_MAX_COLUMNS + 1])
+    @pytest.mark.parametrize("name", ["pf", "alg-a"])
+    def test_equal_keys_keep_the_lowest_kept_index(self, name, k):
+        # outcome 0 of weight 0 is never kept, the rest are, and every order
+        # key is 0: outcome 1 wins each tie, in columns and by argmax
+        inst = make_instance(self.ZERO_FIRST + [0.0] * (k - 2))
+        assert batch_draw(name, inst, FixedUniforms(0.0), 4) == [1] * 4
+
     def test_intermediate_b_zero_tie_break_still_beats_the_masked_out(self):
         # outcome 0 is masked out below the cap and outcome 1, the only one
         # to hit it, draws a tie-break uniform of 0: floored to 2^-53, it
@@ -493,6 +544,12 @@ class TestFixedUniforms:
 
     def test_exponential_mechanism_skips_a_leading_zero_weight(self):
         inst = make_instance(self.ZERO_FIRST)
+        assert batch_draw("em", inst, FixedUniforms(0.0), 2) == [1] * 2
+
+    @pytest.mark.parametrize("k", [SEARCH_COUNT_MAX_K, SEARCH_COUNT_MAX_K + 1],
+                             ids=["count", "search"])
+    def test_exponential_mechanism_skips_a_leading_zero_weight_at_the_cut_over(self, k):
+        inst = make_instance(self.ZERO_FIRST + [0.0] * (k - 2))
         assert batch_draw("em", inst, FixedUniforms(0.0), 2) == [1] * 2
 
     @pytest.mark.parametrize("k", [2, 4, 8])

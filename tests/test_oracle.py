@@ -37,7 +37,8 @@ from dpselect.errors import (
 from dpselect import oracle
 from dpselect.oracle import BATCH_ELEMENTS, EXACT_ORACLES, FACTORS, exact_tables
 
-from dpselect.mechanisms import log_weights
+from dpselect import mechanisms
+from dpselect.mechanisms import BATCH_SAMPLERS, FIRST_MAX_COLUMNS, SEARCH_COUNT_MAX_K, log_weights
 from helpers import draw_counts, instances, make_instance, rational_coin_game, sampled_verdict
 
 EXACT_FNS = [pf_exact_distribution, rnm_expo_exact_distribution, em_exact_distribution]
@@ -1225,11 +1226,13 @@ class TestScalarAndBatchPaths:
 
 
 class TestSamplingMemory:
-    """No uniform request of an empirical_counts chunk holds more than
-    BATCH_ELEMENTS doubles, 128 KiB, glibc's default mmap threshold: a
-    chunk's rows times its widest row, 2k draws for alg-b, stay within it.
-    alg-b's stream does not depend on its chunk size, so no seeded count
-    shows a chunk that is too wide."""
+    """No uniform request of an empirical_counts chunk, and no array the
+    sampler's numpy calls take or make, holds more than BATCH_ELEMENTS
+    values, 128 KiB of doubles, glibc's default mmap threshold: a chunk's
+    rows times its widest row, 2k draws for alg-b, stay within it. alg-b's
+    stream does not depend on its chunk size, so no seeded count shows a
+    chunk that is too wide. The peak traced memory of 50 chunks is that of
+    2, within one chunk's bytes."""
 
     @pytest.mark.parametrize("k", [2, 9, 256])
     @pytest.mark.parametrize("name", sorted(MECHANISMS))
@@ -1245,6 +1248,57 @@ class TestSamplingMemory:
         n = BATCH_ELEMENTS + 1
         assert sum(empirical_counts(name, _spread_instance(k, 1.0, seed=k), n, seed=3)) == n
         assert len(sizes) > 1 and max(sizes) <= BATCH_ELEMENTS, max(sizes)
+
+    # k = 3, the last k of each pick by column passes, and 256
+    MEMORY_KS = [3, FIRST_MAX_COLUMNS, SEARCH_COUNT_MAX_K, 256]
+
+    @staticmethod
+    def chunk_rows(name, k):
+        return max(1, BATCH_ELEMENTS // BATCH_SAMPLERS[name][1](k))
+
+    @pytest.mark.parametrize("k", MEMORY_KS)
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_peak_memory_flat_in_the_number_of_chunks(self, name, k):
+        inst, rows = _spread_instance(k, 1.0, seed=k), self.chunk_rows(name, k)
+        empirical_counts(name, inst, 1, seed=3)  # first-call allocations
+        peaks = []
+        for chunks in (2, 50):
+            tracemalloc.start()
+            try:
+                assert sum(empirical_counts(name, inst, chunks * rows, seed=3)) == chunks * rows
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= BATCH_ELEMENTS * 8, peaks
+
+    @pytest.mark.parametrize("k", MEMORY_KS)
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_no_array_of_a_chunk_exceeds_batch_elements(self, monkeypatch, name, k):
+        """Every array a numpy function in mechanisms.py takes or returns
+        while drawing two chunks, each counted whole where it is a view."""
+        sizes = []
+
+        class RecordingNumpy:
+            def __getattr__(self, attr):
+                value = getattr(np, attr)
+                if not callable(value) or isinstance(value, type):
+                    return value
+
+                def call(*args, **kwargs):
+                    result = value(*args, **kwargs)
+                    for a in (*args, *kwargs.values(), result):
+                        while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                            a = a.base
+                        if isinstance(a, np.ndarray):
+                            sizes.append(a.size)
+                    return result
+
+                return call
+
+        monkeypatch.setattr(mechanisms, "np", RecordingNumpy())
+        rows = self.chunk_rows(name, k)
+        empirical_counts(name, _spread_instance(k, 1.0, seed=k), 2 * rows, seed=3)
+        assert sizes and max(sizes) <= BATCH_ELEMENTS, max(sizes)
 
 
 # (mechanism, mode) -> provenance and direct route of the table table_for

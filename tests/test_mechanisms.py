@@ -452,8 +452,8 @@ class TestColumnPicks:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, SEARCH_COUNT_MAX_K, SEARCH_COUNT_MAX_K + 1])
     def test_search_right_is_searchsorted(self, k):
         gen = np.random.default_rng(k)
-        # weights 0 repeat a cumulative value, at the start, in the middle
-        # and at the end; the sampler's x stay below the total
+        # each weight 0 repeats a cumulative value, the first always and
+        # others at random; the sampler's x stay below the total
         weights = np.where(gen.random(k) < 0.3, 0.0, gen.uniform(0.0, 2.0, k))
         weights[0], weights[k // 2] = 0.0, 1.0
         cumulative = np.cumsum(weights)

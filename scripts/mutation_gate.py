@@ -261,6 +261,19 @@ MUTANTS = (
            "def main(argv: list[str] | None = None) -> int:\n",
            "def main(argv: list[str] | None = None) -> int:\n    gc.freeze()\n",
            ("tests/test_cli.py::TestFrozenImportHeap::test_main_freezes_nothing",)),
+    Mutant("empirical-counts-accepts-zero-runs", "src/dpselect/oracle.py",
+           "if n < 1:",
+           "if n < 0:",
+           ("tests/test_oracle.py::TestEmpirical::test_zero_runs_rejected",
+            "tests/test_cli.py::TestDist::test_empirical_without_a_run_exits_two")),
+    Mutant("chi-square-accepts-a-count-of-minus-one", "src/dpselect/oracle.py",
+           "any(c < 0 for c in counts)",
+           "any(c < -1 for c in counts)",
+           ("tests/test_oracle.py::TestChiSquareGof::test_negative_or_no_counts_rejected",)),
+    Mutant("expected-loss-lets-fsum-overflow-through", "src/dpselect/audit.py",
+           "    except OverflowError:\n        plain = math.inf\n",
+           "    except ZeroDivisionError:\n        plain = math.inf\n",
+           ("tests/test_audit.py::TestExpectedError::test_sum_that_overflows_in_fsum_is_inf",)),
 )
 
 

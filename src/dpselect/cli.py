@@ -45,12 +45,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .audit import dominance_check, privacy_ratio_audit, random_instances
 from .core import PrivacyParams, validate_instance
 from .errors import DpSelectError
-from .formats import (
-    audit_report_to_dict,
-    load_neighbor_pairs,
-    load_quality_vector,
-    write_json,
-)
+from .formats import load_neighbor_pairs, load_quality_vector, write_json
 from .mechanisms import MECHANISMS
 from .noise import RngState
 from .oracle import (
@@ -143,13 +138,9 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, dict | None]:
     pairs = load_neighbor_pairs(args.pairs)
     params = PrivacyParams(args.epsilon, args.sensitivity)
     report = privacy_ratio_audit(args.mechanism, pairs, params)
-    return {
-        "mechanism": args.mechanism,
-        "pairs": len(pairs),
-        "bound": report.bound,
-        "worst_ratio": report.worst_ratio,
-        "pass": report.passed,
-    }, audit_report_to_dict(report)
+    verdict = {"bound": report.bound, "worst_ratio": report.worst_ratio, "pass": report.passed}
+    return ({"mechanism": args.mechanism, "pairs": len(pairs), **verdict},
+            {**verdict, "per_pair": [asdict(r) for r in report.per_pair]})
 
 
 def cmd_utility(args: argparse.Namespace) -> tuple[dict, dict | None]:

@@ -10,11 +10,9 @@ error types from the core constructors.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from .audit import AuditReport
 from .core import NeighborPair, QualityVector
 from .errors import MalformedInputFile
 
@@ -91,13 +89,3 @@ def write_json(record: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-
-
-def audit_report_to_dict(report: AuditReport) -> dict:
-    """asdict(report) with "passed" renamed "pass", in the file's key order."""
-    return {
-        "bound": report.bound,
-        "worst_ratio": report.worst_ratio,
-        "pass": report.passed,
-        "per_pair": [asdict(r) for r in report.per_pair],
-    }

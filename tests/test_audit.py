@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestExpectedError:
         best = inst.quality.best_score
         plain = math.fsum(p * (best - s) for p, s in zip(table.probabilities, inst.quality.scores))
         assert expected_error(inst, table) == plain
+
+    def test_sum_that_overflows_in_fsum_is_inf(self):
+        # each loss is (0.5 + 4e-10) * DBL_MAX, finite, but their sum is not:
+        # fsum raises "intermediate overflow", and the halved losses give inf
+        inst = make_instance([0.0, -sys.float_info.max, -sys.float_info.max])
+        table = ProbabilityTable(inst.quality.labels, (0.0, 0.5 + 4e-10, 0.5 + 4e-10), "x")
+        with pytest.raises(OverflowError):
+            math.fsum(p * -s for p, s in zip(table.probabilities, inst.quality.scores))
+        assert expected_error(inst, table) == math.inf
 
     @pytest.mark.parametrize("shift", [-250.0, 250.0])
     def test_shift_invariant(self, shift):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from dpselect import (
     chi_square_gof,
     empirical_counts,
     formats,
+    privacy_ratio_audit,
     rnm_expo_exact_distribution,
     validate_instance,
 )
@@ -19,6 +22,7 @@ from dpselect.cli import main
 from helpers import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -135,6 +139,14 @@ class TestDist:
         assert code == 0
         assert sorted(record["probabilities"]) == [0.0, 1.0]
         assert record["provenance"] == "empirical(n=1,seed=3)"
+
+    def test_empirical_without_a_run_exits_two(self, capsys, scores_file):
+        code, record, err = run(
+            capsys, "dist", "--mechanism", "pf", "--epsilon", "2",
+            "--sensitivity", "1", "--scores", scores_file, "--mode", "empirical", "--n", "0",
+        )
+        assert (code, record) == (2, None)
+        assert err == "error: ValueError: need at least one run, got n=0\n"
 
     def test_quadrature_mode(self, capsys, scores_file):
         code, record, _ = run(
@@ -345,9 +357,14 @@ class TestAudit:
         assert code == 0
         assert record["worst_ratio"] == pytest.approx(2.71828, abs=1e-5)
         assert record["pass"] is True
-        report = json.loads(out.read_text())
-        assert report["pass"] is True
-        assert report["per_pair"][0]["ratio"] == pytest.approx(math.e, rel=1e-9)
+        # the --out file holds the whole report at full precision, under these four keys
+        report = privacy_ratio_audit("em", formats.load_neighbor_pairs(pairs_file),
+                                     PrivacyParams(2.0, 1.0))
+        saved = json.loads(out.read_text())
+        assert list(saved) == ["bound", "worst_ratio", "pass", "per_pair"]
+        assert saved == {"bound": report.bound, "worst_ratio": report.worst_ratio,
+                         "pass": report.passed, "per_pair": [asdict(r) for r in report.per_pair]}
+        assert saved["per_pair"][0]["ratio"] == pytest.approx(math.e, rel=1e-9)
 
     def test_identical_pair_ratio_one(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"
@@ -624,6 +641,57 @@ class TestModuleInvocation:
         assert (tmp_path / "module.json").is_file() == written
         if written:
             assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def _compared(second, tv, passed):
+    """The record of `compare --mechanism pf --mechanism <second>` in exact mode."""
+    return {"mechanisms": ["pf", second], "mode": "exact", "tv_distance": tv,
+            "tolerance": 1e-08, "pass": passed,
+            "provenances": ["exact-poisson-binomial",
+                            "exact-gauss-legendre" if second == "rnm-expo" else "exact-closed-form"]}
+
+
+# README's command-line examples on its scores.json: each command as
+# documented, the exit code and the whole record it prints
+README_COMMANDS = [
+    pytest.param("dpselect select --mechanism pf --epsilon 2 --sensitivity 1 --seed 7 "
+                 "--scores scores.json", 0, {"label": "a", "index": 0}, id="select"),
+    pytest.param("dpselect dist --mechanism em --epsilon 2 --sensitivity 1 --scores scores.json",
+                 0, {"labels": ["a", "b"], "probabilities": [0.731058579, 0.268941421],
+                     "provenance": "exact-closed-form"}, id="dist"),
+    pytest.param("dpselect compare --mechanism pf --mechanism rnm-expo --epsilon 2 "
+                 "--sensitivity 1 --scores scores.json",
+                 0, _compared("rnm-expo", 1.2490009e-16, True), id="compare-rnm-expo"),
+    pytest.param("dpselect compare --mechanism pf --mechanism em --epsilon 2 "
+                 "--sensitivity 1 --scores scores.json",
+                 3, _compared("em", 0.0850017008, False), id="compare-em"),
+]
+
+
+class TestReadme:
+    """README's examples run as documented. The installed-package run
+    repeats these through the installed `python -m dpselect`."""
+
+    def test_library_sketch_runs(self):
+        (sketch,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        exec(compile(sketch, "README library sketch", "exec"), {})
+
+    @pytest.mark.parametrize("command, code, record", README_COMMANDS)
+    def test_command_prints_the_documented_record(self, tmp_path, command, code, record):
+        """The README shows each command with the record it prints, or a
+        compare with its TV distance at 2 significant digits and its exit
+        code; the command prints the whole record and exits as listed."""
+        shown = (f"# tv {record['tv_distance']:.2g}, exit {code}" if "tv_distance" in record
+                 else json.dumps(record))
+        text = README.read_text(encoding="utf-8")
+        # continuation lines joined, every run of white space one space
+        assert f"{command} {shown}" in " ".join(text.replace("\\\n", " ").split())
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"labels": ["a", "b"], "scores": [1, 0]}))
+        argv = [str(scores) if a == "scores.json" else a for a in command.split()[1:]]
+        proc = run_python("-m", "dpselect", *argv)
+        got = json.loads(proc.stdout) if proc.returncode in (0, 3) else proc.stderr
+        assert (proc.returncode, got) == (code, record)
 
 
 # Makes scipy unimportable and records every attempt to import it, then

@@ -8,6 +8,7 @@ from dpselect import (
     PrivacyParams,
     ProbabilityTable,
     QualityVector,
+    ValidatedInstance,
     sensitivity_from_pairs,
     validate_instance,
 )
@@ -69,9 +70,22 @@ class TestValidateInstance:
         with pytest.raises(NonFiniteScore, match="'b'"):
             QualityVector(("a", "b"), (0, bad))
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(LabelMismatch, match="1 labels for 2 scores"):
+            QualityVector(("a",), (1.0, 2.0))
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabel):
             QualityVector(("a", "a"), (0.0, 1.0))
+
+
+class TestValidatedInstance:
+    def test_parts_of_the_wrong_type_rejected(self):
+        quality, params = QualityVector(("a",), (0.0,)), PrivacyParams(1.0, 1.0)
+        with pytest.raises(TypeError, match="quality must be a QualityVector"):
+            ValidatedInstance("q", params)
+        with pytest.raises(TypeError, match="params must be a PrivacyParams"):
+            ValidatedInstance(quality, (1.0, 1.0))
 
 
 class TestPrivacyParams:
@@ -154,6 +168,10 @@ class TestQualityVector:
 
 
 class TestNeighborPair:
+    def test_vectors_of_the_wrong_type_rejected(self):
+        with pytest.raises(TypeError, match="q1 and q2 must be QualityVectors"):
+            NeighborPair("a", "b")
+
     def test_label_mismatch_rejected(self):
         with pytest.raises(LabelMismatch):
             NeighborPair(
@@ -163,6 +181,14 @@ class TestNeighborPair:
 
 
 class TestProbabilityTable:
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(LabelMismatch, match="1 labels for 2 probabilities"):
+            ProbabilityTable(("a",), (0.5, 0.5), "x")
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(EmptyOutcomeSet):
+            ProbabilityTable((), (), "x")
+
     def test_tiny_negative_entry_clamped(self):
         table = ProbabilityTable(("a", "b"), (1.0 + 5e-13, -5e-13), "exact-closed-form")
         assert table.probabilities == (1.0, 0.0)

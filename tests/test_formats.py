@@ -3,23 +3,11 @@ from dataclasses import asdict
 
 import pytest
 
-from dpselect import (
-    NeighborPair,
-    PrivacyParams,
-    QualityVector,
-    dominance_check,
-    em_exact_distribution,
-    privacy_ratio_audit,
-)
+from dpselect import dominance_check, em_exact_distribution
 from dpselect.errors import DuplicateLabel, MalformedInputFile, NonFiniteScore
 from dpselect import formats
 
 from helpers import make_instance
-
-
-@pytest.fixture
-def qv():
-    return QualityVector(("a", "b"), (1.0, 0.0))
 
 
 class TestQualityVectorFiles:
@@ -86,18 +74,6 @@ class TestProbabilityTableFiles:
 
 
 class TestReportFiles:
-    def test_audit_report_written_in_full(self, qv, tmp_path):
-        report = privacy_ratio_audit(
-            "em",
-            [NeighborPair(qv, QualityVector(("a", "b"), (0.0, 1.0)))],
-            PrivacyParams(2.0, 1.0),
-        )
-        path = tmp_path / "audit.json"
-        formats.write_json(formats.audit_report_to_dict(report), path)
-        raw = json.loads(path.read_text())
-        assert raw == formats.audit_report_to_dict(report)
-        assert set(raw) == {"bound", "worst_ratio", "pass", "per_pair"}
-
     def test_utility_report_written_in_full(self, tmp_path):
         report = dominance_check([make_instance([1.0, 0.0], epsilon=2.0)])
         path = tmp_path / "utility.json"

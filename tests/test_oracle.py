@@ -448,12 +448,28 @@ class TestPfBeyondEnumeration:
     def test_within_1e_15_of_rational_coin_game(self, k, epsilon):
         """Against the coin game in exact rationals, P(i) = p_i * E_i by
         rational_coin_game from the same float p_i: within 1e-15 per entry.
-        Measured: 2.6e-16. CI runs the same comparison at k = 128."""
+        Measured: 2.6e-16. test_k128_within_1e_15_and_386u_of_rational_coin_game
+        makes the same comparison at k = 128."""
         inst = _spread_instance(k, epsilon, seed=k + 1)
         p = np.exp(log_weights(inst))
         table = pf_exact_distribution(inst).probabilities
         exact = [Fraction(float(p_i)) * e for p_i, e in zip(p, rational_coin_game(p))]
         assert max(abs(Fraction(x) - e) for x, e in zip(table, exact, strict=True)) <= 1e-15
+
+    def test_k128_within_1e_15_and_386u_of_rational_coin_game(self):
+        """At k = 128, one rational_coin_game call (about 3 s) against both
+        exact routes: pf_exact_distribution and rnm_expo_exact_distribution
+        within 1e-15 per entry, and pf within its stated (3k + 2)u = 386u
+        relative, u = 2^-53; every p_i >= e^-5, so no entry is subnormal.
+        Measured: at most 3.2e-17 and 9.9u."""
+        inst = _spread_instance(128, 1.0, seed=128)
+        p = np.exp(log_weights(inst))
+        exact = [Fraction(float(p_i)) * e for p_i, e in zip(p, rational_coin_game(p), strict=True)]
+        pf = pf_exact_distribution(inst).probabilities
+        for table in (pf, rnm_expo_exact_distribution(inst).probabilities):
+            assert max(abs(Fraction(x) - e) for x, e in zip(table, exact, strict=True)) <= 1e-15
+        relative = max(abs(Fraction(x) - e) / e for x, e in zip(pf, exact, strict=True))
+        assert relative * 2**53 <= 3 * 128 + 2
 
     @pytest.mark.parametrize("scores", [
         pytest.param([0.0] * 256, id="k256-ties"),
@@ -1149,6 +1165,10 @@ class TestEmpirical:
         with pytest.raises(ValueError, match="'alg-a', 'alg-b', 'em'"):
             empirical_counts("pf", make_instance([0.0, 0.0]), 1e3, seed=0)
 
+    def test_zero_runs_rejected(self):
+        with pytest.raises(ValueError, match="need at least one run, got n=0"):
+            empirical_counts("pf", make_instance([0.0, 0.0]), 0, 1)
+
 
 # the exact table each mechanism's samples are tested against, as in the
 # sample-verify benchmark: the equivalences under test make pf the reference
@@ -1456,6 +1476,15 @@ class TestChiSquareGof:
         assert possible.degrees_of_freedom == dof
         assert result.detectable_divergence == possible.detectable_divergence
         assert (result.detectable_divergence is None) == (dof == 0)
+
+    @pytest.mark.parametrize("counts, message", [
+        ([-1, 101], "counts must be nonnegative"),
+        ([0, 0], "need at least one observation"),
+    ], ids=["negative", "all-zero"])
+    def test_negative_or_no_counts_rejected(self, counts, message):
+        expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")
+        with pytest.raises(ValueError, match=message):
+            chi_square_gof(counts, expected, 0.001)
 
     def test_count_length_mismatch(self):
         expected = ProbabilityTable(("a", "b"), (0.5, 0.5), "exact-closed-form")

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts on tiny grids, so a change to the
-public names they import cannot break them unnoticed."""
+"""Runs of the experiment scripts: smoke runs on tiny grids, so a change to
+the public names they import cannot break them unnoticed, and the verdicts
+of both default grids, as README reports them."""
 
 import json
 import os
@@ -70,6 +71,26 @@ def test_utility_experiment():
         assert row["dominance_violations"] == 0
         # pf's largest advantage over em: positive when pf dominates
         assert row["largest_em_minus_pf"] > 0.0
+
+
+def test_equivalence_experiment_default_grid():
+    """eps in {0.1, 1, 4} by ten k up to 256: both rnm-expo routes within
+    1e-8 of the DP in every row, and the 60 seeded chi-square verdicts of
+    alg-a and alg-b at 0.001 pass. Measured: TVs at most 2.2e-15 (exact) and
+    2.5e-13 (quadrature), smallest p-value 0.022; about 6 s."""
+    rows = run_script("equivalence_experiment.py")
+    assert len(rows) == 30
+    assert {32, 64, 128, 256} <= {r["k"] for r in rows}
+    for row in rows:
+        assert row["worst_exact_tv"] <= 1e-8
+        assert row["worst_quadrature_tv"] <= 1e-8
+        assert min(row["chi_square_p_alg_a"], row["chi_square_p_alg_b"]) >= 0.001
+
+
+def test_utility_experiment_default_grid():
+    rows = run_script("utility_experiment.py")
+    assert len(rows) == 7
+    assert [r["dominance_violations"] for r in rows] == [0] * 7
 
 
 @pytest.mark.parametrize("name,flag", [

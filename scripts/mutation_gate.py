@@ -3,8 +3,9 @@
 Each mutant replaces one piece of text, which must occur exactly once in
 its file, and names the tests that must fail once it is applied. The
 named tests are first run on an unmutated copy, where they must pass.
-Then, per mutant, src/ (with tests/ and pyproject.toml, so that the tests
-import the copy) goes to a temporary directory, the mutant is applied
+Then, per mutant, src/ (with tests/, scripts/, pyproject.toml and
+README.md, so that the tests import the copy and the script and README
+tests find their files) goes to a temporary directory, the mutant is applied
 there and pytest runs its tests, stopping at the first failure. A mutant
 is killed when a test fails, survives when they all pass, and is stale
 when its text no longer occurs exactly once or its tests do not run.
@@ -47,12 +48,12 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("pf-log-pads-always-kept", "src/dpselect/oracle.py",
-           "gamma = np.full((len(chunk), width), -np.inf)",
-           "gamma = np.full((len(chunk), width), 0.0)",
+           "gamma = np.full((len(rows), max(counts)), -np.inf)",
+           "gamma = np.full((len(rows), max(counts)), 0.0)",
            ("tests/test_oracle.py::TestLogTables::test_batch_equals_single_calls_bit_for_bit",)),
     Mutant("gauss-legendre-one-node-short", "src/dpselect/oracle.py",
-           "t, w = _legendre_nodes(k // 2 + 1)",
-           "t, w = _legendre_nodes(k // 2)",
+           "ms = [k // 2 + 1 for k in counts]",
+           "ms = [k // 2 for k in counts]",
            ("tests/test_oracle.py::TestRnmExpoExact::test_single_outcome",)),
     Mutant("coin-game-sums-ascending", "src/dpselect/oracle.py",
            "    pre = laws[:width, 0, :, ::-1]\n"
@@ -134,9 +135,14 @@ MUTANTS = (
            "np.subtract(log_p1, log_p2,",
            "np.subtract(log_p1, log_p1,",
            ("tests/test_audit.py::TestPrivacyRatioAudit::test_em_swap_pair",)),
+    Mutant("audit-gap-without-mask", "src/dpselect/audit.py",
+           "out=np.zeros(log_p1.shape), where=log_p1 != log_p2)",
+           "out=np.zeros(log_p1.shape))",
+           ("tests/test_audit.py::TestPrivacyRatioAudit"
+            "::test_mixed_k_pairs_read_their_own_rows",)),
     Mutant("dominance-takes-the-pf-error-from-em", "src/dpselect/audit.py",
-           'exact_tables("pf", instances)',
-           'exact_tables("em", instances)',
+           '_padded_tables(("pf", "em"), instances, log=False)',
+           '_padded_tables(("em", "em"), instances, log=False)',
            ("tests/test_audit.py::TestDominance::test_two_point_values",)),
     Mutant("alg-b-tie-break-from-the-score-noise", "src/dpselect/mechanisms.py",
            "_first_max(u[1::2] * capped, k)",
@@ -205,13 +211,17 @@ MUTANTS = (
            "violations += 2",
            ("tests/test_audit.py::TestDominance::test_violations_counted_once_per_instance",)),
     Mutant("rnm-expo-factor-from-the-coin-game", "src/dpselect/oracle.py",
-           "lambda gamma, w: _win_integrals(gamma),",
-           "lambda gamma, w: _coin_game(w),",
+           "lambda gamma, w, counts: _win_integrals(gamma, counts),",
+           "lambda gamma, w, counts: _coin_game(w),",
            ("tests/test_oracle.py::TestGaussLegendreRoundingBound"
             "::test_log_tables_read_these_integrals_bit_for_bit",)),
-    Mutant("gauss-legendre-chunks-ignore-the-node-count", "src/dpselect/oracle.py",
-           "lambda k: k // 2,",
-           "lambda k: 0,",
+    Mutant("gauss-legendre-rows-take-the-largest-node-count", "src/dpselect/oracle.py",
+           "nodes[:, row, :n] = _legendre_nodes(n)",
+           "nodes[:, row] = _legendre_nodes(m)",
+           ("tests/test_oracle.py::TestLogTables::test_batch_equals_single_calls_bit_for_bit",)),
+    Mutant("gauss-legendre-pad-node-weighs", "src/dpselect/oracle.py",
+           "nodes = np.zeros((2, rows, m))",
+           "nodes = np.array([np.zeros((rows, m)), np.ones((rows, m))])",
            ("tests/test_oracle.py::TestLogTables::test_batch_equals_single_calls_bit_for_bit",)),
     Mutant("em-factor-drops-its-last-weight", "src/dpselect/oracle.py",
            "np.add.accumulate(w, axis=1)",
@@ -253,6 +263,10 @@ MUTANTS = (
            "        if saved is not None and args.out:\n"
            "            write_json(saved, args.out)\n",
            ("tests/test_cli.py::TestExitCodeContract::test_out_file_is_written_before_the_record",)),
+    Mutant("cli-prints-eight-significant-digits", "src/dpselect/cli.py",
+           'return float(f"{obj:.9g}")',
+           'return float(f"{obj:.8g}")',
+           ("tests/test_cli.py::TestReadme::test_command_prints_the_documented_record",)),
     Mutant("entrypoint-collects-its-imports", "src/dpselect/cli.py",
            "    gc.freeze()\n",
            "",
@@ -291,10 +305,11 @@ def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
     the mutant applied unless it is None."""
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
         copy = Path(tmp)
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "scripts"):
             shutil.copytree(ROOT / tree, copy / tree,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy)
         if mutant is not None:
             path = copy / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))

@@ -1,7 +1,7 @@
 """Executable verification of the privacy guarantee and the utility
-dominance claim, built on the exact tables of oracle.FACTORS' routes
-(oracle.exact_tables): the audit reads their log tables, the dominance
-check their linear ones.
+dominance claim, built on the exact tables of oracle.FACTORS' routes,
+each batch's in one padded pass (oracle._padded_tables): the audit reads
+their log tables, the dominance check their linear ones.
 
 Privacy auditing works only through exact output distributions: Monte
 Carlo estimates of per-outcome probability ratios produce false alarms at
@@ -37,7 +37,7 @@ from .errors import (
     LabelMismatch,
     PairExceedsSensitivity,
 )
-from .oracle import exact_tables
+from .oracle import _padded_tables
 
 # multiplicative slack on the e^eps bound, absorbing oracle round-off
 RATIO_SLACK = 1e-9
@@ -86,15 +86,18 @@ def privacy_ratio_audit(oracle: str, pairs: Sequence[NeighborPair],
     output distributions against the e^eps bound, over the given pairs.
 
     oracle names a mechanism with an exact oracle: one of "pf", "rnm-expo",
-    "em"; exact_tables raises UnsupportedOracle on any other name, after the
+    "em"; _padded_tables raises UnsupportedOracle on any other name, after the
     pairs are checked. Every pair must stay within the declared sensitivity
     per outcome; a violating pair is rejected, not silently skipped. Both
-    tables of every pair come from one batched exact_tables call in log
-    space, each mechanism's from its own route, and a pair's ratio is exp of
-    its largest |log p1 - log p2|, so the check is direction-symmetric. The
-    verdict compares the largest gap with eps + log1p(RATIO_SLACK), so it
-    holds where e^eps overflows a double (the bound then reads inf). The
-    report lists pairs in input order.
+    tables of every pair are rows of one padded matrix of log tables, from
+    the mechanism's own route in one _padded_tables pass. A few whole-matrix
+    passes take each pair's gaps |log p1 - log p2| where the two differ and
+    0 elsewhere, so pads and outcomes impossible under both datasets read
+    0, then its first largest gap, and its ratio is exp of that gap, so
+    the check is direction-symmetric. The verdict compares the largest gap
+    with eps + log1p(RATIO_SLACK), so it holds where e^eps overflows a
+    double (the bound then reads inf). The report lists pairs in input
+    order.
     """
     pairs = list(pairs)
     if not pairs:
@@ -108,17 +111,16 @@ def privacy_ratio_audit(oracle: str, pairs: Sequence[NeighborPair],
             raise PairExceedsSensitivity(f"pair {pair_index} deviates by {deviation!r}, "
                                          f"declared sensitivity is {params.sensitivity!r}")
     instances = [validate_instance(q, params) for pair in pairs for q in (pair.q1, pair.q2)]
-    tables = exact_tables(oracle, instances, log=True)
-    per_pair = []
-    worst_gap = 0.0
+    (tables,) = _padded_tables((oracle,), instances, log=True)
+    log_p1, log_p2 = tables[::2], tables[1::2]
+    # an outcome neither dataset can produce, and a pad, is -inf on both sides: gap 0
+    gap = np.abs(np.subtract(log_p1, log_p2, out=np.zeros(log_p1.shape), where=log_p1 != log_p2))
+    worst, gaps = np.argmax(gap, axis=1), gap.max(axis=1)
     with np.errstate(over="ignore"):  # a gap above 709.78 is ratio inf
-        for pair_index, (pair, log_p1, log_p2) in enumerate(zip(pairs, tables[::2], tables[1::2])):
-            # an outcome neither dataset can produce is -inf on both sides: gap 0
-            gap = np.abs(np.subtract(log_p1, log_p2, out=np.zeros(len(log_p1)),
-                                     where=log_p1 != log_p2))
-            worst = int(np.argmax(gap))
-            worst_gap = max(worst_gap, float(gap[worst]))
-            per_pair.append(PairAudit(pair_index, pair.q1.labels[worst], float(np.exp(gap[worst]))))
+        ratios = np.exp(gaps)
+    per_pair = [PairAudit(pair_index, pair.q1.labels[index], ratio)
+                for pair_index, (pair, index, ratio)
+                in enumerate(zip(pairs, worst.tolist(), ratios.tolist()))]
 
     try:
         bound = math.exp(params.epsilon)
@@ -126,9 +128,9 @@ def privacy_ratio_audit(oracle: str, pairs: Sequence[NeighborPair],
         bound = math.inf
     return AuditReport(
         per_pair=tuple(per_pair),
-        worst_ratio=max(record.ratio for record in per_pair),
+        worst_ratio=float(ratios.max()),
         bound=bound,
-        passed=worst_gap <= params.epsilon + math.log1p(RATIO_SLACK),
+        passed=float(gaps.max()) <= params.epsilon + math.log1p(RATIO_SLACK),
     )
 
 
@@ -146,17 +148,18 @@ def dominance_check(instances: Sequence[ValidatedInstance]) -> UtilityReport:
     """Compare exact expected errors of permute-and-flip and the
     exponential mechanism per instance; count instances where
     permute-and-flip comes out worse beyond the 1e-9 slack. Both errors of
-    every instance come from one batched exact_tables call per mechanism,
-    at every k, the linear tables that pf_exact_distribution and
-    em_exact_distribution read bit for bit. An error above DBL_MAX raises
+    every instance come from one _padded_tables pass for pf and em
+    together, which shares the log weights, at every k: the linear tables
+    that pf_exact_distribution and em_exact_distribution read bit for bit,
+    padded with zeros that no loss reads. An error above DBL_MAX raises
     ValueError. An empty suite is rejected: it would pass without checking
     anything."""
     if len(instances) == 0:
         raise ValueError("need at least one instance")
     records = []
     violations = 0
-    tables = zip(instances, exact_tables("pf", instances), exact_tables("em", instances))
-    for instance_id, (inst, pf, em) in enumerate(tables):
+    pf_tables, em_tables = _padded_tables(("pf", "em"), instances, log=False)
+    for instance_id, (inst, pf, em) in enumerate(zip(instances, pf_tables, em_tables)):
         error_pf = _expected_loss(pf.tolist(), inst.quality)
         error_em = _expected_loss(em.tolist(), inst.quality)
         if not (math.isfinite(error_pf) and math.isfinite(error_em)):

@@ -18,8 +18,10 @@ and must keep agreeing:
 Each exact route is P(i) = e^(gamma_i) C_i, gamma = log_weights(inst),
 with a FACTORS factor C_i in [1/k, 1] that states its rounding bound: pf's
 E_i, rnm-expo's I_i (equal, by the paper's identity), em's 1 / sum_j
-e^(gamma_j). exact_tables gives linear and log tables, which cannot
-underflow, to the oracles and audits. The paper's equivalence is checked
+e^(gamma_j). _padded_tables builds the linear or log tables, which
+cannot underflow, of a whole batch in one padded pass that serves several
+mechanisms at once; the audits reduce its matrices, and exact_tables
+gives the oracles one row per instance. The paper's equivalence is checked
 by comparing the DP with Gauss-Legendre, in linear and log space, and
 with exponential-noise quadrature, which share no code, so a bug in one
 cannot hide in another. Summation order per index is fixed, making
@@ -103,43 +105,70 @@ def em_exact_distribution(inst: ValidatedInstance) -> ProbabilityTable:
 def _exact_table(mechanism: str, inst: ValidatedInstance) -> ProbabilityTable:
     """One instance's linear table, exact_tables of that one instance."""
     (table,) = exact_tables(mechanism, [inst])
-    return ProbabilityTable(inst.quality.labels, table.tolist(), FACTORS[mechanism][2])
+    return ProbabilityTable(inst.quality.labels, table.tolist(), FACTORS[mechanism][1])
 
 
 def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
                  log: bool = False) -> list[np.ndarray]:
-    """A FACTORS mechanism's table per instance: e^gamma * C or, with log,
-    min(gamma + log C, 0), where no entry underflows and a true zero is
-    -inf. Rows of one FACTORS key run in order of k, padded with -inf to
-    their chunk's widest, as many per chunk as keep the DP's laws, 2 width
-    (width + 1) values a row and the most of any factor, within
-    BATCH_ELEMENTS, and at least one: a table is the same bit for bit alone
-    or in any batch. pf and rnm-expo raise TooManyOutcomesForEnumeration
-    above QUADRATURE_LIMIT outcomes; a name outside FACTORS raises
-    UnsupportedOracle."""
-    try:
-        factor, share, _ = FACTORS[mechanism]
-    except (KeyError, TypeError):
-        raise UnsupportedOracle(f"{mechanism!r} has no exact output-distribution oracle; "
-                                f"expected one of {sorted(FACTORS)}") from None
+    """A FACTORS mechanism's table per instance, its row of _padded_tables:
+    e^gamma * C or, with log, min(gamma + log C, 0), where no entry
+    underflows and a true zero is -inf. pf and rnm-expo raise
+    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes; a name
+    outside FACTORS raises UnsupportedOracle."""
+    (tables,) = _padded_tables((mechanism,), instances, log)
+    return [tables[r, : len(inst.quality)] for r, inst in enumerate(instances)]
+
+
+def _padded_tables(mechanisms: Sequence[str], instances: Sequence[ValidatedInstance],
+                   log: bool) -> list[np.ndarray]:
+    """Per mechanism, one (rows, k_max) matrix of every instance's table in
+    input order, padded with 0, or with log -inf. Rows run in order of k,
+    as many per chunk as keep the DP's laws, 2 width (width + 1) values a
+    row and the most of any factor, within BATCH_ELEMENTS, and at least
+    one; each chunk's gamma, padded with -inf to its widest row, and
+    w = e^gamma feed every factor. A table is the same bit for bit alone
+    or in any batch. A batch of one chunk keeps its input order, so its
+    chunk's tables are the matrices."""
+    factors = []
+    for mechanism in mechanisms:
+        try:
+            factors.append(FACTORS[mechanism][0])
+        except (KeyError, TypeError):
+            raise UnsupportedOracle(f"{mechanism!r} has no exact output-distribution oracle; "
+                                    f"expected one of {sorted(FACTORS)}") from None
     gammas = [log_weights(inst) for inst in instances]
-    groups, tables = {}, [None] * len(gammas)
-    for r in sorted(range(len(gammas)), key=lambda r: len(gammas[r])):
-        groups.setdefault(share(len(gammas[r])), []).append(r)
-    for order in groups.values():
-        while order:  # the widest rows first, so a chunk is as wide as its last row
-            width = len(gammas[order[-1]])
-            chunk = order[-max(1, BATCH_ELEMENTS // (2 * width * (width + 1))):]
-            del order[-len(chunk):]
-            gamma = np.full((len(chunk), width), -np.inf)
-            for i, r in enumerate(chunk):
-                gamma[i, : len(gammas[r])] = gammas[r]
-            w = np.exp(gamma)
-            c = factor(gamma, w)
-            table = np.minimum(gamma + np.log(c), 0.0) if log else w * c
-            for i, r in enumerate(chunk):
-                tables[r] = table[i, : len(gammas[r])]
+    counts = list(map(len, gammas))
+    order, chunks = sorted(range(len(gammas)), key=counts.__getitem__), []
+    while order:  # the widest rows first, so a chunk is as wide as its last row
+        width = counts[order[-1]]
+        chunks.append(order[-max(1, BATCH_ELEMENTS // (2 * width * (width + 1))):])
+        del order[-len(chunks[-1]):]
+    if len(chunks) == 1:
+        return _chunk_tables(factors, gammas, counts, log)
+    tables = [np.full((len(gammas), max(counts, default=0)), -np.inf if log else 0.0)
+              for _ in factors]
+    for chunk in chunks:
+        parts = _chunk_tables(factors, [gammas[r] for r in chunk], [counts[r] for r in chunk], log)
+        for table, part in zip(tables, parts):
+            table[chunk, : part.shape[1]] = part
     return tables
+
+
+def _chunk_tables(factors: list[Callable], rows: list[np.ndarray], counts: list[int],
+                  log: bool) -> list[np.ndarray]:
+    """Each factor's tables of one chunk of rows of log weights, with
+    counts outcomes each. A pad's w is 0 and its gamma -inf, so its entry
+    is 0, or with log -inf. A lone row is its own gamma, with no copy."""
+    if len(rows) == 1:
+        gamma = rows[0][None]
+    else:
+        gamma = np.full((len(rows), max(counts)), -np.inf)
+        for i, row in enumerate(rows):
+            gamma[i, : len(row)] = row
+    w = np.exp(gamma)
+    if log:
+        return [np.minimum(gamma + np.log(factor(gamma, w, counts)), 0.0) for factor in factors]
+    return [w * factor(gamma, w, counts) for factor in factors]
 
 
 def _coin_game(p: np.ndarray) -> np.ndarray:
@@ -189,9 +218,10 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     factors = np.empty((width - 1, 2, 2, rows, 1))
     factors[:, 1, 0, :, 0], factors[:, 1, 1, :, 0] = p[:, :-1].T, p[:, :0:-1].T
     np.subtract(1.0, factors[:, 1], out=factors[:, 0])
+    heads, tails = laws[..., 1:], laws[..., :-1]
     for n, factor in enumerate(factors, 1):
-        np.multiply(laws[n - 1], factor, out=laws[n : n + 2])
-        np.add(laws[n, ..., 1:], laws[n + 1, ..., :-1], out=laws[n, ..., 1:])
+        np.multiply(laws[n - 1], factor, laws[n : n + 2])
+        np.add(heads[n], tails[n + 1], heads[n])
     # index i: pre_i * g_i over pre_i's slots, then its running sums there,
     # each from count width - 1 down to 0
     pre = laws[:width, 0, :, ::-1]
@@ -199,17 +229,21 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     return np.add.accumulate(pre, axis=-1, out=pre)[..., -1].T
 
 
-def _win_integrals(gamma: np.ndarray) -> np.ndarray:
-    """rnm-expo's factor: the win integrals I (rows, k) of rows gamma
-    (rows, k) of log weights, padded with -inf, all of one node count.
-    I_i = integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in [1/k, 1],
-    e_j = exp(gamma_j), by Gauss-Legendre on m = k // 2 + 1 nodes, exact
-    for its degree k - 1. Factors are (1 - t) + t * c_j, c_j =
-    -expm1(gamma_j) in [0, 1], and an entry's product is the prefix times
-    the suffix product: nothing cancels or divides. A pad's factor
-    t + (1 - t) is exactly 1 at every node up to QUADRATURE_LIMIT, so pads
-    move no bit. It shares no code with _coin_game or _win_integrand.
-    Memory: two (rows, m, k + 1) arrays.
+def _win_integrals(gamma: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """rnm-expo's factor: the win integrals I (rows, width) of rows gamma
+    (rows, width) of log weights, row r holding counts[r] outcomes padded
+    with -inf. I_i = integral over [0, 1] of prod_{j != i} (1 - e_j t) dt in
+    [1/k, 1], e_j = exp(gamma_j), by Gauss-Legendre on the row's own
+    m = k // 2 + 1 nodes, exact for its degree k - 1. Factors are
+    (1 - t) + t * c_j, c_j = -expm1(gamma_j) in [0, 1], taken as
+    (1 - t) - t * expm1(gamma_j), the same bits, and an entry's product is
+    the prefix times the suffix product: nothing cancels or divides. A
+    pad's factor t + (1 - t) is exactly 1 at every node up to
+    QUADRATURE_LIMIT, and a row's pad nodes, up to the largest m, m_max,
+    lie at t = 0 with weight 0, where every factor is 1 and the left-to-
+    right node sum adds +0.0 at its end: a row's I is the same bit for bit
+    alone or beside any k. It shares no code with _coin_game or
+    _win_integrand. Memory: two (rows, m_max, width + 1) arrays.
 
     Rounding bound (u = 2^-53), against I_i taken exactly from the floats
     exp(gamma_j), the pf DP's inputs: these are within 2u of e_j, moving I_i
@@ -223,23 +257,31 @@ def _win_integrals(gamma: np.ndarray) -> np.ndarray:
     within (7k + (k + 4)^2 / 5) u relative, 1.7e-12 at k = 256, plus under
     2k^2 * 2^-1074 from underflow.
     """
-    rows, k = gamma.shape
-    _check_outcome_count(k, "Gauss-Legendre")
-    t, w = _legendre_nodes(k // 2 + 1)
+    rows, width = gamma.shape
+    _check_outcome_count(width, "Gauss-Legendre")
+    ms = [k // 2 + 1 for k in counts]
+    m = max(ms)
+    nodes = _legendre_nodes(m)[:, None]
+    if min(ms) < m:  # rows of fewer nodes, each padded at t = 0 with weight 0
+        nodes = np.zeros((2, rows, m))
+        for row, n in enumerate(ms):
+            nodes[:, row, :n] = _legendre_nodes(n)
+    t, w = nodes[..., None]
     # column j: factor j, then in place its suffix product; products: the prefix before j
-    factors, products = np.ones((2, rows, len(t), k + 1))
-    np.multiply(t[:, None], -np.expm1(gamma)[:, None], out=factors[..., :k])
-    factors[..., :k] += (1.0 - t)[:, None]
-    np.multiply.accumulate(factors[..., :k], axis=2, out=products[..., 1:])
-    np.multiply.accumulate(factors[..., ::-1], axis=2, out=factors[..., ::-1])
-    np.multiply(products[..., :k], factors[..., 1:], out=products[..., :k])
-    products[..., :k] *= w[:, None]
-    return np.add.accumulate(products[..., :k], axis=1, out=products[..., :k])[:, -1]
+    factors, products = np.ones((2, rows, m, width + 1))
+    own, prefix, suffix = factors[..., :width], products[..., :width], factors[..., ::-1]
+    np.multiply(t, np.expm1(gamma)[:, None], own)
+    np.subtract(1.0 - t, own, own)
+    np.multiply.accumulate(own, axis=2, out=products[..., 1:])
+    np.multiply.accumulate(suffix, axis=2, out=suffix)
+    np.multiply(prefix, factors[..., 1:], prefix)
+    prefix *= w
+    return np.add.accumulate(prefix, axis=1, out=prefix)[:, -1]
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre nodes and weights on [0, 1]: Newton's
+def _legendre_nodes(m: int) -> np.ndarray:
+    """The m-point Gauss-Legendre nodes and weights (2, m) on [0, 1]: Newton's
     method on the roots of P_m, evaluated with P_m' by the three-term
     recurrence, from the usual cosine guesses."""
     x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
@@ -253,9 +295,9 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
             break  # dp is taken at the converged nodes
         step = p / dp
         x = x - step
-    nodes, weights = 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
-    return nodes, weights
+    nodes = np.array([0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)])
+    nodes.flags.writeable = False  # shared by the cache
+    return nodes
 
 
 def _softmax_factor(w: np.ndarray) -> np.ndarray:
@@ -270,14 +312,14 @@ def _softmax_factor(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.add.accumulate(w, axis=1)[:, -1:]
 
 
-# mechanism -> (its factor C of a chunk's rows gamma of log weights, padded
-# with -inf, and w = e^gamma; the key on k that a chunk's rows share; the
+# mechanism -> (its factor C of a chunk's rows gamma of log weights,
+# padded with -inf, w = e^gamma and each row's outcome count; the
 # provenance). pf's and em's pads are coins never kept and zeros ending a
-# sum; Gauss-Legendre takes its node count from the chunk's width.
+# sum; rnm-expo's are factors of exactly 1, and its rows' pad nodes weigh 0.
 FACTORS = {
-    "pf": (lambda gamma, w: _coin_game(w), lambda k: 0, "exact-poisson-binomial"),
-    "rnm-expo": (lambda gamma, w: _win_integrals(gamma), lambda k: k // 2, "exact-gauss-legendre"),
-    "em": (lambda gamma, w: _softmax_factor(w), lambda k: 0, "exact-closed-form"),
+    "pf": (lambda gamma, w, counts: _coin_game(w), "exact-poisson-binomial"),
+    "rnm-expo": (lambda gamma, w, counts: _win_integrals(gamma, counts), "exact-gauss-legendre"),
+    "em": (lambda gamma, w, counts: _softmax_factor(w), "exact-closed-form"),
 }
 
 

@@ -64,6 +64,38 @@ class TestPrivacyRatioAudit:
         assert len(report.per_pair) == 30
         assert report.worst_ratio == max(r.ratio for r in report.per_pair)
 
+    @pytest.mark.parametrize("oracle", ["pf", "rnm-expo", "em"])
+    def test_mixed_k_pairs_read_their_own_rows(self, oracle):
+        """Pairs of k 1 to 10 in one audit, padded to the widest: each
+        record names an outcome of its own pair and equals that pair's audit
+        alone, a pair with equal tables reports index 0 and ratio 1.0, and
+        an outcome impossible under both datasets, next to padding, counts
+        as gap 0."""
+        gen = np.random.default_rng(41)
+        params = PrivacyParams(1.0, 1e-300)  # rate 5e299: scores on the 1e-300 scale
+        pairs = []
+        for index, k in enumerate([3, 10, 1, 7, 2, 9, 5, 4, 2]):
+            labels = tuple(f"p{index}o{i}" for i in range(k))
+            q1 = gen.uniform(-5.0, 5.0, k) * 1e-300
+            q2 = q1 + gen.uniform(-0.999, 0.999, k) * 1e-300
+            pairs.append(NeighborPair(QualityVector(labels, tuple(q1)),
+                                      QualityVector(labels, tuple(q2))))
+        pairs[7] = NeighborPair(pairs[7].q1, pairs[7].q1)
+        # rate * -1e10 is -inf on both sides: an outcome neither dataset can produce
+        pairs[8] = NeighborPair(QualityVector(("p8o0", "p8o1"), (0.0, -1e10)),
+                                QualityVector(("p8o0", "p8o1"), (1e-300, -1e10)))
+        report = privacy_ratio_audit(oracle, pairs, params)
+        assert len(report.per_pair) == len(pairs)
+        for index, (p, record) in enumerate(zip(pairs, report.per_pair)):
+            assert record.pair_index == index
+            assert record.worst_outcome_label in p.q1.labels
+            (alone,) = privacy_ratio_audit(oracle, [p], params).per_pair
+            assert (record.worst_outcome_label, record.ratio) == (alone.worst_outcome_label,
+                                                                  alone.ratio)
+        assert report.per_pair[7] == audit.PairAudit(7, "p7o0", 1.0)
+        assert report.per_pair[8] == audit.PairAudit(8, "p8o0", 1.0)
+        assert report.worst_ratio > 1.0 and report.passed
+
     def test_direction_symmetric(self):
         p = pair((1.0, 0.2, -0.4), (0.3, 0.9, -0.1))
         params = PrivacyParams(1.5, 1.0)
@@ -227,16 +259,17 @@ class TestDominance:
         # pf's table made uniform on instances 1 and 3: on separated scores
         # uniform errs more than em, so exactly those two are violations
         suite = random_instances(5, 1.0, 1.0, k_min=2, k_max=6, seed=10)
-        real = audit.exact_tables
+        real = audit._padded_tables
 
-        def uniform_on_two(mechanism, instances, log=False):
-            tables = real(mechanism, instances, log)
-            if mechanism == "pf":
-                for i in (1, 3):
-                    tables[i] = np.full(len(tables[i]), 1.0 / len(tables[i]))
+        def uniform_on_two(mechanisms, instances, log):
+            tables = real(mechanisms, instances, log)
+            pf = tables[mechanisms.index("pf")]
+            for i in (1, 3):
+                k = len(instances[i].quality)
+                pf[i, :k] = 1.0 / k
             return tables
 
-        monkeypatch.setattr(audit, "exact_tables", uniform_on_two)
+        monkeypatch.setattr(audit, "_padded_tables", uniform_on_two)
         report = dominance_check(suite)
         worse = [r.expected_error_pf - r.expected_error_em > 1e-9 for r in report.per_instance]
         assert worse == [False, True, False, True, False]

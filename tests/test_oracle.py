@@ -832,6 +832,21 @@ class TestLogTables:
         for inst, table in zip(batch, batched):
             assert np.array_equal(table, exact_tables(name, [inst], log=log)[0])
 
+    def test_mixed_node_counts_share_one_gauss_legendre_call(self, monkeypatch):
+        """rnm-expo rows of k 2-9, five node counts in one chunk, take one
+        _win_integrals call, with each row's own outcome count."""
+        calls = []
+        factor, provenance = FACTORS["rnm-expo"]
+
+        def recording(gamma, w, counts):
+            calls.append(list(counts))
+            return factor(gamma, w, counts)
+
+        monkeypatch.setitem(FACTORS, "rnm-expo", (recording, provenance))
+        batch = [make_instance(np.linspace(0.0, -3.0, k)) for k in range(2, 10)] * 2
+        exact_tables("rnm-expo", batch, log=True)
+        assert calls == [[len(inst.quality) for inst in batch]]
+
     def test_chunks_stay_within_batch_elements(self, monkeypatch):
         """Each _coin_game or _win_integrals call holds at most
         BATCH_ELEMENTS values of its arrays, the DP's laws 2 width
@@ -844,9 +859,9 @@ class TestLogTables:
             shapes = []
             factor, *rest = FACTORS[name]
 
-            def recording(gamma, w):
+            def recording(gamma, w, counts):
                 shapes.append(gamma.shape)
-                return factor(gamma, w)
+                return factor(gamma, w, counts)
 
             monkeypatch.setitem(FACTORS, name, (recording, *rest))
             exact_tables(name, batch, log=True)
@@ -1020,7 +1035,8 @@ def legendre_nodes_at_50_digits(m):
 
 def gl_integrals(inst):
     """_win_integrals' I_i for one instance."""
-    return oracle._win_integrals(log_weights(inst)[None])[0]
+    gamma = log_weights(inst)
+    return oracle._win_integrals(gamma[None], [len(gamma)])[0]
 
 
 def gauss_legendre_bound(k):

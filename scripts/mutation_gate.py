@@ -288,6 +288,56 @@ MUTANTS = (
            "    except OverflowError:\n        plain = math.inf\n",
            "    except ZeroDivisionError:\n        plain = math.inf\n",
            ("tests/test_audit.py::TestExpectedError::test_sum_that_overflows_in_fsum_is_inf",)),
+    Mutant("chi-square-dof-0-takes-the-statistic", "src/dpselect/oracle.py",
+           "    if not dof:\n        return GofResult(0.0, 0, 1.0, True, None)\n",
+           "",
+           ("tests/test_oracle.py::TestChiSquareGof::test_table_pooled_into_one_cell_is_vacuous",)),
+    Mutant("chi-square-pools-without-a-kept-cell", "src/dpselect/oracle.py",
+           "if kept and pooled:",
+           "if pooled:",
+           ("tests/test_oracle.py::TestChiSquareGof::test_impossible_draw_with_no_kept_cell_fails",)),
+    Mutant("input-object-unchecked", "src/dpselect/formats.py",
+           '    _require(isinstance(obj, dict), f"{what} must be a JSON object")\n',
+           "",
+           ("tests/test_formats.py::TestQualityVectorFiles::test_malformed_rejected",)),
+    Mutant("input-field-kind-unchecked", "src/dpselect/formats.py",
+           "        _require(_ITEM_CHECKS[kind](obj[field]), "
+           "f'{what}: \"{field}\" must be of type {kind}')\n",
+           "",
+           ("tests/test_formats.py::TestNeighborPairFiles::test_malformed_rejected",)),
+    Mutant("quality-labels-kept-as-given", "src/dpselect/core.py",
+           'object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))\n'
+           '        object.__setattr__(self, "scores", tuple(self.scores))',
+           'object.__setattr__(self, "scores", tuple(self.scores))',
+           ("tests/test_core.py::TestQualityVector"
+            "::test_stores_tuples_of_str_labels_and_float_scores",)),
+    Mutant("quality-scores-iterable-kept-as-given", "src/dpselect/core.py",
+           '        object.__setattr__(self, "scores", tuple(self.scores))\n',
+           "",
+           ("tests/test_core.py::TestQualityVector"
+            "::test_stores_tuples_of_str_labels_and_float_scores",)),
+    Mutant("quality-scores-not-converted-to-float", "src/dpselect/core.py",
+           '        object.__setattr__(self, "scores", tuple(scores))\n',
+           "",
+           ("tests/test_core.py::TestQualityVector"
+            "::test_stores_tuples_of_str_labels_and_float_scores",)),
+    Mutant("epsilon-not-converted-to-float", "src/dpselect/core.py",
+           '        object.__setattr__(self, "epsilon", float(self.epsilon))\n',
+           "",
+           ("tests/test_core.py::TestPrivacyParams::test_stores_floats",)),
+    Mutant("sensitivity-not-converted-to-float", "src/dpselect/core.py",
+           '        object.__setattr__(self, "sensitivity", float(self.sensitivity))\n',
+           "",
+           ("tests/test_core.py::TestPrivacyParams::test_stores_floats",)),
+    Mutant("table-labels-kept-as-given", "src/dpselect/core.py",
+           'object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))\n'
+           "        probs = ",
+           "probs = ",
+           ("tests/test_core.py::TestProbabilityTable::test_stores_a_tuple_of_str_labels",)),
+    Mutant("quadrature-error-without-its-message", "src/dpselect/errors.py",
+           "        super().__init__(message)\n",
+           "",
+           ("tests/test_oracle.py::TestQuadrature::test_error_reads_as_its_message",)),
 )
 
 

@@ -72,12 +72,7 @@ def _first_max(values: np.ndarray, k: int) -> np.ndarray:
     passes replace a reduction per row: prefix maxima P[j] = max(P[j - 1],
     column j) in one (k, rows) buffer, then the count of P[j] < P[k - 1],
     the first index of the maximum as P is nondecreasing; at k = 2, one
-    comparison. us per 2^14 values (2 Xeon vCPUs, numpy 2.4; at k = 12 alg-b,
-    of half-size chunks, took 16.0 ms per 10^5 draws by passes, 15.3 by argmax):
-
-        k        2   3   4   5   6   7   8   9  10  11  12  13
-        argmax 104  78  69  59  47  49  42  41  39  36  31  30
-        passes   7  17  20  22  23  26  26  29  28  31  30  31"""
+    comparison. README gives the per-k timings behind the cut-over."""
     if k > FIRST_MAX_COLUMNS:
         return np.argmax(values.reshape(-1, k), axis=1)
     if k == 2:
@@ -94,11 +89,7 @@ def _search_right(cumulative: np.ndarray, x: np.ndarray) -> np.ndarray:
     cumulative for x below its last value. Up to k = SEARCH_COUNT_MAX_K
     entries, k - 1 passes of index += x >= c in uint8 replace a binary
     search per needle; the count grows with k and the search with log k,
-    and the cut-over keeps a margin. us per 2^14 draws (as _first_max):
-
-        k        2   3   7  11  12  16  32  64 128 192 256
-        search 210 123 195 217 311 366 484 673 801 887 944
-        count    8   9  21  34  44  51 113 205 460 690 828"""
+    and the cut-over keeps a margin (README gives the per-k timings)."""
     if cumulative.size > SEARCH_COUNT_MAX_K:
         return np.searchsorted(cumulative, x, side="right")
     index, reached = np.zeros(x.size, dtype=np.uint8), np.empty(x.size, dtype=bool)

@@ -1,6 +1,6 @@
 """Shared test fixtures: instance factory, hypothesis strategies, a
-fresh-interpreter runner, a stream of fixed uniforms and the one path from
-seeded draws to a chi-square verdict."""
+fresh-interpreter runner and its scipy-blocking probe, a stream of fixed
+uniforms and the one path from seeded draws to a chi-square verdict."""
 
 from __future__ import annotations
 
@@ -39,6 +39,37 @@ def run_python(*args, **env):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=child_env, timeout=120,
     )
+
+
+# For `python -c`, with a JSON [commands, scripts] argument: makes scipy
+# unimportable and records every attempt to import it, then runs each
+# command through cli.main and each script as __main__ with no arguments,
+# and prints as the last line the exit codes, each script's stdout and the
+# scipy and numpy.polynomial modules loaded or tried.
+NO_SCIPY_PROBE = """
+import contextlib, io, json, runpy, sys
+tried = []
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            tried.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+from dpselect.cli import main
+commands, scripts = json.loads(sys.argv[1])
+codes = [main(argv) for argv in commands]
+outputs = []
+for path in scripts:
+    sys.argv = [path]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(path, run_name="__main__")
+    outputs.append(out.getvalue())
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m.startswith("numpy.polynomial"))
+print(json.dumps({"codes": codes, "outputs": outputs, "loaded": loaded, "tried": tried}))
+"""
 
 
 class FixedUniforms:

@@ -19,7 +19,7 @@ from dpselect import (
 )
 from dpselect.cli import main
 
-from helpers import run_python
+from helpers import NO_SCIPY_PROBE, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -694,41 +694,15 @@ class TestReadme:
         assert (proc.returncode, got) == (code, record)
 
 
-# Makes scipy unimportable and records every attempt to import it, then
-# runs each command through main and each script as __main__, and prints
-# the exit codes and the scipy and numpy.polynomial modules loaded or
-# tried as the last line.
-_NO_SCIPY_PROBE = """
-import json, runpy, sys
-tried = []
-
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            tried.append(name)
-            raise ModuleNotFoundError(f"No module named {name!r}")
-
-sys.meta_path.insert(0, NoScipy())
-from dpselect.cli import main
-commands, scripts = json.loads(sys.argv[1])
-codes = [main(argv) for argv in commands]
-for path, argv in scripts:
-    sys.argv = [path, *argv]
-    runpy.run_path(path, run_name="__main__")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                or m.startswith("numpy.polynomial"))
-print(json.dumps({"codes": codes, "loaded": loaded, "tried": tried}))
-"""
-
 PRIVACY = ("--epsilon", "2", "--sensitivity", "1")
 
 
 def test_every_command_and_script_runs_without_scipy(tmp_path, scores_file):
     """Quadrature and the chi-square test run on numpy and math alone:
-    with scipy unimportable, every command and both experiment scripts
-    exit 0 in one fresh interpreter, and none of them tries to import
-    scipy. scipy stays a test dependency, the reference the tests compare
-    against."""
+    with scipy unimportable, every command exits 0 in one fresh
+    interpreter, and none of them tries to import scipy (tests/test_scripts.py
+    runs scripts/reproduce.py the same way). scipy stays a test dependency,
+    the reference the tests compare against."""
     underflow = tmp_path / "underflow_pair.json"
     underflow.write_text(json.dumps({"pairs": [{
         "q1": {"labels": ["a", "b"], "scores": [0, -744.9]},
@@ -752,16 +726,10 @@ def test_every_command_and_script_runs_without_scipy(tmp_path, scores_file):
          "--n", "2000", "--seed", "5", *scores],
         ["compare", "--mechanism", "alg-a", "--mechanism", "pf", "--mode", "empirical", *scores],
     ]
-    scripts = [
-        (str(ROOT / "scripts" / "equivalence_experiment.py"),
-         ["--instances", "2", "--epsilons", "1", "--k-values", "3", "--samples", "20000"]),
-        (str(ROOT / "scripts" / "utility_experiment.py"),
-         ["--instances", "5", "--k-max", "4", "--epsilons", "1"]),
-    ]
-    proc = run_python("-c", _NO_SCIPY_PROBE, json.dumps([commands, scripts]))
+    proc = run_python("-c", NO_SCIPY_PROBE, json.dumps([commands, []]))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * len(commands), "loaded": [], "tried": []}
+    assert result == {"codes": [0] * len(commands), "outputs": [], "loaded": [], "tried": []}
 
 
 # Prints the OPENBLAS_NUM_THREADS a fresh `import dpselect.cli` leaves and

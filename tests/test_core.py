@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +114,11 @@ class TestPrivacyParams:
         with pytest.raises(DerivedScaleOverflow):
             PrivacyParams(math.nextafter(SMALLEST_EPSILON, 0.0), 1.0)
 
+    def test_stores_floats(self):
+        p = PrivacyParams(1, 2)
+        assert (p.epsilon, p.sensitivity) == (1.0, 2.0)
+        assert (type(p.epsilon), type(p.sensitivity)) == (float, float)
+
 
 class TestSensitivityFromPairs:
     def test_single_pair(self):
@@ -151,6 +157,12 @@ class TestSensitivityFromPairs:
 
 
 class TestQualityVector:
+    def test_stores_tuples_of_str_labels_and_float_scores(self):
+        q = QualityVector(["a", 1], (s for s in [1, np.float64(2.5)]))
+        assert (q.labels, q.scores) == (("a", "1"), (1.0, 2.5))
+        assert [type(v) for v in (q.labels, *q.labels, q.scores, *q.scores)] == [
+            tuple, str, str, tuple, float, float]
+
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=8),
         st.randoms(use_true_random=False),
@@ -181,6 +193,11 @@ class TestNeighborPair:
 
 
 class TestProbabilityTable:
+    def test_stores_a_tuple_of_str_labels(self):
+        table = ProbabilityTable(["a", 2], (0.5, 0.5), "x")
+        assert table.labels == ("a", "2")
+        assert [type(v) for v in (table.labels, *table.labels)] == [tuple, str, str]
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(LabelMismatch, match="1 labels for 2 probabilities"):
             ProbabilityTable(("a",), (0.5, 0.5), "x")

@@ -15,6 +15,7 @@ class TestQualityVectorFiles:
         "payload",
         [
             "not an object",
+            "labels scores",
             {"labels": ["a"]},
             {"scores": [1.0]},
             {"labels": "a", "scores": [1.0]},
@@ -49,7 +50,8 @@ class TestQualityVectorFiles:
 class TestNeighborPairFiles:
     @pytest.mark.parametrize(
         "payload",
-        [{}, {"pairs": "x"}, {"pairs": [{"q1": {"labels": ["a"], "scores": [0.0]}}]}],
+        [{}, {"pairs": "x"}, {"pairs": 5},
+         {"pairs": [{"q1": {"labels": ["a"], "scores": [0.0]}}]}],
     )
     def test_malformed_rejected(self, payload):
         with pytest.raises(MalformedInputFile):

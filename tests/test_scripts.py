@@ -1,127 +1,70 @@
-"""Runs of the experiment scripts: smoke runs on tiny grids, so a change to
-the public names they import cannot break them unnoticed, and the verdicts
-of both default grids, as README reports them."""
+"""scripts/reproduce.py: the paper's two claims as one record from seed 0,
+with the verdicts README reports."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import pytest
+from helpers import NO_SCIPY_PROBE, run_python
 
-import dpselect
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def start_script(name, *argv):
-    src = str(Path(dpselect.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+REPRODUCE = str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py")
+EQUIVALENCE_KEYS = {
+    "epsilon", "k", "instances", "worst_exact_tv", "worst_quadrature_tv",
+    "chi_square_p_alg_a", "chi_square_p_alg_b",
+    "detectable_divergence_alg_a", "detectable_divergence_alg_b",
+}
+UTILITY_KEYS = {
+    "epsilon", "instances", "mean_expected_error_pf", "mean_expected_error_em",
+    "largest_em_minus_pf", "dominance_violations",
+}
 
 
-def run_script(name, *argv):
-    proc = start_script(name, *argv)
+def test_record_from_seed_0():
+    """One run in a fresh interpreter with scipy unimportable, which never
+    tries to import it. equivalence: eps in {0.1, 1, 4} by ten k up to 256,
+    both rnm-expo routes within 1e-8 of the DP in every row, and the 60
+    seeded chi-square verdicts of alg-a and alg-b at 0.001 pass. Measured:
+    TVs at most 2.2e-15 (exact) and 2.5e-13 (quadrature), smallest p-value
+    0.022, powers 2.1e-4 to 1.1e-3. utility: seven epsilons, pf's error
+    never above em's and below it on some instance in every row. About 5 s
+    on 2 Xeon vCPUs."""
+    proc = run_python("-c", NO_SCIPY_PROBE, json.dumps([[], [REPRODUCE]]))
     assert proc.returncode == 0, proc.stderr
-    rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert rows
-    return rows
+    result = json.loads(proc.stdout.splitlines()[-1])
+    (output,) = result.pop("outputs")
+    assert result == {"codes": [], "loaded": [], "tried": []}
+    record = json.loads(output)
+    assert record.keys() == {"seed", "equivalence", "utility"}
+    assert record["seed"] == 0
 
-
-def test_equivalence_experiment():
-    rows = run_script(
-        "equivalence_experiment.py", "--instances", "3", "--epsilons", "1.0",
-        "--k-values", "4", "--samples", "2000",
-    )
-    assert [(r["epsilon"], r["k"]) for r in rows] == [(1.0, 4)]
-    for row in rows:
+    equivalence = record["equivalence"]
+    assert len(equivalence) == 30
+    assert {32, 64, 128, 256} <= {r["k"] for r in equivalence}
+    for row in equivalence:
+        assert row.keys() == EQUIVALENCE_KEYS
+        assert row["instances"] == 20
         assert row["worst_exact_tv"] <= 1e-8
         assert row["worst_quadrature_tv"] <= 1e-8
-        assert 0.0 <= row["chi_square_p_alg_a"] <= 1.0
-        assert 0.0 <= row["chi_square_p_alg_b"] <= 1.0
+        assert min(row["chi_square_p_alg_a"], row["chi_square_p_alg_b"]) >= 0.001
         assert 0.0 < row["detectable_divergence_alg_a"] < 1.0
         assert 0.0 < row["detectable_divergence_alg_b"] < 1.0
 
-
-def test_equivalence_experiment_up_to_the_outcome_limit():
-    """Every row compares the DP with both rnm-expo routes, at every k."""
-    rows = run_script(
-        "equivalence_experiment.py", "--k-values", "1", "20", "21", "256", "--instances", "2",
-        "--samples", "2000",
-    )
-    assert [(r["epsilon"], r["k"]) for r in rows] == [
-        (epsilon, k) for epsilon in (0.1, 1.0, 4.0) for k in (1, 20, 21, 256)
-    ]
-    for row in rows:
-        assert "rnm_expo_route" not in row
-        assert row["worst_exact_tv"] <= 1e-8
-        assert row["worst_quadrature_tv"] <= 1e-8
-
-
-def test_utility_experiment():
-    rows = run_script("utility_experiment.py", "--instances", "20", "--epsilons", "1.0")
-    assert [r["epsilon"] for r in rows] == [1.0]
-    for row in rows:
-        assert row["instances"] == 20
+    utility = record["utility"]
+    assert len(utility) == 7
+    for row in utility:
+        assert row.keys() == UTILITY_KEYS
+        assert row["instances"] == 200
         assert row["dominance_violations"] == 0
         # pf's largest advantage over em: positive when pf dominates
         assert row["largest_em_minus_pf"] > 0.0
 
 
-def test_equivalence_experiment_default_grid():
-    """eps in {0.1, 1, 4} by ten k up to 256: both rnm-expo routes within
-    1e-8 of the DP in every row, and the 60 seeded chi-square verdicts of
-    alg-a and alg-b at 0.001 pass. Measured: TVs at most 2.2e-15 (exact) and
-    2.5e-13 (quadrature), smallest p-value 0.022; about 6 s."""
-    rows = run_script("equivalence_experiment.py")
-    assert len(rows) == 30
-    assert {32, 64, 128, 256} <= {r["k"] for r in rows}
-    for row in rows:
-        assert row["worst_exact_tv"] <= 1e-8
-        assert row["worst_quadrature_tv"] <= 1e-8
-        assert min(row["chi_square_p_alg_a"], row["chi_square_p_alg_b"]) >= 0.001
-
-
-def test_utility_experiment_default_grid():
-    rows = run_script("utility_experiment.py")
-    assert len(rows) == 7
-    assert [r["dominance_violations"] for r in rows] == [0] * 7
-
-
-@pytest.mark.parametrize("name,flag", [
-    ("equivalence_experiment.py", "--instances"),
-    ("equivalence_experiment.py", "--samples"),
-    ("utility_experiment.py", "--instances"),
-])
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_count_below_one_is_a_usage_error(name, flag, count):
-    proc = start_script(name, flag, count, "--epsilons", "1.0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "usage:" in proc.stderr
-    assert f"{flag} must be at least 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("name,argv,message", [
-    ("utility_experiment.py", "--k-max 1", "--k-max must be between 2 and 256"),
-    ("utility_experiment.py", "--k-max 257", "--k-max must be between 2 and 256"),
-    ("utility_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
-    ("utility_experiment.py", "--epsilons 1.0 -2", "--epsilons: epsilon must be"),
-    ("equivalence_experiment.py", "--k-values 0", "--k-values must be between 1 and 256"),
-    ("equivalence_experiment.py", "--k-values 4 257", "--k-values must be between 1 and 256"),
-    ("equivalence_experiment.py", "--epsilons 0", "--epsilons: epsilon must be"),
-    ("equivalence_experiment.py", "--epsilons 1.0 nan", "--epsilons: epsilon must be"),
-])
-def test_grid_value_out_of_range_is_a_usage_error(name, argv, message):
-    proc = start_script(name, "--instances", "2", *argv.split())
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "usage:" in proc.stderr
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_takes_no_option_but_help():
+    """The grid is the script's constants: --help describes the record,
+    and any option is a usage error before a row is computed."""
+    proc = run_python(REPRODUCE, "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: reproduce.py [-h]\n")
+    assert '{"seed": 0, "equivalence": [...], "utility": [...]}' in proc.stdout
+    proc = run_python(REPRODUCE, "--seed", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --seed 1" in proc.stderr

@@ -22,6 +22,7 @@ directory:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import resource
@@ -31,7 +32,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 # address space per pytest run; the unmutated tests map under 0.4 GiB
@@ -338,6 +339,49 @@ MUTANTS = (
            "        super().__init__(message)\n",
            "",
            ("tests/test_oracle.py::TestQuadrature::test_error_reads_as_its_message",)),
+    Mutant("first-max-columns-past-uint8", "src/dpselect/mechanisms.py",
+           "    if k > FIRST_MAX_COLUMNS:\n        return np.argmax(values.reshape(-1, k), axis=1)\n",
+           "",
+           ("tests/test_mechanisms.py::TestColumnPicks::test_first_max_is_the_first_argmax[257]",)),
+    Mutant("search-right-counts-past-uint8", "src/dpselect/mechanisms.py",
+           "    if cumulative.size > SEARCH_COUNT_MAX_K:\n"
+           '        return np.searchsorted(cumulative, x, side="right")\n',
+           "",
+           ("tests/test_mechanisms.py::TestColumnPicks::test_search_right_is_searchsorted[257]",)),
+    Mutant("exact-routes-without-an-outcome-limit", "src/dpselect/oracle.py",
+           '    _check_outcome_count(max(counts, default=0), "every exact route")\n',
+           "",
+           ("tests/test_oracle.py::TestLogTables::test_outcome_limit",)),
+    Mutant("compare-reads-the-second-table-by-mode", "src/dpselect/cli.py",
+           "        table = table_for(first, inst, args.mode)\n"
+           '        reference = table_for(second, inst, "exact")\n',
+           "        table = table_for(first, inst, args.mode)\n"
+           "        reference = table_for(second, inst, args.mode)\n",
+           ("tests/test_cli.py::TestCompare::test_quadrature_mode_against_the_exponential_mechanism",)),
+    Mutant("package-name-resolves-to-none", "src/dpselect/__init__.py",
+           "    return value\n",
+           "    return None\n",
+           ("tests/test_package.py::test_every_public_name_and_submodule_resolves",)),
+    Mutant("unreadable-input-file-unnamed", "src/dpselect/formats.py",
+           '        raise MalformedInputFile(f"cannot read {path}: {exc}") from exc\n',
+           "        pass\n",
+           ("tests/test_formats.py::TestQualityVectorFiles::test_unreadable_file",)),
+    Mutant("invalid-json-file-unnamed", "src/dpselect/formats.py",
+           '        raise MalformedInputFile(f"{path} is not valid JSON: {exc}") from exc\n',
+           "        pass\n",
+           ("tests/test_formats.py::TestQualityVectorFiles::test_unreadable_file",)),
+    Mutant("json-output-without-its-last-newline", "src/dpselect/formats.py",
+           '        fh.write("\\n")\n',
+           "",
+           ("tests/test_formats.py::TestProbabilityTableFiles::test_round_trip_full_precision",)),
+    Mutant("sensitivity-tests-a-generator-for-emptiness", "src/dpselect/core.py",
+           "    pairs = list(pairs)\n",
+           "",
+           ("tests/test_core.py::TestSensitivityFromPairs::test_pairs_from_a_generator",)),
+    Mutant("audit-reads-a-generator-once", "src/dpselect/audit.py",
+           "    pairs = list(pairs)\n",
+           "",
+           ("tests/test_audit.py::TestPrivacyRatioAudit::test_pairs_from_a_generator",)),
 )
 
 
@@ -350,9 +394,11 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
-    """pytest's exit code for the tests on a copy of the repository, with
-    the mutant applied unless it is None."""
+@contextlib.contextmanager
+def mutated_copy(mutant: Mutant | None) -> Iterator[Path]:
+    """A temporary copy of the repository's src/, tests/, scripts/,
+    pyproject.toml and README.md, with the mutant applied unless it is
+    None."""
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
         copy = Path(tmp)
         for tree in ("src", "tests", "scripts"):
@@ -363,6 +409,13 @@ def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
         if mutant is not None:
             path = copy / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        yield copy
+
+
+def run_tests(mutant: Mutant | None, tests: list[str]) -> int:
+    """pytest's exit code for the tests on a copy of the repository, with
+    the mutant applied unless it is None."""
+    with mutated_copy(mutant) as copy:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"), env.get("PYTHONPATH")]))
         return subprocess.run(

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -61,6 +60,8 @@ from .oracle import (
 )
 
 MECHANISM_NAMES = sorted(MECHANISMS)
+# compare's TV-distance bound in exact and quadrature modes
+TV_TOLERANCE = 1e-8
 
 
 def _nine_significant(obj: Any) -> Any:
@@ -93,24 +94,24 @@ def cmd_compare(args: argparse.Namespace) -> tuple[dict, dict | None]:
     mechanisms = args.mechanism or []
     if len(mechanisms) != 2:
         raise ValueError("compare needs exactly two --mechanism flags")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     inst = _instance(args)
     first, second = mechanisms
 
+    # the first mechanism's table by --mode, the second's always its exact table
     if args.mode != "empirical":
-        tables = [table_for(m, inst, args.mode) for m in mechanisms]
-        tv = tv_distance(tables[0], tables[1])
+        table = table_for(first, inst, args.mode)
+        reference = table_for(second, inst, "exact")
+        tv = tv_distance(table, reference)
         return {
             "mechanisms": mechanisms,
             "mode": args.mode,
             "tv_distance": tv,
-            "tolerance": args.tolerance,
-            "pass": tv <= args.tolerance,
-            "provenances": [table.provenance for table in tables],
+            "tolerance": TV_TOLERANCE,
+            "pass": tv <= TV_TOLERANCE,
+            "provenances": [table.provenance, reference.provenance],
         }, None
 
-    # empirical: sample the first mechanism, test against the second's exact table
+    # empirical: the reference and the significance are checked before any draw
     _check_significance(args.significance)
     reference = table_for(second, inst, "exact")
     counts = empirical_counts(first, inst, args.n, args.seed)
@@ -179,10 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="privacy loss budget, must be > 0")
     privacy.add_argument("--sensitivity", type=float, required=True,
                          help="quality-score sensitivity, must be > 0")
-    privacy.add_argument("--seed", type=int, default=0,
-                         help="unsigned 64-bit stream seed (default: 0)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[privacy])
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="unsigned 64-bit stream seed (default: 0)")
 
-    p = sub.add_parser("select", parents=[privacy],
+    p = sub.add_parser("select", parents=[seeded],
                        help="run one selection and print the chosen outcome")
     p.add_argument("--mechanism", required=True, choices=MECHANISM_NAMES)
     p.add_argument("--scores", required=True, help="quality-vector JSON file")
@@ -190,25 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument("--scores", required=True, help="quality-vector JSON file")
-    tables.add_argument("--mode", choices=list(ROUTES),
-                        default="exact", help="how to compute each table (default: exact)")
+    tables.add_argument("--mode", choices=list(ROUTES), default="exact",
+                        help="how to compute the (first mechanism's) table (default: exact)")
     tables.add_argument("--n", type=int, default=100000,
                         help="samples for empirical mode (default: 100000)")
 
-    p = sub.add_parser("dist", parents=[privacy, tables],
+    p = sub.add_parser("dist", parents=[seeded, tables],
                        help="compute a mechanism's output distribution")
     p.add_argument("--mechanism", required=True, choices=MECHANISM_NAMES)
     p.add_argument("--out", help="write the distribution table to this file")
     p.set_defaults(handler=cmd_dist)
 
-    p = sub.add_parser("compare", parents=[privacy, tables],
+    p = sub.add_parser("compare", parents=[seeded, tables],
                        help="compare two mechanisms' output distributions")
     p.add_argument("--mechanism", action="append", choices=MECHANISM_NAMES,
-                   help="give exactly twice; in empirical mode the first is "
-                        "sampled and the second is the exact reference")
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="TV-distance acceptance bound for exact/quadrature "
-                        "modes (default: 1e-8)")
+                   help="give exactly twice: the first's table comes from --mode "
+                        "(sampled in empirical mode), the second's is always exact")
     p.add_argument("--significance", type=float, default=0.001,
                    help="chi-square significance for empirical mode "
                         "(default: 0.001)")
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full audit report to this file")
     p.set_defaults(handler=cmd_audit)
 
-    p = sub.add_parser("utility", parents=[privacy],
+    p = sub.add_parser("utility", parents=[seeded],
                        help="compare expected error of pf vs em")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--scores", help="quality-vector JSON file (single instance)")

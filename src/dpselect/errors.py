@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit.
 
-Everything deriving from ValidationError means "the input was unusable";
-the command line maps those to exit code 2. Statistical check outcomes
-(equivalence rejected, audit failed) are ordinary return values, never
-exceptions.
+Everything deriving from ValidationError means "the input was unusable".
+AllCategoriesMerged (nothing left to test) and QuadratureNonConvergence
+(an oracle that missed its own error target) derive from DpSelectError
+alone: the input was valid, but no verdict could be reached. The command
+line exits 2 on any DpSelectError, ValueError or OSError. Statistical
+check outcomes (equivalence rejected, audit failed) are ordinary return
+values, never exceptions.
 """
 
 

@@ -40,14 +40,13 @@ _ITEM_CHECKS = {
 }
 
 
-def _object(obj: Any, what: str, fields: dict[str, str]) -> dict:
-    """obj, required to be a JSON object holding each named field with a
+def _object(obj: Any, what: str, fields: dict[str, str]) -> None:
+    """Require obj to be a JSON object holding each named field with a
     value of its _ITEM_CHECKS kind."""
     _require(isinstance(obj, dict), f"{what} must be a JSON object")
     for field, kind in fields.items():
         _require(field in obj, f'{what} needs a "{field}" field')
         _require(_ITEM_CHECKS[kind](obj[field]), f'{what}: "{field}" must be of type {kind}')
-    return obj
 
 
 def _list_of(kind: str, obj: dict, field: str) -> list:

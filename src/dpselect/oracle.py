@@ -112,9 +112,9 @@ def exact_tables(mechanism: str, instances: Sequence[ValidatedInstance],
                  log: bool = False) -> list[np.ndarray]:
     """A FACTORS mechanism's table per instance, its row of _padded_tables:
     e^gamma * C or, with log, min(gamma + log C, 0), where no entry
-    underflows and a true zero is -inf. pf and rnm-expo raise
-    TooManyOutcomesForEnumeration above QUADRATURE_LIMIT outcomes; a name
-    outside FACTORS raises UnsupportedOracle.
+    underflows and a true zero is -inf. An instance above QUADRATURE_LIMIT
+    outcomes raises TooManyOutcomesForEnumeration; a name outside FACTORS
+    raises UnsupportedOracle.
 
     Log step bound (u = 2^-53), absolute, on log P = gamma + log C: if C
     is within delta relative of its exact value (its factor's stated
@@ -139,7 +139,9 @@ def _padded_tables(mechanisms: Sequence[str], instances: Sequence[ValidatedInsta
     one; each chunk's gamma, padded with -inf to its widest row, and
     w = e^gamma feed every factor. A table is the same bit for bit alone
     or in any batch. A batch of one chunk keeps its input order, so its
-    chunk's tables are the matrices."""
+    chunk's tables are the matrices. Every exact route has one outcome
+    limit: an instance above QUADRATURE_LIMIT raises
+    TooManyOutcomesForEnumeration, once the names are checked."""
     factors = []
     for mechanism in mechanisms:
         try:
@@ -147,8 +149,9 @@ def _padded_tables(mechanisms: Sequence[str], instances: Sequence[ValidatedInsta
         except (KeyError, TypeError):
             raise UnsupportedOracle(f"{mechanism!r} has no exact output-distribution oracle; "
                                     f"expected one of {sorted(FACTORS)}") from None
+    counts = [len(inst.quality) for inst in instances]
+    _check_outcome_count(max(counts, default=0), "every exact route")
     gammas = [log_weights(inst) for inst in instances]
-    counts = list(map(len, gammas))
     order, chunks = sorted(range(len(gammas)), key=counts.__getitem__), []
     while order:  # the widest rows first, so a chunk is as wide as its last row
         width = counts[order[-1]]
@@ -221,7 +224,6 @@ def _coin_game(p: np.ndarray) -> np.ndarray:
     plus 2^-1075 absolute where it is subnormal.
     """
     rows, width = p.shape
-    _check_outcome_count(width, "the coin-game DP")
     laws = np.zeros((width + 1, 2, rows, width))
     # pre_0: no coin yet, a count of 0; g_(width-1) = H[:, 0], reversed
     laws[0, 0, :, 0], laws[0, 1] = 1.0, 1.0 / np.arange(width, 0, -1)
@@ -269,7 +271,6 @@ def _win_integrals(gamma: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     2k^2 * 2^-1074 from underflow.
     """
     rows, width = gamma.shape
-    _check_outcome_count(width, "Gauss-Legendre")
     ms = [k // 2 + 1 for k in counts]
     m = max(ms)
     nodes = _legendre_nodes(m)[:, None]

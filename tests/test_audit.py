@@ -119,6 +119,14 @@ class TestPrivacyRatioAudit:
         with pytest.raises(EmptyPairList):
             privacy_ratio_audit("em", [], PrivacyParams(1.0, 1.0))
 
+    def test_pairs_from_a_generator(self):
+        pairs = perturbed_neighbor_pairs(5, 1.0, k_min=2, k_max=6, seed=3)
+        params = PrivacyParams(1.0, 1.0)
+        assert (privacy_ratio_audit("pf", (p for p in pairs), params)
+                == privacy_ratio_audit("pf", pairs, params))
+        with pytest.raises(EmptyPairList):
+            privacy_ratio_audit("pf", iter(()), params)
+
 
 class TestLogSpaceAudit:
     """The audit compares log-probabilities, so nothing underflows and no

@@ -164,6 +164,16 @@ class TestDist:
         assert code == 2
         assert "exact" in err
 
+    @pytest.mark.parametrize("mechanism", ["pf", "rnm-expo", "em"])
+    def test_exact_mode_beyond_the_outcome_limit_exits_two(self, capsys, tmp_path, mechanism):
+        """Every exact route, em's closed form too, stops at 256 outcomes."""
+        code, record, err = run(
+            capsys, "dist", "--mechanism", mechanism, "--epsilon", "1", "--sensitivity", "1",
+            "--scores", write_scores(tmp_path, [0.0] * 257),
+        )
+        assert (code, record) == (2, None)
+        assert "TooManyOutcomesForEnumeration" in err and "256" in err
+
     def test_out_file_round_trips(self, capsys, scores_file, tmp_path):
         out = tmp_path / "dist.json"
         code, record, _ = run(
@@ -315,19 +325,6 @@ class TestCompare:
         assert record is None
         assert "smallest normal double" in err
 
-    @pytest.mark.parametrize("tolerance", ["-1e-9", "nan", "inf", "-inf"])
-    def test_tolerance_negative_or_not_finite_exits_two(
-        self, capsys, scores_file, tolerance
-    ):
-        code, record, err = run(
-            capsys, "compare", "--mechanism", "pf", "--mechanism", "rnm-expo",
-            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
-            f"--tolerance={tolerance}",
-        )
-        assert code == 2
-        assert record is None
-        assert "error: ValueError: --tolerance must be finite and at least 0" in err
-
     def test_needs_exactly_two_mechanisms(self, capsys, scores_file):
         code, record, err = run(
             capsys, "compare", "--mechanism", "pf",
@@ -345,6 +342,64 @@ class TestCompare:
         )
         assert code == 2
         assert "quadrature" in err
+
+    @pytest.mark.parametrize("scores", [K20_SCORES, K256_SCORES], ids=["k20", "k256"])
+    @pytest.mark.parametrize("second, provenance", [("pf", "exact-poisson-binomial"),
+                                                    ("rnm-expo", "exact-gauss-legendre")])
+    def test_quadrature_mode_checks_the_identity_against_an_exact_table(
+        self, capsys, tmp_path, scores, second, provenance
+    ):
+        """Quadrature mode integrates the first mechanism's noise and reads
+        the second's exact table: exponential-noise quadrature against the
+        pf DP is the paper's identity by two routes that share no code."""
+        code, record, _ = run(
+            capsys, "compare", "--mechanism", "rnm-expo", "--mechanism", second,
+            "--epsilon", "1", "--sensitivity", "1", "--scores", write_scores(tmp_path, scores),
+            "--mode", "quadrature",
+        )
+        assert code == 0
+        assert record["tv_distance"] <= 1e-8
+        assert (record["tolerance"], record["pass"]) == (1e-8, True)
+        assert record["provenances"] == ["quadrature", provenance]
+
+    @pytest.mark.parametrize("first, code", [("rnm-gumbel", 0), ("rnm-laplace", 3)])
+    def test_quadrature_mode_against_the_exponential_mechanism(
+        self, capsys, scores_file, first, code
+    ):
+        """Gumbel noise gives the exponential mechanism (acceptance
+        criterion 4); Laplace noise does not."""
+        got, record, _ = run(
+            capsys, "compare", "--mechanism", first, "--mechanism", "em",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "quadrature",
+        )
+        assert got == code
+        assert record["pass"] is (code == 0)
+        assert (record["tv_distance"] <= 1e-8) is (code == 0)
+        assert record["provenances"] == ["quadrature", "exact-closed-form"]
+
+    def test_quadrature_mode_second_without_an_exact_table_exits_two(
+        self, capsys, scores_file
+    ):
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "rnm-laplace", "--mechanism", "rnm-gumbel",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", "quadrature",
+        )
+        assert (code, record) == (2, None)
+        assert "UnsupportedOracle: exact mode has no route for 'rnm-gumbel'" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "quadrature"])
+    def test_tolerance_is_not_an_option(self, capsys, scores_file, mode):
+        """Exact and quadrature verdicts share one bound, cli.TV_TOLERANCE."""
+        code, record, err = run(
+            capsys, "compare", "--mechanism", "rnm-expo", "--mechanism", "pf",
+            "--epsilon", "2", "--sensitivity", "1", "--scores", scores_file,
+            "--mode", mode, "--tolerance", "1",
+        )
+        assert (code, record) == (2, None)
+        assert err.startswith("usage: dpselect ")
+        assert "unrecognized arguments: --tolerance 1" in err
 
 
 class TestAudit:
@@ -389,6 +444,16 @@ class TestAudit:
         assert (code, err) == (0, "")
         assert record["bound"] == math.inf
         assert record["pass"] is True
+
+    def test_seed_is_not_an_option(self, capsys, pairs_file):
+        """An audit draws nothing, so it takes no seed."""
+        code, record, err = run(
+            capsys, "audit", "--mechanism", "pf", "--pairs", pairs_file,
+            "--epsilon", "2", "--sensitivity", "1", "--seed", "1",
+        )
+        assert (code, record) == (2, None)
+        assert err.startswith("usage: dpselect ")
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_pair_violating_sensitivity_exits_two(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"
@@ -720,8 +785,8 @@ def test_every_command_and_script_runs_without_scipy(tmp_path, scores_file):
         ["dist", "--mechanism", "rnm-gumbel", "--mode", "quadrature", *scores],
         ["dist", "--mechanism", "alg-b", "--mode", "empirical", "--n", "2000", *scores],
         ["compare", "--mechanism", "pf", "--mechanism", "rnm-expo", *scores],
-        ["compare", "--mechanism", "rnm-laplace", "--mechanism", "rnm-gumbel",
-         "--mode", "quadrature", "--tolerance", "1", *scores],
+        ["compare", "--mechanism", "rnm-gumbel", "--mechanism", "em",
+         "--mode", "quadrature", *scores],
         ["compare", "--mechanism", "pf", "--mechanism", "rnm-expo", "--mode", "empirical",
          "--n", "2000", "--seed", "5", *scores],
         ["compare", "--mechanism", "alg-a", "--mechanism", "pf", "--mode", "empirical", *scores],

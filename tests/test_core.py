@@ -135,6 +135,12 @@ class TestSensitivityFromPairs:
         with pytest.raises(EmptyPairList):
             sensitivity_from_pairs([])
 
+    def test_pairs_from_a_generator(self):
+        pairs = [pair((5.0, 1.0), (4.0, 2.0)), pair((5.0, 3.0), (2.5, 3.0))]
+        assert sensitivity_from_pairs(p for p in pairs) == 2.5
+        with pytest.raises(EmptyPairList):
+            sensitivity_from_pairs(iter(()))
+
     @given(
         st.lists(
             st.tuples(

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -39,11 +40,12 @@ class TestQualityVectorFiles:
             formats.load_quality_vector(path)
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(MalformedInputFile):
-            formats.load_quality_vector(tmp_path / "missing.json")
+        missing = tmp_path / "missing.json"
+        with pytest.raises(MalformedInputFile, match=f"cannot read {re.escape(str(missing))}"):
+            formats.load_quality_vector(missing)
         bad = tmp_path / "trunc.json"
         bad.write_text('{"labels": [')
-        with pytest.raises(MalformedInputFile):
+        with pytest.raises(MalformedInputFile, match=f"{re.escape(str(bad))} is not valid JSON"):
             formats.load_quality_vector(bad)
 
 
@@ -63,7 +65,9 @@ class TestProbabilityTableFiles:
         table = em_exact_distribution(make_instance([1.0, 0.0], epsilon=2.0))
         path = tmp_path / "dist.json"
         formats.write_json(asdict(table), path)
-        raw = json.loads(path.read_text())
+        text = path.read_text()
+        assert text.endswith("}\n")
+        raw = json.loads(text)
         assert tuple(raw["probabilities"]) == table.probabilities  # bit-exact in the file
 
     def test_provenance_field_present(self, tmp_path):

@@ -156,12 +156,14 @@ class TestRegimeGolden:
     sampler's pick changes how it runs: k = 2 (one column comparison), 3,
     11 and 12 (the last k of column passes and the first of numpy's
     per-row argmax), 128 and 129 (em's last k of threshold counting and
-    its first of searchsorted) and 256. Each instance ties its best score
-    at the first and last outcome and, from k = 4, gives outcome 1 weight
-    0, so a wrong tie-break or a pick of an impossible outcome shows. Each
-    value is a digest of the 40,000-draw counts under seed 2026."""
+    its first of searchsorted), 256 and 257 (the first k whose index
+    does not fit the column passes' uint8 counts). Each instance ties its
+    best score at the first and last outcome and, from k = 4, gives
+    outcome 1 weight 0, so a wrong tie-break or a pick of an impossible
+    outcome shows. Each value is a digest of the 40,000-draw counts under
+    seed 2026."""
 
-    KS = (2, 3, 11, 12, 128, 129, 256)
+    KS = (2, 3, 11, 12, 128, 129, 256, 257)
     DIGESTS = {
         2: {
             "alg-a": "c2eeddbfe3872758",
@@ -225,6 +227,15 @@ class TestRegimeGolden:
             "rnm-expo": "13bcf043404ac950",
             "rnm-gumbel": "db6788e2c37dea12",
             "rnm-laplace": "13bcf043404ac950",
+        },
+        257: {
+            "alg-a": "ab664f2050610db6",
+            "alg-b": "d2c847716fbfb04a",
+            "em": "40c757e245602bb8",
+            "pf": "121bb2a9322f3e8a",
+            "rnm-expo": "5d75429f6b6cc453",
+            "rnm-gumbel": "1b8c601ca1156daa",
+            "rnm-laplace": "5d75429f6b6cc453",
         },
     }
 
@@ -436,9 +447,10 @@ class TestSeededReplay:
 class TestColumnPicks:
     """_first_max and _search_right give the bits of the numpy calls they
     stand in for at small k, np.argmax per row and np.searchsorted to the
-    right, on both sides of their cut-overs."""
+    right, on both sides of their cut-overs and at k = 257, past the
+    uint8 counts the column passes keep."""
 
-    @pytest.mark.parametrize("k", range(1, FIRST_MAX_COLUMNS + 3))
+    @pytest.mark.parametrize("k", [*range(1, FIRST_MAX_COLUMNS + 3), 257])
     def test_first_max_is_the_first_argmax(self, k):
         gen = np.random.default_rng(k)
         # few distinct values, so most rows tie at their maximum
@@ -449,7 +461,8 @@ class TestColumnPicks:
             expected = np.argmax(values, axis=1).tolist()
             assert _first_max(values.ravel(), k).tolist() == expected
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, SEARCH_COUNT_MAX_K, SEARCH_COUNT_MAX_K + 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, SEARCH_COUNT_MAX_K, SEARCH_COUNT_MAX_K + 1,
+                                   257])
     def test_search_right_is_searchsorted(self, k):
         gen = np.random.default_rng(k)
         # each weight 0 repeats a cumulative value, the first always and

@@ -906,8 +906,8 @@ class TestLogTables:
             assert log_p.tolist() == [0.0, -math.inf]
 
     def test_outcome_limit(self):
-        for name in ("pf", "rnm-expo"):
-            with pytest.raises(TooManyOutcomesForEnumeration):
+        for name in FACTORS:
+            with pytest.raises(TooManyOutcomesForEnumeration, match="at most 256 outcomes, got 257"):
                 exact_tables(name, [make_instance([0.0] * 3), make_instance([0.0] * 257)], log=True)
 
     @pytest.mark.parametrize("name", ["alg-a", None])

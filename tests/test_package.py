@@ -39,12 +39,13 @@ import json, sys, dpselect
 submodules = {SUBMODULES!r}
 resolved = {{name: getattr(dpselect, name) for name in (*dpselect.__all__, *submodules)}}
 homes = [sys.modules[f"dpselect.{{m}}"] for m in submodules]
+missing = object()  # a name no home defines cannot match, whatever it resolved to
 print(json.dumps({{
     "all": dpselect.__all__,
     "dir": dir(dpselect),
     "modules": [resolved[m].__name__ for m in submodules],
     "unowned": [name for name, value in resolved.items() if name not in submodules
-                and not any(getattr(home, name, None) is value for home in homes)],
+                and not any(getattr(home, name, missing) is value for home in homes)],
 }}))
 """)
     assert result["all"] == sorted(set(result["all"]))

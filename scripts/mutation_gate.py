@@ -307,34 +307,46 @@ MUTANTS = (
            "",
            ("tests/test_formats.py::TestNeighborPairFiles::test_malformed_rejected",)),
     Mutant("quality-labels-kept-as-given", "src/dpselect/core.py",
-           'object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))\n'
-           '        object.__setattr__(self, "scores", tuple(self.scores))',
-           'object.__setattr__(self, "scores", tuple(self.scores))',
+           "tuple(map(str, labels)), tuple(scores)",
+           "tuple(labels), tuple(scores)",
            ("tests/test_core.py::TestQualityVector"
             "::test_stores_tuples_of_str_labels_and_float_scores",)),
     Mutant("quality-scores-iterable-kept-as-given", "src/dpselect/core.py",
-           '        object.__setattr__(self, "scores", tuple(self.scores))\n',
-           "",
+           "labels, scores = tuple(map(str, labels)), tuple(scores)",
+           "labels, scores = tuple(map(str, labels)), scores",
            ("tests/test_core.py::TestQualityVector"
             "::test_stores_tuples_of_str_labels_and_float_scores",)),
     Mutant("quality-scores-not-converted-to-float", "src/dpselect/core.py",
-           '        object.__setattr__(self, "scores", tuple(scores))\n',
-           "",
+           "scores=tuple(floats)",
+           "scores=scores",
            ("tests/test_core.py::TestQualityVector"
             "::test_stores_tuples_of_str_labels_and_float_scores",)),
     Mutant("epsilon-not-converted-to-float", "src/dpselect/core.py",
-           '        object.__setattr__(self, "epsilon", float(self.epsilon))\n',
-           "",
+           "epsilon, sensitivity = float(epsilon), float(sensitivity)",
+           "epsilon, sensitivity = epsilon, float(sensitivity)",
            ("tests/test_core.py::TestPrivacyParams::test_stores_floats",)),
     Mutant("sensitivity-not-converted-to-float", "src/dpselect/core.py",
-           '        object.__setattr__(self, "sensitivity", float(self.sensitivity))\n',
-           "",
+           "epsilon, sensitivity = float(epsilon), float(sensitivity)",
+           "epsilon, sensitivity = float(epsilon), sensitivity",
            ("tests/test_core.py::TestPrivacyParams::test_stores_floats",)),
     Mutant("table-labels-kept-as-given", "src/dpselect/core.py",
-           'object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))\n'
-           "        probs = ",
-           "probs = ",
+           "labels, probs = tuple(map(str, labels)),",
+           "labels, probs = tuple(labels),",
            ("tests/test_core.py::TestProbabilityTable::test_stores_a_tuple_of_str_labels",)),
+    Mutant("record-equality-ignores-the-last-field", "src/dpselect/core.py",
+           "return self._values() == other._values()",
+           "return self._values()[:-1] == other._values()[:-1]",
+           ("tests/test_records.py::test_records_differing_in_one_field_are_unequal",)),
+    Mutant("record-assignment-allowed", "src/dpselect/core.py",
+           '        raise AttributeError(f"cannot assign to {name!r}',
+           '        object.__setattr__(self, name, value)\n'
+           '        return\n'
+           '        raise AttributeError(f"cannot assign to {name!r}',
+           ("tests/test_records.py::test_assigning_or_deleting_a_field_raises",)),
+    Mutant("table-bulk-path-accepts-nan", "src/dpselect/core.py",
+           "if math.isnan(total) or abs(total - 1.0)",
+           "if abs(total - 1.0)",
+           ("tests/test_core.py::TestProbabilityTable::test_non_finite_entry_at_any_position_rejected",)),
     Mutant("quadrature-error-without-its-message", "src/dpselect/errors.py",
            "        super().__init__(message)\n",
            "",

@@ -18,7 +18,6 @@ over all neighboring datasets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .core import (
     PrivacyParams,
     ProbabilityTable,
     QualityVector,
+    Record,
     ValidatedInstance,
     sensitivity_from_pairs,
     validate_instance,
@@ -45,39 +45,38 @@ RATIO_SLACK = 1e-9
 DOMINANCE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class PairAudit:
+class PairAudit(Record):
     """Worst per-outcome probability ratio observed for one neighbor pair."""
 
-    pair_index: int
-    worst_outcome_label: str
-    ratio: float
+    def __init__(self, pair_index: int, worst_outcome_label: str, ratio: float) -> None:
+        self.__dict__.update(pair_index=pair_index, worst_outcome_label=worst_outcome_label,
+                             ratio=ratio)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Outcome of a privacy-ratio audit over a batch of neighbor pairs."""
 
-    per_pair: tuple[PairAudit, ...]
-    worst_ratio: float
-    bound: float
-    passed: bool
+    def __init__(self, per_pair: tuple[PairAudit, ...], worst_ratio: float, bound: float,
+                 passed: bool) -> None:
+        self.__dict__.update(per_pair=per_pair, worst_ratio=worst_ratio, bound=bound,
+                             passed=passed)
 
 
-@dataclass(frozen=True)
-class UtilityRecord:
-    instance_id: int
-    expected_error_pf: float
-    expected_error_em: float
+class UtilityRecord(Record):
+    def __init__(self, instance_id: int, expected_error_pf: float,
+                 expected_error_em: float) -> None:
+        self.__dict__.update(instance_id=instance_id, expected_error_pf=expected_error_pf,
+                             expected_error_em=expected_error_em)
 
 
-@dataclass(frozen=True)
-class UtilityReport:
+class UtilityReport(Record):
     """Expected selection error of permute-and-flip vs the exponential
     mechanism across a suite of instances."""
 
-    per_instance: tuple[UtilityRecord, ...]
-    dominance_violations: int
+    def __init__(self, per_instance: tuple[UtilityRecord, ...],
+                 dominance_violations: int) -> None:
+        self.__dict__.update(per_instance=per_instance,
+                             dominance_violations=dominance_violations)
 
 
 def privacy_ratio_audit(oracle: str, pairs: Sequence[NeighborPair],

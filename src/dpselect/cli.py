@@ -35,7 +35,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Any
 
 # one verdict per process and no BLAS call big enough to share: no BLAS pool
@@ -86,7 +85,7 @@ def cmd_select(args: argparse.Namespace) -> tuple[dict, dict | None]:
 
 
 def cmd_dist(args: argparse.Namespace) -> tuple[dict, dict | None]:
-    table = asdict(table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed))
+    table = table_for(args.mechanism, _instance(args), args.mode, args.n, args.seed).as_dict()
     return table, table
 
 
@@ -141,7 +140,7 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, dict | None]:
     report = privacy_ratio_audit(args.mechanism, pairs, params)
     verdict = {"bound": report.bound, "worst_ratio": report.worst_ratio, "pass": report.passed}
     return ({"mechanism": args.mechanism, "pairs": len(pairs), **verdict},
-            {**verdict, "per_pair": [asdict(r) for r in report.per_pair]})
+            {**verdict, "per_pair": [r.as_dict() for r in report.per_pair]})
 
 
 def cmd_utility(args: argparse.Namespace) -> tuple[dict, dict | None]:
@@ -162,7 +161,7 @@ def cmd_utility(args: argparse.Namespace) -> tuple[dict, dict | None]:
     if len(instances) == 1:
         record["expected_error_pf"] = report.per_instance[0].expected_error_pf
         record["expected_error_em"] = report.per_instance[0].expected_error_em
-    return record, asdict(report)
+    return record, report.as_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:

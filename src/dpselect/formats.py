@@ -84,7 +84,7 @@ def load_neighbor_pairs(path: str | Path) -> list[NeighborPair]:
 
 
 def write_json(record: dict, path: str | Path) -> None:
-    """Write a dict, e.g. dataclasses.asdict of a table or report, as JSON."""
+    """Write a dict, e.g. the as_dict() of a table or report, as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

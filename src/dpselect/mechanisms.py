@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import ValidatedInstance
+from .core import Record, ValidatedInstance
 from .noise import NOISE_FAMILIES, RngState, floored_uniforms, samples
 
 # No array of a batch-sampling chunk holds more than this many values (see
@@ -58,12 +57,11 @@ FIRST_MAX_COLUMNS = 11
 SEARCH_COUNT_MAX_K = 128
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(Record):
     """Chosen outcome: position in the score vector plus its label."""
 
-    index: int
-    label: str
+    def __init__(self, index: int, label: str) -> None:
+        self.__dict__.update(index=index, label=label)
 
 
 def _first_max(values: np.ndarray, k: int) -> np.ndarray:

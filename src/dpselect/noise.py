@@ -23,19 +23,21 @@ analytic CDF.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .core import Record
 
 # Smallest nonzero value the uniform stream can produce; substituting it for
 # an exact 0.0 draw keeps the log-based quantiles finite.
 _U_FLOOR = 2.0 ** -53
 
 
-class _UnitLaw:
-    """quantile, the negation of the family's negated_quantile, and cdf
-    and pdf, each read off the family's one shared pass, cdf_pdf."""
+class _UnitLaw(Record):
+    """A record without fields, so two families are equal when of one
+    type; quantile, the negation of the family's negated_quantile, and
+    cdf and pdf, each read off the family's one shared pass, cdf_pdf."""
 
     def quantile(self, u: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.negative(self.negated_quantile(u, out), out=out)
@@ -47,7 +49,6 @@ class _UnitLaw:
         return self.cdf_pdf(x, np.empty(np.shape(x)))[1]
 
 
-@dataclass(frozen=True)
 class Exponential(_UnitLaw):
     """Nonnegative noise, density exp(-x) for x >= 0."""
 
@@ -60,7 +61,6 @@ class Exponential(_UnitLaw):
         return out, np.exp(minus) * (x >= 0.0)  # a mask without a branch per point
 
 
-@dataclass(frozen=True)
 class Laplace(_UnitLaw):
     """Symmetric noise, density exp(-|x|) / 2."""
 
@@ -79,7 +79,6 @@ class Laplace(_UnitLaw):
         return np.abs(out, out=out), half
 
 
-@dataclass(frozen=True)
 class Gumbel(_UnitLaw):
     """Max-stable noise, density exp(-x - exp(-x))."""
 

@@ -39,12 +39,11 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ProbabilityTable, ValidatedInstance
+from .core import ProbabilityTable, Record, ValidatedInstance
 from .errors import (
     AllCategoriesMerged,
     LabelMismatch,
@@ -66,18 +65,17 @@ _TAIL_SPLITS = (1e-3, 1e-6)
 MIN_EXPECTED_COUNT = 5.0
 
 
-@dataclass(frozen=True)
-class GofResult:
+class GofResult(Record):
     """Pearson goodness-of-fit outcome at a caller-supplied significance,
     with its power: the smallest divergence sum (p - q)^2 / q over the
     tested cells that it rejects with probability 0.9, 0.0 at a
     significance of 0.9 or more, None at dof 0."""
 
-    statistic: float
-    degrees_of_freedom: int
-    p_value: float
-    passed: bool
-    detectable_divergence: float | None
+    def __init__(self, statistic: float, degrees_of_freedom: int, p_value: float,
+                 passed: bool, detectable_divergence: float | None) -> None:
+        self.__dict__.update(statistic=statistic, degrees_of_freedom=degrees_of_freedom,
+                             p_value=p_value, passed=passed,
+                             detectable_divergence=detectable_divergence)
 
 
 def _check_outcome_count(k: int, route: str) -> None:

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -418,7 +417,10 @@ class TestAudit:
         saved = json.loads(out.read_text())
         assert list(saved) == ["bound", "worst_ratio", "pass", "per_pair"]
         assert saved == {"bound": report.bound, "worst_ratio": report.worst_ratio,
-                         "pass": report.passed, "per_pair": [asdict(r) for r in report.per_pair]}
+                         "pass": report.passed,
+                         "per_pair": [{"pair_index": r.pair_index,
+                                       "worst_outcome_label": r.worst_outcome_label,
+                                       "ratio": r.ratio} for r in report.per_pair]}
         assert saved["per_pair"][0]["ratio"] == pytest.approx(math.e, rel=1e-9)
 
     def test_identical_pair_ratio_one(self, capsys, tmp_path):

@@ -66,6 +66,14 @@ class TestValidateInstance:
         with pytest.raises(NonFiniteScore):
             QualityVector(("a", "b"), (0.0, bad))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_score_at_any_position_names_its_label(self, bad, position):
+        scores = [0.5, 1.0, -2.0]
+        scores[position] = bad
+        with pytest.raises(NonFiniteScore, match=f"'o{position}'"):
+            QualityVector(("o0", "o1", "o2"), scores)
+
     @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["1e400", "-1e400"])
     def test_integer_beyond_double_range_rejected(self, bad):
         with pytest.raises(NonFiniteScore, match="'b'"):
@@ -216,9 +224,23 @@ class TestProbabilityTable:
         table = ProbabilityTable(("a", "b"), (1.0 + 5e-13, -5e-13), "exact-closed-form")
         assert table.probabilities == (1.0, 0.0)
 
+    def test_negative_zero_entry_stored_as_zero(self):
+        table = ProbabilityTable(("a", "b"), (1.0, -0.0), "exact-closed-form")
+        assert [math.copysign(1.0, p) for p in table.probabilities] == [1.0, 1.0]
+
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(InvalidProbabilityTable):
             ProbabilityTable(("a", "b"), (1.2, -0.2), "exact-closed-form")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_entry_at_any_position_rejected(self, bad, position):
+        # min and max skip a NaN that is not first, so a bulk range check
+        # alone would pass (0.5, nan, 0.5)
+        entries = [0.5, 0.25, 0.25]
+        entries[position] = bad
+        with pytest.raises(InvalidProbabilityTable):
+            ProbabilityTable(("a", "b", "c"), entries, "exact-closed-form")
 
     def test_bad_sum_rejected(self):
         with pytest.raises(InvalidProbabilityTable):

@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import asdict
 
 import pytest
 
@@ -64,7 +63,7 @@ class TestProbabilityTableFiles:
     def test_round_trip_full_precision(self, tmp_path):
         table = em_exact_distribution(make_instance([1.0, 0.0], epsilon=2.0))
         path = tmp_path / "dist.json"
-        formats.write_json(asdict(table), path)
+        formats.write_json(table.as_dict(), path)
         text = path.read_text()
         assert text.endswith("}\n")
         raw = json.loads(text)
@@ -73,7 +72,7 @@ class TestProbabilityTableFiles:
     def test_provenance_field_present(self, tmp_path):
         table = em_exact_distribution(make_instance([1.0, 0.0]))
         path = tmp_path / "dist.json"
-        formats.write_json(asdict(table), path)
+        formats.write_json(table.as_dict(), path)
         raw = json.loads(path.read_text())
         assert set(raw) == {"labels", "probabilities", "provenance"}
         assert raw["provenance"] == "exact-closed-form"
@@ -83,7 +82,7 @@ class TestReportFiles:
     def test_utility_report_written_in_full(self, tmp_path):
         report = dominance_check([make_instance([1.0, 0.0], epsilon=2.0)])
         path = tmp_path / "utility.json"
-        formats.write_json(asdict(report), path)
+        formats.write_json(report.as_dict(), path)
         raw = json.loads(path.read_text())
-        assert raw == json.loads(json.dumps(asdict(report)))
+        assert raw == json.loads(json.dumps(report.as_dict()))
         assert set(raw) == {"per_instance", "dominance_violations"}

@@ -343,9 +343,9 @@ MUTANTS = (
            '        return\n'
            '        raise AttributeError(f"cannot assign to {name!r}',
            ("tests/test_records.py::test_assigning_or_deleting_a_field_raises",)),
-    Mutant("table-bulk-path-accepts-nan", "src/dpselect/core.py",
-           "if math.isnan(total) or abs(total - 1.0)",
-           "if abs(total - 1.0)",
+    Mutant("table-entry-check-passes-nan", "src/dpselect/core.py",
+           "if not -PROBABILITY_CLAMP_TOLERANCE <= p <= 1.0 + PROBABILITY_CLAMP_TOLERANCE:",
+           "if p < -PROBABILITY_CLAMP_TOLERANCE or p > 1.0 + PROBABILITY_CLAMP_TOLERANCE:",
            ("tests/test_core.py::TestProbabilityTable::test_non_finite_entry_at_any_position_rejected",)),
     Mutant("quadrature-error-without-its-message", "src/dpselect/errors.py",
            "        super().__init__(message)\n",

@@ -39,6 +39,8 @@ class Record:
     restore the __dict__ without calling __init__. as_dict() converts
     recursively, records inside records and tuples included."""
 
+    _fields: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         """A record without fields, such as a noise family."""
 
@@ -186,9 +188,7 @@ class ProbabilityTable(Record):
     table was produced: "exact-closed-form", "exact-poisson-binomial",
     "exact-gauss-legendre", "quadrature" or "empirical(n=...,seed=...)".
     Entries within 1e-12 outside [0, 1] are clamped; anything worse, or a
-    sum off by more than 1e-9, is rejected. A table whose entries all lie
-    in (0, 1] needs no clamp and is checked in bulk: min and max skip a NaN
-    that is not first, so the sum, NaN then, rejects it.
+    sum off by more than 1e-9, is rejected.
     """
 
     def __init__(self, labels: Iterable[str], probabilities: Iterable[float],
@@ -198,10 +198,9 @@ class ProbabilityTable(Record):
             raise LabelMismatch(f"{len(labels)} labels for {len(probs)} probabilities")
         if len(probs) == 0:
             raise EmptyOutcomeSet("a probability table needs at least one entry")
-        if not 0.0 < min(probs) <= max(probs) <= 1.0:  # a 0, a first NaN or one to clamp
-            probs = tuple(map(_clamped, probs))
+        probs = tuple(map(_clamped, probs))
         total = math.fsum(probs)
-        if math.isnan(total) or abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
+        if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise InvalidProbabilityTable(f"entries sum to {total!r}, not 1")
         self.__dict__.update(labels=labels, probabilities=probs, provenance=provenance)
 

@@ -235,10 +235,8 @@ class TestProbabilityTable:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_non_finite_entry_at_any_position_rejected(self, bad, position):
-        # min and max skip a NaN that is not first, so a bulk range check
-        # alone would pass (0.5, nan, 0.5)
-        entries = [0.5, 0.25, 0.25]
-        entries[position] = bad
+        entries = [0.5, 0.5]
+        entries.insert(position, bad)
         with pytest.raises(InvalidProbabilityTable):
             ProbabilityTable(("a", "b", "c"), entries, "exact-closed-form")
 

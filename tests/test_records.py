@@ -14,6 +14,7 @@ from dpselect.core import (
     PrivacyParams,
     ProbabilityTable,
     QualityVector,
+    Record,
     ValidatedInstance,
 )
 from dpselect.errors import NonPositiveEpsilon
@@ -168,6 +169,18 @@ def test_fields_and_vars_name_the_fields_in_order(cls):
     assert cls._fields == tuple(FIELDS[cls])
     assert list(vars(record).items()) == [(name, values[0])
                                           for name, values in FIELDS[cls].items()]
+
+
+def test_the_base_is_a_record_without_fields():
+    record = Record()
+    assert Record._fields == () and vars(record) == {}
+    assert record == Record() and hash(record) == hash(Record())
+    assert record != Exponential() and Exponential() != record
+    assert repr(record) == "Record()" and record.as_dict() == {}
+    with pytest.raises(AttributeError):
+        record.field = 1
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is Record and twin == record
 
 
 def test_replace_by_vars_reruns_the_checks():
